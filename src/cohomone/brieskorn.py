@@ -101,7 +101,8 @@ def delta_poly(p: BrieskornParams) -> IntegerPolynomial:
     numerator = IntegerPolynomial((constant,) + (0,) * (p.d - 1) + (1,))
     denominator = IntegerPolynomial((-sign_m, 1))
     quotient, remainder = numerator.divmod(denominator)
-    assert remainder.is_zero(), "monodromy division must be exact"
+    if not remainder.is_zero():
+        raise InvalidParams(f"monodromy division is not exact for m={p.m}, d={p.d}")
     return quotient
 
 

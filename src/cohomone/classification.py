@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .catalog import Catalog, DiagramRecord, default_catalog
-from .diagram import GroupDiagram, equivalent, validate
-from .errors import InvalidDiagram, InvalidParams
+from .diagram import CASE6_FIBERS, GroupDiagram, equivalent, validate
+from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
     GroupType,
     NamedEmbedding,
@@ -36,7 +36,6 @@ from .rational_homotopy import (
 )
 
 _T1 = GroupType((), 1)
-_T2 = GroupType((), 2)
 _SU2 = special_unitary(2)
 _TRIVIAL = GroupType()
 
@@ -69,7 +68,8 @@ def seven_family_torsion(p: SevenFamilyParams) -> int:
     divisible by 8 exactly.
     """
     diff = p.p_minus**2 * p.q_plus**2 - p.p_plus**2 * p.q_minus**2
-    assert diff % 8 == 0, "difference of squares must be divisible by 8"
+    if diff % 8:
+        raise InvalidParams(f"{p}: difference of squares {diff} is not divisible by 8")
     return abs(diff) // 8
 
 
@@ -132,7 +132,8 @@ def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[
         if not is_declared_injective(embedding):
             continue
         qh = quotient_homotopy(HomogeneousSpaceModel.of(embedding))
-        assert not qh.heuristic and not qh.even_degrees and len(qh.odd_degrees) == 2
+        if qh.heuristic or qh.even_degrees or len(qh.odd_degrees) != 2:
+            raise InvalidEmbedding(f"{embedding.id}: a corank-2 quotient needs exactly two odd degrees")
         ell_minus, total = qh.odd_degrees
         notes = tuple(sorted(t for t in embedding.tags if t == "multiple" or t.startswith("m>=")))
         rows.append(
@@ -170,14 +171,15 @@ class Case6Pair:
 
 
 def case6_pairs() -> list[Case6Pair]:
-    """The five equal-rank pairs whose quotients appear as exceptional fibers."""
-    return [
-        Case6Pair(special_unitary(3), _T2, 2, "su3-mod-t2", 7),
-        Case6Pair(symplectic(2), _T2, 2, "sp2-mod-t2", 9),
-        Case6Pair(parse_group("G2"), _T2, 2, "g2-mod-t2", 13),
-        Case6Pair(symplectic(3), _SU2 * _SU2 * _SU2, 4, "sp3-mod-sp1cubed", 13),
-        Case6Pair(parse_group("F4"), special_orthogonal(8), 8, "f4-mod-spin8", 25),
-    ]
+    """The five equal-rank pairs G/H whose quotients appear as exceptional
+    fibers, read from the "G/H x loops(S^n)" descriptions of ``CASE6_FIBERS``."""
+    pairs = []
+    for ell, tag, description, forced in CASE6_FIBERS:
+        group, isotropy = description.split(" x ")[0].split("/")
+        base, _, power = isotropy.partition("^")  # H = K^k is written out as K x ... x K
+        isotropy = "x".join([base] * int(power or 1))
+        pairs.append(Case6Pair(parse_group(group), parse_group(isotropy), ell, tag, forced))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,8 @@ class ClassificationOutcome:
 
     def __post_init__(self) -> None:
         if self.kind == "brieskorn":
-            assert self.m is not None and self.d is not None
+            if self.m is None or self.d is None:
+                raise InvalidParams("Brieskorn outcomes require m and d")
             if self.m % 2 and self.d % 2 == 0:
                 raise InvalidParams("Brieskorn outcomes require m even or d odd")
         if self.kind == "seven-family" and not self.torsion:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
@@ -25,7 +26,7 @@ from .classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from .diagram import GroupDiagram, gh_classify, mv_feasible, primitivity, validate
+from .diagram import GroupDiagram, gh_classify, mv_feasible, primitivity
 from .errors import CohomoneError
 from .lie_catalog import degrees, parse_group, weyl_order
 from .polynomial import IntegerPolynomial
@@ -83,49 +84,71 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _coeffs(text: str) -> IntegerPolynomial:
-    text = text.strip()
-    if not text:
-        return IntegerPolynomial.one()
-    return IntegerPolynomial(tuple(int(v) for v in text.split(",")))
+def _integers(values: list[str], flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in values)
+    except ValueError as exc:
+        raise _UsageError(f"{flag} takes comma-separated integers ({exc})") from None
 
 
-def _sphere_poly(text: str) -> IntegerPolynomial:
-    dims = [int(v) for v in text.split(",") if v.strip()]
+def _coeffs(text: str, flag: str) -> IntegerPolynomial:
+    return IntegerPolynomial(_integers(text.split(","), flag) if text.strip() else (1,))
+
+
+def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
+    dims = _integers([v for v in text.split(",") if v.strip()], flag)
+    if any(d < 1 for d in dims):
+        raise _UsageError(f"{flag} takes positive sphere dimensions, got {text!r}")
     return odd_product_poincare(dims)
 
 
 def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
-    raw = sys.stdin.read() if spec == "-" else open(spec, "r", encoding="utf-8").read()
+    try:
+        raw = sys.stdin.read() if spec == "-" else Path(spec).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read diagram file {spec}: {exc}") from exc
     try:
         document = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"diagram document is not valid JSON: {exc}") from exc
+        raise _UsageError(f"diagram document {spec} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise _UsageError(f"diagram document {spec} is not a JSON object")
     return _diagram_from_document(document, catalog)
+
+
+def _int_key(document: dict, key: str) -> int:
+    try:
+        return int(document[key])
+    except KeyError:
+        raise _UsageError(f"diagram document has no {key!r} key") from None
+    except (TypeError, ValueError, OverflowError):
+        raise _UsageError(f"diagram document key {key!r} must be an integer, got {document[key]!r}") from None
 
 
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     if "catalog" in document:
-        return catalog.diagram_record(document["catalog"]).diagram
+        return catalog.diagram_record(str(document["catalog"])).diagram
     family = document.get("family")
     if family == "brieskorn":
         return brieskorn_diagram(
-            int(document["m"]), int(document["d"]),
+            _int_key(document, "m"), _int_key(document, "d"),
             document.get("variant", "standard"), catalog,
         )
     if family == "seven":
         params = SevenFamilyParams(
-            int(document["p_minus"]), int(document["q_minus"]),
-            int(document["p_plus"]), int(document["q_plus"]),
+            *(_int_key(document, key) for key in ("p_minus", "q_minus", "p_plus", "q_plus"))
         )
         return seven_family_diagram(params, catalog)
     if family == "tensor-su":
-        return tensor_su_diagram(int(document["n"]), catalog)
+        return tensor_su_diagram(_int_key(document, "n"), catalog)
     if family == "tensor-sp":
-        return tensor_sp_diagram(int(document["n"]), catalog)
+        return tensor_sp_diagram(_int_key(document, "n"), catalog)
     if family is not None:
         raise _UsageError(f"unknown diagram family {family!r}")
-    return catalog.diagram_from_record(document)
+    try:
+        return catalog.diagram_from_record(document)
+    except KeyError as exc:  # only a missing record key: unknown ids raise InvalidLabel
+        raise _UsageError(f"diagram document has no {exc} key") from None
 
 
 def _embedding_payload(embedding_id: str, catalog: Catalog) -> tuple:
@@ -184,6 +207,9 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("verify-tables", help="verify every shipped table and closed form")
     return parser
+
+
+_PARSER = _build_parser()  # parse_args keeps no state between calls
 
 
 def _cmd_brieskorn(args, catalog: Catalog) -> CommandResult:
@@ -255,11 +281,6 @@ def _cmd_gh_case(args, catalog: Catalog) -> CommandResult:
 
 def _cmd_classify(args, catalog: Catalog) -> CommandResult:
     diagram = _load_diagram(args.diagram, catalog)
-    violations = validate(diagram)
-    if violations:
-        raise _UsageError(
-            "diagram is invalid: " + "; ".join(str(v) for v in violations)
-        )
     outcome = classify_diagram(diagram, catalog)
     payload = {
         "group": str(diagram.g),
@@ -286,10 +307,11 @@ def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
 
 def _cmd_mv_check(args, catalog: Catalog) -> CommandResult:
     def pick(coeffs: Optional[str], spheres: Optional[str], name: str) -> IntegerPolynomial:
+        coeff_flag, sphere_flag = name.split("/")
         if coeffs is not None:
-            return _coeffs(coeffs)
+            return _coeffs(coeffs, coeff_flag)
         if spheres is not None:
-            return _sphere_poly(spheres)
+            return _sphere_poly(spheres, sphere_flag)
         raise _UsageError(f"missing {name} (give Betti coefficients or sphere dimensions)")
 
     p_h = pick(args.p_h, args.h_spheres, "--p-h/--h-spheres")
@@ -350,9 +372,8 @@ _HANDLERS = {
 
 def run(argv: list[str], catalog: Optional[Catalog] = None) -> CommandResult:
     """Dispatch one command line; returns the exit code and JSON payload."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         handler = _HANDLERS[args.command]
         return handler(args, catalog or default_catalog())
     except _UsageError as exc:

@@ -189,7 +189,8 @@ def validate(d: GroupDiagram) -> list[Violation]:
 # Homotopy-fiber case classification
 # ---------------------------------------------------------------------------
 
-#: case-6 fibers: (fiber dimension l, tag, description, forced total dimension)
+#: case-6 fibers: (fiber dimension l, tag, description "G/H x loops(S^n)", forced total dimension n);
+#: ``classification.case6_pairs`` reads the pairs (G, H) from the descriptions
 CASE6_FIBERS: tuple[tuple[int, str, str, int], ...] = (
     (2, "su3-mod-t2", "SU(3)/T2 x loops(S7)", 7),
     (2, "sp2-mod-t2", "Sp(2)/T2 x loops(S9)", 9),

@@ -28,8 +28,14 @@ equals the sum of its degrees, and the Weyl order times 2^rank equals
 the product of (degree + 1) over all degrees.
 
 The module also ships the table of all effective transitive compact
-group actions on spheres, as nine parameterized row families, and the
-sphere-recognition and named-embedding machinery built on top of it.
+group actions on spheres and the sphere-recognition and named-embedding
+machinery built on top of it.  The table has six families whose row m
+acts on S^(a*m - 1) (a = 1, 2, 4 for SO, SU, Sp, alone or times U(1) or
+Sp(1)) and sporadic rows for G2, Spin(7) and Spin(9).  A lookup builds
+only the rows it can use: ``sphere_quotient`` the rows with m = (l+1)/a
+for the fiber dimension l, ``spheres_acted_on`` the rows whose group has
+the given group's rank.  No cap on m is needed: a row group of larger
+rank than the ambient group never matches it.
 """
 
 from __future__ import annotations
@@ -234,26 +240,15 @@ def _parse_term(term: str) -> GroupType:
     name, n = m.group(1), int(m.group(2))
     if name == "T":
         return GroupType((), n)
-    if name == "SU":
-        if n < 1:
-            raise InvalidLabel(f"SU({n}) is not defined")
-        return TRIVIAL_GROUP if n == 1 else GroupType((SimpleGroupLabel("A", n - 1),))
     if name == "U":
         if n < 1:
             raise InvalidLabel(f"U({n}) is not defined")
-        return GroupType((SimpleGroupLabel("A", n - 1),), 1) if n > 1 else GroupType((), 1)
+        return special_unitary(n) * GroupType((), 1)
+    if name == "SU":
+        return special_unitary(n)
     if name == "Sp":
-        if n < 0:
-            raise InvalidLabel(f"Sp({n}) is not defined")
-        return TRIVIAL_GROUP if n == 0 else GroupType((SimpleGroupLabel("C", n),))
-    # SO(n) and Spin(n): same local type
-    if n < 1:
-        raise InvalidLabel(f"{name}({n}) is not defined")
-    if n == 1:
-        return TRIVIAL_GROUP
-    if n % 2:
-        return GroupType((SimpleGroupLabel("B", (n - 1) // 2),))
-    return GroupType((SimpleGroupLabel("D", n // 2),))
+        return symplectic(n)
+    return special_orthogonal(n)  # SO(n) and Spin(n): same local type
 
 
 def parse_group(text: str) -> GroupType:
@@ -271,15 +266,21 @@ def parse_group(text: str) -> GroupType:
 
 
 def special_orthogonal(n: int) -> GroupType:
-    return _parse_term(f"SO({n})")
+    if n < 1:
+        raise InvalidLabel(f"SO({n}) and Spin({n}) are not defined")
+    return TRIVIAL_GROUP if n == 1 else GroupType((SimpleGroupLabel("B" if n % 2 else "D", n // 2),))
 
 
 def special_unitary(n: int) -> GroupType:
-    return _parse_term(f"SU({n})")
+    if n < 1:
+        raise InvalidLabel(f"SU({n}) is not defined")
+    return TRIVIAL_GROUP if n == 1 else GroupType((SimpleGroupLabel("A", n - 1),))
 
 
 def symplectic(n: int) -> GroupType:
-    return _parse_term(f"Sp({n})")
+    if n < 0:
+        raise InvalidLabel(f"Sp({n}) is not defined")
+    return TRIVIAL_GROUP if n == 0 else GroupType((SimpleGroupLabel("C", n),))
 
 
 # ---------------------------------------------------------------------------
@@ -379,86 +380,66 @@ class SphereActionRow:
             )
 
 
-def _sphere_row_families(max_m: int) -> Iterable[SphereActionRow]:
-    circle = GroupType((), 1)
-    sp1 = GroupType((SimpleGroupLabel("A", 1),))
-    for m in range(2, max_m + 1):
-        classes = {"block", "diagonal"} if m == 4 else {"block"}
-        yield SphereActionRow(
-            special_orthogonal(m), special_orthogonal(m - 1), m - 1, "so", m, frozenset(classes)
-        )
-    for m in range(2, max_m + 1):
-        yield SphereActionRow(
-            special_unitary(m), special_unitary(m - 1), 2 * m - 1, "su", m, frozenset({"block"})
-        )
-    for m in range(2, max_m + 1):
-        yield SphereActionRow(
-            special_unitary(m) * circle,
-            special_unitary(m - 1) * circle,
-            2 * m - 1,
-            "su-u1",
-            m,
-            frozenset({"block"}),
-        )
-    for m in range(1, max_m + 1):
-        yield SphereActionRow(
-            symplectic(m), symplectic(m - 1), 4 * m - 1, "sp", m, frozenset({"block"})
-        )
-    for m in range(1, max_m + 1):
-        yield SphereActionRow(
-            symplectic(m) * circle,
-            symplectic(m - 1) * circle,
-            4 * m - 1,
-            "sp-u1",
-            m,
-            frozenset({"block"}),
-        )
-    for m in range(1, max_m + 1):
-        classes = {"block", "diagonal"} if m == 1 else {"block"}
-        yield SphereActionRow(
-            symplectic(m) * sp1,
-            symplectic(m - 1) * sp1,
-            4 * m - 1,
-            "sp-sp1",
-            m,
-            frozenset(classes),
-        )
-    yield SphereActionRow(
-        parse_group("G2"), special_unitary(3), 6, "g2", None, frozenset({"block"})
-    )
-    yield SphereActionRow(
-        parse_group("Spin(7)"), parse_group("G2"), 7, "spin7", None, frozenset({"block"})
-    )
-    yield SphereActionRow(
-        parse_group("Spin(9)"), parse_group("Spin(7)"), 15, "spin9", None, frozenset({"spinor"})
-    )
+#: parameterized row families: name -> (a, smallest m).  Row m acts on the unit
+#: sphere S^(a*m - 1) of R^m, C^m or H^m (a = 1, 2, 4); the "-u1" and "-sp1"
+#: families add a factor that lies in both the group and the isotropy.
+_ROW_FAMILIES = {"so": (1, 2), "su": (2, 2), "su-u1": (2, 2), "sp": (4, 1), "sp-u1": (4, 1), "sp-sp1": (4, 1)}
+#: sporadic rows: name -> sphere dimension
+_SPORADIC_ROWS = {"g2": 6, "spin7": 7, "spin9": 15}
+_CLASSICAL_GROUPS = {"so": special_orthogonal, "su": special_unitary, "sp": symplectic}
+
+
+def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
+    """Row ``m`` of a parameterized family, or the sporadic row ``family``."""
+    if family == "g2":
+        group, isotropy = GroupType((SimpleGroupLabel("G2", 2),)), special_unitary(3)
+    elif family == "spin7":
+        group, isotropy = special_orthogonal(7), GroupType((SimpleGroupLabel("G2", 2),))
+    elif family == "spin9":
+        group, isotropy = special_orthogonal(9), special_orthogonal(7)
+    else:
+        head, _, extra = family.partition("-")
+        build = _CLASSICAL_GROUPS[head]
+        group, isotropy = build(m), build(m - 1)
+        if extra:
+            passenger = GroupType((), 1) if extra == "u1" else symplectic(1)
+            group, isotropy = group * passenger, isotropy * passenger
+    diagonal = (family, m) in (("so", 4), ("sp-sp1", 1))  # S^3 = SO(4)/SO(3) = Sp(1)xSp(1)/Sp(1)
+    classes = {"spinor"} if family == "spin9" else {"block", "diagonal"} if diagonal else {"block"}
+    dim = _SPORADIC_ROWS[family] if m is None else _ROW_FAMILIES[family][0] * m - 1
+    return SphereActionRow(group, isotropy, dim, family, m, frozenset(classes))
+
+
+def _sphere_rows_of_dimension(ell: int) -> Iterable[SphereActionRow]:
+    """The rows acting on S^ell: m = (ell + 1) / a in each family, and the sporadic rows."""
+    for family, (a, m_min) in _ROW_FAMILIES.items():
+        m, remainder = divmod(ell + 1, a)
+        if remainder == 0 and m >= m_min:
+            yield _sphere_row(family, m)
+    for family, dim in _SPORADIC_ROWS.items():
+        if dim == ell:
+            yield _sphere_row(family)
 
 
 def transitive_sphere_pairs(max_m: int = 12) -> list[SphereActionRow]:
     """All effective transitive sphere actions, families instantiated up to ``max_m``."""
-    return list(_sphere_row_families(max_m))
-
-
-def _factor_counter(g: GroupType) -> Counter:
-    return Counter(g.factors)
+    rows = [_sphere_row(family, m)
+            for family, (_, m_min) in _ROW_FAMILIES.items() for m in range(m_min, max_m + 1)]
+    return rows + [_sphere_row(family) for family in _SPORADIC_ROWS]
 
 
 def _passenger_match(ambient: GroupType, sub: GroupType, row: SphereActionRow) -> bool:
     """Does (ambient, sub) equal (row.group, row.isotropy) times a common passenger factor?"""
-    amb_extra = _factor_counter(ambient) - _factor_counter(row.group)
-    if sum((_factor_counter(row.group) - _factor_counter(ambient)).values()):
+    passenger, sub_passenger = list(ambient.factors), list(sub.factors)
+    try:
+        for label in row.group.factors:
+            passenger.remove(label)
+        for label in row.isotropy.factors:
+            sub_passenger.remove(label)
+    except ValueError:  # the row's group or isotropy has a factor the pair lacks
         return False
-    sub_extra = _factor_counter(sub) - _factor_counter(row.isotropy)
-    if sum((_factor_counter(row.isotropy) - _factor_counter(sub)).values()):
-        return False
-    if amb_extra != sub_extra:
-        return False
-    amb_torus = ambient.torus_rank - row.group.torus_rank
-    sub_torus = sub.torus_rank - row.isotropy.torus_rank
-    return amb_torus >= 0 and sub_torus >= 0 and amb_torus == sub_torus
-
-
-_STANDARDNESS_TAGS = ("block", "diagonal", "spinor")
+    torus = ambient.torus_rank - row.group.torus_rank
+    return passenger == sub_passenger and torus >= 0 and torus == sub.torus_rank - row.isotropy.torus_rank
 
 
 def sphere_quotient(ambient: GroupType, sub: NamedEmbedding) -> Optional[int]:
@@ -472,20 +453,21 @@ def sphere_quotient(ambient: GroupType, sub: NamedEmbedding) -> Optional[int]:
     if sub.ambient != ambient:
         raise InvalidEmbedding(f"{sub.id}: embedding does not live in the given ambient group")
     ell = ambient.dimension - sub.subgroup.dimension
-    max_m = 2 * ambient.rank + 3
-    for row in transitive_sphere_pairs(max_m):
-        if row.sphere_dim != ell:
-            continue
-        if not (row.embedding_classes & sub.tags):
-            continue
-        if _passenger_match(ambient, sub.subgroup, row):
+    for row in _sphere_rows_of_dimension(ell):
+        if row.embedding_classes & sub.tags and _passenger_match(ambient, sub.subgroup, row):
             return ell
     return None
 
 
 def spheres_acted_on(group: GroupType) -> set[int]:
-    """All sphere dimensions on which a simple group acts transitively."""
+    """All sphere dimensions on which a simple group acts transitively.
+
+    A row's group equals G only if it has G's rank r, which leaves
+    SO(2r), SO(2r+1), SU(r+1), Sp(r) and the sporadic rows as candidates.
+    """
     if not group.is_simple():
         raise Unsupported("spheres_acted_on is defined for simple groups only")
-    max_m = max(12, 2 * group.rank + 3)
-    return {row.sphere_dim for row in transitive_sphere_pairs(max_m) if row.group == group}
+    r = group.rank
+    rows = [_sphere_row("so", 2 * r), _sphere_row("so", 2 * r + 1), _sphere_row("su", r + 1), _sphere_row("sp", r)]
+    rows += [_sphere_row(family) for family in _SPORADIC_ROWS]
+    return {row.sphere_dim for row in rows if row.group == group}

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import cohomone
+import cohomone.classification
 from cohomone.catalog import default_catalog
 from cohomone.classification import (
     ClassificationOutcome,
@@ -19,7 +26,7 @@ from cohomone.classification import (
     tensor_su_diagram,
 )
 from cohomone.diagram import mv_feasible
-from cohomone.errors import InvalidDiagram, InvalidParams
+from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from cohomone.lie_catalog import NamedEmbedding, parse_group
 
 CAT = default_catalog()
@@ -292,3 +299,34 @@ def test_orbit_betti_all_rational_sphere_records_feasible():
         assert betti is not None, record.id
         result = mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, betti.n)
         assert result.verdict == "feasible", record.id
+
+
+# -- invariants are typed raises, not asserts ------------------------------------------
+
+
+def test_outcome_invariant_survives_python_O():
+    code = (
+        "from cohomone.classification import ClassificationOutcome\n"
+        "from cohomone.errors import InvalidParams\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    ClassificationOutcome('brieskorn')\n"
+        "except InvalidParams:\n"
+        "    print('InvalidParams')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["False", "InvalidParams"], done.stderr
+
+
+def test_seven_family_torsion_rejects_indivisible_difference():
+    # parameters that bypass the 1-mod-4 validation of SevenFamilyParams
+    with pytest.raises(InvalidParams):
+        seven_family_torsion(SimpleNamespace(p_minus=2, q_minus=1, p_plus=1, q_plus=1))
+
+
+def test_enumerate_corank2_rejects_quotient_without_two_odd_degrees(monkeypatch):
+    heuristic = SimpleNamespace(heuristic=True, even_degrees=(), odd_degrees=(5, 9))
+    monkeypatch.setattr(cohomone.classification, "quotient_homotopy", lambda space: heuristic)
+    with pytest.raises(InvalidEmbedding):
+        enumerate_corank2(9, CAT)

@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 import cohomone
 from cohomone.catalog import data_dir, load_catalog
 from cohomone.cli import OP_COVERAGE, _HANDLERS, main, render, run
@@ -164,3 +166,70 @@ def test_every_operation_covered_by_exactly_one_subcommand():
     assert set(OP_COVERAGE.values()) <= set(_HANDLERS)
     for op in operations:
         assert hasattr(cohomone, op), op
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not text"])
+def test_unreadable_diagram_file_exits_2(tmp_path, content):
+    path = tmp_path / "diagram.json"
+    if content is not None:
+        path.write_bytes(content)
+    for command in ("classify", "primitivity"):
+        result = run([command, "--diagram", str(path)])
+        assert result.exit_code == 2
+        assert str(path) in result.payload["error"]
+
+
+def test_non_object_document_exits_2(tmp_path):
+    doc = tmp_path / "array.json"
+    doc.write_text("[1, 2]")
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2
+    assert str(doc) in result.payload["error"] and "JSON object" in result.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"family": "brieskorn", "m": 6}, "'d'"),
+        ({"family": "brieskorn", "m": "x", "d": 3}, "'m'"),
+        ({"family": "tensor-su", "n": [4]}, "'n'"),
+        ({"family": "tensor-sp", "n": float("inf")}, "'n'"),
+        ({"family": "seven", "p_minus": 1, "q_minus": 1, "p_plus": 5}, "'q_plus'"),
+        ({"g": "SU(3)", "h": "t2-in-su3"}, "'k_minus'"),
+    ],
+)
+def test_document_with_missing_or_non_integer_key_exits_2(tmp_path, document, key):
+    doc = tmp_path / "document.json"
+    doc.write_text(json.dumps(document))
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2
+    assert key in result.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--p-h", "1,a", "--p-k-plus", "1", "--p-k-minus", "1"], "--p-h"),
+        (["--h-spheres", "3", "--k-plus-spheres", "x", "--p-k-minus", "1"], "--k-plus-spheres"),
+        (["--h-spheres", "3", "--p-k-plus", "1", "--k-minus-spheres", "0"], "--k-minus-spheres"),
+    ],
+)
+def test_mv_check_non_integer_values_exit_2(flags, flag):
+    result = run(["mv-check", "--n", "5", *flags])
+    assert result.exit_code == 2
+    assert flag in result.payload["error"]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    doc = tmp_path / "diagram.json"
+    doc.write_text(json.dumps({"catalog": "t5-row5"}))
+    commands = (
+        ["brieskorn", "--m", "5", "--d", "3"],
+        ["seven-family", "--realize", "3"],
+        ["classify", "--diagram", str(doc)],
+        ["mv-check", "--n", "11", "--h-spheres", "2,3,5", "--k-plus-spheres", "3,5", "--k-minus-spheres", "2,5"],
+    )
+    before = [render(run(argv).payload) for argv in commands]
+    for bad in (["brieskorn", "--m", "x"], ["seven-family", "--p-minus", "1"], ["no-such-command"], []):
+        assert run(bad).exit_code == 2
+    assert [render(run(argv).payload) for argv in commands] == before

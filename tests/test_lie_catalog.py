@@ -1,5 +1,10 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from cohomone.catalog import default_catalog
 from cohomone.errors import InvalidEmbedding, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
     GroupType,
@@ -228,3 +233,96 @@ def test_group_helpers():
     assert special_orthogonal(8) == parse_group("Spin(8)")
     assert special_unitary(6).rank == 5
     assert symplectic(4).dimension == 36
+
+
+# -- the sphere lookup against a brute-force scan of the table ----------------------
+
+STANDARDNESS_TAGS = ("block", "diagonal", "spinor")
+
+
+def reference_passenger_match(ambient, sub, row):
+    """The multiset definition: ambient = row.group x P and sub = row.isotropy x P."""
+    amb, group = Counter(ambient.factors), Counter(row.group.factors)
+    subgroup, isotropy = Counter(sub.factors), Counter(row.isotropy.factors)
+    torus = ambient.torus_rank - row.group.torus_rank
+    return (
+        not group - amb and not isotropy - subgroup and amb - group == subgroup - isotropy
+        and torus >= 0 and torus == sub.torus_rank - row.isotropy.torus_rank
+    )
+
+
+def reference_sphere_quotient(ambient, embedding):
+    ell = ambient.dimension - embedding.subgroup.dimension
+    for row in transitive_sphere_pairs(2 * ambient.rank + 3):
+        if row.sphere_dim != ell or not row.embedding_classes & embedding.tags:
+            continue
+        if reference_passenger_match(ambient, embedding.subgroup, row):
+            return ell
+    return None
+
+
+def classical_group(kind, n):
+    return {"SO": special_orthogonal, "SU": special_unitary, "Sp": symplectic, "T": lambda k: GroupType((), k)}[kind](n)
+
+
+classical_terms = st.tuples(st.sampled_from(("SO", "SU", "Sp", "T")), st.integers(1, 9))
+
+
+@st.composite
+def sphere_pairs(draw):
+    """(ambient, subgroup): a table-like pair (G(m), G(m-1)) or a random one, times passenger factors."""
+    if draw(st.booleans()):
+        kind, m = draw(st.sampled_from(("SO", "SU", "Sp"))), draw(st.integers(2, 12))
+        ambient, sub = classical_group(kind, m), classical_group(kind, m - 1)
+    else:
+        ambient = GroupType()
+        for term in draw(st.lists(classical_terms, max_size=3)):
+            ambient = ambient * classical_group(*term)
+        sub = GroupType()
+        for term in draw(st.lists(classical_terms, max_size=2)):
+            sub = sub * classical_group(*term)
+    for term in draw(st.lists(classical_terms, max_size=2)):
+        passenger = classical_group(*term)
+        ambient, sub = ambient * passenger, sub * passenger
+    if draw(st.integers(0, 3)) == 0:  # passengers of equal dimension that differ: Spin(2k+1) and Sp(k)
+        k = draw(st.integers(3, 5))
+        ambient, sub = ambient * special_orthogonal(2 * k + 1), sub * symplectic(k)
+    return ambient, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(sphere_pairs(), st.sets(st.sampled_from(STANDARDNESS_TAGS)))
+def test_sphere_quotient_matches_table_scan(pair, tags):
+    ambient, sub = pair
+    assume(sub.dimension <= ambient.dimension and sub.rank <= ambient.rank)  # an embedding
+    embedding = NamedEmbedding("drawn", ambient, sub, tags=frozenset(tags))
+    expected = reference_sphere_quotient(ambient, embedding)
+    event(f"sphere: {expected is not None}")
+    assert sphere_quotient(ambient, embedding) == expected
+
+
+def test_sphere_quotient_matches_table_scan_on_catalog_embeddings():
+    matched = 0
+    for embedding in default_catalog().embeddings():
+        for tags in [embedding.tags] + [embedding.tags | {tag} for tag in STANDARDNESS_TAGS]:
+            tagged = NamedEmbedding(embedding.id, embedding.ambient, embedding.subgroup,
+                                    embedding.homotopy_map_ranks, tags)
+            expected = reference_sphere_quotient(embedding.ambient, tagged)
+            assert sphere_quotient(embedding.ambient, tagged) == expected, (embedding.id, sorted(tags))
+            matched += expected is not None
+    assert matched > 0
+
+
+simple_labels = st.one_of(
+    st.builds(SimpleGroupLabel, st.sampled_from("ABCD"), st.integers(1, 40)),
+    st.sampled_from([SimpleGroupLabel(f, r) for f, r in (("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_labels)
+def test_spheres_acted_on_matches_table_scan(label):
+    group = canonicalize(label)
+    assume(group.is_simple())  # D1 and D2 are not
+    rows = transitive_sphere_pairs(2 * group.rank + 3)
+    assert spheres_acted_on(group) == {row.sphere_dim for row in rows if row.group == group}
