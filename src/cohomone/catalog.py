@@ -2,8 +2,20 @@
 
 The catalogs are versioned JSON files under ``cohomone/data``; the
 environment variable ``COHOMONE_DATA_DIR`` points the loader at an
-alternative directory carrying the same file names.  All records are
-immutable after load.
+alternative directory carrying the same file names.  A file whose
+``"version"`` is not ``CATALOG_VERSION`` is refused.
+
+All records are immutable after load: a :class:`Catalog` is a frozen
+dataclass with no mutator, and the diagram factories in
+``classification`` build self-contained embeddings instead of adding
+them, so every lookup answers the same whatever the process did before.
+The indexes are built once, at load.  Embeddings, families and diagram
+records are keyed by id in id order, so ``embeddings()`` and
+``diagram_records()`` need no sort; an id may appear once per kind.
+Lattice entries are keyed by ambient group.  Diagram records are keyed
+by ``GroupDiagram.canonical_descriptor``, which equal and swap-equal
+diagrams share, so matching a diagram against the records is one dict
+lookup; two records with the same key are refused.
 
 Embedding records may be concrete or parameterized families (one
 integer parameter ``m`` with a lower bound); family group expressions
@@ -15,16 +27,19 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .diagram import GroupDiagram
-from .errors import InvalidDiagram, InvalidLabel
+from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
 from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
 from .polynomial import IntegerPolynomial
 
+#: the only ``"version"`` the data files may carry
+CATALOG_VERSION = 1
 _DATA_ENV = "COHOMONE_DATA_DIR"
 _LINEAR_RE = re.compile(r"^\s*(?:(\d*)\s*m\s*)?([+-]?\s*\d+)?\s*$")
 
@@ -124,24 +139,37 @@ class DiagramRecord:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class Catalog:
-    """The embedding and diagram registries, indexed by id."""
+    """The embedding, family and diagram records, indexed at load and read-only after.
 
-    def __init__(self) -> None:
-        self._embeddings: dict[str, NamedEmbedding] = {}
-        self._families: dict[str, EmbeddingFamily] = {}
-        self._diagrams: dict[str, DiagramRecord] = {}
+    The by-id mappings are in id order.  Build one with :func:`load_catalog`.
+    """
+
+    version: int
+    _embeddings: Mapping[str, NamedEmbedding]
+    _families: Mapping[str, EmbeddingFamily]
+    _diagrams: Mapping[str, DiagramRecord]
+    _lattices: Mapping[GroupType, tuple[NamedEmbedding, ...]] = field(init=False)
+    _by_descriptor: Mapping[tuple, DiagramRecord] = field(init=False)
+
+    def __post_init__(self) -> None:
+        lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
+        for e in self._embeddings.values():
+            if e.has_tag("lattice"):
+                lattices[e.ambient] = lattices.get(e.ambient, ()) + (e,)
+        by_descriptor: dict[tuple, DiagramRecord] = {}
+        for record in self._diagrams.values():
+            key = record.diagram.canonical_descriptor()
+            if key in by_descriptor:
+                raise InvalidDiagram(
+                    f"diagram records {by_descriptor[key].id!r} and {record.id!r} describe the same diagram"
+                )
+            by_descriptor[key] = record
+        object.__setattr__(self, "_lattices", MappingProxyType(lattices))
+        object.__setattr__(self, "_by_descriptor", MappingProxyType(by_descriptor))
 
     # -- embeddings --------------------------------------------------------
-
-    def register(self, embedding: NamedEmbedding) -> NamedEmbedding:
-        existing = self._embeddings.get(embedding.id)
-        if existing is not None:
-            if existing != embedding:
-                raise InvalidLabel(f"conflicting registrations for embedding id {embedding.id!r}")
-            return existing
-        self._embeddings[embedding.id] = embedding
-        return embedding
 
     def embedding(self, embedding_id: str) -> NamedEmbedding:
         try:
@@ -150,10 +178,10 @@ class Catalog:
             raise InvalidLabel(f"unknown embedding id {embedding_id!r}") from None
 
     def embeddings(self) -> list[NamedEmbedding]:
-        return [self._embeddings[k] for k in sorted(self._embeddings)]
+        return list(self._embeddings.values())
 
     def families(self) -> list[EmbeddingFamily]:
-        return [self._families[k] for k in sorted(self._families)]
+        return list(self._families.values())
 
     def corank2_sources(self, max_rank: int) -> list[tuple[NamedEmbedding, str, Optional[int]]]:
         """Concrete and instantiated embeddings tagged for the corank-2 table.
@@ -174,18 +202,9 @@ class Catalog:
         return out
 
     def lattice_for(self, group: GroupType) -> list[NamedEmbedding]:
-        return [e for e in self.embeddings() if e.has_tag("lattice") and e.ambient == group]
+        return list(self._lattices.get(group, ()))
 
     # -- diagrams ----------------------------------------------------------
-
-    def register_diagram(self, record: DiagramRecord) -> DiagramRecord:
-        existing = self._diagrams.get(record.id)
-        if existing is not None:
-            if existing != record:
-                raise InvalidDiagram(f"conflicting registrations for diagram id {record.id!r}")
-            return existing
-        self._diagrams[record.id] = record
-        return record
 
     def diagram_record(self, diagram_id: str) -> DiagramRecord:
         try:
@@ -194,58 +213,59 @@ class Catalog:
             raise InvalidDiagram(f"unknown diagram id {diagram_id!r}") from None
 
     def diagram_records(self) -> list[DiagramRecord]:
-        return [self._diagrams[k] for k in sorted(self._diagrams)]
+        return list(self._diagrams.values())
 
-    # -- construction ------------------------------------------------------
-
-    def _load_embeddings(self, path: Path) -> None:
-        data = json.loads(path.read_text())
-        for record in data["embeddings"]:
-            self.register(_embedding_from_record(record))
-        for record in data.get("families", ()):
-            fam = EmbeddingFamily(
-                id=record["id"],
-                ambient_expr=record["ambient"],
-                subgroup_expr=record["subgroup"],
-                param_min=int(record["param_min"]),
-                map_ranks_spec=record.get("map_ranks", {}),
-                tags=frozenset(record.get("tags", ())),
-                tags_at={k: tuple(v) for k, v in record.get("tags_at", {}).items()},
-            )
-            if fam.id in self._families:
-                raise InvalidLabel(f"duplicate family id {fam.id!r}")
-            self._families[fam.id] = fam
+    def matching_record(self, diagram: GroupDiagram) -> Optional[DiagramRecord]:
+        """The record equal or swap-equal to ``diagram`` at descriptor level, if any."""
+        return self._by_descriptor.get(diagram.canonical_descriptor())
 
     def diagram_from_record(self, record: Mapping) -> GroupDiagram:
-        counts = record.get("component_counts", {})
-        flags = record.get("nonorientable", {})
+        """The diagram a record document or ``diagrams.json`` entry describes.
+
+        A missing key or a value of the wrong JSON type raises
+        ``InvalidDiagram`` naming the key; an unknown id raises ``InvalidLabel``.
+        """
+        counts = _value(record, "component_counts", Mapping, {})
+        flags = _value(record, "nonorientable", Mapping, {})
         return GroupDiagram(
-            g=parse_group(record["g"]),
-            h=self.embedding(record["h"]),
-            k_minus=self.embedding(record["k_minus"]),
-            k_plus=self.embedding(record["k_plus"]),
-            h_in_k_minus=self.embedding(record["h_in_k_minus"]),
-            h_in_k_plus=self.embedding(record["h_in_k_plus"]),
-            components_h=int(counts.get("h", 1)),
-            components_k_minus=int(counts.get("k_minus", 1)),
-            components_k_plus=int(counts.get("k_plus", 1)),
-            nonorientable_k_minus=bool(flags.get("k_minus", False)),
-            nonorientable_k_plus=bool(flags.get("k_plus", False)),
+            g=parse_group(_value(record, "g", str)),
+            h=self.embedding(_value(record, "h", str)),
+            k_minus=self.embedding(_value(record, "k_minus", str)),
+            k_plus=self.embedding(_value(record, "k_plus", str)),
+            h_in_k_minus=self.embedding(_value(record, "h_in_k_minus", str)),
+            h_in_k_plus=self.embedding(_value(record, "h_in_k_plus", str)),
+            components_h=_value(counts, "h", int, 1, "component_counts"),
+            components_k_minus=_value(counts, "k_minus", int, 1, "component_counts"),
+            components_k_plus=_value(counts, "k_plus", int, 1, "component_counts"),
+            nonorientable_k_minus=_value(flags, "k_minus", bool, False, "nonorientable"),
+            nonorientable_k_plus=_value(flags, "k_plus", bool, False, "nonorientable"),
         )
 
-    def _load_diagrams(self, path: Path) -> None:
-        data = json.loads(path.read_text())
-        for record in data["diagrams"]:
-            self.register_diagram(
-                DiagramRecord(
-                    id=record["id"],
-                    diagram=self.diagram_from_record(record),
-                    outcome=record.get("outcome"),
-                    rational_sphere=bool(record.get("rational_sphere", False)),
-                    orbit_poincare=record.get("orbit_poincare"),
-                    tags=frozenset(record.get("tags", ())),
-                )
-            )
+
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", Mapping: "object"}
+
+
+def _value(mapping: Mapping, key: str, kind: type, default=None, where: str = "diagram record"):
+    """``mapping[key]``, which must have JSON type ``kind``; ``default`` when absent, if given."""
+    if key not in mapping:
+        if default is None:
+            raise InvalidDiagram(f"{where} has no {key!r} key")
+        return default
+    value = mapping[key]
+    # bool subclasses int, but a JSON true is not an integer
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise InvalidDiagram(f"{where} key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _by_id(records: Iterable, error: type[CohomoneError], source: Path) -> Mapping:
+    """Records keyed by id, in id order; a repeated id raises ``error`` naming ``source``."""
+    out: dict = {}
+    for record in records:
+        if record.id in out:
+            raise error(f"{source}: duplicate id {record.id!r}")
+        out[record.id] = record
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 def data_dir() -> Path:
@@ -255,12 +275,52 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
+def _read(path: Path) -> dict:
+    """A data file's JSON object, whose ``"version"`` must be ``CATALOG_VERSION``."""
+    data = json.loads(path.read_text())
+    version = data.get("version") if isinstance(data, dict) else None
+    if type(version) is not int or version != CATALOG_VERSION:
+        raise Unsupported(f"{path}: catalog version {version!r} is not supported (expected {CATALOG_VERSION})")
+    return data
+
+
 def load_catalog(directory: Optional[Path] = None) -> Catalog:
     base = Path(directory) if directory is not None else data_dir()
-    catalog = Catalog()
-    catalog._load_embeddings(base / "embeddings.json")
-    catalog._load_diagrams(base / "diagrams.json")
-    return catalog
+    path = base / "embeddings.json"
+    data = _read(path)
+    families = (
+        EmbeddingFamily(
+            id=record["id"],
+            ambient_expr=record["ambient"],
+            subgroup_expr=record["subgroup"],
+            param_min=int(record["param_min"]),
+            map_ranks_spec=record.get("map_ranks", {}),
+            tags=frozenset(record.get("tags", ())),
+            tags_at={k: tuple(v) for k, v in record.get("tags_at", {}).items()},
+        )
+        for record in data.get("families", ())
+    )
+    # the diagram records resolve their embedding ids through this first-stage catalog
+    catalog = Catalog(
+        data["version"],
+        _by_id(map(_embedding_from_record, data["embeddings"]), InvalidLabel, path),
+        _by_id(families, InvalidLabel, path),
+        {},
+    )
+    path = base / "diagrams.json"
+    data = _read(path)
+    records = (
+        DiagramRecord(
+            id=_value(record, "id", str),
+            diagram=catalog.diagram_from_record(record),
+            outcome=record.get("outcome"),
+            rational_sphere=bool(record.get("rational_sphere", False)),
+            orbit_poincare=record.get("orbit_poincare"),
+            tags=frozenset(record.get("tags", ())),
+        )
+        for record in data["diagrams"]
+    )
+    return replace(catalog, _diagrams=_by_id(records, InvalidDiagram, path))
 
 
 @lru_cache(maxsize=4)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .catalog import Catalog, DiagramRecord, default_catalog
-from .diagram import CASE6_FIBERS, GroupDiagram, equivalent, validate
+from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
     GroupType,
@@ -286,13 +286,7 @@ def _outcome_from_record(record: DiagramRecord) -> Optional[ClassificationOutcom
 # ---------------------------------------------------------------------------
 
 
-def _register(catalog: Catalog, **kwargs) -> NamedEmbedding:
-    return catalog.register(NamedEmbedding(**kwargs))
-
-
-def brieskorn_diagram(
-    m: int, d: int, variant: str = "standard", catalog: Optional[Catalog] = None
-) -> GroupDiagram:
+def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram:
     """The circle-times-rotation-group diagram of the Brieskorn action on B^(2m-1)_d.
 
     ``variant`` selects the full rotation group ("standard", m >= 3), its
@@ -301,45 +295,41 @@ def brieskorn_diagram(
     """
     if m < 3 or d < 1:
         raise InvalidParams("need m >= 3 and d >= 1")
-    catalog = catalog or default_catalog()
     if variant == "standard":
         ambient_part, kplus_type, h_type = special_orthogonal(m), special_orthogonal(m - 1), special_orthogonal(m - 2)
-        kplus_row_tag = "block"
     elif variant == "spin7":
         if m != 8:
             raise InvalidParams("the spin7 variant exists only at m = 8")
         ambient_part, kplus_type, h_type = special_orthogonal(7), parse_group("G2"), special_unitary(3)
-        kplus_row_tag = "block"
     elif variant == "g2":
         if m != 7:
             raise InvalidParams("the g2 variant exists only at m = 7")
         ambient_part, kplus_type, h_type = parse_group("G2"), special_unitary(3), special_unitary(2)
-        kplus_row_tag = "block"
     else:
         raise InvalidParams(f"unknown variant {variant!r}")
 
     g = _T1 * ambient_part
     a = d if d % 2 else d // 2
     stem = f"brieskorn[{variant},m={m},d={d}]"
-    h = _register(
-        catalog, id=f"{stem}-h", ambient=g, subgroup=h_type,
+    h = NamedEmbedding(
+        id=f"{stem}-h", ambient=g, subgroup=h_type,
         tags=frozenset({"block", "proper-projections"}),
     )
-    k_minus = _register(
-        catalog, id=f"{stem}-kminus", ambient=g, subgroup=_T1 * h_type,
+    k_minus = NamedEmbedding(
+        id=f"{stem}-kminus", ambient=g, subgroup=_T1 * h_type,
         tags=frozenset({"family:brieskorn", f"winding:{a}", f"variant:{variant}"}),
     )
-    k_plus = _register(
-        catalog, id=f"{stem}-kplus", ambient=g, subgroup=kplus_type,
+    k_plus = NamedEmbedding(
+        id=f"{stem}-kplus", ambient=g, subgroup=kplus_type,
         tags=frozenset({"block", "family:brieskorn", f"variant:{variant}"}),
     )
-    h_in_k_minus = _register(
-        catalog, id=f"{stem}-h-in-km", ambient=_T1 * h_type, subgroup=h_type,
+    h_in_k_minus = NamedEmbedding(
+        id=f"{stem}-h-in-km", ambient=_T1 * h_type, subgroup=h_type,
         homotopy_map_ranks=(), tags=frozenset({"block"}),
     )
-    h_in_k_plus = _register(
-        catalog, id=f"{stem}-h-in-kp", ambient=kplus_type, subgroup=h_type,
-        homotopy_map_ranks=(), tags=frozenset({kplus_row_tag}),
+    h_in_k_plus = NamedEmbedding(
+        id=f"{stem}-h-in-kp", ambient=kplus_type, subgroup=h_type,
+        homotopy_map_ranks=(), tags=frozenset({"block"}),
     )
     if d % 2:
         counts = dict(components_h=2, components_k_minus=1, components_k_plus=2)
@@ -354,26 +344,23 @@ def brieskorn_diagram(
     )
 
 
-def seven_family_diagram(
-    params: SevenFamilyParams, catalog: Optional[Catalog] = None
-) -> GroupDiagram:
+def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     """The S^3 x S^3 diagram with finite principal isotropy and two circle slopes."""
-    catalog = catalog or default_catalog()
     g = _SU2 * _SU2
     stem = f"seven[{params.p_minus},{params.q_minus},{params.p_plus},{params.q_plus}]"
-    h = _register(
-        catalog, id=f"{stem}-h", ambient=g, subgroup=_TRIVIAL,
+    h = NamedEmbedding(
+        id=f"{stem}-h", ambient=g, subgroup=_TRIVIAL,
         tags=frozenset({"proper-projections", "finite:4"}),
     )
-    k_minus = _register(
-        catalog, id=f"{stem}-kminus", ambient=g, subgroup=_T1,
+    k_minus = NamedEmbedding(
+        id=f"{stem}-kminus", ambient=g, subgroup=_T1,
         tags=frozenset({"family:seven", f"slope:{params.p_minus},{params.q_minus}"}),
     )
-    k_plus = _register(
-        catalog, id=f"{stem}-kplus", ambient=g, subgroup=_T1,
+    k_plus = NamedEmbedding(
+        id=f"{stem}-kplus", ambient=g, subgroup=_T1,
         tags=frozenset({"family:seven", f"slope:{params.p_plus},{params.q_plus}"}),
     )
-    witness = catalog.embedding("trivial-in-circle")
+    witness = NamedEmbedding(id=f"{stem}-h-in-k", ambient=_T1, subgroup=_TRIVIAL, tags=frozenset({"block"}))
     return GroupDiagram(
         g=g, h=h, k_minus=k_minus, k_plus=k_plus,
         h_in_k_minus=witness, h_in_k_plus=witness,
@@ -382,32 +369,31 @@ def seven_family_diagram(
     )
 
 
-def tensor_su_diagram(n: int, catalog: Optional[Catalog] = None) -> GroupDiagram:
+def tensor_su_diagram(n: int) -> GroupDiagram:
     """The SU(n) x SU(2) diagram of the tensor-product action on S^(4n-1), n >= 4."""
     if n < 4:
         raise InvalidParams("the tensor family needs n >= 4 (n = 3 is the eleven-sphere table)")
-    catalog = catalog or default_catalog()
     g = special_unitary(n) * _SU2
     stem = f"tensor-su[n={n}]"
-    h = _register(
-        catalog, id=f"{stem}-h", ambient=g, subgroup=special_unitary(n - 2) * _T1,
+    h = NamedEmbedding(
+        id=f"{stem}-h", ambient=g, subgroup=special_unitary(n - 2) * _T1,
         tags=frozenset({"block", "proper-projections"}),
     )
-    k_minus = _register(
-        catalog, id=f"{stem}-kminus", ambient=g, subgroup=special_unitary(n - 1) * _T1,
+    k_minus = NamedEmbedding(
+        id=f"{stem}-kminus", ambient=g, subgroup=special_unitary(n - 1) * _T1,
         tags=frozenset({"block", "family:tensor-su", f"n:{n}"}),
     )
-    k_plus = _register(
-        catalog, id=f"{stem}-kplus", ambient=g, subgroup=special_unitary(n - 2) * _SU2,
+    k_plus = NamedEmbedding(
+        id=f"{stem}-kplus", ambient=g, subgroup=special_unitary(n - 2) * _SU2,
         tags=frozenset({"diagonal", "family:tensor-su", f"n:{n}"}),
     )
-    h_in_k_minus = _register(
-        catalog, id=f"{stem}-h-in-km",
+    h_in_k_minus = NamedEmbedding(
+        id=f"{stem}-h-in-km",
         ambient=special_unitary(n - 1) * _T1, subgroup=special_unitary(n - 2) * _T1,
         tags=frozenset({"block"}),
     )
-    h_in_k_plus = _register(
-        catalog, id=f"{stem}-h-in-kp",
+    h_in_k_plus = NamedEmbedding(
+        id=f"{stem}-h-in-kp",
         ambient=special_unitary(n - 2) * _SU2, subgroup=special_unitary(n - 2) * _T1,
         tags=frozenset({"block"}),
     )
@@ -417,33 +403,32 @@ def tensor_su_diagram(n: int, catalog: Optional[Catalog] = None) -> GroupDiagram
     )
 
 
-def tensor_sp_diagram(n: int, catalog: Optional[Catalog] = None) -> GroupDiagram:
+def tensor_sp_diagram(n: int) -> GroupDiagram:
     """The Sp(n) x Sp(2) diagram of the quaternionic tensor action on S^(8n-1), n >= 2."""
     if n < 2:
         raise InvalidParams("the quaternionic tensor family needs n >= 2")
-    catalog = catalog or default_catalog()
     g = symplectic(n) * symplectic(2)
     sp1sp1 = _SU2 * _SU2
     stem = f"tensor-sp[n={n}]"
-    h = _register(
-        catalog, id=f"{stem}-h", ambient=g, subgroup=symplectic(n - 2) * sp1sp1,
+    h = NamedEmbedding(
+        id=f"{stem}-h", ambient=g, subgroup=symplectic(n - 2) * sp1sp1,
         tags=frozenset({"block", "proper-projections"}),
     )
-    k_minus = _register(
-        catalog, id=f"{stem}-kminus", ambient=g, subgroup=symplectic(n - 1) * sp1sp1,
+    k_minus = NamedEmbedding(
+        id=f"{stem}-kminus", ambient=g, subgroup=symplectic(n - 1) * sp1sp1,
         tags=frozenset({"block", "family:tensor-sp", f"n:{n}"}),
     )
-    k_plus = _register(
-        catalog, id=f"{stem}-kplus", ambient=g, subgroup=symplectic(n - 2) * symplectic(2),
+    k_plus = NamedEmbedding(
+        id=f"{stem}-kplus", ambient=g, subgroup=symplectic(n - 2) * symplectic(2),
         tags=frozenset({"diagonal", "family:tensor-sp", f"n:{n}"}),
     )
-    h_in_k_minus = _register(
-        catalog, id=f"{stem}-h-in-km",
+    h_in_k_minus = NamedEmbedding(
+        id=f"{stem}-h-in-km",
         ambient=symplectic(n - 1) * sp1sp1, subgroup=symplectic(n - 2) * sp1sp1,
         tags=frozenset({"block"}),
     )
-    h_in_k_plus = _register(
-        catalog, id=f"{stem}-h-in-kp",
+    h_in_k_plus = NamedEmbedding(
+        id=f"{stem}-h-in-kp",
         ambient=symplectic(n - 2) * symplectic(2), subgroup=symplectic(n - 2) * sp1sp1,
         tags=frozenset({"block"}),
     )
@@ -610,14 +595,10 @@ def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Clas
     violations = validate(d)
     if violations:
         raise InvalidDiagram("; ".join(str(v) for v in violations))
-    for record in catalog.diagram_records():
-        if record.diagram.g != d.g:
-            continue
-        if equivalent(d, record.diagram) == "distinct-at-descriptor-level":
-            continue
-        outcome = _outcome_from_record(record)
-        if outcome is not None:
-            return outcome
+    record = catalog.matching_record(d)
+    outcome = _outcome_from_record(record) if record is not None else None
+    if outcome is not None:
+        return outcome
     for recognize in _RECOGNIZERS:
         outcome = recognize(d)
         if outcome is not None:
@@ -646,15 +627,11 @@ def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[
     orientable orbits with opposite fiber parities, or the doubly
     non-orientable circle-circle case); None outside these regimes.
     """
-    catalog = catalog or default_catalog()
-    for record in catalog.diagram_records():
-        if record.diagram.g != d.g or record.orbit_poincare is None:
-            continue
-        relation = equivalent(d, record.diagram)
-        if relation == "distinct-at-descriptor-level":
-            continue
-        p_h, p_kp, p_km, n = record.stored_betti()
-        if relation == "swap-equal":
+    record = (catalog or default_catalog()).matching_record(d)
+    stored = record.stored_betti() if record is not None else None
+    if stored is not None:
+        p_h, p_kp, p_km, n = stored
+        if record.diagram.descriptor() != d.descriptor():  # swap-equal: exchange the K-+ data
             p_kp, p_km = p_km, p_kp
         return OrbitBetti(p_h, p_kp, p_km, n)
 

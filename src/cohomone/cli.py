@@ -131,24 +131,20 @@ def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     family = document.get("family")
     if family == "brieskorn":
         return brieskorn_diagram(
-            _int_key(document, "m"), _int_key(document, "d"),
-            document.get("variant", "standard"), catalog,
+            _int_key(document, "m"), _int_key(document, "d"), document.get("variant", "standard")
         )
     if family == "seven":
         params = SevenFamilyParams(
             *(_int_key(document, key) for key in ("p_minus", "q_minus", "p_plus", "q_plus"))
         )
-        return seven_family_diagram(params, catalog)
+        return seven_family_diagram(params)
     if family == "tensor-su":
-        return tensor_su_diagram(_int_key(document, "n"), catalog)
+        return tensor_su_diagram(_int_key(document, "n"))
     if family == "tensor-sp":
-        return tensor_sp_diagram(_int_key(document, "n"), catalog)
+        return tensor_sp_diagram(_int_key(document, "n"))
     if family is not None:
         raise _UsageError(f"unknown diagram family {family!r}")
-    try:
-        return catalog.diagram_from_record(document)
-    except KeyError as exc:  # only a missing record key: unknown ids raise InvalidLabel
-        raise _UsageError(f"diagram document has no {exc} key") from None
+    return catalog.diagram_from_record(document)
 
 
 def _embedding_payload(embedding_id: str, catalog: Catalog) -> tuple:

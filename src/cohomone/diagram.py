@@ -31,8 +31,10 @@ from .rational_homotopy import HomogeneousSpaceModel, euler_characteristic
 class GroupDiagram:
     """The quadruple H < K+- < G with its discrete annotations.
 
-    The five embeddings are catalogued records: three into G, and the two
-    containment witnesses h-in-K+- that exhibit K+-/H as spheres.
+    The five embeddings (catalogued records, or for a diagram built by a
+    factory in ``classification``, embeddings of its own) are three into
+    G, and the two containment witnesses h-in-K+- that exhibit K+-/H as
+    spheres.
     Component counts annotate the number of connected components of each
     group (types themselves model connected groups); the non-orientable
     flags describe the singular orbits G/K-+ and are caller-supplied
@@ -96,6 +98,13 @@ class GroupDiagram:
             self.nonorientable_k_minus,
             self.nonorientable_k_plus,
         )
+
+    def canonical_descriptor(self) -> tuple:
+        """The smaller of the descriptors of this diagram and of its swap.
+
+        Equal and swap-equal diagrams, and only those, share it.
+        """
+        return min(self.descriptor(), self.swap().descriptor())
 
 
 @dataclass(frozen=True)
@@ -324,7 +333,7 @@ def equivalent(d1: GroupDiagram, d2: GroupDiagram) -> str:
         raise Incomparable(f"diagrams live in different groups {d1.g} and {d2.g}")
     if d1.descriptor() == d2.descriptor():
         return "equal"
-    if d1.swap().descriptor() == d2.descriptor():
+    if d1.canonical_descriptor() == d2.canonical_descriptor():
         return "swap-equal"
     return "distinct-at-descriptor-level"
 
@@ -363,6 +372,10 @@ def double_disk_euler(d: GroupDiagram) -> EulerCheck:
 # ---------------------------------------------------------------------------
 
 
+#: largest sphere dimension ``mv_feasible`` accepts: it scans every degree up to n
+MAX_SPHERE_DIM = 10**6
+
+
 @dataclass(frozen=True)
 class MVFeasibility:
     verdict: str  # "feasible" | "infeasible"
@@ -390,10 +403,11 @@ def mv_feasible(
         b_k(H)            = s_k + delta_k
 
     with b(M) = 1 in degrees 0 and n.  Feasible iff every rank is
-    non-negative and the final connecting rank is zero.
+    non-negative and the final connecting rank is zero.  The scan is
+    linear in n, so n above ``MAX_SPHERE_DIM`` is refused.
     """
-    if n < 1:
-        raise InvalidParams("the sphere dimension n must be at least 1")
+    if not 1 <= n <= MAX_SPHERE_DIM:
+        raise InvalidParams(f"the sphere dimension n must be between 1 and {MAX_SPHERE_DIM}, got {n}")
     for p in (p_h, p_k_plus, p_k_minus):
         if any(c < 0 for c in p):
             raise InvalidParams("Betti polynomials must have non-negative coefficients")

@@ -336,7 +336,7 @@ def build_report(catalog: Optional[Catalog] = None) -> dict:
     _check_mv(checks, catalog)
     failed = [c["id"] for c in checks if not c["match"]]
     return {
-        "catalog_version": 1,
+        "catalog_version": catalog.version,
         "checks": checks,
         "summary": {
             "total": len(checks),

@@ -4,9 +4,8 @@ import shutil
 import pytest
 
 from cohomone.catalog import data_dir, default_catalog, load_catalog
-from cohomone.errors import InvalidDiagram, InvalidLabel
+from cohomone.errors import InvalidDiagram, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
-    NamedEmbedding,
     degree_multiplicities,
     parse_group,
     validate_embedding,
@@ -61,13 +60,53 @@ def test_family_tags_at_parameter():
     assert not fam.instantiate(5).has_tag("multiple")
 
 
-def test_register_conflicts_detected():
-    cat = load_catalog()
-    original = cat.embedding("su6-sp3")
-    cat.register(original)  # same content: fine
-    clash = NamedEmbedding("su6-sp3", original.ambient, original.subgroup, (), frozenset())
-    with pytest.raises(InvalidLabel):
-        cat.register(clash)
+def edited_data(directory, name, edit):
+    """Copy the shipped data files into ``directory``, applying ``edit`` to the parsed file ``name``."""
+    for file in ("embeddings.json", "diagrams.json"):
+        shutil.copy(data_dir() / file, directory / file)
+    data = json.loads((directory / name).read_text())
+    edit(data)
+    (directory / name).write_text(json.dumps(data))
+    return directory
+
+
+def test_duplicate_records_rejected_at_load(tmp_path):
+    def repeat_first(key):
+        return lambda data: data[key].append(data[key][0])
+
+    def add_swapped_copy(data):
+        first = data["diagrams"][0]
+        swapped = dict(first, id="swapped-copy")
+        for a, b in (("k_minus", "k_plus"), ("h_in_k_minus", "h_in_k_plus")):
+            swapped[a], swapped[b] = first[b], first[a]
+        for key in ("component_counts", "nonorientable"):
+            swapped[key] = dict(first[key], k_minus=first[key]["k_plus"], k_plus=first[key]["k_minus"])
+        data["diagrams"].append(swapped)
+
+    with pytest.raises(InvalidLabel, match="embeddings.json: duplicate id"):
+        load_catalog(edited_data(tmp_path, "embeddings.json", repeat_first("embeddings")))
+    with pytest.raises(InvalidDiagram, match="diagrams.json: duplicate id"):
+        load_catalog(edited_data(tmp_path, "diagrams.json", repeat_first("diagrams")))
+    with pytest.raises(InvalidDiagram, match="swapped-copy"):
+        load_catalog(edited_data(tmp_path, "diagrams.json", add_swapped_copy))
+
+
+@pytest.mark.parametrize("name", ["embeddings.json", "diagrams.json"])
+def test_unsupported_version_rejected_at_load(tmp_path, name):
+    assert default_catalog().version == 1
+    with pytest.raises(Unsupported, match=name):
+        load_catalog(edited_data(tmp_path, name, lambda data: data.update(version=2)))
+
+
+def test_catalog_is_read_only():
+    cat = default_catalog()
+    assert not [name for name in dir(cat) if name.startswith("register")]
+    with pytest.raises(AttributeError):
+        cat._embeddings = {}
+    with pytest.raises(TypeError):
+        cat._embeddings["x"] = cat.embedding("su6-sp3")
+    cat.embeddings().clear()  # a fresh list each call
+    assert len(cat.embeddings()) == 51
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

@@ -205,17 +205,17 @@ def test_case6_diagrams_unmatched():
 
 
 def test_brieskorn_classification():
-    assert classify_diagram(brieskorn_diagram(6, 4, "standard", CAT), CAT) == ClassificationOutcome.brieskorn(6, 4)
-    assert classify_diagram(brieskorn_diagram(4, 7, "standard", CAT), CAT) == ClassificationOutcome.brieskorn(4, 7)
-    assert classify_diagram(brieskorn_diagram(8, 5, "spin7", CAT), CAT) == ClassificationOutcome.brieskorn(8, 5)
-    assert classify_diagram(brieskorn_diagram(7, 3, "g2", CAT), CAT) == ClassificationOutcome.brieskorn(7, 3)
+    assert classify_diagram(brieskorn_diagram(6, 4, "standard"), CAT) == ClassificationOutcome.brieskorn(6, 4)
+    assert classify_diagram(brieskorn_diagram(4, 7, "standard"), CAT) == ClassificationOutcome.brieskorn(4, 7)
+    assert classify_diagram(brieskorn_diagram(8, 5, "spin7"), CAT) == ClassificationOutcome.brieskorn(8, 5)
+    assert classify_diagram(brieskorn_diagram(7, 3, "g2"), CAT) == ClassificationOutcome.brieskorn(7, 3)
     # the gate: m odd with even d is not a rational sphere
-    out = classify_diagram(brieskorn_diagram(5, 4, "standard", CAT), CAT)
+    out = classify_diagram(brieskorn_diagram(5, 4, "standard"), CAT)
     assert out.kind == "not-rational-sphere"
 
 
 def test_brieskorn_zero_winding_is_nonprimitive():
-    d = brieskorn_diagram(6, 4, "standard", CAT)
+    d = brieskorn_diagram(6, 4, "standard")
     tags = frozenset(t for t in d.k_minus.tags if not t.startswith("winding:")) | {"winding:0"}
     k_minus0 = NamedEmbedding("bk-zero-winding", d.k_minus.ambient, d.k_minus.subgroup,
                               d.k_minus.homotopy_map_ranks, tags)
@@ -231,35 +231,35 @@ def test_brieskorn_outcome_gate_invariant():
 
 
 def test_tensor_classification():
-    out = classify_diagram(tensor_su_diagram(4, CAT), CAT)
+    out = classify_diagram(tensor_su_diagram(4), CAT)
     assert out == ClassificationOutcome.linear_sphere(
         "SU(4)xSU(2) on S^15 via the tensor product of C^4 and C^2"
     )
-    out = classify_diagram(tensor_sp_diagram(2, CAT), CAT)
+    out = classify_diagram(tensor_sp_diagram(2), CAT)
     assert out == ClassificationOutcome.linear_sphere(
         "Sp(2)xSp(2) on S^15 via the tensor product of H^2 and H^2"
     )
-    out = classify_diagram(tensor_sp_diagram(4, CAT), CAT)
+    out = classify_diagram(tensor_sp_diagram(4), CAT)
     assert out.description == "Sp(4)xSp(2) on S^31 via the tensor product of H^4 and H^2"
 
 
 def test_seven_family_classification():
     params = realize_torsion(6)
-    out = classify_diagram(seven_family_diagram(params, CAT), CAT)
+    out = classify_diagram(seven_family_diagram(params), CAT)
     assert out.kind == "seven-family" and out.torsion == 6
-    degenerate = seven_family_diagram(SevenFamilyParams(1, 1, 1, 1), CAT)
+    degenerate = seven_family_diagram(SevenFamilyParams(1, 1, 1, 1))
     assert classify_diagram(degenerate, CAT).kind == "not-rational-sphere"
 
 
 def test_factories_reject_bad_parameters():
     with pytest.raises(InvalidParams):
-        brieskorn_diagram(2, 3, "standard", CAT)
+        brieskorn_diagram(2, 3, "standard")
     with pytest.raises(InvalidParams):
-        brieskorn_diagram(6, 3, "spin7", CAT)
+        brieskorn_diagram(6, 3, "spin7")
     with pytest.raises(InvalidParams):
-        tensor_su_diagram(3, CAT)
+        tensor_su_diagram(3)
     with pytest.raises(InvalidParams):
-        tensor_sp_diagram(1, CAT)
+        tensor_sp_diagram(1)
 
 
 # -- orbit Betti data ------------------------------------------------------------------
@@ -282,12 +282,12 @@ def test_orbit_betti_regimes():
     assert betti.n == 5 and betti.p_k_minus.as_list() == [1, 1]
 
     # one non-orientable orbit over a circle fiber
-    betti = orbit_betti(brieskorn_diagram(5, 3, "standard", CAT), CAT)
+    betti = orbit_betti(brieskorn_diagram(5, 3, "standard"), CAT)
     assert betti.n == 9
     assert betti.p_h.as_list() == [1, 1, 0, 0, 0, 0, 0, 1, 1]
 
     # doubly non-orientable circle-circle case
-    betti = orbit_betti(seven_family_diagram(realize_torsion(3), CAT), CAT)
+    betti = orbit_betti(seven_family_diagram(realize_torsion(3)), CAT)
     assert betti.n == 7 and betti.p_h.as_list() == [1, 0, 0, 2, 0, 0, 1]
 
 

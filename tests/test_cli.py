@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 
 import pytest
 
@@ -204,6 +205,57 @@ def test_document_with_missing_or_non_integer_key_exits_2(tmp_path, document, ke
     result = run(["classify", "--diagram", str(doc)])
     assert result.exit_code == 2
     assert key in result.payload["error"]
+
+
+T5_ROW1_RECORD = {
+    "g": "SU(3)xSU(2)", "h": "t5-h-a", "k_minus": "t5-km-1", "k_plus": "t5-kp-pi",
+    "h_in_k_minus": "circle-in-su2xs1", "h_in_k_plus": "circle-in-su2",
+    "component_counts": {"h": 1, "k_minus": 1, "k_plus": 1},
+    "nonorientable": {"k_minus": False, "k_plus": False},
+}
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"g": 3}, "'g'"),
+        ({"component_counts": []}, "'component_counts'"),
+        ({"component_counts": {"h": "x"}}, "'h'"),
+        ({"h": ["t5-h-a"]}, "'h'"),
+    ],
+)
+def test_record_value_of_wrong_json_type_exits_2(tmp_path, change, key):
+    doc = tmp_path / "record.json"
+    doc.write_text(json.dumps(T5_ROW1_RECORD))
+    assert payload(["classify", "--diagram", str(doc)])["outcome"] == {"kind": "g2-quotient", "index": 3}
+    doc.write_text(json.dumps({**T5_ROW1_RECORD, **change}))
+    for command in ("classify", "primitivity"):
+        result = run([command, "--diagram", str(doc)])
+        assert result.exit_code == 2
+        assert result.payload["error"].startswith("InvalidDiagram") and key in result.payload["error"]
+
+
+def test_record_cannot_name_factory_embeddings(tmp_path):
+    stem = "brieskorn[standard,m=6,d=3]"
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({
+        "g": "T1xSO(6)", "h": f"{stem}-h", "k_minus": f"{stem}-kminus", "k_plus": f"{stem}-kplus",
+        "h_in_k_minus": f"{stem}-h-in-km", "h_in_k_plus": f"{stem}-h-in-kp",
+        "component_counts": {"h": 2, "k_minus": 1, "k_plus": 2},
+    }))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"family": "brieskorn", "m": 6, "d": 3}))
+    assert run(["classify", "--diagram", str(record)]).exit_code == 2
+    assert payload(["classify", "--diagram", str(family)])["outcome"] == {"kind": "brieskorn", "m": 6, "d": 3}
+    result = run(["classify", "--diagram", str(record)])
+    assert result.exit_code == 2 and f"{stem}-h" in result.payload["error"]
+
+
+def test_mv_check_refuses_huge_n_at_once():
+    start = time.perf_counter()
+    result = run(["mv-check", "--n", "100000000000", "--p-h", "1", "--p-k-plus", "1", "--p-k-minus", "1"])
+    assert result.exit_code == 2 and "InvalidParams" in result.payload["error"]
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(

@@ -48,9 +48,9 @@ def test_catalog_diagrams_validate():
 
 def test_brieskorn_diagrams_validate():
     for m, d in [(3, 1), (4, 5), (5, 3), (6, 6), (6, 7)]:
-        assert validate(brieskorn_diagram(m, d, "standard", CAT)) == [], (m, d)
-    assert validate(brieskorn_diagram(8, 3, "spin7", CAT)) == []
-    assert validate(brieskorn_diagram(7, 5, "g2", CAT)) == []
+        assert validate(brieskorn_diagram(m, d, "standard")) == [], (m, d)
+    assert validate(brieskorn_diagram(8, 3, "spin7")) == []
+    assert validate(brieskorn_diagram(7, 5, "g2")) == []
 
 
 def rules(diagram):
@@ -71,7 +71,7 @@ def test_connectedness_rule_for_big_fibers():
 
 
 def test_component_pattern_for_single_circle_fiber():
-    d = brieskorn_diagram(6, 3, "standard", CAT)  # counts (2, 1, 2)
+    d = brieskorn_diagram(6, 3, "standard")  # counts (2, 1, 2)
     assert validate(d) == []
     assert "component-pattern" in rules(replace(d, components_h=3))
     assert "component-pattern" in rules(replace(d, components_k_minus=2))
@@ -217,7 +217,7 @@ def test_primitivity_with_full_singular_group():
 
 
 def test_primitivity_brieskorn_against_shipped_lattice():
-    d = brieskorn_diagram(6, 4, "standard", CAT)
+    d = brieskorn_diagram(6, 4, "standard")
     assert primitivity(d, CAT.lattice_for(d.g)).verdict == "unknown"
 
 

@@ -1,0 +1,19 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import cohomone
+
+SOURCE = Path(cohomone.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    # ``python -O`` strips assert statements, so no invariant may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,6 +1,14 @@
 """Report shape and shipped-data integrity checks."""
 
 from cohomone.catalog import default_catalog
+from cohomone.classification import (
+    brieskorn_diagram,
+    realize_torsion,
+    seven_family_diagram,
+    tensor_sp_diagram,
+    tensor_su_diagram,
+)
+from cohomone.cli import render
 from cohomone.diagram import CASE6_FIBERS, gh_classify
 from cohomone.verify import build_report
 
@@ -67,3 +75,13 @@ def test_stored_betti_data_is_well_formed():
         for p in (p_h, p_kp, p_km):
             assert all(c >= 0 for c in p), record.id
             assert p.coefficient(0) == 1, record.id
+
+
+def test_report_does_not_depend_on_diagrams_built_earlier():
+    before = render(build_report(default_catalog()))
+    brieskorn_diagram(6, 3)
+    seven_family_diagram(realize_torsion(2))
+    tensor_su_diagram(5)
+    tensor_sp_diagram(3)
+    assert render(build_report(default_catalog())) == before
+    assert len(default_catalog().embeddings()) == 51
