@@ -48,7 +48,6 @@ from .lie_catalog import (
 )
 from .polynomial import IntegerPolynomial
 from .rational_homotopy import (
-    HomogeneousSpaceModel,
     QuotientHomotopy,
     euler_characteristic,
     hilbert_series,
@@ -66,7 +65,6 @@ __all__ = [
     "GradedAbelianGroup",
     "GroupDiagram",
     "GroupType",
-    "HomogeneousSpaceModel",
     "IntegerPolynomial",
     "MVFeasibility",
     "NamedEmbedding",

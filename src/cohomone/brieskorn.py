@@ -16,14 +16,16 @@ nonzero and infinite cyclic when Delta(1) = 0, giving:
 * m odd, d even:     H_(m-1) = Z and H_m = Z  (the S^(m-1) x S^m pattern),
 * m odd, d odd:      no middle homology (a homotopy sphere).
 
-The exact-division identity is the computational definition here; the
-product over roots of unity is kept as the independent test oracle.
+Dividing out gives the closed form used here: with s = (-1)^m,
+Delta(t) = sum_(k<d) s^(d-1-k) t^k.  The product over roots of unity is
+kept as the independent test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagram import MAX_SPHERE_DIM
 from .errors import InvalidParams, Unsupported
 from .polynomial import IntegerPolynomial
 
@@ -92,18 +94,15 @@ class GradedAbelianGroup:
 
 
 def delta_poly(p: BrieskornParams) -> IntegerPolynomial:
-    """Monodromy characteristic polynomial, by exact division.
+    """Monodromy characteristic polynomial (t^d - (-1)^(m*d)) / (t - (-1)^m).
 
-    (t^d - (-1)^(m*d)) / (t - (-1)^m), a degree d-1 integer polynomial.
+    Coefficient k is s^(d-1-k) with s = (-1)^m.  The output is dense, with
+    d coefficients, so d above ``MAX_SPHERE_DIM`` is refused.
     """
-    sign_m = -1 if p.m % 2 else 1
-    constant = -((-1) ** (p.m * p.d))
-    numerator = IntegerPolynomial((constant,) + (0,) * (p.d - 1) + (1,))
-    denominator = IntegerPolynomial((-sign_m, 1))
-    quotient, remainder = numerator.divmod(denominator)
-    if not remainder.is_zero():
-        raise InvalidParams(f"monodromy division is not exact for m={p.m}, d={p.d}")
-    return quotient
+    if p.d > MAX_SPHERE_DIM:
+        raise InvalidParams(f"delta_poly needs d at most {MAX_SPHERE_DIM}, got {p.d}")
+    s = -1 if p.m % 2 else 1
+    return IntegerPolynomial(tuple(s ** ((p.d - 1 - k) % 2) for k in range(p.d)))
 
 
 def delta_at_one(p: BrieskornParams) -> int:

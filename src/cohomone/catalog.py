@@ -28,7 +28,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -60,22 +60,49 @@ def _substitute(expr: str, m: int) -> str:
     return re.sub(r"\(([^()]*)\)", lambda mt: f"({_eval_linear(mt.group(1), m)})", expr)
 
 
-def _rank_map(spec, subgroup: GroupType) -> tuple[tuple[int, int], ...]:
+def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], ...]]:
+    """A record's ``map_ranks``: None for "injective", else its (degree, rank) pairs."""
+    spec = record.get("map_ranks", {})
     if spec == "injective":
-        return injective_rank_map(subgroup)
-    if isinstance(spec, Mapping):
-        return tuple(sorted((int(k), int(v)) for k, v in spec.items()))
-    raise InvalidLabel(f"bad map_ranks spec {spec!r}")
+        return None
+    if isinstance(spec, Mapping) and all(k.isdigit() and _is(v, int) for k, v in spec.items()):
+        return tuple(sorted((int(k), v) for k, v in spec.items()))
+    raise InvalidLabel(f"{where} key 'map_ranks' must be \"injective\" or an object of integers, got {spec!r}")
 
 
-def _embedding_from_record(record: Mapping) -> NamedEmbedding:
-    subgroup = parse_group(record["subgroup"])
+def _embedding(
+    embedding_id: str, ambient: str, subgroup: str, ranks: Optional[tuple[tuple[int, int], ...]], tags: Iterable[str]
+) -> NamedEmbedding:
+    """An embedding from group expressions; ``ranks`` None means rationally injective."""
+    sub = parse_group(subgroup)
     return NamedEmbedding(
-        id=record["id"],
-        ambient=parse_group(record["ambient"]),
-        subgroup=subgroup,
-        homotopy_map_ranks=_rank_map(record.get("map_ranks", {}), subgroup),
-        tags=frozenset(record.get("tags", ())),
+        id=embedding_id,
+        ambient=parse_group(ambient),
+        subgroup=sub,
+        homotopy_map_ranks=injective_rank_map(sub) if ranks is None else ranks,
+        tags=frozenset(tags),
+    )
+
+
+def _embedding_from_record(record: Mapping, where: str) -> NamedEmbedding:
+    get = partial(_value, record, where=where, error=InvalidLabel)
+    return _embedding(
+        get("id", str), get("ambient", str), get("subgroup", str),
+        _rank_spec(record, where), _array(record, "tags", str, (), where, InvalidLabel),
+    )
+
+
+def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
+    get = partial(_value, record, where=where, error=InvalidLabel)
+    tags_at = get("tags_at", Mapping, {})
+    return EmbeddingFamily(
+        id=get("id", str),
+        ambient_expr=get("ambient", str),
+        subgroup_expr=get("subgroup", str),
+        param_min=get("param_min", int),
+        map_ranks=_rank_spec(record, where),
+        tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
+        tags_at={m: _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
     )
 
 
@@ -87,33 +114,36 @@ class EmbeddingFamily:
     ambient_expr: str
     subgroup_expr: str
     param_min: int
-    map_ranks_spec: object
+    map_ranks: Optional[tuple[tuple[int, int], ...]]  # None: rationally injective
     tags: frozenset[str]
     tags_at: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def instantiate(self, m: int) -> NamedEmbedding:
         if m < self.param_min:
             raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
-        subgroup = parse_group(_substitute(self.subgroup_expr, m))
-        tags = set(self.tags) | set(self.tags_at.get(str(m), ()))
-        return NamedEmbedding(
-            id=f"{self.id}@m={m}",
-            ambient=parse_group(_substitute(self.ambient_expr, m)),
-            subgroup=subgroup,
-            homotopy_map_ranks=_rank_map(self.map_ranks_spec, subgroup),
-            tags=frozenset(tags),
+        return _embedding(
+            f"{self.id}@m={m}", _substitute(self.ambient_expr, m), _substitute(self.subgroup_expr, m),
+            self.map_ranks, self.tags | set(self.tags_at.get(str(m), ())),
         )
 
-    def instances_up_to_rank(self, max_rank: int) -> list[NamedEmbedding]:
-        out = []
+    def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
+        """The instances whose ambient group has rank at most ``max_rank``, by parameter."""
+        out = {}
         m = self.param_min
-        while True:
-            e = self.instantiate(m)
-            if e.ambient.rank > max_rank:
-                break
-            out.append(e)
+        while (e := self.instantiate(m)).ambient.rank <= max_rank:
+            out[m] = e
             m += 1
         return out
+
+
+@dataclass(frozen=True)
+class OrbitBetti:
+    """Rational Betti polynomials of G/H and G/K+-, with the sphere dimension n."""
+
+    p_h: IntegerPolynomial
+    p_k_plus: IntegerPolynomial
+    p_k_minus: IntegerPolynomial
+    n: int
 
 
 @dataclass(frozen=True)
@@ -122,21 +152,10 @@ class DiagramRecord:
 
     id: str
     diagram: GroupDiagram
-    outcome: Optional[Mapping] = None
+    outcome: Mapping = field(default_factory=dict)  # empty when the record stores none
     rational_sphere: bool = False
-    orbit_poincare: Optional[Mapping] = None
+    orbit_poincare: Optional[OrbitBetti] = None
     tags: frozenset[str] = frozenset()
-
-    def stored_betti(self) -> Optional[tuple[IntegerPolynomial, IntegerPolynomial, IntegerPolynomial, int]]:
-        if not self.orbit_poincare:
-            return None
-        data = self.orbit_poincare
-        return (
-            IntegerPolynomial(tuple(data["h"])),
-            IntegerPolynomial(tuple(data["k_plus"])),
-            IntegerPolynomial(tuple(data["k_minus"])),
-            int(data["n"]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +215,7 @@ class Catalog:
         for fam in self.families():
             if "corank2" not in fam.tags:
                 continue
-            for e in fam.instances_up_to_rank(max_rank):
-                m = int(e.id.rsplit("=", 1)[1])
+            for m, e in fam.instances_up_to_rank(max_rank).items():
                 out.append((e, fam.id, m))
         return out
 
@@ -219,43 +237,68 @@ class Catalog:
         """The record equal or swap-equal to ``diagram`` at descriptor level, if any."""
         return self._by_descriptor.get(diagram.canonical_descriptor())
 
-    def diagram_from_record(self, record: Mapping) -> GroupDiagram:
+    def diagram_from_record(self, record: Mapping, where: str = "diagram record") -> GroupDiagram:
         """The diagram a record document or ``diagrams.json`` entry describes.
 
         A missing key or a value of the wrong JSON type raises
-        ``InvalidDiagram`` naming the key; an unknown id raises ``InvalidLabel``.
+        ``InvalidDiagram`` naming ``where`` and the key; an unknown id raises ``InvalidLabel``.
         """
-        counts = _value(record, "component_counts", Mapping, {})
-        flags = _value(record, "nonorientable", Mapping, {})
+        get = partial(_value, record, where=where)
+        counts = get("component_counts", Mapping, {})
+        flags = get("nonorientable", Mapping, {})
         return GroupDiagram(
-            g=parse_group(_value(record, "g", str)),
-            h=self.embedding(_value(record, "h", str)),
-            k_minus=self.embedding(_value(record, "k_minus", str)),
-            k_plus=self.embedding(_value(record, "k_plus", str)),
-            h_in_k_minus=self.embedding(_value(record, "h_in_k_minus", str)),
-            h_in_k_plus=self.embedding(_value(record, "h_in_k_plus", str)),
-            components_h=_value(counts, "h", int, 1, "component_counts"),
-            components_k_minus=_value(counts, "k_minus", int, 1, "component_counts"),
-            components_k_plus=_value(counts, "k_plus", int, 1, "component_counts"),
-            nonorientable_k_minus=_value(flags, "k_minus", bool, False, "nonorientable"),
-            nonorientable_k_plus=_value(flags, "k_plus", bool, False, "nonorientable"),
+            g=parse_group(get("g", str)),
+            h=self.embedding(get("h", str)),
+            k_minus=self.embedding(get("k_minus", str)),
+            k_plus=self.embedding(get("k_plus", str)),
+            h_in_k_minus=self.embedding(get("h_in_k_minus", str)),
+            h_in_k_plus=self.embedding(get("h_in_k_plus", str)),
+            components_h=_value(counts, "h", int, 1, f"{where} component_counts"),
+            components_k_minus=_value(counts, "k_minus", int, 1, f"{where} component_counts"),
+            components_k_plus=_value(counts, "k_plus", int, 1, f"{where} component_counts"),
+            nonorientable_k_minus=_value(flags, "k_minus", bool, False, f"{where} nonorientable"),
+            nonorientable_k_plus=_value(flags, "k_plus", bool, False, f"{where} nonorientable"),
         )
 
 
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", Mapping: "object"}
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array", Mapping: "object"}
 
 
-def _value(mapping: Mapping, key: str, kind: type, default=None, where: str = "diagram record"):
-    """``mapping[key]``, which must have JSON type ``kind``; ``default`` when absent, if given."""
+def _is(value, kind: type) -> bool:
+    # bool subclasses int, but a JSON true is not an integer
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def _value(mapping: Mapping, key: str, kind: type, default=None, where="diagram record", error=InvalidDiagram):
+    """``mapping[key]``, which must have JSON type ``kind``; ``default`` when absent, if given.
+
+    A missing key or a value of another type raises ``error`` naming ``where`` and the key.
+    """
     if key not in mapping:
         if default is None:
-            raise InvalidDiagram(f"{where} has no {key!r} key")
+            raise error(f"{where} has no {key!r} key")
         return default
     value = mapping[key]
-    # bool subclasses int, but a JSON true is not an integer
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise InvalidDiagram(f"{where} key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    if not _is(value, kind):
+        raise error(f"{where} key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _array(mapping: Mapping, key: str, item: type, default=None, where="diagram record", error=InvalidDiagram):
+    """``mapping[key]`` as a tuple; it must be a JSON array of ``item`` values."""
+    values = _value(mapping, key, list, default, where, error)
+    if not all(_is(value, item) for value in values):
+        raise error(f"{where} key {key!r} must be a JSON array of {_JSON_TYPES[item]}s, got {values!r}")
+    return tuple(values)
+
+
+def _orbit_poincare(record: Mapping, where: str) -> Optional[OrbitBetti]:
+    data = _value(record, "orbit_poincare", Mapping, {}, where)
+    if not data:
+        return None
+    where = f"{where} orbit_poincare"
+    p_h, p_kp, p_km = (IntegerPolynomial(_array(data, key, int, where=where)) for key in ("h", "k_plus", "k_minus"))
+    return OrbitBetti(p_h, p_kp, p_km, _value(data, "n", int, where=where))
 
 
 def _by_id(records: Iterable, error: type[CohomoneError], source: Path) -> Mapping:
@@ -284,41 +327,38 @@ def _read(path: Path) -> dict:
     return data
 
 
+def _records(data: Mapping, key: str, path: Path, error: type[CohomoneError], default=None):
+    """(record, where) for each object of the array ``data[key]``; ``where`` names file, key and index."""
+    records = _array(data, key, Mapping, default, str(path), error)
+    return ((record, f"{path}: {key}[{i}]") for i, record in enumerate(records))
+
+
 def load_catalog(directory: Optional[Path] = None) -> Catalog:
+    """The catalog in ``directory`` (default: ``data_dir()``).
+
+    Every key of every record is checked; a missing key or a value of the
+    wrong JSON type raises ``InvalidLabel`` (``embeddings.json``) or
+    ``InvalidDiagram`` (``diagrams.json``) naming the file and the key.
+    """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
     data = _read(path)
-    families = (
-        EmbeddingFamily(
-            id=record["id"],
-            ambient_expr=record["ambient"],
-            subgroup_expr=record["subgroup"],
-            param_min=int(record["param_min"]),
-            map_ranks_spec=record.get("map_ranks", {}),
-            tags=frozenset(record.get("tags", ())),
-            tags_at={k: tuple(v) for k, v in record.get("tags_at", {}).items()},
-        )
-        for record in data.get("families", ())
-    )
+    embeddings = (_embedding_from_record(*r) for r in _records(data, "embeddings", path, InvalidLabel))
+    families = (_family_from_record(*r) for r in _records(data, "families", path, InvalidLabel, ()))
     # the diagram records resolve their embedding ids through this first-stage catalog
-    catalog = Catalog(
-        data["version"],
-        _by_id(map(_embedding_from_record, data["embeddings"]), InvalidLabel, path),
-        _by_id(families, InvalidLabel, path),
-        {},
-    )
+    catalog = Catalog(data["version"], _by_id(embeddings, InvalidLabel, path), _by_id(families, InvalidLabel, path), {})
     path = base / "diagrams.json"
     data = _read(path)
     records = (
         DiagramRecord(
-            id=_value(record, "id", str),
-            diagram=catalog.diagram_from_record(record),
-            outcome=record.get("outcome"),
-            rational_sphere=bool(record.get("rational_sphere", False)),
-            orbit_poincare=record.get("orbit_poincare"),
-            tags=frozenset(record.get("tags", ())),
+            id=_value(record, "id", str, where=where),
+            diagram=catalog.diagram_from_record(record, where),
+            outcome=_value(record, "outcome", Mapping, {}, where),
+            rational_sphere=_value(record, "rational_sphere", bool, False, where),
+            orbit_poincare=_orbit_poincare(record, where),
+            tags=frozenset(_array(record, "tags", str, (), where)),
         )
-        for record in data["diagrams"]
+        for record, where in _records(data, "diagrams", path, InvalidDiagram)
     )
     return replace(catalog, _diagrams=_by_id(records, InvalidDiagram, path))
 

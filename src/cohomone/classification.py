@@ -11,10 +11,10 @@ the shipped catalog and the structural family recognizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .catalog import Catalog, DiagramRecord, default_catalog
+from .catalog import Catalog, DiagramRecord, OrbitBetti, default_catalog
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
@@ -28,12 +28,8 @@ from .lie_catalog import (
     spheres_acted_on,
     symplectic,
 )
-from .polynomial import IntegerPolynomial, one_plus_power
-from .rational_homotopy import (
-    HomogeneousSpaceModel,
-    hilbert_series,
-    quotient_homotopy,
-)
+from .polynomial import one_plus_power
+from .rational_homotopy import hilbert_series, quotient_homotopy
 
 _T1 = GroupType((), 1)
 _SU2 = special_unitary(2)
@@ -131,7 +127,7 @@ def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[
             continue
         if not is_declared_injective(embedding):
             continue
-        qh = quotient_homotopy(HomogeneousSpaceModel.of(embedding))
+        qh = quotient_homotopy(embedding)
         if qh.heuristic or qh.even_degrees or len(qh.odd_degrees) != 2:
             raise InvalidEmbedding(f"{embedding.id}: a corank-2 quotient needs exactly two odd degrees")
         ell_minus, total = qh.odd_degrees
@@ -187,9 +183,27 @@ def case6_pairs() -> list[Case6Pair]:
 # ---------------------------------------------------------------------------
 
 
+#: the fields each outcome kind requires, with their types; its other fields stay None
+_OUTCOME_FIELDS: dict[str, dict[str, type]] = {
+    "linear-sphere": {"description": str},
+    "brieskorn": {"m": int, "d": int},
+    "wu": {},
+    "g2-quotient": {"index": int},
+    "seven-family": {"params": SevenFamilyParams, "torsion": int},
+    "not-rational-sphere": {"reason": str},
+    "unmatched": {},
+}
+
+#: the outcome kinds a ``diagrams.json`` record may store
+_RECORD_KINDS = ("linear-sphere", "brieskorn", "wu", "g2-quotient", "not-rational-sphere")
+
+
 @dataclass(frozen=True)
 class ClassificationOutcome:
-    """Tagged alternative naming the matched family, or a reasoned rejection."""
+    """Tagged alternative naming the matched family, or a reasoned rejection.
+
+    ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets.
+    """
 
     kind: str
     description: Optional[str] = None
@@ -201,65 +215,28 @@ class ClassificationOutcome:
     reason: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind == "brieskorn":
-            if self.m is None or self.d is None:
-                raise InvalidParams("Brieskorn outcomes require m and d")
-            if self.m % 2 and self.d % 2 == 0:
-                raise InvalidParams("Brieskorn outcomes require m even or d odd")
+        required = _OUTCOME_FIELDS.get(self.kind)
+        if required is None:
+            raise InvalidParams(f"unknown outcome kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            value, kind = getattr(self, f.name), required.get(f.name)
+            if kind is None and value is not None:
+                raise InvalidParams(f"{self.kind} outcomes take no {f.name}, got {value!r}")
+            # bool subclasses int, but True is not an integer
+            if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+                raise InvalidParams(f"{self.kind} outcomes require {f.name} of type {kind.__name__}, got {value!r}")
+        if self.kind == "brieskorn" and self.m % 2 and self.d % 2 == 0:
+            raise InvalidParams("Brieskorn outcomes require m even or d odd")
+        if self.kind == "g2-quotient" and self.index not in (1, 3):
+            raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
         if self.kind == "seven-family" and not self.torsion:
             raise InvalidParams("seven-family outcomes require nonzero torsion order")
 
-    @staticmethod
-    def linear_sphere(description: str) -> "ClassificationOutcome":
-        return ClassificationOutcome("linear-sphere", description=description)
-
-    @staticmethod
-    def brieskorn(m: int, d: int) -> "ClassificationOutcome":
-        return ClassificationOutcome("brieskorn", m=m, d=d)
-
-    @staticmethod
-    def wu() -> "ClassificationOutcome":
-        return ClassificationOutcome("wu")
-
-    @staticmethod
-    def g2_quotient(index: int) -> "ClassificationOutcome":
-        if index not in (1, 3):
-            raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
-        return ClassificationOutcome("g2-quotient", index=index)
-
-    @staticmethod
-    def seven_family(params: SevenFamilyParams, torsion: int) -> "ClassificationOutcome":
-        return ClassificationOutcome("seven-family", params=params, torsion=torsion)
-
-    @staticmethod
-    def not_rational_sphere(reason: str) -> "ClassificationOutcome":
-        return ClassificationOutcome("not-rational-sphere", reason=reason)
-
-    @staticmethod
-    def unmatched() -> "ClassificationOutcome":
-        return ClassificationOutcome("unmatched")
-
     def as_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.description is not None:
-            out["description"] = self.description
-        if self.m is not None:
-            out["m"] = self.m
-        if self.d is not None:
-            out["d"] = self.d
-        if self.index is not None:
-            out["index"] = self.index
+        """The fields that are set, with ``params`` as an object of its four integers."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.params is not None:
-            out["params"] = {
-                "p_minus": self.params.p_minus,
-                "q_minus": self.params.q_minus,
-                "p_plus": self.params.p_plus,
-                "q_plus": self.params.q_plus,
-            }
-        if self.torsion is not None:
-            out["torsion"] = self.torsion
-        if self.reason is not None:
-            out["reason"] = self.reason
+            out["params"] = dict(vars(self.params))
         return out
 
 
@@ -267,18 +244,12 @@ def _outcome_from_record(record: DiagramRecord) -> Optional[ClassificationOutcom
     data = record.outcome
     if not data:
         return None
-    kind = data["kind"]
-    if kind == "g2-quotient":
-        return ClassificationOutcome.g2_quotient(int(data["index"]))
-    if kind == "linear-sphere":
-        return ClassificationOutcome.linear_sphere(data["description"])
-    if kind == "not-rational-sphere":
-        return ClassificationOutcome.not_rational_sphere(data["reason"])
-    if kind == "wu":
-        return ClassificationOutcome.wu()
-    if kind == "brieskorn":
-        return ClassificationOutcome.brieskorn(int(data["m"]), int(data["d"]))
-    raise InvalidDiagram(f"diagram record {record.id} carries unknown outcome kind {kind!r}")
+    if data.get("kind") not in _RECORD_KINDS:
+        raise InvalidDiagram(f"diagram record {record.id} carries unknown outcome kind {data.get('kind')!r}")
+    try:
+        return ClassificationOutcome(**data)
+    except (TypeError, InvalidParams) as exc:  # TypeError: a key that is no outcome field
+        raise InvalidDiagram(f"diagram record {record.id} carries a malformed outcome: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +455,9 @@ def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
             continue
         a = int(winding)
         if a == 0:
-            return ClassificationOutcome.not_rational_sphere(
-                "the circle factor acts with the same orbits as its complement (non-primitive)"
+            return ClassificationOutcome(
+                "not-rational-sphere",
+                reason="the circle factor acts with the same orbits as its complement (non-primitive)",
             )
         counts = (cand.components_h, cand.components_k_minus, cand.components_k_plus)
         if counts == (1, 1, 1):
@@ -495,10 +467,10 @@ def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
         else:
             continue
         if m % 2 and d_param % 2 == 0:
-            return ClassificationOutcome.not_rational_sphere(
-                f"middle homology in degree {m - 1} is infinite (m odd, d even)"
+            return ClassificationOutcome(
+                "not-rational-sphere", reason=f"middle homology in degree {m - 1} is infinite (m odd, d even)"
             )
-        return ClassificationOutcome.brieskorn(m, d_param)
+        return ClassificationOutcome("brieskorn", m=m, d=d_param)
     return None
 
 
@@ -519,8 +491,9 @@ def _recognize_tensor_su(d: GroupDiagram) -> Optional[ClassificationOutcome]:
             and cand.k_plus.subgroup == expect_kp
             and (cand.ell_minus, cand.ell_plus) == (2 * n - 3, 2)
         ):
-            return ClassificationOutcome.linear_sphere(
-                f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2"
+            return ClassificationOutcome(
+                "linear-sphere",
+                description=f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2",
             )
     return None
 
@@ -550,8 +523,9 @@ def _recognize_tensor_sp(d: GroupDiagram) -> Optional[ClassificationOutcome]:
             and cand.k_plus.subgroup == expect_kp
             and (cand.ell_minus, cand.ell_plus) == (4 * n - 5, 4)
         ):
-            return ClassificationOutcome.linear_sphere(
-                f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2"
+            return ClassificationOutcome(
+                "linear-sphere",
+                description=f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2",
             )
     return None
 
@@ -575,10 +549,8 @@ def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
         return None
     torsion = seven_family_torsion(params)
     if torsion == 0:
-        return ClassificationOutcome.not_rational_sphere(
-            "p-q+ = p+q- makes the third homology group infinite"
-        )
-    return ClassificationOutcome.seven_family(params, torsion)
+        return ClassificationOutcome("not-rational-sphere", reason="p-q+ = p+q- makes the third homology group infinite")
+    return ClassificationOutcome("seven-family", params=params, torsion=torsion)
 
 
 _RECOGNIZERS = (
@@ -603,20 +575,12 @@ def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Clas
         outcome = recognize(d)
         if outcome is not None:
             return outcome
-    return ClassificationOutcome.unmatched()
+    return ClassificationOutcome("unmatched")
 
 
 # ---------------------------------------------------------------------------
 # Rational Betti data of the three orbits
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitBetti:
-    p_h: IntegerPolynomial
-    p_k_plus: IntegerPolynomial
-    p_k_minus: IntegerPolynomial
-    n: int
 
 
 def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[OrbitBetti]:
@@ -628,21 +592,15 @@ def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[
     non-orientable circle-circle case); None outside these regimes.
     """
     record = (catalog or default_catalog()).matching_record(d)
-    stored = record.stored_betti() if record is not None else None
+    stored = record.orbit_poincare if record is not None else None
     if stored is not None:
-        p_h, p_kp, p_km, n = stored
         if record.diagram.descriptor() != d.descriptor():  # swap-equal: exchange the K-+ data
-            p_kp, p_km = p_km, p_kp
-        return OrbitBetti(p_h, p_kp, p_km, n)
+            return replace(stored, p_k_plus=stored.p_k_minus, p_k_minus=stored.p_k_plus)
+        return stored
 
     n = d.manifold_dim
     if d.h.subgroup.rank == d.g.rank:
-        return OrbitBetti(
-            hilbert_series(HomogeneousSpaceModel(d.g, d.h)),
-            hilbert_series(HomogeneousSpaceModel(d.g, d.k_plus)),
-            hilbert_series(HomogeneousSpaceModel(d.g, d.k_minus)),
-            n,
-        )
+        return OrbitBetti(*map(hilbert_series, d.orbit_inclusions()), n)
     h_count = d.nonorientable_count
     lo, hi = sorted((d.ell_minus, d.ell_plus))
     if h_count == 0 and lo % 2 != hi % 2:

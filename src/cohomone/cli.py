@@ -26,17 +26,11 @@ from .classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from .diagram import GroupDiagram, gh_classify, mv_feasible, primitivity
+from .diagram import MAX_SPHERE_DIM, GroupDiagram, gh_classify, mv_feasible, primitivity
 from .errors import CohomoneError
 from .lie_catalog import degrees, parse_group, weyl_order
 from .polynomial import IntegerPolynomial
-from .rational_homotopy import (
-    HomogeneousSpaceModel,
-    euler_characteristic,
-    hilbert_series,
-    odd_product_poincare,
-    quotient_homotopy,
-)
+from .rational_homotopy import euler_characteristic, hilbert_series, odd_product_poincare, quotient_homotopy
 from .verify import build_report
 
 #: which subcommand exercises each public library operation (coverage-tested)
@@ -97,8 +91,10 @@ def _coeffs(text: str, flag: str) -> IntegerPolynomial:
 
 def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
     dims = _integers([v for v in text.split(",") if v.strip()], flag)
-    if any(d < 1 for d in dims):
-        raise _UsageError(f"{flag} takes positive sphere dimensions, got {text!r}")
+    if any(d < 1 for d in dims) or sum(dims) > MAX_SPHERE_DIM:
+        raise _UsageError(
+            f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}"
+        )
     return odd_product_poincare(dims)
 
 
@@ -145,11 +141,6 @@ def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     if family is not None:
         raise _UsageError(f"unknown diagram family {family!r}")
     return catalog.diagram_from_record(document)
-
-
-def _embedding_payload(embedding_id: str, catalog: Catalog) -> tuple:
-    embedding = catalog.embedding(embedding_id)
-    return embedding, HomogeneousSpaceModel.of(embedding)
 
 
 def _build_parser() -> _Parser:
@@ -238,8 +229,8 @@ def _cmd_degrees(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
-    embedding, space = _embedding_payload(args.embedding, catalog)
-    qh = quotient_homotopy(space)
+    embedding = catalog.embedding(args.embedding)
+    qh = quotient_homotopy(embedding)
     payload = {
         "embedding": embedding.id,
         "ambient": str(embedding.ambient),
@@ -247,19 +238,19 @@ def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
         "odd_degrees": list(qh.odd_degrees),
         "even_degrees": list(qh.even_degrees),
         "heuristic": qh.heuristic,
-        "dimension": space.dimension,
+        "dimension": embedding.ambient.dimension - embedding.subgroup.dimension,
     }
     return CommandResult(0, payload)
 
 
 def _cmd_hilbert(args, catalog: Catalog) -> CommandResult:
-    embedding, space = _embedding_payload(args.embedding, catalog)
-    series = hilbert_series(space)
+    embedding = catalog.embedding(args.embedding)
+    series = hilbert_series(embedding)
     payload = {
         "embedding": embedding.id,
         "coefficients": series.as_list(),
-        "euler_characteristic": euler_characteristic(space),
-        "dimension": space.dimension,
+        "euler_characteristic": euler_characteristic(embedding),
+        "dimension": embedding.ambient.dimension - embedding.subgroup.dimension,
     }
     return CommandResult(0, payload)
 
@@ -335,12 +326,7 @@ def _cmd_seven_family(args, catalog: Catalog) -> CommandResult:
         params = SevenFamilyParams(args.p_minus, args.q_minus, args.p_plus, args.q_plus)
     torsion = seven_family_torsion(params)
     payload = {
-        "params": {
-            "p_minus": params.p_minus,
-            "q_minus": params.q_minus,
-            "p_plus": params.p_plus,
-            "q_plus": params.q_plus,
-        },
+        "params": dict(vars(params)),
         "torsion": torsion,
         "rational_sphere": torsion != 0,
     }

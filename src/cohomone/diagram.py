@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import Incomparable, InvalidLattice, InvalidParams
+from .errors import Incomparable, InvalidEmbedding, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
 from .polynomial import IntegerPolynomial
-from .rational_homotopy import HomogeneousSpaceModel, euler_characteristic
+from .rational_homotopy import euler_characteristic
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,13 @@ class GroupDiagram:
         Equal and swap-equal diagrams, and only those, share it.
         """
         return min(self.descriptor(), self.swap().descriptor())
+
+    def orbit_inclusions(self) -> tuple[NamedEmbedding, NamedEmbedding, NamedEmbedding]:
+        """H, K+ and K- as inclusions into G; one that lives in another group raises."""
+        for emb in (self.h, self.k_plus, self.k_minus):
+            if emb.ambient != self.g:
+                raise InvalidEmbedding(f"{emb.id}: inclusion ambient {emb.ambient} differs from {self.g}")
+        return self.h, self.k_plus, self.k_minus
 
 
 @dataclass(frozen=True)
@@ -358,9 +365,7 @@ def double_disk_euler(d: GroupDiagram) -> EulerCheck:
 
     Must equal 1 + (-1)^n for an n-dimensional rational sphere.
     """
-    chi_plus = euler_characteristic(HomogeneousSpaceModel(d.g, d.k_plus))
-    chi_minus = euler_characteristic(HomogeneousSpaceModel(d.g, d.k_minus))
-    chi_h = euler_characteristic(HomogeneousSpaceModel(d.g, d.h))
+    chi_h, chi_plus, chi_minus = map(euler_characteristic, d.orbit_inclusions())
     value = chi_plus + chi_minus - chi_h
     n = d.manifold_dim
     expected = 1 + (-1) ** n
@@ -372,7 +377,8 @@ def double_disk_euler(d: GroupDiagram) -> EulerCheck:
 # ---------------------------------------------------------------------------
 
 
-#: largest sphere dimension ``mv_feasible`` accepts: it scans every degree up to n
+#: largest sphere dimension ``mv_feasible`` accepts (it scans every degree up to n); also the
+#: largest degree of a dense output: ``brieskorn.delta_poly`` and the cli's ``--*-spheres`` products
 MAX_SPHERE_DIM = 10**6
 
 

@@ -172,9 +172,6 @@ class GroupType:
     def is_simple(self) -> bool:
         return len(self.factors) == 1 and self.torus_rank == 0
 
-    def is_semisimple(self) -> bool:
-        return self.torus_rank == 0
-
     def __mul__(self, other: "GroupType") -> "GroupType":
         return GroupType(self.factors + other.factors, self.torus_rank + other.torus_rank)
 
@@ -315,9 +312,6 @@ class NamedEmbedding:
     @property
     def rank_map(self) -> dict[int, int]:
         return dict(self.homotopy_map_ranks)
-
-    def declared_rank(self, degree: int) -> Optional[int]:
-        return self.rank_map.get(degree)
 
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags

@@ -1,8 +1,8 @@
 """Rational homotopy and cohomology arithmetic for homogeneous spaces G/H.
 
-Three exact computations, all driven by the degree multisets of the two
-groups and the declared per-degree ranks of the inclusion on rational
-homotopy:
+Three exact computations on a catalog embedding H < G (its ``ambient``
+and ``subgroup``), all driven by the degree multisets of the two groups
+and the declared per-degree ranks of the inclusion on rational homotopy:
 
 * the long-exact-sequence bookkeeping that turns (degrees of G, degrees
   of H, map ranks) into the rational homotopy of G/H,
@@ -21,37 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidEmbedding, Unsupported
-from .lie_catalog import (
-    GroupType,
-    NamedEmbedding,
-    degree_multiplicities,
-    degrees,
-    weyl_order,
-)
+from .lie_catalog import NamedEmbedding, degree_multiplicities, degrees, weyl_order
 from .polynomial import InexactDivision, IntegerPolynomial, one_minus_power, one_plus_power, product
-
-
-@dataclass(frozen=True)
-class HomogeneousSpaceModel:
-    """A homogeneous space presented as (ambient group, catalogued inclusion)."""
-
-    ambient: GroupType
-    inclusion: NamedEmbedding
-
-    def __post_init__(self) -> None:
-        if self.inclusion.ambient != self.ambient:
-            raise InvalidEmbedding(
-                f"{self.inclusion.id}: inclusion ambient {self.inclusion.ambient} "
-                f"differs from {self.ambient}"
-            )
-
-    @classmethod
-    def of(cls, inclusion: NamedEmbedding) -> "HomogeneousSpaceModel":
-        return cls(inclusion.ambient, inclusion)
-
-    @property
-    def dimension(self) -> int:
-        return self.ambient.dimension - self.inclusion.subgroup.dimension
 
 
 @dataclass(frozen=True)
@@ -75,7 +46,7 @@ class QuotientHomotopy:
         return sum(self.odd_degrees) - sum(e - 1 for e in self.even_degrees)
 
 
-def quotient_homotopy(space: HomogeneousSpaceModel) -> QuotientHomotopy:
+def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     """Rational homotopy of G/H from the exact sequence of H -> G -> G/H.
 
     Per degree k with ambient multiplicity c_G(k), subgroup multiplicity
@@ -83,9 +54,9 @@ def quotient_homotopy(space: HomogeneousSpaceModel) -> QuotientHomotopy:
     degree k and c_H(k) - r(k) classes in degree k+1.  Missing declared
     ranks default to min(c_G, c_H) and set the heuristic flag.
     """
-    amb = degree_multiplicities(space.ambient)
-    sub = degree_multiplicities(space.inclusion.subgroup)
-    declared = space.inclusion.rank_map
+    amb = degree_multiplicities(inclusion.ambient)
+    sub = degree_multiplicities(inclusion.subgroup)
+    declared = inclusion.rank_map
     odd: list[int] = []
     even: list[int] = []
     heuristic = False
@@ -97,7 +68,7 @@ def quotient_homotopy(space: HomogeneousSpaceModel) -> QuotientHomotopy:
             r = declared[k]
             if r > bound:
                 raise InvalidEmbedding(
-                    f"{space.inclusion.id}: declared degree-{k} rank {r} exceeds bound {bound}"
+                    f"{inclusion.id}: declared degree-{k} rank {r} exceeds bound {bound}"
                 )
         else:
             r = bound
@@ -108,7 +79,7 @@ def quotient_homotopy(space: HomogeneousSpaceModel) -> QuotientHomotopy:
     return QuotientHomotopy(tuple(sorted(odd)), tuple(sorted(even)), heuristic)
 
 
-def hilbert_series(space: HomogeneousSpaceModel) -> IntegerPolynomial:
+def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
     """Rational Poincare polynomial of an equal-rank quotient G/H.
 
     Computed as the exact quotient
@@ -116,7 +87,7 @@ def hilbert_series(space: HomogeneousSpaceModel) -> IntegerPolynomial:
     The result must be a polynomial with non-negative coefficients and
     constant term 1; anything else means the inclusion data is wrong.
     """
-    g, h = space.ambient, space.inclusion.subgroup
+    g, h = inclusion.ambient, inclusion.subgroup
     if g.rank != h.rank:
         raise Unsupported(
             f"hilbert_series needs an equal-rank pair, got ranks {g.rank} and {h.rank}"
@@ -126,23 +97,23 @@ def hilbert_series(space: HomogeneousSpaceModel) -> IntegerPolynomial:
     try:
         series = numerator.divexact(denominator)
     except InexactDivision as exc:
-        raise InvalidEmbedding(f"{space.inclusion.id}: Hilbert series is not polynomial") from exc
+        raise InvalidEmbedding(f"{inclusion.id}: Hilbert series is not polynomial") from exc
     if series.coefficient(0) != 1 or any(c < 0 for c in series):
         raise InvalidEmbedding(
-            f"{space.inclusion.id}: Hilbert series {series} is not a valid Poincare polynomial"
+            f"{inclusion.id}: Hilbert series {series} is not a valid Poincare polynomial"
         )
     return series
 
 
-def euler_characteristic(space: HomogeneousSpaceModel) -> int:
+def euler_characteristic(inclusion: NamedEmbedding) -> int:
     """Euler characteristic of G/H: Weyl-order ratio at equal rank, else 0."""
-    g, h = space.ambient, space.inclusion.subgroup
+    g, h = inclusion.ambient, inclusion.subgroup
     if h.rank < g.rank:
         return 0
     wg, wh = weyl_order(g), weyl_order(h)
     if wg % wh:
         raise InvalidEmbedding(
-            f"{space.inclusion.id}: Weyl order {wh} does not divide {wg}"
+            f"{inclusion.id}: Weyl order {wh} does not divide {wg}"
         )
     return wg // wh
 

@@ -25,7 +25,15 @@ from .classification import (
 from .diagram import double_disk_euler, gh_classify, mv_feasible
 from .lie_catalog import transitive_sphere_pairs
 from .polynomial import IntegerPolynomial
-from .rational_homotopy import HomogeneousSpaceModel, euler_characteristic, hilbert_series
+from .rational_homotopy import euler_characteristic, hilbert_series
+
+
+# the ranges every report checks
+_TABLE1_MAX_M = 12
+_TABLE2_MAX_RANK = 9
+_BRIESKORN_M, _BRIESKORN_D = range(3, 11), range(1, 51)
+_SEVEN_FAMILY_T_MAX = 1000
+_GH_ELL_MAX = 50
 
 
 def _check(checks: list, check_id: str, expected, computed) -> None:
@@ -42,8 +50,8 @@ def _check(checks: list, check_id: str, expected, computed) -> None:
 # -- Table 1 ----------------------------------------------------------------
 
 
-def _check_table1(checks: list, max_m: int = 12) -> None:
-    rows = transitive_sphere_pairs(max_m)
+def _check_table1(checks: list) -> None:
+    rows = transitive_sphere_pairs(_TABLE1_MAX_M)
     families = sorted({row.family for row in rows})
     _check(checks, "table1/family-count", 9, len(families))
     for row in rows:
@@ -80,7 +88,7 @@ _TABLE2_FAMILIES = {
 }
 
 _TABLE2_RANGES = {
-    # family -> (min m, ambient rank as function of m) for the max_rank 9 run
+    # family -> (min m, ambient rank as function of m)
     "su(m)/su(m-2)": (3, lambda m: m - 1),
     "spin(2m+1)/spin(2m-3)": (4, lambda m: m),
     "sp(m)/sp(m-2)": (2, lambda m: m),
@@ -102,23 +110,23 @@ _TABLE3_EXPECTED = {
 }
 
 
-def _expected_table2(max_rank: int) -> dict[tuple[str, Optional[int]], tuple[int, int, int]]:
+def _expected_table2() -> dict[tuple[str, Optional[int]], tuple[int, int, int]]:
     expected: dict[tuple[str, Optional[int]], tuple[int, int, int]] = {
         (fam, None): cols for fam, cols in _TABLE2_SPORADIC.items()
     }
     for fam, columns in _TABLE2_FAMILIES.items():
         m_min, rank_of = _TABLE2_RANGES[fam]
         m = m_min
-        while rank_of(m) <= max_rank:
+        while rank_of(m) <= _TABLE2_MAX_RANK:
             expected[(fam, m)] = columns(m)
             m += 1
     return expected
 
 
-def _check_table2(checks: list, catalog: Catalog, max_rank: int = 9) -> list:
-    rows = enumerate_corank2(max_rank, catalog)
+def _check_table2(checks: list, catalog: Catalog) -> list:
+    rows = enumerate_corank2(_TABLE2_MAX_RANK, catalog)
     computed = {(r.family, r.param): (r.ell_minus, r.total, r.ell_plus) for r in rows}
-    expected = _expected_table2(max_rank)
+    expected = _expected_table2()
     _check(checks, "table2/family-count", 13, len({fam for fam, _ in computed}))
     for key in sorted(expected, key=lambda k: (k[0], k[1] or 0)):
         fam, param = key
@@ -181,12 +189,12 @@ def _expected_homology(m: int, d: int) -> list:
     return [[0, 1, []]] + middle + [[top, 1, []]]
 
 
-def _check_brieskorn(checks: list, m_range=range(3, 11), d_range=range(1, 51)) -> None:
+def _check_brieskorn(checks: list) -> None:
     mismatches = []
     gate_mismatches = []
     order_mismatches = []
-    for m in m_range:
-        for d in d_range:
+    for m in _BRIESKORN_M:
+        for d in _BRIESKORN_D:
             p = BrieskornParams(m, d)
             if delta_poly(p)(1) != delta_at_one(p):
                 mismatches.append([m, d, "delta"])
@@ -207,9 +215,9 @@ def _check_brieskorn(checks: list, m_range=range(3, 11), d_range=range(1, 51)) -
 # -- seven-manifold family -----------------------------------------------------
 
 
-def _check_seven_family(checks: list, t_max: int = 1000) -> None:
+def _check_seven_family(checks: list) -> None:
     bad = []
-    for t in range(1, t_max + 1):
+    for t in range(1, _SEVEN_FAMILY_T_MAX + 1):
         params = realize_torsion(t)
         if seven_family_torsion(params) != t:
             bad.append(t)
@@ -224,11 +232,11 @@ def _check_seven_family(checks: list, t_max: int = 1000) -> None:
 # -- fiber-case classifier ------------------------------------------------------
 
 
-def _check_gh(checks: list, ell_max: int = 50) -> None:
+def _check_gh(checks: list) -> None:
     parity_failures = []
     formula_failures = []
-    for ell_minus in range(1, ell_max + 1):
-        for ell_plus in range(1, ell_max + 1):
+    for ell_minus in range(1, _GH_ELL_MAX + 1):
+        for ell_plus in range(1, _GH_ELL_MAX + 1):
             for h in (0, 1, 2):
                 for result in gh_classify(ell_minus, ell_plus, h):
                     if result.forced_dim % 2 == 0:
@@ -264,17 +272,16 @@ _EQUAL_RANK_EXPECTED = {
 
 def _check_equal_rank(checks: list, catalog: Catalog) -> None:
     for embedding_id, expected_chi in sorted(_EQUAL_RANK_EXPECTED.items()):
-        space = HomogeneousSpaceModel.of(catalog.embedding(embedding_id))
-        _check(checks, f"equal-rank/chi/{embedding_id}", expected_chi, euler_characteristic(space))
+        embedding = catalog.embedding(embedding_id)
+        _check(checks, f"equal-rank/chi/{embedding_id}", expected_chi, euler_characteristic(embedding))
     for embedding in catalog.embeddings():
         if embedding.subgroup.rank != embedding.ambient.rank:
             continue
-        space = HomogeneousSpaceModel.of(embedding)
         _check(
             checks,
             f"equal-rank/series-at-1/{embedding.id}",
-            euler_characteristic(space),
-            hilbert_series(space)(1),
+            euler_characteristic(embedding),
+            hilbert_series(embedding)(1),
         )
     for pair in case6_pairs():
         _check(

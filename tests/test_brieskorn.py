@@ -10,6 +10,7 @@ from cohomone.brieskorn import (
     homology,
     rational_sphere_gate,
 )
+from cohomone.diagram import MAX_SPHERE_DIM
 from cohomone.errors import InvalidParams, Unsupported
 
 
@@ -112,6 +113,12 @@ def test_param_validation():
         BrieskornParams(2, 5)
     with pytest.raises(InvalidParams):
         BrieskornParams(4, 0)
+
+
+def test_delta_poly_refuses_dense_output_above_cap():
+    assert delta_poly(BrieskornParams(3, MAX_SPHERE_DIM)).degree == MAX_SPHERE_DIM - 1
+    with pytest.raises(InvalidParams):
+        delta_poly(BrieskornParams(4, MAX_SPHERE_DIM + 1))
 
 
 def test_graded_group_shape_rules():

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from cohomone.catalog import data_dir, default_catalog, load_catalog
+from cohomone.cli import run
 from cohomone.errors import InvalidDiagram, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
     degree_multiplicities,
@@ -49,8 +50,9 @@ def test_family_instantiation():
     assert e.id == "spin(2m+1)/spin(2m-3)@m=4"
     with pytest.raises(InvalidLabel):
         fam.instantiate(3)
-    ranks = [x.ambient.rank for x in fam.instances_up_to_rank(7)]
-    assert ranks == [4, 5, 6, 7]
+    instances = fam.instances_up_to_rank(7)
+    assert list(instances) == [4, 5, 6, 7]
+    assert [x.ambient.rank for x in instances.values()] == [4, 5, 6, 7]
 
 
 def test_family_tags_at_parameter():
@@ -89,6 +91,68 @@ def test_duplicate_records_rejected_at_load(tmp_path):
         load_catalog(edited_data(tmp_path, "diagrams.json", repeat_first("diagrams")))
     with pytest.raises(InvalidDiagram, match="swapped-copy"):
         load_catalog(edited_data(tmp_path, "diagrams.json", add_swapped_copy))
+
+
+def record_edit(key, record_id, edit):
+    """An ``edited_data`` edit applying ``edit`` to the record ``record_id`` of the array ``key``."""
+    return lambda data: edit(next(r for r in data[key] if r["id"] == record_id))
+
+
+@pytest.mark.parametrize(
+    "name, edit, error, detail",
+    [
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.pop("subgroup")), InvalidLabel,
+         "has no 'subgroup' key"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=6)), InvalidLabel,
+         "'ambient' must be a JSON string"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", 3])),
+         InvalidLabel, "'tags' must be a JSON array of strings"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"5": "x"})),
+         InvalidLabel, "'map_ranks'"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.pop("param_min")),
+         InvalidLabel, "has no 'param_min' key"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": "multiple"})),
+         InvalidLabel, "'4' must be a JSON array"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].pop("n")),
+         InvalidDiagram, "orbit_poincare has no 'n' key"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].update(h=[1, "1"])),
+         InvalidDiagram, "'h' must be a JSON array of integers"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(rational_sphere="yes")),
+         InvalidDiagram, "'rational_sphere' must be a JSON boolean"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(outcome="wu")),
+         InvalidDiagram, "'outcome' must be a JSON object"),
+    ],
+)
+def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, error, detail):
+    edited_data(tmp_path, name, edit)
+    with pytest.raises(error, match=name) as caught:
+        load_catalog(tmp_path)
+    assert detail in str(caught.value)
+    # every subcommand loads the catalog first: exit 2, not a traceback
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    for argv in (["degrees", "--group", "G2"], ["verify-tables"]):
+        result = run(argv)
+        assert result.exit_code == 2 and detail in result.payload["error"], argv
+
+
+@pytest.mark.parametrize(
+    "outcome, detail",
+    [
+        ({"kind": "g2-quotient"}, "index"),
+        ({"kind": "brieskorn", "m": "x", "d": 3}, "'x'"),
+        ({"kind": "seven-family", "torsion": 3}, "unknown outcome kind 'seven-family'"),
+        ({"kind": "g2-quotient", "index": 3, "note": "x"}, "note"),
+    ],
+)
+def test_malformed_stored_outcome_exits_2(tmp_path, outcome, detail):
+    catalog = load_catalog(edited_data(tmp_path, "diagrams.json",
+                                       record_edit("diagrams", "t5-row1", lambda r: r.update(outcome=outcome))))
+    document = tmp_path / "document.json"
+    document.write_text(json.dumps({"catalog": "t5-row1"}))
+    result = run(["classify", "--diagram", str(document)], catalog)
+    assert result.exit_code == 2
+    assert result.payload["error"].startswith("InvalidDiagram") and "t5-row1" in result.payload["error"]
+    assert detail in result.payload["error"]
 
 
 @pytest.mark.parametrize("name", ["embeddings.json", "diagrams.json"])

@@ -25,7 +25,7 @@ from cohomone.classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from cohomone.diagram import mv_feasible
+from cohomone.diagram import double_disk_euler, mv_feasible
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from cohomone.lie_catalog import NamedEmbedding, parse_group
 
@@ -172,12 +172,12 @@ def outcome_of(record_id):
 
 
 def test_five_table_outcomes():
-    assert outcome_of("t5-row1") == ClassificationOutcome.g2_quotient(3)
+    assert outcome_of("t5-row1") == ClassificationOutcome("g2-quotient", index=3)
     assert outcome_of("t5-row2").kind == "not-rational-sphere"
     assert outcome_of("t5-row3").kind == "not-rational-sphere"
     assert outcome_of("t5-row4").kind == "linear-sphere"
     assert "tensor" in outcome_of("t5-row4").description
-    assert outcome_of("t5-row5") == ClassificationOutcome.g2_quotient(1)
+    assert outcome_of("t5-row5") == ClassificationOutcome("g2-quotient", index=1)
 
 
 def test_classifier_swap_invariance_on_catalog():
@@ -205,10 +205,10 @@ def test_case6_diagrams_unmatched():
 
 
 def test_brieskorn_classification():
-    assert classify_diagram(brieskorn_diagram(6, 4, "standard"), CAT) == ClassificationOutcome.brieskorn(6, 4)
-    assert classify_diagram(brieskorn_diagram(4, 7, "standard"), CAT) == ClassificationOutcome.brieskorn(4, 7)
-    assert classify_diagram(brieskorn_diagram(8, 5, "spin7"), CAT) == ClassificationOutcome.brieskorn(8, 5)
-    assert classify_diagram(brieskorn_diagram(7, 3, "g2"), CAT) == ClassificationOutcome.brieskorn(7, 3)
+    assert classify_diagram(brieskorn_diagram(6, 4, "standard"), CAT) == ClassificationOutcome("brieskorn", m=6, d=4)
+    assert classify_diagram(brieskorn_diagram(4, 7, "standard"), CAT) == ClassificationOutcome("brieskorn", m=4, d=7)
+    assert classify_diagram(brieskorn_diagram(8, 5, "spin7"), CAT) == ClassificationOutcome("brieskorn", m=8, d=5)
+    assert classify_diagram(brieskorn_diagram(7, 3, "g2"), CAT) == ClassificationOutcome("brieskorn", m=7, d=3)
     # the gate: m odd with even d is not a rational sphere
     out = classify_diagram(brieskorn_diagram(5, 4, "standard"), CAT)
     assert out.kind == "not-rational-sphere"
@@ -225,19 +225,57 @@ def test_brieskorn_zero_winding_is_nonprimitive():
 
 def test_brieskorn_outcome_gate_invariant():
     with pytest.raises(InvalidParams):
-        ClassificationOutcome.brieskorn(5, 4)
+        ClassificationOutcome("brieskorn", m=5, d=4)
     with pytest.raises(InvalidParams):
-        ClassificationOutcome.seven_family(SevenFamilyParams(1, 1, 1, 1), 0)
+        ClassificationOutcome("seven-family", params=SevenFamilyParams(1, 1, 1, 1), torsion=0)
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("linear-sphere", {}),
+        ("brieskorn", {"m": 6}),
+        ("brieskorn", {"m": "6", "d": 3}),
+        ("brieskorn", {"m": True, "d": 3}),
+        ("g2-quotient", {"index": 2}),
+        ("wu", {"m": 3}),
+        ("no-such-kind", {}),
+    ],
+)
+def test_outcome_fields_checked_against_kind(kind, values):
+    with pytest.raises(InvalidParams):
+        ClassificationOutcome(kind, **values)
+
+
+def test_outcome_as_dict_lists_the_fields_set():
+    params = realize_torsion(6)
+    assert ClassificationOutcome("seven-family", params=params, torsion=6).as_dict() == {
+        "kind": "seven-family",
+        "params": {"p_minus": params.p_minus, "q_minus": 1, "p_plus": params.p_plus, "q_plus": 1},
+        "torsion": 6,
+    }
+    assert ClassificationOutcome("wu").as_dict() == {"kind": "wu"}
+    assert ClassificationOutcome("brieskorn", m=6, d=4).as_dict() == {"kind": "brieskorn", "m": 6, "d": 4}
+
+
+def test_orbit_data_checks_inclusions_live_in_g():
+    # K+ taken from a diagram in Sp(2): no record matches, so orbit_betti takes the equal-rank branch
+    d = replace(CAT.diagram_record("case6-su3").diagram, k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
+    assert CAT.matching_record(d) is None and d.h.subgroup.rank == d.g.rank
+    with pytest.raises(InvalidEmbedding, match="differs from"):
+        double_disk_euler(d)
+    with pytest.raises(InvalidEmbedding, match="differs from"):
+        orbit_betti(d, CAT)
 
 
 def test_tensor_classification():
     out = classify_diagram(tensor_su_diagram(4), CAT)
-    assert out == ClassificationOutcome.linear_sphere(
-        "SU(4)xSU(2) on S^15 via the tensor product of C^4 and C^2"
+    assert out == ClassificationOutcome(
+        "linear-sphere", description="SU(4)xSU(2) on S^15 via the tensor product of C^4 and C^2"
     )
     out = classify_diagram(tensor_sp_diagram(2), CAT)
-    assert out == ClassificationOutcome.linear_sphere(
-        "Sp(2)xSp(2) on S^15 via the tensor product of H^2 and H^2"
+    assert out == ClassificationOutcome(
+        "linear-sphere", description="Sp(2)xSp(2) on S^15 via the tensor product of H^2 and H^2"
     )
     out = classify_diagram(tensor_sp_diagram(4), CAT)
     assert out.description == "Sp(4)xSp(2) on S^31 via the tensor product of H^4 and H^2"

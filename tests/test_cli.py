@@ -261,6 +261,25 @@ def test_mv_check_refuses_huge_n_at_once():
 @pytest.mark.parametrize(
     "flags, flag",
     [
+        (["--h-spheres", "3,1000000", "--k-plus-spheres", "3", "--k-minus-spheres", "1000000"], "--h-spheres"),
+        (["--p-h", "1", "--p-k-plus", "1", "--k-minus-spheres", "1000001"], "--k-minus-spheres"),
+    ],
+)
+def test_mv_check_refuses_sphere_products_above_cap_at_once(flags, flag):
+    start = time.perf_counter()
+    result = run(["mv-check", "--n", "5", *flags])
+    assert result.exit_code == 2 and flag in result.payload["error"]
+    assert time.perf_counter() - start < 5
+
+
+def test_brieskorn_refuses_d_above_cap():
+    result = run(["brieskorn", "--m", "4", "--d", "1000001"])
+    assert result.exit_code == 2 and "InvalidParams" in result.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
         (["--p-h", "1,a", "--p-k-plus", "1", "--p-k-minus", "1"], "--p-h"),
         (["--h-spheres", "3", "--k-plus-spheres", "x", "--p-k-minus", "1"], "--k-plus-spheres"),
         (["--h-spheres", "3", "--p-k-plus", "1", "--k-minus-spheres", "0"], "--k-minus-spheres"),

@@ -12,7 +12,6 @@ from cohomone.lie_catalog import (
     parse_group,
 )
 from cohomone.rational_homotopy import (
-    HomogeneousSpaceModel,
     euler_characteristic,
     hilbert_series,
     odd_product_poincare,
@@ -21,13 +20,12 @@ from cohomone.rational_homotopy import (
 
 
 def space(embedding_id):
-    return HomogeneousSpaceModel.of(default_catalog().embedding(embedding_id))
+    return default_catalog().embedding(embedding_id)
 
 
 def identity_space(expr):
     g = parse_group(expr)
-    emb = NamedEmbedding(f"id-{expr}", g, g, injective_rank_map(g), frozenset({"identity"}))
-    return HomogeneousSpaceModel.of(emb)
+    return NamedEmbedding(f"id-{expr}", g, g, injective_rank_map(g), frozenset({"identity"}))
 
 
 # -- quotient homotopy ---------------------------------------------------------
@@ -50,12 +48,12 @@ def test_quotient_homotopy_examples():
 def test_quotient_homotopy_heuristic_flag():
     g, h = parse_group("SU(4)"), parse_group("SU(2)")
     undeclared = NamedEmbedding("su2-in-su4-bare", g, h)
-    qh = quotient_homotopy(HomogeneousSpaceModel.of(undeclared))
+    qh = quotient_homotopy(undeclared)
     assert qh.heuristic
     assert qh.odd_degrees == (5, 7)  # maximal-rank default kills degree 3
 
     declared = NamedEmbedding("su2-in-su4-decl", g, h, ((3, 1),))
-    assert not quotient_homotopy(HomogeneousSpaceModel.of(declared)).heuristic
+    assert not quotient_homotopy(declared).heuristic
 
 
 def test_quotient_homotopy_torus_circle_shifts_to_degree_two():
@@ -68,18 +66,17 @@ def test_dimension_bookkeeping_over_catalog():
     # sum(odd) - sum(even - 1) equals dim G/H for every shipped inclusion
     # with fully declared ranks
     for emb in default_catalog().embeddings():
-        sp_model = HomogeneousSpaceModel.of(emb)
-        qh = quotient_homotopy(sp_model)
+        qh = quotient_homotopy(emb)
         if qh.heuristic:
             continue
-        assert qh.formal_dimension == sp_model.dimension, emb.id
+        assert qh.formal_dimension == emb.ambient.dimension - emb.subgroup.dimension, emb.id
 
 
 def test_injective_pairs_have_no_even_part():
     for emb in default_catalog().embeddings():
         if not is_declared_injective(emb):
             continue
-        qh = quotient_homotopy(HomogeneousSpaceModel.of(emb))
+        qh = quotient_homotopy(emb)
         assert qh.even_degrees == (), emb.id
         assert len(qh.odd_degrees) == emb.ambient.rank - emb.subgroup.rank, emb.id
 
@@ -124,7 +121,7 @@ def test_hilbert_series_against_sympy_oracle():
     for emb in default_catalog().embeddings():
         if emb.subgroup.rank != emb.ambient.rank:
             continue
-        computed = hilbert_series(HomogeneousSpaceModel.of(emb)).as_list()
+        computed = hilbert_series(emb).as_list()
         assert computed == sympy_series(emb.ambient, emb.subgroup), emb.id
 
 
@@ -132,8 +129,7 @@ def test_hilbert_series_top_degree_is_quotient_dimension():
     for emb in default_catalog().embeddings():
         if emb.subgroup.rank != emb.ambient.rank:
             continue
-        model = HomogeneousSpaceModel.of(emb)
-        assert hilbert_series(model).degree == model.dimension, emb.id
+        assert hilbert_series(emb).degree == emb.ambient.dimension - emb.subgroup.dimension, emb.id
 
 
 def test_hilbert_series_needs_equal_rank():
@@ -145,7 +141,7 @@ def test_hilbert_series_rejects_inconsistent_pair():
     # equal rank, but the division leaves a remainder: bad inclusion data
     pretend = NamedEmbedding("fake-pair", parse_group("SU(4)"), parse_group("Sp(1)xSp(1)xSp(1)"))
     with pytest.raises(InvalidEmbedding):
-        hilbert_series(HomogeneousSpaceModel.of(pretend))
+        hilbert_series(pretend)
 
 
 # -- Euler characteristics ---------------------------------------------------------
@@ -162,8 +158,7 @@ def test_euler_matches_series_at_one_for_equal_rank_pairs():
     for emb in default_catalog().embeddings():
         if emb.subgroup.rank != emb.ambient.rank:
             continue
-        model = HomogeneousSpaceModel.of(emb)
-        assert hilbert_series(model)(1) == euler_characteristic(model), emb.id
+        assert hilbert_series(emb)(1) == euler_characteristic(emb), emb.id
 
 
 # -- sphere-product Poincare polynomials ---------------------------------------------
@@ -174,8 +169,3 @@ def test_odd_product_poincare():
     assert odd_product_poincare([]).as_list() == [1]
     assert odd_product_poincare([3, 5]).as_list() == [1, 0, 0, 1, 0, 1, 0, 0, 1]
 
-
-def test_space_model_checks_ambient():
-    emb = default_catalog().embedding("t2-in-su3")
-    with pytest.raises(InvalidEmbedding):
-        HomogeneousSpaceModel(parse_group("SU(4)"), emb)

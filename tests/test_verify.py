@@ -67,12 +67,11 @@ def test_diagram_records_use_registered_embeddings():
 
 def test_stored_betti_data_is_well_formed():
     for record in CAT.diagram_records():
-        data = record.stored_betti()
+        data = record.orbit_poincare
         if data is None:
             continue
-        p_h, p_kp, p_km, n = data
-        assert n == record.diagram.manifold_dim, record.id
-        for p in (p_h, p_kp, p_km):
+        assert data.n == record.diagram.manifold_dim, record.id
+        for p in (data.p_h, data.p_k_plus, data.p_k_minus):
             assert all(c >= 0 for c in p), record.id
             assert p.coefficient(0) == 1, record.id
 
