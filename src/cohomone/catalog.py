@@ -18,46 +18,38 @@ diagrams share, so matching a diagram against the records is one dict
 lookup; two records with the same key are refused.
 
 Embedding records may be concrete or parameterized families (one
-integer parameter ``m`` with a lower bound); family group expressions
-use linear forms in ``m`` as arguments, e.g. ``Spin(2m+1)``.
+integer parameter ``m`` with a lower bound ``param_min``).  A family's
+group expressions use arguments ``a*m + b`` (a an integer >= 0, b any
+integer, e.g. ``Spin(2m+1)``, ``SU(m-2)``) and are parsed once, at load,
+into factor templates (``lie_catalog.group_template``); ``tags_at`` keys
+are decoded to integers there.  Load refuses a family whose ambient
+group does not grow with m (no ambient term has a > 0), a ``tags_at``
+key that is not a decimal integer >= ``param_min``, and a family whose
+instance at ``param_min`` cannot be built.  Any error raised while a
+record is parsed or built keeps its type and names the file, the array
+index and, where one is at fault, the key.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .diagram import GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
-from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
+from .lie_catalog import FactorTemplate, GroupType, NamedEmbedding, group_at, group_template
+from .lie_catalog import injective_rank_map, parse_group
 from .polynomial import IntegerPolynomial
 
 #: the only ``"version"`` the data files may carry
 CATALOG_VERSION = 1
 _DATA_ENV = "COHOMONE_DATA_DIR"
-_LINEAR_RE = re.compile(r"^\s*(?:(\d*)\s*m\s*)?([+-]?\s*\d+)?\s*$")
-
-
-def _eval_linear(expr: str, m: int) -> int:
-    match = _LINEAR_RE.match(expr)
-    if not match or (match.group(1) is None and match.group(2) is None):
-        raise InvalidLabel(f"cannot evaluate parameter expression {expr!r}")
-    coef_text, offset_text = match.groups()
-    coef = 0
-    if coef_text is not None:
-        coef = int(coef_text) if coef_text else 1
-    offset = int(offset_text.replace(" ", "")) if offset_text else 0
-    return coef * m + offset
-
-
-def _substitute(expr: str, m: int) -> str:
-    return re.sub(r"\(([^()]*)\)", lambda mt: f"({_eval_linear(mt.group(1), m)})", expr)
 
 
 def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], ...]]:
@@ -71,59 +63,80 @@ def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], .
 
 
 def _embedding(
-    embedding_id: str, ambient: str, subgroup: str, ranks: Optional[tuple[tuple[int, int], ...]], tags: Iterable[str]
+    name: str, ambient: GroupType, sub: GroupType, ranks: Optional[tuple[tuple[int, int], ...]], tags: Iterable[str]
 ) -> NamedEmbedding:
-    """An embedding from group expressions; ``ranks`` None means rationally injective."""
-    sub = parse_group(subgroup)
+    """An embedding of ``sub`` in ``ambient``; ``ranks`` None means rationally injective."""
     return NamedEmbedding(
-        id=embedding_id,
-        ambient=parse_group(ambient),
+        id=name,
+        ambient=ambient,
         subgroup=sub,
         homotopy_map_ranks=injective_rank_map(sub) if ranks is None else ranks,
         tags=frozenset(tags),
     )
 
 
+def _named(where: str, build, *args):
+    """``build(*args)``; a ``CohomoneError`` it raises is raised again, same type, prefixed with ``where``."""
+    try:
+        return build(*args)
+    except CohomoneError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _groups(record: Mapping, where: str, parse) -> tuple:
+    """``parse`` of the ``"ambient"`` and ``"subgroup"`` expressions; an error names ``where`` and the key."""
+    ambient, subgroup = (_value(record, key, str, where=where, error=InvalidLabel) for key in ("ambient", "subgroup"))
+    return _named(f"{where} key 'ambient'", parse, ambient), _named(f"{where} key 'subgroup'", parse, subgroup)
+
+
 def _embedding_from_record(record: Mapping, where: str) -> NamedEmbedding:
     get = partial(_value, record, where=where, error=InvalidLabel)
-    return _embedding(
-        get("id", str), get("ambient", str), get("subgroup", str),
+    return _named(
+        where, _embedding, get("id", str), *_groups(record, where, parse_group),
         _rank_spec(record, where), _array(record, "tags", str, (), where, InvalidLabel),
     )
 
 
 def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
     get = partial(_value, record, where=where, error=InvalidLabel)
-    tags_at = get("tags_at", Mapping, {})
-    return EmbeddingFamily(
+    ambient, subgroup = _groups(record, where, group_template)
+    if not any(a for _, a, _ in ambient):  # so that instances_up_to_rank ends
+        raise InvalidLabel(f"{where} key 'ambient': {record['ambient']!r} does not grow with m")
+    param_min, tags_at = get("param_min", int), get("tags_at", Mapping, {})
+    for m in tags_at:
+        if not (m.isascii() and m.isdigit()) or int(m) < param_min:
+            raise InvalidLabel(f"{where} tags_at key {m!r} is not a decimal integer m >= {param_min}")
+    family = EmbeddingFamily(
         id=get("id", str),
-        ambient_expr=get("ambient", str),
-        subgroup_expr=get("subgroup", str),
-        param_min=get("param_min", int),
+        ambient=ambient,
+        subgroup=subgroup,
+        param_min=param_min,
         map_ranks=_rank_spec(record, where),
         tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
-        tags_at={m: _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
+        tags_at={int(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
     )
+    _named(where, family.instantiate, param_min)  # a family wrong from the start is refused here
+    return family
 
 
 @dataclass(frozen=True)
 class EmbeddingFamily:
-    """A subgroup-inclusion family parameterized by an integer m."""
+    """A subgroup-inclusion family parameterized by an integer m, its groups parsed into factor templates."""
 
     id: str
-    ambient_expr: str
-    subgroup_expr: str
+    ambient: tuple[FactorTemplate, ...]
+    subgroup: tuple[FactorTemplate, ...]
     param_min: int
     map_ranks: Optional[tuple[tuple[int, int], ...]]  # None: rationally injective
     tags: frozenset[str]
-    tags_at: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    tags_at: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
 
     def instantiate(self, m: int) -> NamedEmbedding:
         if m < self.param_min:
             raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
         return _embedding(
-            f"{self.id}@m={m}", _substitute(self.ambient_expr, m), _substitute(self.subgroup_expr, m),
-            self.map_ranks, self.tags | set(self.tags_at.get(str(m), ())),
+            f"{self.id}@m={m}", group_at(self.ambient, m), group_at(self.subgroup, m),
+            self.map_ranks, self.tags | set(self.tags_at.get(m, ())),
         )
 
     def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
@@ -241,18 +254,23 @@ class Catalog:
         """The diagram a record document or ``diagrams.json`` entry describes.
 
         A missing key or a value of the wrong JSON type raises
-        ``InvalidDiagram`` naming ``where`` and the key; an unknown id raises ``InvalidLabel``.
+        ``InvalidDiagram`` naming ``where`` and the key; a ``g`` that does not parse and an
+        unknown id raise ``InvalidLabel``, also naming ``where`` and the key.
         """
         get = partial(_value, record, where=where)
         counts = get("component_counts", Mapping, {})
         flags = get("nonorientable", Mapping, {})
+
+        def embedding(key: str) -> NamedEmbedding:
+            return _named(f"{where} key {key!r}", self.embedding, get(key, str))
+
         return GroupDiagram(
-            g=parse_group(get("g", str)),
-            h=self.embedding(get("h", str)),
-            k_minus=self.embedding(get("k_minus", str)),
-            k_plus=self.embedding(get("k_plus", str)),
-            h_in_k_minus=self.embedding(get("h_in_k_minus", str)),
-            h_in_k_plus=self.embedding(get("h_in_k_plus", str)),
+            g=_named(f"{where} key 'g'", parse_group, get("g", str)),
+            h=embedding("h"),
+            k_minus=embedding("k_minus"),
+            k_plus=embedding("k_plus"),
+            h_in_k_minus=embedding("h_in_k_minus"),
+            h_in_k_plus=embedding("h_in_k_plus"),
             components_h=_value(counts, "h", int, 1, f"{where} component_counts"),
             components_k_minus=_value(counts, "k_minus", int, 1, f"{where} component_counts"),
             components_k_plus=_value(counts, "k_plus", int, 1, f"{where} component_counts"),

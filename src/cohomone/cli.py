@@ -48,7 +48,6 @@ OP_COVERAGE = {
     "validate": "classify",
     "gh_classify": "gh-case",
     "primitivity": "primitivity",
-    "equivalent": "classify",
     "double_disk_euler": "verify-tables",
     "mv_feasible": "mv-check",
     "delta_poly": "brieskorn",

@@ -44,7 +44,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .errors import InvalidEmbedding, InvalidLabel, Unsupported
 
@@ -210,56 +211,8 @@ def weyl_order(group: GroupType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group-name parsing
+# Group expressions
 # ---------------------------------------------------------------------------
-
-_LABEL_RE = re.compile(r"^([A-D])(\d+)$|^(E[678]|F4|G2)$")
-_NAMED_RE = re.compile(r"^(SU|SO|Spin|Sp|U|T)\(?([0-9]+)\)?$")
-
-
-def _parse_term(term: str) -> GroupType:
-    term = term.strip()
-    if term in ("e", "{e}", "1", "trivial"):
-        return TRIVIAL_GROUP
-    if term == "S1":
-        return GroupType((), 1)
-    if term == "S3":
-        return GroupType((SimpleGroupLabel("A", 1),))
-    m = _LABEL_RE.match(term)
-    if m:
-        if m.group(3):
-            fam = m.group(3)
-            return GroupType((SimpleGroupLabel(fam, _EXCEPTIONAL_RANKS[fam]),))
-        return GroupType((SimpleGroupLabel(m.group(1), int(m.group(2))),))
-    m = _NAMED_RE.match(term)
-    if not m:
-        raise InvalidLabel(f"cannot parse group term {term!r}")
-    name, n = m.group(1), int(m.group(2))
-    if name == "T":
-        return GroupType((), n)
-    if name == "U":
-        if n < 1:
-            raise InvalidLabel(f"U({n}) is not defined")
-        return special_unitary(n) * GroupType((), 1)
-    if name == "SU":
-        return special_unitary(n)
-    if name == "Sp":
-        return symplectic(n)
-    return special_orthogonal(n)  # SO(n) and Spin(n): same local type
-
-
-def parse_group(text: str) -> GroupType:
-    """Parse a group expression such as ``SU(3)xSU(2)``, ``Spin(9)`` or ``A2xT1``.
-
-    Terms are separated by ``x`` or a Unicode multiplication sign;
-    recognized term forms are SU/SO/Spin/Sp/U/T with an integer argument,
-    the literals S1, S3, e, and raw labels like B2 or E7.
-    """
-    text = text.replace("×", "x")
-    out = TRIVIAL_GROUP
-    for term in text.split("x"):
-        out = out * _parse_term(term)
-    return out
 
 
 def special_orthogonal(n: int) -> GroupType:
@@ -278,6 +231,70 @@ def symplectic(n: int) -> GroupType:
     if n < 0:
         raise InvalidLabel(f"Sp({n}) is not defined")
     return TRIVIAL_GROUP if n == 0 else GroupType((SimpleGroupLabel("C", n),))
+
+
+def _unitary(n: int) -> GroupType:
+    if n < 1:
+        raise InvalidLabel(f"U({n}) is not defined")
+    return GroupType((SimpleGroupLabel("A", n - 1),) if n > 1 else (), 1)
+
+
+def _simple(family: str, rank: int) -> GroupType:
+    return GroupType((SimpleGroupLabel(family, rank),))
+
+
+#: a factor template ``(build, a, b)`` stands for the factor ``build(a*m + b)``; a constant term has a = 0
+FactorTemplate = tuple[Callable[[int], GroupType], int, int]
+
+_torus = partial(GroupType, ())
+_BUILDERS = {"SU": special_unitary, "SO": special_orthogonal, "Spin": special_orthogonal, "Sp": symplectic,
+             "U": _unitary, "T": _torus, **{family: partial(_simple, family) for family in _CLASSICAL_FAMILIES}}
+_CONSTANT_TERMS = {
+    **dict.fromkeys(("e", "{e}", "1", "trivial"), (_torus, 0, 0)), "S1": (_torus, 0, 1), "S3": (special_unitary, 0, 2),
+    **{family: (partial(_simple, family), 0, rank) for family, rank in _EXCEPTIONAL_RANKS.items()},
+}
+#: a named term with argument a*m+b or n (parentheses optional), or a raw classical label such as B2
+_TERM_RE = re.compile(r"(SU|SO|Spin|Sp|U|T)\(?(?:(\d*)m([+-]\d+)?|(\d+))\)?|([A-D])(\d+)")
+
+
+def _term_template(term: str, text: str) -> FactorTemplate:
+    term = term.strip()
+    if term in _CONSTANT_TERMS:
+        return _CONSTANT_TERMS[term]
+    match = _TERM_RE.fullmatch(term)
+    if not match:
+        context = f" in {text!r}" if term != text.strip() else ""
+        raise InvalidLabel(f"cannot parse group term {term!r}{context}")
+    name, a, b, n, family, rank = match.groups()
+    if family:
+        return _BUILDERS[family], 0, int(rank)
+    return (_BUILDERS[name], 0, int(n)) if n else (_BUILDERS[name], int(a or 1), int(b or 0))
+
+
+def group_template(text: str) -> tuple[FactorTemplate, ...]:
+    """The factor templates of a group expression such as ``SU(3)xSU(2)``, ``Spin(2m+1)`` or ``A2xT1``.
+
+    Terms are separated by ``x`` or a Unicode multiplication sign; a term is
+    SU/SO/Spin/Sp/U/T with an integer argument or one ``a*m + b`` (``m``,
+    ``2m+1``, ``m-2``: a >= 0, b any integer), S1, S3, e, or a raw label like B2 or E7.
+    """
+    return tuple([_term_template(term, text) for term in text.replace("×", "x").split("x")])
+
+
+def group_at(template: tuple[FactorTemplate, ...], m: int) -> GroupType:
+    """The group ``template`` names at parameter ``m``, built as one ``GroupType``."""
+    groups = [build(a * m + b) for build, a, b in template]
+    if len(groups) == 1:
+        return groups[0]
+    return GroupType(sum((g.factors for g in groups), ()), sum(g.torus_rank for g in groups))
+
+
+def parse_group(text: str) -> GroupType:
+    """The group a constant expression such as ``SU(3)xSU(2)`` names; a term in m is refused."""
+    template = group_template(text)
+    if any(a for _, a, _ in template):
+        raise InvalidLabel(f"group expression {text!r} depends on a parameter m")
+    return group_at(template, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +346,14 @@ def validate_embedding(e: NamedEmbedding) -> None:
         raise InvalidEmbedding(f"{e.id}: subgroup dimension exceeds ambient dimension")
     if e.subgroup.rank > e.ambient.rank:
         raise InvalidEmbedding(f"{e.id}: subgroup rank exceeds ambient rank")
-    sub_mult = degree_multiplicities(e.subgroup)
-    amb_mult = degree_multiplicities(e.ambient)
+    sub_degrees, amb_degrees = degrees(e.subgroup), degrees(e.ambient)
     for k, r in e.homotopy_map_ranks:
         if r < 0:
             raise InvalidEmbedding(f"{e.id}: negative map rank in degree {k}")
-        if r > min(sub_mult.get(k, 0), amb_mult.get(k, 0)):
+        if r > min(sub_degrees.count(k), amb_degrees.count(k)):
             raise InvalidEmbedding(
                 f"{e.id}: degree-{k} map rank {r} exceeds multiplicity bound "
-                f"min({sub_mult.get(k, 0)}, {amb_mult.get(k, 0)})"
+                f"min({sub_degrees.count(k)}, {amb_degrees.count(k)})"
             )
 
 

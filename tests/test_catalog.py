@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cohomone
 from cohomone.catalog import data_dir, default_catalog, load_catalog
 from cohomone.cli import run
-from cohomone.errors import InvalidDiagram, InvalidLabel, Unsupported
+from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
     degree_multiplicities,
     parse_group,
@@ -121,6 +126,25 @@ def record_edit(key, record_id, edit):
          InvalidDiagram, "'rational_sphere' must be a JSON boolean"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(outcome="wu")),
          InvalidDiagram, "'outcome' must be a JSON object"),
+        # group expressions are parsed, and families built at param_min, at load
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(q-2)")),
+         InvalidLabel, "families[0] key 'subgroup': cannot parse group term 'SU(q-2)'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="XYZ(3)")),
+         InvalidLabel, "embeddings[16] key 'subgroup': cannot parse group term 'XYZ(3)'"),
+        ("embeddings.json", record_edit("families", "sp(m)/sp(m-2)", lambda r: r.update(ambient="XYZ(3)")),
+         InvalidLabel, "families[2] key 'ambient': cannot parse group term 'XYZ(3)'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
+         InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(m+1)")),
+         InvalidEmbedding, "families[0]: su(m)/su(m-2)@m=3: subgroup dimension exceeds ambient dimension"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"four": []})),
+         InvalidLabel, "families[0] tags_at key 'four' is not a decimal integer m >= 3"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"2": []})),
+         InvalidLabel, "families[0] tags_at key '2' is not a decimal integer m >= 3"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(g="XYZ(3)")),
+         InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'XYZ(3)'"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(h="no-such-id")),
+         InvalidLabel, "diagrams[10] key 'h': unknown embedding id 'no-such-id'"),
     ],
 )
 def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, error, detail):
@@ -133,6 +157,19 @@ def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, er
     for argv in (["degrees", "--group", "G2"], ["verify-tables"]):
         result = run(argv)
         assert result.exit_code == 2 and detail in result.payload["error"], argv
+
+
+def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path):
+    # instances_up_to_rank would never reach max_rank: verify-tables used to loop forever
+    edit = record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient="SU(5)", subgroup="SU(3)"))
+    edited_data(tmp_path, "embeddings.json", edit)
+    env = dict(os.environ, COHOMONE_DATA_DIR=str(tmp_path),
+               PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
+    for argv in (["degrees", "--group", "G2"], ["verify-tables"]):
+        done = subprocess.run([sys.executable, "-m", "cohomone.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 2, argv
+        assert "embeddings.json: families[0] key 'ambient': 'SU(5)' does not grow with m" in done.stderr
 
 
 @pytest.mark.parametrize(

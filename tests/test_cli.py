@@ -157,7 +157,7 @@ def test_every_operation_covered_by_exactly_one_subcommand():
         "sphere_quotient", "spheres_acted_on",
         "quotient_homotopy", "hilbert_series", "euler_characteristic",
         "odd_product_poincare",
-        "validate", "gh_classify", "primitivity", "equivalent",
+        "validate", "gh_classify", "primitivity",
         "double_disk_euler", "mv_feasible",
         "delta_poly", "delta_at_one", "homology",
         "enumerate_corank2", "table3_filter", "seven_family_torsion",
@@ -233,6 +233,23 @@ def test_record_value_of_wrong_json_type_exits_2(tmp_path, change, key):
         result = run([command, "--diagram", str(doc)])
         assert result.exit_code == 2
         assert result.payload["error"].startswith("InvalidDiagram") and key in result.payload["error"]
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        ({"g": "SU(x)"}, "diagram record key 'g': cannot parse group term 'SU(' in 'SU(x)'"),
+        ({"g": "XYZ(3)"}, "diagram record key 'g': cannot parse group term 'XYZ(3)'"),
+        ({"k_plus": "no-such-id"}, "diagram record key 'k_plus': unknown embedding id 'no-such-id'"),
+    ],
+)
+def test_record_bad_group_or_id_names_the_key(tmp_path, change, detail):
+    doc = tmp_path / "record.json"
+    doc.write_text(json.dumps({**T5_ROW1_RECORD, **change}))
+    for command in ("classify", "primitivity"):
+        result = run([command, "--diagram", str(doc)])
+        assert result.exit_code == 2
+        assert result.payload["error"] == f"InvalidLabel: {detail}"
 
 
 def test_record_cannot_name_factory_embeddings(tmp_path):

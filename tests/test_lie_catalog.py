@@ -12,6 +12,8 @@ from cohomone.lie_catalog import (
     SimpleGroupLabel,
     canonicalize,
     degrees,
+    group_at,
+    group_template,
     parse_group,
     special_orthogonal,
     special_unitary,
@@ -79,6 +81,33 @@ def test_exceptional_isomorphisms_collapse_in_parser():
 
 
 # -- degrees / dimension / Weyl order -----------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["SU", "SO", "Spin", "Sp", "U", "T"]), st.integers(0, 5), st.integers(-12, 12),
+       st.integers(0, 12), st.booleans())
+def test_family_term_evaluates_to_the_group_of_its_number(name, a, b, m, spelled):
+    # the argument a*m + b, its coefficient 1 and offset 0 written out or left implicit
+    text = f"{name}({a if a != 1 or spelled else ''}m{f'{b:+d}' if b or spelled else ''})"
+    template = group_template(text)
+    assert [(coef, offset) for _, coef, offset in template] == [(a, b)]
+    try:
+        expected = parse_group(f"{name}({a * m + b})")
+    except InvalidLabel:  # a negative number, or one the builder does not define
+        with pytest.raises(InvalidLabel):
+            group_at(template, m)
+    else:
+        assert group_at(template, m) == expected
+
+
+def test_products_of_family_terms_and_the_parameter_refusal():
+    template = group_template("SU(m)xSp(2m-1)xT1xG2")
+    assert group_at(template, 3) == parse_group("SU(3)xSp(5)xT1xG2")
+    with pytest.raises(InvalidLabel, match="'SU\\(m\\)xT1' depends on a parameter m"):
+        parse_group("SU(m)xT1")
+    for text in ("SU(m2)", "SU(-m)", "SU(m+-1)", "SU(1m-)", "B(m)"):
+        with pytest.raises(InvalidLabel, match="cannot parse group term"):
+            group_template(text)
 
 
 def test_degree_examples():
