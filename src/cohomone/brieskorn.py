@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import MAX_SPHERE_DIM
 from .errors import InvalidParams, Unsupported
-from .polynomial import IntegerPolynomial
+from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .catalog import Catalog, DiagramRecord, OrbitBetti, default_catalog
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
@@ -30,6 +29,9 @@ from .lie_catalog import (
 )
 from .polynomial import one_plus_power
 from .rational_homotopy import hilbert_series, quotient_homotopy
+
+if TYPE_CHECKING:
+    from .catalog import Catalog, DiagramRecord, OrbitBetti
 
 _T1 = GroupType((), 1)
 _SU2 = special_unitary(2)
@@ -109,13 +111,22 @@ class CorankTwoRow:
             raise InvalidParams(f"{self.embedding_id}: ell_minus must be odd")
 
 
+def _or_default(catalog: Optional[Catalog]) -> Catalog:
+    """``catalog``, or the shipped one, imported only then: the seven-family arithmetic loads no data."""
+    if catalog is not None:
+        return catalog
+    from .catalog import default_catalog
+
+    return default_catalog()
+
+
 def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[CorankTwoRow]:
     """All catalogued (G simple, L simple or trivial, corank 2) pairs with
     rationally injective inclusion, with the two odd quotient degrees.
     """
     if max_rank < 2:
         raise InvalidParams("max_rank must be at least 2")
-    catalog = catalog or default_catalog()
+    catalog = _or_default(catalog)
     rows: list[CorankTwoRow] = []
     for embedding, family, param in catalog.corank2_sources(max_rank):
         g, sub = embedding.ambient, embedding.subgroup
@@ -563,7 +574,7 @@ _RECOGNIZERS = (
 
 def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> ClassificationOutcome:
     """Match a validated diagram against the shipped catalog and known families."""
-    catalog = catalog or default_catalog()
+    catalog = _or_default(catalog)
     violations = validate(d)
     if violations:
         raise InvalidDiagram("; ".join(str(v) for v in violations))
@@ -591,7 +602,9 @@ def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[
     orientable orbits with opposite fiber parities, or the doubly
     non-orientable circle-circle case); None outside these regimes.
     """
-    record = (catalog or default_catalog()).matching_record(d)
+    from .catalog import OrbitBetti
+
+    record = _or_default(catalog).matching_record(d)
     stored = record.orbit_poincare if record is not None else None
     if stored is not None:
         if record.diagram.descriptor() != d.descriptor():  # swap-equal: exchange the K-+ data

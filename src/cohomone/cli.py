@@ -3,6 +3,9 @@
 Every subcommand reads scalar flags (and, for diagrams, a JSON document
 from a file or stdin) and writes one deterministic JSON payload to
 stdout.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+Each handler imports the modules it runs, and only the subcommands in
+``_READS_CATALOG`` load the catalog, so a process does not pay for the
+other subcommands' modules or for a catalog it does not read.
 """
 
 from __future__ import annotations
@@ -12,26 +15,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
-from .catalog import Catalog, default_catalog
-from .classification import (
-    SevenFamilyParams,
-    brieskorn_diagram,
-    classify_diagram,
-    realize_torsion,
-    seven_family_diagram,
-    seven_family_torsion,
-    tensor_sp_diagram,
-    tensor_su_diagram,
-)
-from .diagram import MAX_SPHERE_DIM, GroupDiagram, gh_classify, mv_feasible, primitivity
 from .errors import CohomoneError
-from .lie_catalog import degrees, parse_group, weyl_order
-from .polynomial import IntegerPolynomial
-from .rational_homotopy import euler_characteristic, hilbert_series, odd_product_poincare, quotient_homotopy
-from .verify import build_report
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
+    from .diagram import GroupDiagram
+    from .polynomial import IntegerPolynomial
 
 #: which subcommand exercises each public library operation (coverage-tested)
 OP_COVERAGE = {
@@ -85,10 +76,15 @@ def _integers(values: list[str], flag: str) -> tuple[int, ...]:
 
 
 def _coeffs(text: str, flag: str) -> IntegerPolynomial:
+    from .polynomial import IntegerPolynomial
+
     return IntegerPolynomial(_integers(text.split(","), flag) if text.strip() else (1,))
 
 
 def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
+    from .polynomial import MAX_SPHERE_DIM
+    from .rational_homotopy import odd_product_poincare
+
     dims = _integers([v for v in text.split(",") if v.strip()], flag)
     if any(d < 1 for d in dims) or sum(dims) > MAX_SPHERE_DIM:
         raise _UsageError(
@@ -123,6 +119,10 @@ def _int_key(document: dict, key: str) -> int:
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     if "catalog" in document:
         return catalog.diagram_record(str(document["catalog"])).diagram
+    from .classification import (
+        SevenFamilyParams, brieskorn_diagram, seven_family_diagram, tensor_sp_diagram, tensor_su_diagram,
+    )
+
     family = document.get("family")
     if family == "brieskorn":
         return brieskorn_diagram(
@@ -198,7 +198,9 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()  # parse_args keeps no state between calls
 
 
-def _cmd_brieskorn(args, catalog: Catalog) -> CommandResult:
+def _cmd_brieskorn(args) -> CommandResult:
+    from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
+
     params = BrieskornParams(args.m, args.d)
     groups = homology(params)
     payload = {
@@ -215,7 +217,9 @@ def _cmd_brieskorn(args, catalog: Catalog) -> CommandResult:
     return CommandResult(0, payload)
 
 
-def _cmd_degrees(args, catalog: Catalog) -> CommandResult:
+def _cmd_degrees(args) -> CommandResult:
+    from .lie_catalog import degrees, parse_group, weyl_order
+
     group = parse_group(args.group)
     payload = {
         "group": str(group),
@@ -228,6 +232,8 @@ def _cmd_degrees(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
+    from .rational_homotopy import quotient_homotopy
+
     embedding = catalog.embedding(args.embedding)
     qh = quotient_homotopy(embedding)
     payload = {
@@ -243,6 +249,8 @@ def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_hilbert(args, catalog: Catalog) -> CommandResult:
+    from .rational_homotopy import euler_characteristic, hilbert_series
+
     embedding = catalog.embedding(args.embedding)
     series = hilbert_series(embedding)
     payload = {
@@ -254,7 +262,9 @@ def _cmd_hilbert(args, catalog: Catalog) -> CommandResult:
     return CommandResult(0, payload)
 
 
-def _cmd_gh_case(args, catalog: Catalog) -> CommandResult:
+def _cmd_gh_case(args) -> CommandResult:
+    from .diagram import gh_classify
+
     cases = gh_classify(args.l_minus, args.l_plus, args.h, args.fiber)
     payload = {
         "query": {"l_minus": args.l_minus, "l_plus": args.l_plus, "h": args.h, "fiber": args.fiber},
@@ -266,6 +276,8 @@ def _cmd_gh_case(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_classify(args, catalog: Catalog) -> CommandResult:
+    from .classification import classify_diagram
+
     diagram = _load_diagram(args.diagram, catalog)
     outcome = classify_diagram(diagram, catalog)
     payload = {
@@ -279,6 +291,8 @@ def _cmd_classify(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
+    from .diagram import primitivity
+
     diagram = _load_diagram(args.diagram, catalog)
     lattice = catalog.lattice_for(diagram.g)
     result = primitivity(diagram, lattice, assert_rational_sphere=args.rational_sphere)
@@ -291,7 +305,9 @@ def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
     return CommandResult(0, payload)
 
 
-def _cmd_mv_check(args, catalog: Catalog) -> CommandResult:
+def _cmd_mv_check(args) -> CommandResult:
+    from .diagram import mv_feasible
+
     def pick(coeffs: Optional[str], spheres: Optional[str], name: str) -> IntegerPolynomial:
         coeff_flag, sphere_flag = name.split("/")
         if coeffs is not None:
@@ -316,7 +332,9 @@ def _cmd_mv_check(args, catalog: Catalog) -> CommandResult:
     return CommandResult(0, payload)
 
 
-def _cmd_seven_family(args, catalog: Catalog) -> CommandResult:
+def _cmd_seven_family(args) -> CommandResult:
+    from .classification import SevenFamilyParams, realize_torsion, seven_family_torsion
+
     if args.realize is not None:
         params = realize_torsion(args.realize)
     else:
@@ -333,6 +351,8 @@ def _cmd_seven_family(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_verify_tables(args, catalog: Catalog) -> CommandResult:
+    from .verify import build_report
+
     report = build_report(catalog)
     return CommandResult(0 if report["summary"]["ok"] else 1, report)
 
@@ -349,14 +369,21 @@ _HANDLERS = {
     "seven-family": _cmd_seven_family,
     "verify-tables": _cmd_verify_tables,
 }
+#: the subcommands whose handler takes the catalog; the rest never load it
+_READS_CATALOG = frozenset({"quotient", "hilbert", "classify", "primitivity", "verify-tables"})
 
 
 def run(argv: list[str], catalog: Optional[Catalog] = None) -> CommandResult:
     """Dispatch one command line; returns the exit code and JSON payload."""
     try:
         args = _PARSER.parse_args(argv)
-        handler = _HANDLERS[args.command]
-        return handler(args, catalog or default_catalog())
+        if args.command not in _READS_CATALOG:
+            return _HANDLERS[args.command](args)
+        if catalog is None:
+            from .catalog import default_catalog
+
+            catalog = default_catalog()
+        return _HANDLERS[args.command](args, catalog)
     except _UsageError as exc:
         return CommandResult(2, {"error": str(exc)})
     except CohomoneError as exc:

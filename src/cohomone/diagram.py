@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import Incomparable, InvalidEmbedding, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
-from .polynomial import IntegerPolynomial
+from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic
 
 
@@ -375,11 +375,6 @@ def double_disk_euler(d: GroupDiagram) -> EulerCheck:
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris rank feasibility
 # ---------------------------------------------------------------------------
-
-
-#: largest sphere dimension ``mv_feasible`` accepts (it scans every degree up to n); also the
-#: largest degree of a dense output: ``brieskorn.delta_poly`` and the cli's ``--*-spheres`` products
-MAX_SPHERE_DIM = 10**6
 
 
 @dataclass(frozen=True)

@@ -253,8 +253,8 @@ _CONSTANT_TERMS = {
     **dict.fromkeys(("e", "{e}", "1", "trivial"), (_torus, 0, 0)), "S1": (_torus, 0, 1), "S3": (special_unitary, 0, 2),
     **{family: (partial(_simple, family), 0, rank) for family, rank in _EXCEPTIONAL_RANKS.items()},
 }
-#: a named term with argument a*m+b or n (parentheses optional), or a raw classical label such as B2
-_TERM_RE = re.compile(r"(SU|SO|Spin|Sp|U|T)\(?(?:(\d*)m([+-]\d+)?|(\d+))\)?|([A-D])(\d+)")
+#: a named term with argument a*m+b or n, bare or in balanced parentheses, or a raw classical label such as B2
+_TERM_RE = re.compile(r"(SU|SO|Spin|Sp|U|T)(\()?(?:(\d*)m([+-]\d+)?|(\d+))(?(2)\))|([A-D])(\d+)")
 
 
 def _term_template(term: str, text: str) -> FactorTemplate:
@@ -265,7 +265,7 @@ def _term_template(term: str, text: str) -> FactorTemplate:
     if not match:
         context = f" in {text!r}" if term != text.strip() else ""
         raise InvalidLabel(f"cannot parse group term {term!r}{context}")
-    name, a, b, n, family, rank = match.groups()
+    name, _, a, b, n, family, rank = match.groups()
     if family:
         return _BUILDERS[family], 0, int(rank)
     return (_BUILDERS[name], 0, int(n)) if n else (_BUILDERS[name], int(a or 1), int(b or 0))

@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+#: largest degree of a dense output (``brieskorn.delta_poly``, the cli's ``--*-spheres`` products)
+#: and the largest sphere dimension ``diagram.mv_feasible`` accepts (it scans every degree up to n)
+MAX_SPHERE_DIM = 10**6
+
 
 class InexactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""

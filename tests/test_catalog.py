@@ -98,6 +98,12 @@ def test_duplicate_records_rejected_at_load(tmp_path):
         load_catalog(edited_data(tmp_path, "diagrams.json", add_swapped_copy))
 
 
+#: the subcommands that read the catalog: each loads it first, so a malformed one exits 2 from all five
+CATALOG_READERS = (["quotient", "--embedding", "t2-in-su3"], ["hilbert", "--embedding", "t2-in-su3"],
+                   ["classify", "--diagram", "no-such-document.json"],
+                   ["primitivity", "--diagram", "no-such-document.json"], ["verify-tables"])
+
+
 def record_edit(key, record_id, edit):
     """An ``edited_data`` edit applying ``edit`` to the record ``record_id`` of the array ``key``."""
     return lambda data: edit(next(r for r in data[key] if r["id"] == record_id))
@@ -152,11 +158,13 @@ def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, er
     with pytest.raises(error, match=name) as caught:
         load_catalog(tmp_path)
     assert detail in str(caught.value)
-    # every subcommand loads the catalog first: exit 2, not a traceback
+    # every subcommand that reads the catalog loads it first: exit 2, not a traceback
     monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
-    for argv in (["degrees", "--group", "G2"], ["verify-tables"]):
+    for argv in CATALOG_READERS:
         result = run(argv)
         assert result.exit_code == 2 and detail in result.payload["error"], argv
+    # the others never load it
+    assert run(["degrees", "--group", "G2"]).exit_code == 0
 
 
 def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path):
@@ -165,11 +173,16 @@ def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path)
     edited_data(tmp_path, "embeddings.json", edit)
     env = dict(os.environ, COHOMONE_DATA_DIR=str(tmp_path),
                PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
-    for argv in (["degrees", "--group", "G2"], ["verify-tables"]):
-        done = subprocess.run([sys.executable, "-m", "cohomone.cli", *argv], env=env, capture_output=True,
+
+    def cli(argv):
+        return subprocess.run([sys.executable, "-m", "cohomone.cli", *argv], env=env, capture_output=True,
                               text=True, timeout=60)
+
+    for argv in (["quotient", "--embedding", "t2-in-su3"], ["verify-tables"]):
+        done = cli(argv)
         assert done.returncode == 2, argv
         assert "embeddings.json: families[0] key 'ambient': 'SU(5)' does not grow with m" in done.stderr
+    assert cli(["degrees", "--group", "G2"]).returncode == 0  # reads no catalog
 
 
 @pytest.mark.parametrize(

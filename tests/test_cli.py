@@ -123,6 +123,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["brieskorn", "--m", "2", "--d", "3"]).exit_code == 2
     assert run(["quotient", "--embedding", "nope"]).exit_code == 2
     assert run(["degrees", "--group", "XYZ(3)"]).exit_code == 2
+    assert run(["degrees", "--group", "SU(6"]).exit_code == 2
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")
     assert run(["classify", "--diagram", str(doc)]).exit_code == 2

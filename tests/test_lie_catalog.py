@@ -110,6 +110,14 @@ def test_products_of_family_terms_and_the_parameter_refusal():
             group_template(text)
 
 
+def test_arguments_are_bare_or_in_balanced_parentheses():
+    for text in ("SU(6", "Sp3)", "U(2)xT1)", "SU((6))", "Spin(2m+1"):
+        with pytest.raises(InvalidLabel, match="cannot parse group term"):
+            parse_group(text)
+    assert parse_group("SU6") == parse_group("SU(6)") == group_at(group_template("SU(2m-4)"), 5)
+    assert parse_group("Sp3") == parse_group("Sp(3)") and parse_group("U2xT1") == parse_group("U(2)xT1")
+
+
 def test_degree_examples():
     assert degrees(parse_group("G2")) == (3, 11)
     assert degrees(parse_group("Spin(8)")) == (3, 7, 7, 11)
