@@ -101,7 +101,7 @@ def delta_poly(p: BrieskornParams) -> IntegerPolynomial:
     if p.d > MAX_SPHERE_DIM:
         raise InvalidParams(f"delta_poly needs d at most {MAX_SPHERE_DIM}, got {p.d}")
     s = -1 if p.m % 2 else 1
-    return IntegerPolynomial(tuple(s ** ((p.d - 1 - k) % 2) for k in range(p.d)))
+    return IntegerPolynomial(((1, s) * ((p.d + 1) // 2))[: p.d][::-1])
 
 
 def delta_at_one(p: BrieskornParams) -> int:

@@ -191,7 +191,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-plus", type=int, default=None)
     p.add_argument("--q-plus", type=int, default=1)
 
-    sub.add_parser("verify-tables", help="verify every shipped table and closed form")
+    p = sub.add_parser("verify-tables", help="verify every shipped table and closed form")
+    p.add_argument("--timings", action="store_true",
+                   help="also write each report section's wall time in seconds, as JSON, to stderr")
     return parser
 
 
@@ -353,7 +355,10 @@ def _cmd_seven_family(args) -> CommandResult:
 def _cmd_verify_tables(args, catalog: Catalog) -> CommandResult:
     from .verify import build_report
 
-    report = build_report(catalog)
+    timings = {} if args.timings else None
+    report = build_report(catalog, timings)
+    if timings is not None:
+        sys.stderr.write(json.dumps({"timings_s": timings}) + "\n")
     return CommandResult(0 if report["summary"]["ok"] else 1, report)
 
 

@@ -245,7 +245,7 @@ def gh_classify(
         raise InvalidParams("fiber dimensions must be at least 1")
     if h not in (0, 1, 2):
         raise InvalidParams("the non-orientable orbit count h must be 0, 1 or 2")
-    lo, hi = sorted((ell_minus, ell_plus))
+    lo, hi = (ell_minus, ell_plus) if ell_minus <= ell_plus else (ell_plus, ell_minus)
     results: list[GHCaseResult] = []
     if h == 2:
         if lo == hi == 1:

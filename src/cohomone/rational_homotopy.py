@@ -7,7 +7,8 @@ and the declared per-degree ranks of the inclusion on rational homotopy:
 * the long-exact-sequence bookkeeping that turns (degrees of G, degrees
   of H, map ranks) into the rational homotopy of G/H,
 * the equal-rank Hilbert series prod(1 - t^(d+1)) / prod(1 - t^(e+1)),
-  whose exact quotient is the rational Poincare polynomial of G/H, and
+  whose exact quotient (by a recurrence per factor 1 - t^k, no Euclidean
+  division) is the rational Poincare polynomial of G/H, and
 * Euler characteristics as Weyl-order ratios.
 
 Degrees of a compact group are odd, so a surviving ambient generator in
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidEmbedding, Unsupported
-from .lie_catalog import NamedEmbedding, degree_multiplicities, degrees, weyl_order
-from .polynomial import InexactDivision, IntegerPolynomial, one_minus_power, one_plus_power, product
+from .lie_catalog import NamedEmbedding, degree_multiplicities, weyl_order
+from .polynomial import IntegerPolynomial, one_plus_power, product
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,13 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
 def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
     """Rational Poincare polynomial of an equal-rank quotient G/H.
 
-    Computed as the exact quotient
+    The exact quotient
     prod_{d in degrees(G)} (1 - t^(d+1)) / prod_{e in degrees(H)} (1 - t^(e+1)).
-    The result must be a polynomial with non-negative coefficients and
+    Factors common to both products cancel as multisets.  Each remaining
+    numerator factor is multiplied in by p_i -= p_(i-k), and each
+    remaining denominator factor divided out by q_i = p_i + q_(i-k); a
+    nonzero tail of length k after a division means the quotient is not
+    a polynomial.  The result must have non-negative coefficients and
     constant term 1; anything else means the inclusion data is wrong.
     """
     g, h = inclusion.ambient, inclusion.subgroup
@@ -92,12 +97,21 @@ def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
         raise Unsupported(
             f"hilbert_series needs an equal-rank pair, got ranks {g.rank} and {h.rank}"
         )
-    numerator = product(one_minus_power(d + 1) for d in degrees(g))
-    denominator = product(one_minus_power(e + 1) for e in degrees(h))
-    try:
-        series = numerator.divexact(denominator)
-    except InexactDivision as exc:
-        raise InvalidEmbedding(f"{inclusion.id}: Hilbert series is not polynomial") from exc
+    amb, sub = degree_multiplicities(g), degree_multiplicities(h)  # factor 1 - t^(d+1) per degree d
+    coeffs = [1]
+    for d in (amb - sub).elements():
+        k = d + 1
+        coeffs.extend([0] * k)
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            coeffs[i] -= coeffs[i - k]
+    for e in (sub - amb).elements():
+        k = e + 1
+        for i in range(k, len(coeffs)):
+            coeffs[i] += coeffs[i - k]
+        if any(coeffs[-k:]):
+            raise InvalidEmbedding(f"{inclusion.id}: Hilbert series is not polynomial")
+        del coeffs[-k:]
+    series = IntegerPolynomial(coeffs)
     if series.coefficient(0) != 1 or any(c < 0 for c in series):
         raise InvalidEmbedding(
             f"{inclusion.id}: Hilbert series {series} is not a valid Poincare polynomial"

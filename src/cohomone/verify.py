@@ -8,6 +8,7 @@ timestamps, plain JSON-serializable values.
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
@@ -50,7 +51,7 @@ def _check(checks: list, check_id: str, expected, computed) -> None:
 # -- Table 1 ----------------------------------------------------------------
 
 
-def _check_table1(checks: list) -> None:
+def _check_table1(checks: list, catalog: Catalog) -> None:
     rows = transitive_sphere_pairs(_TABLE1_MAX_M)
     families = sorted({row.family for row in rows})
     _check(checks, "table1/family-count", 9, len(families))
@@ -123,7 +124,7 @@ def _expected_table2() -> dict[tuple[str, Optional[int]], tuple[int, int, int]]:
     return expected
 
 
-def _check_table2(checks: list, catalog: Catalog) -> list:
+def _check_tables23(checks: list, catalog: Catalog) -> None:
     rows = enumerate_corank2(_TABLE2_MAX_RANK, catalog)
     computed = {(r.family, r.param): (r.ell_minus, r.total, r.ell_plus) for r in rows}
     expected = _expected_table2()
@@ -134,10 +135,6 @@ def _check_table2(checks: list, catalog: Catalog) -> list:
         _check(checks, tag, list(expected[key]), list(computed.get(key, ())))
     extras = sorted(set(computed) - set(expected), key=lambda k: (k[0], k[1] or 0))
     _check(checks, "table2/no-extra-rows", [], [f"{fam}@{param}" for fam, param in extras])
-    return rows
-
-
-def _check_table3(checks: list, rows) -> None:
     kept = table3_filter(rows)
     computed = sorted(
         (r.family, r.param if r.param is not None else -1) for r in kept
@@ -171,13 +168,6 @@ def _check_table5(checks: list, catalog: Catalog) -> None:
 # -- Brieskorn grid -----------------------------------------------------------
 
 
-def _homology_signature(m: int, d: int) -> list:
-    return [
-        [e.degree, e.free_rank, list(e.torsion)]
-        for e in homology(BrieskornParams(m, d)).entries
-    ]
-
-
 def _expected_homology(m: int, d: int) -> list:
     top = 2 * m - 1
     if m % 2 == 0:
@@ -189,21 +179,22 @@ def _expected_homology(m: int, d: int) -> list:
     return [[0, 1, []]] + middle + [[top, 1, []]]
 
 
-def _check_brieskorn(checks: list) -> None:
+def _check_brieskorn(checks: list, catalog: Catalog) -> None:
     mismatches = []
     gate_mismatches = []
     order_mismatches = []
     for m in _BRIESKORN_M:
         for d in _BRIESKORN_D:
             p = BrieskornParams(m, d)
+            groups = homology(p)
             if delta_poly(p)(1) != delta_at_one(p):
                 mismatches.append([m, d, "delta"])
-            if _homology_signature(m, d) != _expected_homology(m, d):
+            if [[e.degree, e.free_rank, list(e.torsion)] for e in groups.entries] != _expected_homology(m, d):
                 mismatches.append([m, d, "homology"])
-            if homology(p).is_rational_sphere(p.sphere_dim) != rational_sphere_gate(p):
+            if groups.is_rational_sphere(p.sphere_dim) != rational_sphere_gate(p):
                 gate_mismatches.append([m, d])
             if m == 4:
-                torsion = homology(p).torsion(3)
+                torsion = groups.torsion(3)
                 order = torsion[0] if torsion else 1
                 if order != d:
                     order_mismatches.append([m, d])
@@ -215,7 +206,7 @@ def _check_brieskorn(checks: list) -> None:
 # -- seven-manifold family -----------------------------------------------------
 
 
-def _check_seven_family(checks: list) -> None:
+def _check_seven_family(checks: list, catalog: Catalog) -> None:
     bad = []
     for t in range(1, _SEVEN_FAMILY_T_MAX + 1):
         params = realize_torsion(t)
@@ -232,7 +223,7 @@ def _check_seven_family(checks: list) -> None:
 # -- fiber-case classifier ------------------------------------------------------
 
 
-def _check_gh(checks: list) -> None:
+def _check_gh(checks: list, catalog: Catalog) -> None:
     parity_failures = []
     formula_failures = []
     for ell_minus in range(1, _GH_ELL_MAX + 1):
@@ -328,19 +319,34 @@ def _check_mv(checks: list, catalog: Catalog) -> None:
 # -- entry point -------------------------------------------------------------------
 
 
-def build_report(catalog: Optional[Catalog] = None) -> dict:
-    """Run every table/formula verification and assemble the report."""
+#: the report's sections, in report order; each appends its checks
+_SECTIONS = (
+    ("table1", _check_table1),
+    ("tables2-3", _check_tables23),
+    ("table5", _check_table5),
+    ("brieskorn", _check_brieskorn),
+    ("seven-family", _check_seven_family),
+    ("gh", _check_gh),
+    ("equal-rank", _check_equal_rank),
+    ("mv", _check_mv),
+)
+
+
+def build_report(catalog: Optional[Catalog] = None, timings: Optional[dict] = None) -> dict:
+    """Run every table/formula verification and assemble the report.
+
+    A ``timings`` dict, when given, receives each section's wall time in
+    seconds under its name in ``_SECTIONS``; the report is the same either way.
+    """
     catalog = catalog or default_catalog()
     checks: list = []
-    _check_table1(checks)
-    rows = _check_table2(checks, catalog)
-    _check_table3(checks, rows)
-    _check_table5(checks, catalog)
-    _check_brieskorn(checks)
-    _check_seven_family(checks)
-    _check_gh(checks)
-    _check_equal_rank(checks, catalog)
-    _check_mv(checks, catalog)
+    for name, section in _SECTIONS:
+        if timings is None:
+            section(checks, catalog)
+        else:
+            start = time.perf_counter()
+            section(checks, catalog)
+            timings[name] = time.perf_counter() - start
     failed = [c["id"] for c in checks if not c["match"]]
     return {
         "catalog_version": catalog.version,

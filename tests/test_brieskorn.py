@@ -1,5 +1,7 @@
 import sympy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomone.brieskorn import (
     BrieskornParams,
@@ -12,6 +14,7 @@ from cohomone.brieskorn import (
 )
 from cohomone.diagram import MAX_SPHERE_DIM
 from cohomone.errors import InvalidParams, Unsupported
+from cohomone.polynomial import IntegerPolynomial
 
 
 def oracle_delta(m: int, d: int):
@@ -40,6 +43,14 @@ def test_delta_poly_against_root_product_oracle():
     for m in range(3, 11):
         for d in range(1, 13):
             assert delta_poly(BrieskornParams(m, d)).as_list() == oracle_delta(m, d), (m, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 300))
+def test_delta_poly_times_t_minus_s_is_t_to_the_d_minus_s_to_the_d(m, d):
+    s = (-1) ** m
+    product = delta_poly(BrieskornParams(m, d)) * IntegerPolynomial((-s, 1))
+    assert product.coefficients == (-(s**d),) + (0,) * (d - 1) + (1,)
 
 
 def test_delta_poly_degree():

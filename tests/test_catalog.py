@@ -143,6 +143,18 @@ def record_edit(key, record_id, edit):
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(m+1)")),
          InvalidEmbedding, "families[0]: su(m)/su(m-2)@m=3: subgroup dimension exceeds ambient dimension"),
+        # a subgroup that fits at param_min but outgrows the ambient later is refused at load, by closed forms
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(2m-4)")),
+         InvalidLabel, "families[0] key 'subgroup': 'SU(2m-4)' outgrows the ambient group 'SU(m)' in dimension"),
+        ("embeddings.json",
+         record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="T(2m-5)", map_ranks={})),
+         InvalidLabel, "families[0] key 'subgroup': 'T(2m-5)' outgrows the ambient group 'SU(m)' in rank"),
+        ("embeddings.json", record_edit("families", "spin(2m)/spin(2m-3)", lambda r: r.update(subgroup="SO(3m-9)")),
+         InvalidLabel, "families[3] key 'subgroup': 'SO(3m-9)' outgrows the ambient group 'Spin(2m)' in dimension"),
+        # SO(n) has rank n // 2: this one outgrows in rank at odd m only (m = 5), never in dimension
+        ("embeddings.json", record_edit("families", "spin(2m)/spin(2m-3)",
+                                        lambda r: r.update(subgroup="SO(m+1)xSO(m+1)", map_ranks={})),
+         InvalidLabel, "families[3] key 'subgroup': 'SO(m+1)xSO(m+1)' outgrows the ambient group 'Spin(2m)' in rank"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"four": []})),
          InvalidLabel, "families[0] tags_at key 'four' is not a decimal integer m >= 3"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"2": []})),

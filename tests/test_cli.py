@@ -104,6 +104,17 @@ def test_verify_tables_passes_and_is_deterministic():
     assert first.payload["summary"]["ok"] is True
 
 
+def test_verify_tables_timings_go_to_stderr_and_leave_stdout_unchanged(capsys):
+    assert main(["verify-tables"]) == 0
+    plain = capsys.readouterr()
+    assert main(["verify-tables", "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    timings = json.loads(timed.err)["timings_s"]
+    assert list(timings) == ["table1", "tables2-3", "table5", "brieskorn", "seven-family", "gh", "equal-rank", "mv"]
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+
+
 def test_verify_tables_fails_on_corrupted_catalog(tmp_path):
     for name in ("embeddings.json", "diagrams.json"):
         shutil.copy(data_dir() / name, tmp_path / name)

@@ -1,12 +1,7 @@
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohomone.polynomial import (
-    InexactDivision,
-    IntegerPolynomial,
-    one_minus_power,
-    one_plus_power,
-    product,
-)
+from cohomone.polynomial import IntegerPolynomial, one_plus_power, product
 
 P = IntegerPolynomial
 
@@ -20,12 +15,8 @@ def test_trailing_zeros_trimmed():
 def test_ring_operations():
     a = P((1, 2, 3))
     b = P((0, 1))
-    assert (a + b).coefficients == (1, 3, 3)
-    assert (a - a).is_zero()
     assert (a * b).coefficients == (0, 1, 2, 3)
-    assert (-a).coefficients == (-1, -2, -3)
-    assert a.scale(2).coefficients == (2, 4, 6)
-    assert (a * P.zero()).is_zero()
+    assert (a * P(())).is_zero() and (P(()) * a).is_zero()
 
 
 def test_mul_matches_schoolbook_on_grid():
@@ -38,47 +29,32 @@ def test_mul_matches_schoolbook_on_grid():
                 assert prod.coefficient(k) == expected
 
 
-def test_divmod_reconstructs():
-    dividends = [P((1, 1, 1, 1, 1)), P((3, 0, -2, 5)), P((0, 0, 0, 1))]
-    divisors = [P((-1, 1)), P((1, 1)), P((1, 0, 1)), P((2, -1))]
-    for a in dividends:
-        for b in divisors:
-            q, r = a.divmod(b)
-            assert (q * b + r).coefficients == a.coefficients
-            assert r.degree < b.degree
-
-
-def test_divexact_and_remainder_error():
-    a = one_minus_power(6)
-    assert a.divexact(one_minus_power(2)).coefficients == (1, 0, 1, 0, 1)
-    with pytest.raises(InexactDivision):
-        P((1, 1, 1)).divexact(P((-1, 1)))
-
-
-def test_division_requires_unit_leading_coefficient():
-    with pytest.raises(ValueError):
-        P((1, 2, 1)).divmod(P((1, 2)))
-    with pytest.raises(ZeroDivisionError):
-        P((1,)).divmod(P.zero())
-
-
 def test_evaluation():
     p = P((1, -2, 3))
     assert p(0) == 1
     assert p(2) == 1 - 4 + 12
-    assert P.zero()(5) == 0
+    assert P(())(5) == 0
 
 
 def test_helpers():
     assert one_plus_power(3).coefficients == (1, 0, 0, 1)
-    assert one_minus_power(2).coefficients == (1, 0, -1)
     assert product([]).coefficients == (1,)
     assert product([one_plus_power(1), one_plus_power(2)]).coefficients == (1, 1, 1, 1)
-    assert P.monomial(3, -2).coefficients == (0, 0, 0, -2)
-    assert P((1,)).shift(2).coefficients == (0, 0, 1)
 
 
 def test_str_rendering():
     assert str(P(())) == "0"
     assert str(P((1, 1))) == "1 + t"
     assert str(P((0, 0, -1))) == "-t^2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5) | st.booleans(), max_size=12), st.integers(0, 6))
+def test_trailing_zeros_trimmed_and_coefficients_made_int(coefficients, zeros):
+    poly = P(coefficients + [0] * zeros + [False] * zeros)
+    expected = [int(c) for c in coefficients]
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert poly.coefficients == tuple(expected)
+    assert all(type(c) is int for c in poly.coefficients)
+    assert poly.degree == len(expected) - 1

@@ -1,11 +1,14 @@
 import sympy as sp
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from cohomone.catalog import default_catalog
 from cohomone.errors import InvalidEmbedding, Unsupported
 from cohomone.lie_catalog import (
     GroupType,
     NamedEmbedding,
+    SimpleGroupLabel,
     degrees,
     injective_rank_map,
     is_declared_injective,
@@ -142,6 +145,69 @@ def test_hilbert_series_rejects_inconsistent_pair():
     pretend = NamedEmbedding("fake-pair", parse_group("SU(4)"), parse_group("Sp(1)xSp(1)xSp(1)"))
     with pytest.raises(InvalidEmbedding):
         hilbert_series(pretend)
+
+
+#: simple factors of rank at most 4, the exceptional ones included
+SMALL_LABELS = [SimpleGroupLabel(f, r) for f in "ABCD" for r in range(1, 5)] + [
+    SimpleGroupLabel("G2", 2), SimpleGroupLabel("F4", 4)]
+groups = st.lists(st.sampled_from(SMALL_LABELS), min_size=1, max_size=3).map(GroupType)
+EQUAL_RANK_PAIRS = [e for e in default_catalog().embeddings() if e.subgroup.rank == e.ambient.rank]
+
+
+def maximal_torus_pair(g: GroupType) -> NamedEmbedding:
+    return NamedEmbedding(f"torus-in-{g}", g, GroupType((), g.rank))
+
+
+def product_pair(pairs) -> NamedEmbedding:
+    ambient, subgroup = GroupType(), GroupType()
+    for e in pairs:
+        ambient, subgroup = ambient * e.ambient, subgroup * e.subgroup
+    return NamedEmbedding("x".join(e.id for e in pairs), ambient, subgroup)
+
+
+@st.composite
+def of_rank(draw, rank: int) -> GroupType:
+    """A product of simple factors whose ranks add up to ``rank``."""
+    labels = []
+    while rank:
+        labels.append(draw(st.sampled_from([label for label in SMALL_LABELS if label.rank <= rank])))
+        rank -= labels[-1].rank
+    return GroupType(tuple(labels))
+
+
+equal_rank_pairs = groups.map(maximal_torus_pair) | st.lists(
+    st.sampled_from(EQUAL_RANK_PAIRS), min_size=1, max_size=3).map(product_pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(equal_rank_pairs)
+def test_hilbert_series_matches_sympy_and_euler_characteristic(pair):
+    series = hilbert_series(pair)
+    assert series.as_list() == sympy_series(pair.ambient, pair.subgroup)
+    assert series(1) == euler_characteristic(pair)
+    assert series.degree == pair.ambient.dimension - pair.subgroup.dimension
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups.flatmap(lambda g: st.tuples(st.just(g), of_rank(g.rank))))
+def test_hilbert_series_raises_exactly_when_the_quotient_is_not_polynomial(groups_of_equal_rank):
+    g, h = groups_of_equal_rank
+    assume(h.dimension <= g.dimension)
+    pair = NamedEmbedding("random-pair", g, h)
+    t = sp.symbols("t")
+    ratio = sp.cancel(sp.prod([1 - t ** (d + 1) for d in degrees(g)]) / sp.prod([1 - t ** (e + 1) for e in degrees(h)]))
+    if sp.fraction(ratio)[1].free_symbols:  # a denominator in t is left: not a polynomial
+        event("not polynomial")
+        with pytest.raises(InvalidEmbedding, match="random-pair: Hilbert series is not polynomial"):
+            hilbert_series(pair)
+        return
+    coefficients = sympy_series(g, h)
+    event(f"polynomial, valid: {coefficients[0] == 1 and min(coefficients) >= 0}")
+    if coefficients[0] == 1 and min(coefficients) >= 0:
+        assert hilbert_series(pair).as_list() == coefficients
+    else:
+        with pytest.raises(InvalidEmbedding, match="not a valid Poincare polynomial"):
+            hilbert_series(pair)
 
 
 # -- Euler characteristics ---------------------------------------------------------
