@@ -27,7 +27,7 @@ group does not grow with m (no ambient term has a > 0), a ``tags_at``
 key that is not a decimal integer >= ``param_min``, a family whose
 instance at ``param_min`` cannot be built, and one whose subgroup
 outgrows its ambient group (in dimension or rank) at a larger m, which
-the factor templates' closed forms decide without building more groups.  Any error raised while a
+the groups at six values of m decide.  Any error raised while a
 record is parsed or built keeps its type and names the file, the array
 index and, where one is at fault, the key.
 """
@@ -45,7 +45,7 @@ from typing import Optional
 
 from .diagram import GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
-from .lie_catalog import FactorTemplate, GroupType, NamedEmbedding, group_at, group_template, growth
+from .lie_catalog import FactorTemplate, GroupType, NamedEmbedding, group_at, group_template
 from .lie_catalog import injective_rank_map, parse_group
 from .polynomial import IntegerPolynomial
 
@@ -117,27 +117,25 @@ def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
         tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
         tags_at={int(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
     )
-    first = _named(where, family.instantiate, param_min)  # a family wrong from the start is refused here
-    excess = _outgrowth(family, first)
+    _named(where, family.instantiate, param_min)  # a family wrong from the start is refused here
+    excess = _outgrowth(family)
     if excess:
         raise InvalidLabel(f"{where} key 'subgroup': {record['subgroup']!r} outgrows the ambient group "
                            f"{record['ambient']!r} in {excess} at some m >= {param_min}")
     return family
 
 
-def _outgrowth(family: EmbeddingFamily, first: NamedEmbedding) -> Optional[str]:
+def _outgrowth(family: EmbeddingFamily) -> Optional[str]:
     """``"dimension"`` or ``"rank"`` if the subgroup's exceeds the ambient's at some m >= ``param_min``, else None.
 
-    ``first`` is the instance at ``param_min``; the rest comes from the templates' closed forms.  Along one
-    parity of m both excesses are polynomials of degree <= 2 (rank too: SO(n) has rank n // 2).
+    Along one parity of m both excesses are polynomials of degree <= 2 in m (rank too: SO(n) has rank n // 2),
+    so their values at three values of m of that parity decide.
     """
-    m0 = family.param_min
-    base_dim, base_rank = first.subgroup.dimension - first.ambient.dimension, first.subgroup.rank - first.ambient.rank
-    for start in (m0, m0 + 1):
+    for start in (family.param_min, family.param_min + 1):
         excess = []
         for m in (start, start + 2, start + 4):
-            (sub_dim, sub_rank), (amb_dim, amb_rank) = growth(family.subgroup, m0, m), growth(family.ambient, m0, m)
-            excess.append((base_dim + sub_dim - amb_dim, base_rank + sub_rank - amb_rank))
+            subgroup, ambient = group_at(family.subgroup, m), group_at(family.ambient, m)
+            excess.append((subgroup.dimension - ambient.dimension, subgroup.rank - ambient.rank))
         for what, values in zip(("dimension", "rank"), zip(*excess)):
             if _positive_somewhere(*values):
                 return what

@@ -249,9 +249,6 @@ FactorTemplate = tuple[Callable[[int], GroupType], int, int]
 _torus = partial(GroupType, ())
 _BUILDERS = {"SU": special_unitary, "SO": special_orthogonal, "Spin": special_orthogonal, "Sp": symplectic,
              "U": _unitary, "T": _torus, **{family: partial(_simple, family) for family in _CLASSICAL_FAMILIES}}
-#: ``(dimension, rank)`` of ``build(n)`` in closed form, for each builder a term in m can name
-_SIZES = {special_unitary: lambda n: (n * n - 1, n - 1), special_orthogonal: lambda n: (n * (n - 1) // 2, n // 2),
-          symplectic: lambda n: (n * (2 * n + 1), n), _unitary: lambda n: (n * n, n), _torus: lambda n: (n, n)}
 _CONSTANT_TERMS = {
     **dict.fromkeys(("e", "{e}", "1", "trivial"), (_torus, 0, 0)), "S1": (_torus, 0, 1), "S3": (special_unitary, 0, 2),
     **{family: (partial(_simple, family), 0, rank) for family, rank in _EXCEPTIONAL_RANKS.items()},
@@ -290,12 +287,6 @@ def group_at(template: tuple[FactorTemplate, ...], m: int) -> GroupType:
     if len(groups) == 1:
         return groups[0]
     return GroupType(sum((g.factors for g in groups), ()), sum(g.torus_rank for g in groups))
-
-
-def growth(template: tuple[FactorTemplate, ...], m0: int, m: int) -> tuple[int, int]:
-    """``(dimension, rank)`` of ``group_at(template, m)`` minus that at ``m0``, from closed forms; no group is built."""
-    changes = [(_SIZES[build](a * m + b), _SIZES[build](a * m0 + b)) for build, a, b in template if a]
-    return sum(new[0] - old[0] for new, old in changes), sum(new[1] - old[1] for new, old in changes)
 
 
 def parse_group(text: str) -> GroupType:

@@ -341,11 +341,9 @@ def build_report(catalog: Optional[Catalog] = None, timings: Optional[dict] = No
     catalog = catalog or default_catalog()
     checks: list = []
     for name, section in _SECTIONS:
-        if timings is None:
-            section(checks, catalog)
-        else:
-            start = time.perf_counter()
-            section(checks, catalog)
+        start = time.perf_counter()
+        section(checks, catalog)
+        if timings is not None:
             timings[name] = time.perf_counter() - start
     failed = [c["id"] for c in checks if not c["match"]]
     return {

@@ -14,7 +14,6 @@ from cohomone.lie_catalog import (
     degrees,
     group_at,
     group_template,
-    growth,
     parse_group,
     special_orthogonal,
     special_unitary,
@@ -99,15 +98,6 @@ def test_family_term_evaluates_to_the_group_of_its_number(name, a, b, m, spelled
             group_at(template, m)
     else:
         assert group_at(template, m) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["SU", "SO", "Spin", "Sp", "U", "T"]), st.integers(0, 3),
-                          st.integers(1, 6)), min_size=1, max_size=3), st.integers(1, 8), st.integers(1, 8))
-def test_growth_is_the_change_in_dimension_and_rank(terms, m0, m):
-    template = group_template("x".join(f"{name}({a}m+{b})" for name, a, b in terms))
-    start, end = group_at(template, m0), group_at(template, m)
-    assert growth(template, m0, m) == (end.dimension - start.dimension, end.rank - start.rank)
 
 
 def test_products_of_family_terms_and_the_parameter_refusal():
