@@ -6,20 +6,24 @@ the four-parameter seven-manifold family with its torsion arithmetic,
 parameterized diagram factories (Brieskorn, tensor, seven-family), and
 the diagram classifier that template-matches a validated diagram against
 the shipped catalog and the structural family recognizers.
+
+Each family's orbit groups (G, H, K-, K+) are defined once, as a function
+of its parameter or as a constant.  Its factory builds the diagram from
+them; its recognizer reads the parameter off G and compares the orbit
+groups of the diagram, or of its swap, with the family's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
     GroupType,
     NamedEmbedding,
-    SimpleGroupLabel,
     is_declared_injective,
     parse_group,
     special_orthogonal,
@@ -27,7 +31,7 @@ from .lie_catalog import (
     spheres_acted_on,
     symplectic,
 )
-from .polynomial import one_plus_power
+from .polynomial import MAX_SPHERE_DIM, one_plus_power
 from .rational_homotopy import hilbert_series, quotient_homotopy
 
 if TYPE_CHECKING:
@@ -264,8 +268,63 @@ def _outcome_from_record(record: DiagramRecord) -> Optional[ClassificationOutcom
 
 
 # ---------------------------------------------------------------------------
-# Diagram factories
+# Diagram families: each family's orbit groups, read by its factory and its recognizer
 # ---------------------------------------------------------------------------
+
+#: the orbit groups (G, H, K-, K+) of a diagram
+Orbits = tuple[GroupType, GroupType, GroupType, GroupType]
+
+_G2 = parse_group("G2")
+#: the Brieskorn variants of fixed m, as (m, orbits): the 7-dimensional-spinor restriction of
+#: the rotation group at m = 8 and its exceptional-holonomy restriction at m = 7
+_FIXED_BRIESKORN: dict[str, tuple[int, Orbits]] = {
+    "spin7": (8, (_T1 * special_orthogonal(7), special_unitary(3), _T1 * special_unitary(3), _G2)),
+    "g2": (7, (_T1 * _G2, special_unitary(2), _T1 * special_unitary(2), special_unitary(3))),
+}
+#: S^3 x S^3 with finite principal isotropy and two circles
+_SEVEN_ORBITS: Orbits = (_SU2 * _SU2, _TRIVIAL, _T1, _T1)
+
+
+def _brieskorn_orbits(m: int, variant: str) -> Orbits:
+    """A circle times a rotation group, SO(m) or a fixed variant's; K- is the circle times H."""
+    if variant != "standard":
+        return _FIXED_BRIESKORN[variant][1]
+    h = special_orthogonal(m - 2)
+    return _T1 * special_orthogonal(m), h, _T1 * h, special_orthogonal(m - 1)
+
+
+def _tensor_su_orbits(n: int) -> Orbits:
+    su = special_unitary(n - 2)
+    return special_unitary(n) * _SU2, su * _T1, special_unitary(n - 1) * _T1, su * _SU2
+
+
+def _tensor_sp_orbits(n: int) -> Orbits:
+    sp1sp1, sp = _SU2 * _SU2, symplectic(n - 2)
+    return symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2)
+
+
+def _family_diagram(
+    stem: str, orbits: Orbits, tags: tuple[set[str], set[str], set[str]], **annotations
+) -> GroupDiagram:
+    """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags``, the
+    witnesses present H in K-+ as blocks, and ``annotations`` are the component counts and
+    orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is refused before any
+    embedding is built, since checking one costs time linear in its rank.
+    """
+    g, h, k_minus, k_plus = orbits
+    dim = g.dimension - h.dimension + 1
+    if dim > MAX_SPHERE_DIM:
+        raise InvalidParams(f"{stem}: the manifold dimension {dim} exceeds {MAX_SPHERE_DIM}")
+
+    def embed(suffix: str, ambient: GroupType, subgroup: GroupType, labels: set[str]) -> NamedEmbedding:
+        return NamedEmbedding(f"{stem}-{suffix}", ambient, subgroup, tags=frozenset(labels))
+
+    return GroupDiagram(
+        g=g, h=embed("h", g, h, tags[0]), k_minus=embed("kminus", g, k_minus, tags[1]),
+        k_plus=embed("kplus", g, k_plus, tags[2]),
+        h_in_k_minus=embed("h-in-km", k_minus, h, {"block"}), h_in_k_plus=embed("h-in-kp", k_plus, h, {"block"}),
+        **annotations,
+    )
 
 
 def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram:
@@ -277,77 +336,35 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
     """
     if m < 3 or d < 1:
         raise InvalidParams("need m >= 3 and d >= 1")
-    if variant == "standard":
-        ambient_part, kplus_type, h_type = special_orthogonal(m), special_orthogonal(m - 1), special_orthogonal(m - 2)
-    elif variant == "spin7":
-        if m != 8:
-            raise InvalidParams("the spin7 variant exists only at m = 8")
-        ambient_part, kplus_type, h_type = special_orthogonal(7), parse_group("G2"), special_unitary(3)
-    elif variant == "g2":
-        if m != 7:
-            raise InvalidParams("the g2 variant exists only at m = 7")
-        ambient_part, kplus_type, h_type = parse_group("G2"), special_unitary(3), special_unitary(2)
-    else:
+    if variant not in ("standard", *_FIXED_BRIESKORN):
         raise InvalidParams(f"unknown variant {variant!r}")
-
-    g = _T1 * ambient_part
-    a = d if d % 2 else d // 2
-    stem = f"brieskorn[{variant},m={m},d={d}]"
-    h = NamedEmbedding(
-        id=f"{stem}-h", ambient=g, subgroup=h_type,
-        tags=frozenset({"block", "proper-projections"}),
-    )
-    k_minus = NamedEmbedding(
-        id=f"{stem}-kminus", ambient=g, subgroup=_T1 * h_type,
-        tags=frozenset({"family:brieskorn", f"winding:{a}", f"variant:{variant}"}),
-    )
-    k_plus = NamedEmbedding(
-        id=f"{stem}-kplus", ambient=g, subgroup=kplus_type,
-        tags=frozenset({"block", "family:brieskorn", f"variant:{variant}"}),
-    )
-    h_in_k_minus = NamedEmbedding(
-        id=f"{stem}-h-in-km", ambient=_T1 * h_type, subgroup=h_type,
-        homotopy_map_ranks=(), tags=frozenset({"block"}),
-    )
-    h_in_k_plus = NamedEmbedding(
-        id=f"{stem}-h-in-kp", ambient=kplus_type, subgroup=h_type,
-        homotopy_map_ranks=(), tags=frozenset({"block"}),
-    )
-    if d % 2:
-        counts = dict(components_h=2, components_k_minus=1, components_k_plus=2)
-    else:
-        counts = dict(components_h=1, components_k_minus=1, components_k_plus=1)
-    return GroupDiagram(
-        g=g, h=h, k_minus=k_minus, k_plus=k_plus,
-        h_in_k_minus=h_in_k_minus, h_in_k_plus=h_in_k_plus,
-        nonorientable_k_minus=False,
+    if variant in _FIXED_BRIESKORN and m != _FIXED_BRIESKORN[variant][0]:
+        raise InvalidParams(f"the {variant} variant exists only at m = {_FIXED_BRIESKORN[variant][0]}")
+    family = {"family:brieskorn", f"variant:{variant}"}
+    winding = d if d % 2 else d // 2
+    return _family_diagram(
+        f"brieskorn[{variant},m={m},d={d}]", _brieskorn_orbits(m, variant),
+        ({"block", "proper-projections"}, family | {f"winding:{winding}"}, family | {"block"}),
+        components_h=1 + d % 2, components_k_plus=1 + d % 2,  # two components each when d is odd
         nonorientable_k_plus=bool(m % 2 and d % 2),
-        **counts,
     )
 
 
 def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     """The S^3 x S^3 diagram with finite principal isotropy and two circle slopes."""
-    g = _SU2 * _SU2
-    stem = f"seven[{params.p_minus},{params.q_minus},{params.p_plus},{params.q_plus}]"
-    h = NamedEmbedding(
-        id=f"{stem}-h", ambient=g, subgroup=_TRIVIAL,
-        tags=frozenset({"proper-projections", "finite:4"}),
-    )
-    k_minus = NamedEmbedding(
-        id=f"{stem}-kminus", ambient=g, subgroup=_T1,
-        tags=frozenset({"family:seven", f"slope:{params.p_minus},{params.q_minus}"}),
-    )
-    k_plus = NamedEmbedding(
-        id=f"{stem}-kplus", ambient=g, subgroup=_T1,
-        tags=frozenset({"family:seven", f"slope:{params.p_plus},{params.q_plus}"}),
-    )
-    witness = NamedEmbedding(id=f"{stem}-h-in-k", ambient=_T1, subgroup=_TRIVIAL, tags=frozenset({"block"}))
-    return GroupDiagram(
-        g=g, h=h, k_minus=k_minus, k_plus=k_plus,
-        h_in_k_minus=witness, h_in_k_plus=witness,
+    slopes = (f"slope:{params.p_minus},{params.q_minus}", f"slope:{params.p_plus},{params.q_plus}")
+    return _family_diagram(
+        f"seven[{params.p_minus},{params.q_minus},{params.p_plus},{params.q_plus}]", _SEVEN_ORBITS,
+        ({"proper-projections", "finite:4"}, {"family:seven", slopes[0]}, {"family:seven", slopes[1]}),
         components_h=4, components_k_minus=2, components_k_plus=2,
         nonorientable_k_minus=True, nonorientable_k_plus=True,
+    )
+
+
+def _tensor_diagram(family: str, n: int, orbits: Orbits) -> GroupDiagram:
+    tags = {f"family:{family}", f"n:{n}"}
+    return _family_diagram(
+        f"{family}[n={n}]", orbits, ({"block", "proper-projections"}, tags | {"block"}, tags | {"diagonal"})
     )
 
 
@@ -355,74 +372,27 @@ def tensor_su_diagram(n: int) -> GroupDiagram:
     """The SU(n) x SU(2) diagram of the tensor-product action on S^(4n-1), n >= 4."""
     if n < 4:
         raise InvalidParams("the tensor family needs n >= 4 (n = 3 is the eleven-sphere table)")
-    g = special_unitary(n) * _SU2
-    stem = f"tensor-su[n={n}]"
-    h = NamedEmbedding(
-        id=f"{stem}-h", ambient=g, subgroup=special_unitary(n - 2) * _T1,
-        tags=frozenset({"block", "proper-projections"}),
-    )
-    k_minus = NamedEmbedding(
-        id=f"{stem}-kminus", ambient=g, subgroup=special_unitary(n - 1) * _T1,
-        tags=frozenset({"block", "family:tensor-su", f"n:{n}"}),
-    )
-    k_plus = NamedEmbedding(
-        id=f"{stem}-kplus", ambient=g, subgroup=special_unitary(n - 2) * _SU2,
-        tags=frozenset({"diagonal", "family:tensor-su", f"n:{n}"}),
-    )
-    h_in_k_minus = NamedEmbedding(
-        id=f"{stem}-h-in-km",
-        ambient=special_unitary(n - 1) * _T1, subgroup=special_unitary(n - 2) * _T1,
-        tags=frozenset({"block"}),
-    )
-    h_in_k_plus = NamedEmbedding(
-        id=f"{stem}-h-in-kp",
-        ambient=special_unitary(n - 2) * _SU2, subgroup=special_unitary(n - 2) * _T1,
-        tags=frozenset({"block"}),
-    )
-    return GroupDiagram(
-        g=g, h=h, k_minus=k_minus, k_plus=k_plus,
-        h_in_k_minus=h_in_k_minus, h_in_k_plus=h_in_k_plus,
-    )
+    return _tensor_diagram("tensor-su", n, _tensor_su_orbits(n))
 
 
 def tensor_sp_diagram(n: int) -> GroupDiagram:
     """The Sp(n) x Sp(2) diagram of the quaternionic tensor action on S^(8n-1), n >= 2."""
     if n < 2:
         raise InvalidParams("the quaternionic tensor family needs n >= 2")
-    g = symplectic(n) * symplectic(2)
-    sp1sp1 = _SU2 * _SU2
-    stem = f"tensor-sp[n={n}]"
-    h = NamedEmbedding(
-        id=f"{stem}-h", ambient=g, subgroup=symplectic(n - 2) * sp1sp1,
-        tags=frozenset({"block", "proper-projections"}),
-    )
-    k_minus = NamedEmbedding(
-        id=f"{stem}-kminus", ambient=g, subgroup=symplectic(n - 1) * sp1sp1,
-        tags=frozenset({"block", "family:tensor-sp", f"n:{n}"}),
-    )
-    k_plus = NamedEmbedding(
-        id=f"{stem}-kplus", ambient=g, subgroup=symplectic(n - 2) * symplectic(2),
-        tags=frozenset({"diagonal", "family:tensor-sp", f"n:{n}"}),
-    )
-    h_in_k_minus = NamedEmbedding(
-        id=f"{stem}-h-in-km",
-        ambient=symplectic(n - 1) * sp1sp1, subgroup=symplectic(n - 2) * sp1sp1,
-        tags=frozenset({"block"}),
-    )
-    h_in_k_plus = NamedEmbedding(
-        id=f"{stem}-h-in-kp",
-        ambient=symplectic(n - 2) * symplectic(2), subgroup=symplectic(n - 2) * sp1sp1,
-        tags=frozenset({"block"}),
-    )
-    return GroupDiagram(
-        g=g, h=h, k_minus=k_minus, k_plus=k_plus,
-        h_in_k_minus=h_in_k_minus, h_in_k_plus=h_in_k_plus,
-    )
+    return _tensor_diagram("tensor-sp", n, _tensor_sp_orbits(n))
 
 
 # ---------------------------------------------------------------------------
-# Structural recognizers
+# Structural recognizers: read the parameter off G, then compare orbit groups
 # ---------------------------------------------------------------------------
+
+
+def _oriented(d: GroupDiagram, orbits: Orbits) -> Iterator[GroupDiagram]:
+    """``d``, then its swap, each when its orbit groups (G, H, K-, K+) are ``orbits``."""
+    if (d.g, d.h.subgroup, d.k_minus.subgroup, d.k_plus.subgroup) == orbits:
+        yield d
+    if (d.g, d.h.subgroup, d.k_plus.subgroup, d.k_minus.subgroup) == orbits:
+        yield d.swap()
 
 
 def _so_index(semisimple_part: GroupType) -> Optional[int]:
@@ -437,114 +407,56 @@ def _so_index(semisimple_part: GroupType) -> Optional[int]:
 
 
 def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    for cand in (d, d.swap()):
-        if cand.ell_minus != 1 or cand.g.torus_rank != 1:
-            continue
-        if cand.k_minus.subgroup != _T1 * cand.h.subgroup:
-            continue
-        winding = cand.k_minus.tag_value("winding")
-        if winding is None:
-            continue
-        semisimple = GroupType(cand.g.factors)
-        h_type, kplus_type = cand.h.subgroup, cand.k_plus.subgroup
-        m: Optional[int] = None
-        if semisimple == parse_group("G2"):
-            if kplus_type == special_unitary(3) and h_type == special_unitary(2):
-                m = 7
-        elif semisimple == parse_group("Spin(7)") and kplus_type == parse_group("G2"):
-            if h_type == special_unitary(3):
-                m = 8
-        else:
-            so_m = _so_index(semisimple)
-            if (
-                so_m is not None
-                and kplus_type == special_orthogonal(so_m - 1)
-                and h_type == special_orthogonal(so_m - 2)
-            ):
-                m = so_m
-        if m is None or cand.ell_plus != m - 2:
-            continue
-        a = int(winding)
-        if a == 0:
-            return ClassificationOutcome(
-                "not-rational-sphere",
-                reason="the circle factor acts with the same orbits as its complement (non-primitive)",
-            )
-        counts = (cand.components_h, cand.components_k_minus, cand.components_k_plus)
-        if counts == (1, 1, 1):
-            d_param = 2 * abs(a)
-        elif counts == (2, 1, 2) and a % 2:
-            d_param = abs(a)
-        else:
-            continue
-        if m % 2 and d_param % 2 == 0:
-            return ClassificationOutcome(
-                "not-rational-sphere", reason=f"middle homology in degree {m - 1} is infinite (m odd, d even)"
-            )
-        return ClassificationOutcome("brieskorn", m=m, d=d_param)
+    shapes = list(_FIXED_BRIESKORN.values())
+    so_m = _so_index(GroupType(d.g.factors))  # the rotation part of G = circle x SO(m)
+    if so_m is not None:
+        shapes.append((so_m, _brieskorn_orbits(so_m, "standard")))
+    for m, orbits in shapes:
+        for cand in _oriented(d, orbits):
+            winding = cand.k_minus.tag_value("winding")
+            if winding is None:
+                continue
+            a = int(winding)
+            if a == 0:
+                return ClassificationOutcome(
+                    "not-rational-sphere",
+                    reason="the circle factor acts with the same orbits as its complement (non-primitive)",
+                )
+            counts = (cand.components_h, cand.components_k_minus, cand.components_k_plus)
+            if counts == (1, 1, 1):
+                d_param = 2 * abs(a)
+            elif counts == (2, 1, 2) and a % 2:
+                d_param = abs(a)
+            else:
+                continue
+            if m % 2 and d_param % 2 == 0:
+                return ClassificationOutcome(
+                    "not-rational-sphere", reason=f"middle homology in degree {m - 1} is infinite (m odd, d even)"
+                )
+            return ClassificationOutcome("brieskorn", m=m, d=d_param)
     return None
 
 
 def _recognize_tensor_su(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    a_ranks = sorted(f.rank for f in d.g.factors if f.family == "A")
-    if d.g.torus_rank or len(d.g.factors) != 2 or len(a_ranks) != 2 or a_ranks[0] != 1:
+    n = max((f.rank for f in d.g.factors), default=0) + 1  # G = SU(n) x SU(2)
+    if n < 4 or not any(_oriented(d, _tensor_su_orbits(n))):
         return None
-    n = a_ranks[1] + 1
-    if n < 4:
-        return None
-    expect_h = special_unitary(n - 2) * _T1
-    expect_km = special_unitary(n - 1) * _T1
-    expect_kp = special_unitary(n - 2) * _SU2
-    for cand in (d, d.swap()):
-        if (
-            cand.h.subgroup == expect_h
-            and cand.k_minus.subgroup == expect_km
-            and cand.k_plus.subgroup == expect_kp
-            and (cand.ell_minus, cand.ell_plus) == (2 * n - 3, 2)
-        ):
-            return ClassificationOutcome(
-                "linear-sphere",
-                description=f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2",
-            )
-    return None
+    return ClassificationOutcome(
+        "linear-sphere", description=f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2"
+    )
 
 
 def _recognize_tensor_sp(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    if d.g.torus_rank or len(d.g.factors) != 2:
+    n = max((f.rank for f in d.g.factors), default=0)  # G = Sp(n) x Sp(2)
+    if n < 2 or not any(_oriented(d, _tensor_sp_orbits(n))):
         return None
-    b2 = symplectic(2)
-    factors = list(d.g.factors)
-    n: Optional[int] = None
-    if d.g == b2 * b2:
-        n = 2
-    elif SimpleGroupLabel("B", 2) in factors:
-        others = [f for f in factors if f != SimpleGroupLabel("B", 2)]
-        if len(others) == 1 and others[0].family == "C":
-            n = others[0].rank
-    if n is None or n < 2:
-        return None
-    sp1sp1 = _SU2 * _SU2
-    expect_h = symplectic(n - 2) * sp1sp1
-    expect_km = symplectic(n - 1) * sp1sp1
-    expect_kp = symplectic(n - 2) * b2
-    for cand in (d, d.swap()):
-        if (
-            cand.h.subgroup == expect_h
-            and cand.k_minus.subgroup == expect_km
-            and cand.k_plus.subgroup == expect_kp
-            and (cand.ell_minus, cand.ell_plus) == (4 * n - 5, 4)
-        ):
-            return ClassificationOutcome(
-                "linear-sphere",
-                description=f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2",
-            )
-    return None
+    return ClassificationOutcome(
+        "linear-sphere", description=f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2"
+    )
 
 
 def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    if d.g != _SU2 * _SU2 or not d.h.subgroup.is_trivial():
-        return None
-    if d.k_minus.subgroup != _T1 or d.k_plus.subgroup != _T1:
+    if not any(_oriented(d, _SEVEN_ORBITS)):
         return None
     slope_minus = d.k_minus.tag_value("slope")
     slope_plus = d.k_plus.tag_value("slope")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CohomoneError
+from .errors import CohomoneError, InvalidParams
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -108,12 +108,12 @@ def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
 
 
 def _int_key(document: dict, key: str) -> int:
-    try:
-        return int(document[key])
-    except KeyError:
-        raise _UsageError(f"diagram document has no {key!r} key") from None
-    except (TypeError, ValueError, OverflowError):
-        raise _UsageError(f"diagram document key {key!r} must be an integer, got {document[key]!r}") from None
+    if key not in document:
+        raise _UsageError(f"diagram document has no {key!r} key")
+    value = document[key]
+    if not isinstance(value, int) or isinstance(value, bool):  # a JSON true is not an integer
+        raise _UsageError(f"diagram document key {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
@@ -221,14 +221,22 @@ def _cmd_brieskorn(args) -> CommandResult:
 
 def _cmd_degrees(args) -> CommandResult:
     from .lie_catalog import degrees, parse_group, weyl_order
+    from .polynomial import MAX_SPHERE_DIM
 
     group = parse_group(args.group)
+    if group.dimension > MAX_SPHERE_DIM:  # the degree list and the Weyl order grow with it
+        raise InvalidParams(f"--group names a group of dimension {group.dimension}, above {MAX_SPHERE_DIM}")
+    order = weyl_order(group)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent before Python 3.10.7: no limit
+    if digits and order >= 10**digits:
+        raise InvalidParams(f"--group names a group whose Weyl order has more than {digits} digits, "
+                            "more than this interpreter prints")
     payload = {
         "group": str(group),
         "rank": group.rank,
         "dimension": group.dimension,
         "degrees": list(degrees(group)),
-        "weyl_order": weyl_order(group),
+        "weyl_order": order,
     }
     return CommandResult(0, payload)
 

@@ -350,26 +350,13 @@ def equivalent(d1: GroupDiagram, d2: GroupDiagram) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerCheck:
-    """chi(G/K+) + chi(G/K-) - chi(G/H), checked against a sphere's chi."""
-
-    value: int
-    manifold_dim: int
-    expected: int
-    consistent: bool
-
-
-def double_disk_euler(d: GroupDiagram) -> EulerCheck:
-    """Euler characteristic of the union of the two disk bundles.
+def double_disk_euler(d: GroupDiagram) -> int:
+    """Euler characteristic chi(G/K+) + chi(G/K-) - chi(G/H) of the union of the two disk bundles.
 
     Must equal 1 + (-1)^n for an n-dimensional rational sphere.
     """
     chi_h, chi_plus, chi_minus = map(euler_characteristic, d.orbit_inclusions())
-    value = chi_plus + chi_minus - chi_h
-    n = d.manifold_dim
-    expected = 1 + (-1) ** n
-    return EulerCheck(value, n, expected, value == expected)
+    return chi_plus + chi_minus - chi_h
 
 
 # ---------------------------------------------------------------------------

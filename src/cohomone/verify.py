@@ -282,9 +282,9 @@ def _check_equal_rank(checks: list, catalog: Catalog) -> None:
             pair.fiber_dim in (2, 4, 8),
         )
     for record in catalog.diagram_records():
-        check = double_disk_euler(record.diagram)
+        chi = double_disk_euler(record.diagram)
         if record.diagram.manifold_dim % 2:
-            _check(checks, f"equal-rank/double-disk-euler/{record.id}", 0, check.value)
+            _check(checks, f"equal-rank/double-disk-euler/{record.id}", 0, chi)
 
 
 # -- Mayer-Vietoris feasibility ---------------------------------------------------

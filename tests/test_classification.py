@@ -6,6 +6,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohomone
 import cohomone.classification
@@ -25,7 +27,7 @@ from cohomone.classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from cohomone.diagram import double_disk_euler, mv_feasible
+from cohomone.diagram import double_disk_euler, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from cohomone.lie_catalog import NamedEmbedding, parse_group
 
@@ -298,6 +300,82 @@ def test_factories_reject_bad_parameters():
         tensor_su_diagram(3)
     with pytest.raises(InvalidParams):
         tensor_sp_diagram(1)
+
+
+# -- family diagrams: properties and near misses ------------------------------------------
+
+
+@st.composite
+def family_diagrams(draw):
+    """A factory diagram with random parameters, and the outcome kind and fields those parameters predict."""
+    kind = draw(st.sampled_from(["standard", "spin7", "g2", "tensor-su", "tensor-sp", "seven"]))
+    if kind == "tensor-su":
+        n = draw(st.integers(4, 40))
+        description = f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2"
+        return tensor_su_diagram(n), "linear-sphere", {"description": description}
+    if kind == "tensor-sp":
+        n = draw(st.integers(2, 30))
+        description = f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2"
+        return tensor_sp_diagram(n), "linear-sphere", {"description": description}
+    if kind == "seven":
+        slopes = draw(st.lists(st.integers(-30, 30).map(lambda k: 4 * k + 1), min_size=4, max_size=4))
+        d = seven_family_diagram(SevenFamilyParams(*slopes))
+        (p_minus, q_minus), (p_plus, q_plus) = sorted((slopes[:2], slopes[2:]))
+        torsion = abs(p_minus**2 * q_plus**2 - p_plus**2 * q_minus**2) // 8
+        if torsion == 0:
+            return d, "not-rational-sphere", {}
+        return d, "seven-family", {"params": SevenFamilyParams(p_minus, q_minus, p_plus, q_plus), "torsion": torsion}
+    m = {"spin7": 8, "g2": 7}.get(kind) or draw(st.integers(3, 30))
+    d = draw(st.integers(1, 300))
+    if m % 2 and d % 2 == 0:  # the rational-sphere gate
+        return brieskorn_diagram(m, d, kind), "not-rational-sphere", {}
+    return brieskorn_diagram(m, d, kind), "brieskorn", {"m": m, "d": d}
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_diagrams())
+def test_family_diagram_and_its_swap_classify_to_their_parameters(case):
+    d, kind, expected = case
+    outcome = classify_diagram(d, CAT)
+    assert outcome.kind == kind
+    assert {key: getattr(outcome, key) for key in expected} == expected
+    assert classify_diagram(d.swap(), CAT) == outcome
+
+
+def exchanged(betti):
+    return None if betti is None else replace(betti, p_k_plus=betti.p_k_minus, p_k_minus=betti.p_k_plus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_diagrams())
+def test_orbit_betti_is_swap_invariant_with_k_exchanged(case):
+    d = case[0]
+    assert orbit_betti(d.swap(), CAT) == exchanged(orbit_betti(d, CAT))
+
+
+def without_tag(embedding, prefix):
+    tags = frozenset(t for t in embedding.tags if not t.startswith(prefix + ":"))
+    return replace(embedding, tags=tags)
+
+
+def near_misses():
+    brieskorn = brieskorn_diagram(6, 4)
+    tensor = tensor_su_diagram(5)
+    seven = seven_family_diagram(realize_torsion(3))
+    return {
+        "brieskorn K- without a winding tag": replace(brieskorn, k_minus=without_tag(brieskorn.k_minus, "winding")),
+        "brieskorn (2, 1, 2) components with even winding": replace(brieskorn, components_h=2, components_k_plus=2),
+        "tensor-su with K- as K+": replace(tensor, k_plus=tensor.k_minus, h_in_k_plus=tensor.h_in_k_minus),
+        "seven K+ without a slope tag": replace(seven, k_plus=without_tag(seven.k_plus, "slope")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(near_misses()))
+def test_valid_near_misses_of_a_family_stay_unmatched(name):
+    d = near_misses()[name]
+    assert validate(d) == []
+    assert classify_diagram(d, CAT).kind == "unmatched"
+    assert classify_diagram(d.swap(), CAT).kind == "unmatched"
 
 
 # -- orbit Betti data ------------------------------------------------------------------

@@ -207,6 +207,11 @@ def test_non_object_document_exits_2(tmp_path):
         ({"family": "brieskorn", "m": "x", "d": 3}, "'m'"),
         ({"family": "tensor-su", "n": [4]}, "'n'"),
         ({"family": "tensor-sp", "n": float("inf")}, "'n'"),
+        ({"family": "brieskorn", "m": 6.9, "d": 3}, "'m'"),
+        ({"family": "brieskorn", "m": "6", "d": 3}, "'m'"),
+        ({"family": "brieskorn", "m": 6, "d": True}, "'d'"),
+        ({"family": "tensor-su", "n": 4.5}, "'n'"),
+        ({"family": "tensor-su", "n": 4.0}, "'n'"),
         ({"family": "seven", "p_minus": 1, "q_minus": 1, "p_plus": 5}, "'q_plus'"),
         ({"g": "SU(3)", "h": "t2-in-su3"}, "'k_minus'"),
     ],
@@ -299,6 +304,41 @@ def test_mv_check_refuses_sphere_products_above_cap_at_once(flags, flag):
     result = run(["mv-check", "--n", "5", *flags])
     assert result.exit_code == 2 and flag in result.payload["error"]
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"family": "tensor-su", "n": 20000000},
+        {"family": "tensor-sp", "n": 10**30},
+        {"family": "brieskorn", "m": 500001, "d": 3},
+    ],
+)
+def test_family_documents_above_the_dimension_cap_exit_2_at_once(tmp_path, document):
+    doc = tmp_path / "document.json"
+    doc.write_text(json.dumps(document))
+    start = time.perf_counter()
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2 and "InvalidParams" in result.payload["error"]
+    assert "manifold dimension" in result.payload["error"]
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "group, detail",
+    [("SU(1600)", "dimension 2559999"), ("x".join(["SU(2)"] * 15000), "digits")],
+)
+def test_degrees_refuses_groups_it_cannot_print(group, detail):
+    result = run(["degrees", "--group", group])
+    assert result.exit_code == 2 and result.payload["error"].startswith("InvalidParams")
+    assert detail in result.payload["error"]
+
+
+def test_degrees_prints_groups_just_inside_both_bounds():
+    out = payload(["degrees", "--group", "SU(1000)"])
+    assert out["dimension"] == 999999 and len(out["degrees"]) == 999
+    # 2^14000 has 4215 digits
+    assert payload(["degrees", "--group", "x".join(["SU(2)"] * 14000)])["weyl_order"] == 2**14000
 
 
 def test_brieskorn_refuses_d_above_cap():

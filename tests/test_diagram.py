@@ -253,16 +253,16 @@ def test_equivalence_needs_same_group():
 
 
 def test_double_disk_euler_case6():
-    check = double_disk_euler(catalog_diagram("case6-su3"))
-    assert (check.value, check.manifold_dim, check.consistent) == (0, 7, True)
-    check = double_disk_euler(catalog_diagram("case6-f4"))
-    assert (check.value, check.manifold_dim, check.consistent) == (0, 25, True)
+    for record_id, dim in (("case6-su3", 7), ("case6-f4", 25)):
+        d = catalog_diagram(record_id)
+        assert (double_disk_euler(d), d.manifold_dim) == (0, dim)
+        assert double_disk_euler(d) == 1 + (-1) ** d.manifold_dim
 
 
 def test_double_disk_euler_fixed_points():
     # two fixed points over an even sphere orbit: chi = 1 + 1 - 2 = 0 = chi(S^3)
-    check = double_disk_euler(fixed_point_diagram())
-    assert (check.value, check.manifold_dim, check.expected, check.consistent) == (0, 3, 0, True)
+    d = fixed_point_diagram()
+    assert (double_disk_euler(d), d.manifold_dim, 1 + (-1) ** d.manifold_dim) == (0, 3, 0)
 
 
 def test_double_disk_euler_odd_orbit_suspension():
@@ -276,9 +276,8 @@ def test_double_disk_euler_odd_orbit_suspension():
         g=g, h=trivial, k_minus=identity, k_plus=identity,
         h_in_k_minus=witness, h_in_k_plus=witness,
     )
-    check = double_disk_euler(d)
     # chi = 1 + 1 - 0 over the 3-sphere orbit; total space is S^4
-    assert (check.value, check.manifold_dim, check.expected, check.consistent) == (2, 4, 2, True)
+    assert (double_disk_euler(d), d.manifold_dim, 1 + (-1) ** d.manifold_dim) == (2, 4, 2)
 
 
 # -- Mayer-Vietoris feasibility ------------------------------------------------------------
