@@ -23,53 +23,53 @@ kept as the independent test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParams, Unsupported
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 
 
-@dataclass(frozen=True)
-class BrieskornParams:
+class BrieskornParams(namedtuple("BrieskornParams", "m d")):
     """Parameters (m, d) of B^(2m-1)_d; m >= 3 and d >= 1."""
 
-    m: int
-    d: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.m < 3:
-            raise Unsupported(f"m must be at least 3 (B^3_d is not simply connected), got {self.m}")
-        if self.d < 1:
-            raise InvalidParams(f"d must be at least 1, got {self.d}")
+    def __new__(cls, m: int, d: int) -> "BrieskornParams":
+        if m < 3:
+            raise Unsupported(f"m must be at least 3 (B^3_d is not simply connected), got {m}")
+        if d < 1:
+            raise InvalidParams(f"d must be at least 1, got {d}")
+        return tuple.__new__(cls, (m, d))
 
     @property
     def sphere_dim(self) -> int:
         return 2 * self.m - 1
 
 
-@dataclass(frozen=True)
-class HomologyEntry:
-    degree: int
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+class HomologyEntry(namedtuple("HomologyEntry", "degree free_rank torsion")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0 or any(t < 2 for t in self.torsion):
-            raise InvalidParams(f"malformed homology entry in degree {self.degree}")
-        if self.free_rank == 0 and not self.torsion:
-            raise InvalidParams(f"empty homology entry in degree {self.degree}")
+    def __new__(cls, degree: int, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> "HomologyEntry":
+        if free_rank < 0 or any(t < 2 for t in torsion):
+            raise InvalidParams(f"malformed homology entry in degree {degree}")
+        if free_rank == 0 and not torsion:
+            raise InvalidParams(f"empty homology entry in degree {degree}")
+        return tuple.__new__(cls, (degree, free_rank, torsion))
 
 
-@dataclass(frozen=True)
-class GradedAbelianGroup:
+class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
     """A finitely generated graded abelian group, sparse by degree."""
 
-    entries: tuple[HomologyEntry, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        degs = [e.degree for e in self.entries]
+    def __new__(cls, entries: tuple[HomologyEntry, ...] = ()) -> "GradedAbelianGroup":
+        degs = [e.degree for e in entries]
         if degs != sorted(set(degs)):
             raise InvalidParams("entries must have strictly increasing degrees")
+        return tuple.__new__(cls, (entries,))
 
     def entry(self, degree: int) -> HomologyEntry | None:
         for e in self.entries:

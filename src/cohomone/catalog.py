@@ -5,8 +5,8 @@ environment variable ``COHOMONE_DATA_DIR`` points the loader at an
 alternative directory carrying the same file names.  A file whose
 ``"version"`` is not ``CATALOG_VERSION`` is refused.
 
-All records are immutable after load: a :class:`Catalog` is a frozen
-dataclass with no mutator, and the diagram factories in
+All records are immutable after load: a :class:`Catalog` refuses
+attribute assignment and has no mutator, and the diagram factories in
 ``classification`` build self-contained embeddings instead of adding
 them, so every lookup answers the same whatever the process did before.
 The indexes are built once, at load.  Embeddings, families and diagram
@@ -27,7 +27,9 @@ group does not grow with m (no ambient term has a > 0), a ``tags_at``
 key that is not a decimal integer >= ``param_min``, a family whose
 instance at ``param_min`` cannot be built, and one whose subgroup
 outgrows its ambient group (in dimension or rank) at a larger m, which
-the groups at six values of m decide.  Any error raised while a
+the groups at six values of m decide; it refuses a concrete embedding
+whose ``winding:`` tag does not carry an integer, which the Brieskorn
+recognizer reads.  Any error raised while a
 record is parsed or built keeps its type and names the file, the array
 index and, where one is at fault, the key.
 """
@@ -37,11 +39,10 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagram import GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
@@ -93,9 +94,15 @@ def _groups(record: Mapping, where: str, parse) -> tuple:
 
 def _embedding_from_record(record: Mapping, where: str) -> NamedEmbedding:
     get = partial(_value, record, where=where, error=InvalidLabel)
+    tags = _array(record, "tags", str, (), where, InvalidLabel)
+    for tag in tags:
+        if tag.startswith("winding:"):
+            try:
+                int(tag[len("winding:"):])
+            except ValueError:
+                raise InvalidLabel(f"{where} key 'tags': {tag!r} does not carry an integer winding") from None
     return _named(
-        where, _embedding, get("id", str), *_groups(record, where, parse_group),
-        _rank_spec(record, where), _array(record, "tags", str, (), where, InvalidLabel),
+        where, _embedding, get("id", str), *_groups(record, where, parse_group), _rank_spec(record, where), tags
     )
 
 
@@ -151,8 +158,7 @@ def _positive_somewhere(v0: int, v1: int, v2: int) -> bool:
     return v0 + t * d1 + t * (t - 1) // 2 * d2 > 0
 
 
-@dataclass(frozen=True)
-class EmbeddingFamily:
+class EmbeddingFamily(NamedTuple):
     """A subgroup-inclusion family parameterized by an integer m, its groups parsed into factor templates."""
 
     id: str
@@ -161,7 +167,7 @@ class EmbeddingFamily:
     param_min: int
     map_ranks: Optional[tuple[tuple[int, int], ...]]  # None: rationally injective
     tags: frozenset[str]
-    tags_at: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
+    tags_at: Mapping[int, tuple[str, ...]] = MappingProxyType({})
 
     def instantiate(self, m: int) -> NamedEmbedding:
         if m < self.param_min:
@@ -181,8 +187,7 @@ class EmbeddingFamily:
         return out
 
 
-@dataclass(frozen=True)
-class OrbitBetti:
+class OrbitBetti(NamedTuple):
     """Rational Betti polynomials of G/H and G/K+-, with the sphere dimension n."""
 
     p_h: IntegerPolynomial
@@ -191,47 +196,51 @@ class OrbitBetti:
     n: int
 
 
-@dataclass(frozen=True)
-class DiagramRecord:
+class DiagramRecord(NamedTuple):
     """A catalogued diagram with its stored classification metadata."""
 
     id: str
     diagram: GroupDiagram
-    outcome: Mapping = field(default_factory=dict)  # empty when the record stores none
+    outcome: Mapping = MappingProxyType({})  # empty when the record stores none
     rational_sphere: bool = False
     orbit_poincare: Optional[OrbitBetti] = None
     tags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, eq=False)
 class Catalog:
     """The embedding, family and diagram records, indexed at load and read-only after.
 
-    The by-id mappings are in id order.  Build one with :func:`load_catalog`.
+    The by-id mappings are in id order.  Each attribute is set once, here;
+    assigning or deleting one raises ``AttributeError``.  Build one with
+    :func:`load_catalog`.
     """
 
-    version: int
-    _embeddings: Mapping[str, NamedEmbedding]
-    _families: Mapping[str, EmbeddingFamily]
-    _diagrams: Mapping[str, DiagramRecord]
-    _lattices: Mapping[GroupType, tuple[NamedEmbedding, ...]] = field(init=False)
-    _by_descriptor: Mapping[tuple, DiagramRecord] = field(init=False)
+    __slots__ = ("version", "_embeddings", "_families", "_diagrams", "_lattices", "_by_descriptor")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, version: int, embeddings: Mapping[str, NamedEmbedding], families: Mapping[str, EmbeddingFamily],
+        diagrams: Mapping[str, DiagramRecord],
+    ) -> None:
         lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
-        for e in self._embeddings.values():
+        for e in embeddings.values():
             if e.has_tag("lattice"):
                 lattices[e.ambient] = lattices.get(e.ambient, ()) + (e,)
         by_descriptor: dict[tuple, DiagramRecord] = {}
-        for record in self._diagrams.values():
+        for record in diagrams.values():
             key = record.diagram.canonical_descriptor()
             if key in by_descriptor:
                 raise InvalidDiagram(
                     f"diagram records {by_descriptor[key].id!r} and {record.id!r} describe the same diagram"
                 )
             by_descriptor[key] = record
-        object.__setattr__(self, "_lattices", MappingProxyType(lattices))
-        object.__setattr__(self, "_by_descriptor", MappingProxyType(by_descriptor))
+        values = (version, embeddings, families, diagrams, MappingProxyType(lattices), MappingProxyType(by_descriptor))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"Catalog is read-only: cannot assign or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- embeddings --------------------------------------------------------
 
@@ -410,7 +419,7 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
         )
         for record, where in _records(data, "diagrams", path, InvalidDiagram)
     )
-    return replace(catalog, _diagrams=_by_id(records, InvalidDiagram, path))
+    return Catalog(catalog.version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
 
 
 @lru_cache(maxsize=4)

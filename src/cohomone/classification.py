@@ -16,8 +16,8 @@ groups of the diagram, or of its swap, with the family's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
@@ -47,20 +47,18 @@ _TRIVIAL = GroupType()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SevenFamilyParams:
+class SevenFamilyParams(namedtuple("SevenFamilyParams", "p_minus q_minus p_plus q_plus")):
     """Parameters of the S^3 x S^3 seven-manifold family; all = 1 mod 4."""
 
-    p_minus: int
-    q_minus: int
-    p_plus: int
-    q_plus: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        for name in ("p_minus", "q_minus", "p_plus", "q_plus"):
-            value = getattr(self, name)
+    def __new__(cls, p_minus: int, q_minus: int, p_plus: int, q_plus: int) -> "SevenFamilyParams":
+        self = tuple.__new__(cls, (p_minus, q_minus, p_plus, q_plus))
+        for name, value in zip(self._fields, self):
             if value % 4 != 1:
                 raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
+        return self
 
 
 def seven_family_torsion(p: SevenFamilyParams) -> int:
@@ -94,25 +92,23 @@ def realize_torsion(t: int) -> SevenFamilyParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorankTwoRow:
-    """A simple corank-2 pair (G, L) whose quotient has two odd homotopy degrees."""
+class CorankTwoRow(namedtuple(
+    "CorankTwoRow", "group subgroup ell_minus total ell_plus notes embedding_id family param"
+)):
+    """A simple corank-2 pair (G, L) whose quotient has two odd homotopy degrees; total = ell_minus + ell_plus."""
 
-    group: GroupType
-    subgroup: GroupType
-    ell_minus: int
-    total: int  # ell_minus + ell_plus
-    ell_plus: int
-    notes: tuple[str, ...]
-    embedding_id: str
-    family: str
-    param: Optional[int]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.ell_plus != self.total - self.ell_minus or self.ell_plus < 0:
-            raise InvalidParams(f"{self.embedding_id}: inconsistent degree columns")
-        if self.ell_minus % 2 == 0:
-            raise InvalidParams(f"{self.embedding_id}: ell_minus must be odd")
+    def __new__(
+        cls, group: GroupType, subgroup: GroupType, ell_minus: int, total: int, ell_plus: int,
+        notes: tuple[str, ...], embedding_id: str, family: str, param: Optional[int],
+    ) -> "CorankTwoRow":
+        if ell_plus != total - ell_minus or ell_plus < 0:
+            raise InvalidParams(f"{embedding_id}: inconsistent degree columns")
+        if ell_minus % 2 == 0:
+            raise InvalidParams(f"{embedding_id}: ell_minus must be odd")
+        return tuple.__new__(cls, (group, subgroup, ell_minus, total, ell_plus, notes, embedding_id, family, param))
 
 
 def _or_default(catalog: Optional[Catalog]) -> Catalog:
@@ -157,12 +153,19 @@ def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[
 
 
 def table3_filter(rows: Sequence[CorankTwoRow]) -> list[CorankTwoRow]:
-    """Rows whose subgroup acts transitively on a sphere of dimension ell_plus >= 1."""
+    """Rows whose subgroup acts transitively on a sphere of dimension ell_plus >= 1.
+
+    Each distinct subgroup's spheres are looked up once per call.
+    """
+    spheres: dict[GroupType, set[int]] = {}
     out = []
     for row in rows:
-        if row.ell_plus < 1 or not row.subgroup.is_simple():
+        subgroup = row.subgroup
+        if row.ell_plus < 1 or not subgroup.is_simple():
             continue
-        if row.ell_plus in spheres_acted_on(row.subgroup):
+        if subgroup not in spheres:
+            spheres[subgroup] = spheres_acted_on(subgroup)
+        if row.ell_plus in spheres[subgroup]:
             out.append(row)
     return out
 
@@ -172,8 +175,7 @@ def table3_filter(rows: Sequence[CorankTwoRow]) -> list[CorankTwoRow]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Case6Pair:
+class Case6Pair(NamedTuple):
     group: GroupType
     isotropy: GroupType
     fiber_dim: int
@@ -213,45 +215,44 @@ _OUTCOME_FIELDS: dict[str, dict[str, type]] = {
 _RECORD_KINDS = ("linear-sphere", "brieskorn", "wu", "g2-quotient", "not-rational-sphere")
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind description m d index params torsion reason")):
     """Tagged alternative naming the matched family, or a reasoned rejection.
 
     ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets.
     """
 
-    kind: str
-    description: Optional[str] = None
-    m: Optional[int] = None
-    d: Optional[int] = None
-    index: Optional[int] = None
-    params: Optional[SevenFamilyParams] = None
-    torsion: Optional[int] = None
-    reason: Optional[str] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        required = _OUTCOME_FIELDS.get(self.kind)
+    def __new__(
+        cls, kind: str, description: Optional[str] = None, m: Optional[int] = None, d: Optional[int] = None,
+        index: Optional[int] = None, params: Optional[SevenFamilyParams] = None, torsion: Optional[int] = None,
+        reason: Optional[str] = None,
+    ) -> "ClassificationOutcome":
+        self = tuple.__new__(cls, (kind, description, m, d, index, params, torsion, reason))
+        required = _OUTCOME_FIELDS.get(kind)
         if required is None:
-            raise InvalidParams(f"unknown outcome kind {self.kind!r}")
-        for f in fields(self)[1:]:
-            value, kind = getattr(self, f.name), required.get(f.name)
-            if kind is None and value is not None:
-                raise InvalidParams(f"{self.kind} outcomes take no {f.name}, got {value!r}")
+            raise InvalidParams(f"unknown outcome kind {kind!r}")
+        for name, value in zip(self._fields[1:], self[1:]):
+            expected = required.get(name)
+            if expected is None and value is not None:
+                raise InvalidParams(f"{kind} outcomes take no {name}, got {value!r}")
             # bool subclasses int, but True is not an integer
-            if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-                raise InvalidParams(f"{self.kind} outcomes require {f.name} of type {kind.__name__}, got {value!r}")
-        if self.kind == "brieskorn" and self.m % 2 and self.d % 2 == 0:
+            if expected is not None and (not isinstance(value, expected) or isinstance(value, bool)):
+                raise InvalidParams(f"{kind} outcomes require {name} of type {expected.__name__}, got {value!r}")
+        if kind == "brieskorn" and m % 2 and d % 2 == 0:
             raise InvalidParams("Brieskorn outcomes require m even or d odd")
-        if self.kind == "g2-quotient" and self.index not in (1, 3):
+        if kind == "g2-quotient" and index not in (1, 3):
             raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
-        if self.kind == "seven-family" and not self.torsion:
+        if kind == "seven-family" and not torsion:
             raise InvalidParams("seven-family outcomes require nonzero torsion order")
+        return self
 
     def as_dict(self) -> dict:
         """The fields that are set, with ``params`` as an object of its four integers."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
+        out = {name: value for name, value in self._asdict().items() if value is not None}
         if self.params is not None:
-            out["params"] = dict(vars(self.params))
+            out["params"] = self.params._asdict()
         return out
 
 
@@ -520,7 +521,7 @@ def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[
     stored = record.orbit_poincare if record is not None else None
     if stored is not None:
         if record.diagram.descriptor() != d.descriptor():  # swap-equal: exchange the K-+ data
-            return replace(stored, p_k_plus=stored.p_k_minus, p_k_minus=stored.p_k_plus)
+            return stored._replace(p_k_plus=stored.p_k_minus, p_k_minus=stored.p_k_plus)
         return stored
 
     n = d.manifold_dim

@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import CohomoneError, InvalidParams
 
@@ -53,8 +52,7 @@ OP_COVERAGE = {
 }
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     payload: dict
 
@@ -353,7 +351,7 @@ def _cmd_seven_family(args) -> CommandResult:
         params = SevenFamilyParams(args.p_minus, args.q_minus, args.p_plus, args.q_plus)
     torsion = seven_family_torsion(params)
     payload = {
-        "params": dict(vars(params)),
+        "params": params._asdict(),
         "torsion": torsion,
         "rational_sphere": torsion != 0,
     }

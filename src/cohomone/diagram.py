@@ -18,8 +18,7 @@ spheres of positive dimension l+-.  This module owns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import Incomparable, InvalidEmbedding, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
@@ -27,8 +26,7 @@ from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic
 
 
-@dataclass(frozen=True)
-class GroupDiagram:
+class GroupDiagram(NamedTuple):
     """The quadruple H < K+- < G with its discrete annotations.
 
     The five embeddings (catalogued records, or for a diagram built by a
@@ -72,8 +70,7 @@ class GroupDiagram:
 
     def swap(self) -> "GroupDiagram":
         """The diagram with K+ and K- exchanged (an equivalence move)."""
-        return replace(
-            self,
+        return self._replace(
             k_minus=self.k_plus,
             k_plus=self.k_minus,
             h_in_k_minus=self.h_in_k_plus,
@@ -114,8 +111,7 @@ class GroupDiagram:
         return self.h, self.k_plus, self.k_minus
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     message: str
 
@@ -216,8 +212,7 @@ CASE6_FIBERS: tuple[tuple[int, str, str, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GHCaseResult:
+class GHCaseResult(NamedTuple):
     """One compatible homotopy-fiber case with its forced total dimension."""
 
     case_index: int
@@ -284,8 +279,7 @@ def gh_classify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimitivityResult:
+class PrimitivityResult(NamedTuple):
     verdict: str  # "non-primitive" | "primitive-required" | "unknown"
     witness: Optional[str] = None
 
@@ -364,8 +358,7 @@ def double_disk_euler(d: GroupDiagram) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MVFeasibility:
+class MVFeasibility(NamedTuple):
     verdict: str  # "feasible" | "infeasible"
     failing_degree: Optional[int]
     rank_profile: tuple[tuple[int, int, int], ...]  # (r_k, s_k, delta_k) per degree
@@ -397,7 +390,7 @@ def mv_feasible(
     if not 1 <= n <= MAX_SPHERE_DIM:
         raise InvalidParams(f"the sphere dimension n must be between 1 and {MAX_SPHERE_DIM}, got {n}")
     for p in (p_h, p_k_plus, p_k_minus):
-        if any(c < 0 for c in p):
+        if any(c < 0 for c in p.coefficients):
             raise InvalidParams("Betti polynomials must have non-negative coefficients")
     top = max(n, p_h.degree, p_k_plus.degree, p_k_minus.degree) + 1
     profile: list[tuple[int, int, int]] = []

@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import partial
 from typing import Callable, Iterable, Optional
 
@@ -61,22 +60,22 @@ _EXCEPTIONAL_DATA = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleGroupLabel:
-    """A Killing-Cartan label, e.g. A3 or E6.  Not necessarily canonical."""
+class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):
+    """A Killing-Cartan label, e.g. A3 or E6.  Not necessarily canonical; labels order by (family, rank)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.family in _EXCEPTIONAL_RANKS:
-            if self.rank != _EXCEPTIONAL_RANKS[self.family]:
-                raise InvalidLabel(f"{self.family} has fixed rank {_EXCEPTIONAL_RANKS[self.family]}")
-        elif self.family in _CLASSICAL_FAMILIES:
-            if self.rank < 1:
-                raise InvalidLabel(f"rank must be positive, got {self.family}{self.rank}")
+    def __new__(cls, family: str, rank: int) -> "SimpleGroupLabel":
+        if family in _EXCEPTIONAL_RANKS:
+            if rank != _EXCEPTIONAL_RANKS[family]:
+                raise InvalidLabel(f"{family} has fixed rank {_EXCEPTIONAL_RANKS[family]}")
+        elif family in _CLASSICAL_FAMILIES:
+            if rank < 1:
+                raise InvalidLabel(f"rank must be positive, got {family}{rank}")
         else:
-            raise InvalidLabel(f"unknown family {self.family!r}")
+            raise InvalidLabel(f"unknown family {family!r}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         if self.family in _EXCEPTIONAL_RANKS:
@@ -85,36 +84,36 @@ class SimpleGroupLabel:
 
     @property
     def dimension(self) -> int:
-        n = self.rank
-        if self.family == "A":
+        family, n = self
+        if family == "A":
             return n * (n + 2)
-        if self.family in ("B", "C"):
+        if family in ("B", "C"):
             return n * (2 * n + 1)
-        if self.family == "D":
+        if family == "D":
             return n * (2 * n - 1)
-        return _EXCEPTIONAL_DATA[self.family][0]
+        return _EXCEPTIONAL_DATA[family][0]
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        n = self.rank
-        if self.family == "A":
+        family, n = self
+        if family == "A":
             return tuple(range(3, 2 * n + 2, 2))
-        if self.family in ("B", "C"):
+        if family in ("B", "C"):
             return tuple(range(3, 4 * n, 4))
-        if self.family == "D":
+        if family == "D":
             return tuple(sorted(tuple(range(3, 4 * n - 4, 4)) + (2 * n - 1,)))
-        return _EXCEPTIONAL_DATA[self.family][1]
+        return _EXCEPTIONAL_DATA[family][1]
 
     @property
     def weyl_order(self) -> int:
-        n = self.rank
-        if self.family == "A":
+        family, n = self
+        if family == "A":
             return math.factorial(n + 1)
-        if self.family in ("B", "C"):
+        if family in ("B", "C"):
             return 2**n * math.factorial(n)
-        if self.family == "D":
+        if family == "D":
             return 2 ** (n - 1) * math.factorial(n)
-        return _EXCEPTIONAL_DATA[self.family][2]
+        return _EXCEPTIONAL_DATA[family][2]
 
 
 def _canonical_factors(label: SimpleGroupLabel) -> tuple[tuple[SimpleGroupLabel, ...], int]:
@@ -136,28 +135,26 @@ def _canonical_factors(label: SimpleGroupLabel) -> tuple[tuple[SimpleGroupLabel,
     return (label,), 0
 
 
-@dataclass(frozen=True)
-class GroupType:
+class GroupType(namedtuple("GroupType", "factors torus_rank")):
     """Isomorphism type of a compact connected Lie group.
 
     Factors are canonicalized and sorted on construction, so types built
     from different low-rank presentations compare equal.
     """
 
-    factors: tuple[SimpleGroupLabel, ...] = ()
-    torus_rank: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace canonicalizes too
+    __add__ = __rmul__ = lambda self, other: NotImplemented  # no tuple concatenation or repetition
 
-    def __post_init__(self) -> None:
-        if self.torus_rank < 0:
+    def __new__(cls, factors: Iterable[SimpleGroupLabel] = (), torus_rank: int = 0) -> "GroupType":
+        if torus_rank < 0:
             raise InvalidLabel("torus rank must be non-negative")
         expanded: list[SimpleGroupLabel] = []
-        torus = self.torus_rank
-        for label in self.factors:
+        for label in factors:
             simple, extra_torus = _canonical_factors(label)
             expanded.extend(simple)
-            torus += extra_torus
-        object.__setattr__(self, "factors", tuple(sorted(expanded)))
-        object.__setattr__(self, "torus_rank", torus)
+            torus_rank += extra_torus
+        return tuple.__new__(cls, (tuple(sorted(expanded)), torus_rank))
 
     @property
     def rank(self) -> int:
@@ -302,8 +299,7 @@ def parse_group(text: str) -> GroupType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedEmbedding:
+class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_map_ranks tags")):
     """A catalogued conjugacy class of subgroup inclusion.
 
     ``homotopy_map_ranks`` records, per degree, the rank of the induced
@@ -313,18 +309,17 @@ class NamedEmbedding:
     "winding:3", "proper-projections", ...).
     """
 
-    id: str
-    ambient: GroupType
-    subgroup: GroupType
-    homotopy_map_ranks: tuple[tuple[int, int], ...] = ()
-    tags: frozenset[str] = frozenset()
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "homotopy_map_ranks", tuple(sorted((int(k), int(v)) for k, v in self.homotopy_map_ranks))
-        )
-        object.__setattr__(self, "tags", frozenset(self.tags))
+    def __new__(
+        cls, id: str, ambient: GroupType, subgroup: GroupType,
+        homotopy_map_ranks: Iterable[tuple[int, int]] = (), tags: Iterable[str] = frozenset(),
+    ) -> "NamedEmbedding":
+        ranks = tuple(sorted((int(k), int(v)) for k, v in homotopy_map_ranks))
+        self = tuple.__new__(cls, (id, ambient, subgroup, ranks, frozenset(tags)))
         validate_embedding(self)
+        return self
 
     @property
     def rank_map(self) -> dict[int, int]:
@@ -371,23 +366,22 @@ def is_declared_injective(e: NamedEmbedding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereActionRow:
+class SphereActionRow(namedtuple("SphereActionRow", "group isotropy sphere_dim family m embedding_classes")):
     """One instantiated row of the transitive-sphere-action table."""
 
-    group: GroupType
-    isotropy: GroupType
-    sphere_dim: int
-    family: str = ""
-    m: Optional[int] = None
-    embedding_classes: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.group.dimension - self.isotropy.dimension != self.sphere_dim:
+    def __new__(
+        cls, group: GroupType, isotropy: GroupType, sphere_dim: int, family: str = "", m: Optional[int] = None,
+        embedding_classes: frozenset[str] = frozenset(),
+    ) -> "SphereActionRow":
+        if group.dimension - isotropy.dimension != sphere_dim:
             raise InvalidLabel(
-                f"sphere row {self.family}({self.m}): dimension mismatch "
-                f"{self.group.dimension} - {self.isotropy.dimension} != {self.sphere_dim}"
+                f"sphere row {family}({m}): dimension mismatch "
+                f"{group.dimension} - {isotropy.dimension} != {sphere_dim}"
             )
+        return tuple.__new__(cls, (group, isotropy, sphere_dim, family, m, embedding_classes))
 
 
 #: parameterized row families: name -> (a, smallest m).  Row m acts on the unit

@@ -3,17 +3,19 @@
 Everything downstream (Hilbert series, monodromy characteristic
 polynomials, Mayer-Vietoris rank bookkeeping) runs on plain ``int``
 coefficients; there is deliberately no floating point anywhere in this
-module.  Polynomials are immutable, stored densely by ascending degree
-with trailing zeros trimmed and coefficients made ``int``, so two equal
-polynomials compare equal structurally.  They are multiplied and
-evaluated, never divided: the one quotient the engine needs, the
-equal-rank Hilbert series, is a recurrence in ``rational_homotopy``.
+module.  A polynomial is a named tuple of one field, ``coefficients``,
+stored densely by ascending degree with trailing zeros trimmed and
+coefficients made ``int``, so two equal polynomials compare equal
+structurally; iterate ``coefficients``, not the polynomial.  They are
+multiplied and evaluated, never divided: the one quotient the engine
+needs, the equal-rank Hilbert series, is a recurrence in
+``rational_homotopy``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from typing import Iterable
 
 #: largest degree of a dense output (``brieskorn.delta_poly``, the cli's ``--*-spheres`` products)
 #: and the largest sphere dimension ``diagram.mv_feasible`` accepts (it scans every degree up to n)
@@ -28,14 +30,15 @@ def _trim(coefficients: Iterable[int]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
     """Dense integer polynomial; ``coefficients[k]`` is the degree-k coefficient."""
 
-    coefficients: tuple[int, ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace trims too
+    __add__ = __rmul__ = lambda self, other: NotImplemented  # no tuple concatenation or repetition
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", _trim(self.coefficients))
+    def __new__(cls, coefficients: Iterable[int] = ()) -> "IntegerPolynomial":
+        return tuple.__new__(cls, (_trim(coefficients),))
 
     @classmethod
     def one(cls) -> "IntegerPolynomial":
@@ -53,9 +56,6 @@ class IntegerPolynomial:
         if 0 <= degree < len(self.coefficients):
             return self.coefficients[degree]
         return 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coefficients)
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)

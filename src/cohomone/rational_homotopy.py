@@ -19,15 +19,14 @@ inside a semisimple G contributes a degree-2 class of G/H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidEmbedding, Unsupported
 from .lie_catalog import NamedEmbedding, degree_multiplicities, weyl_order
 from .polynomial import IntegerPolynomial, one_plus_power, product
 
 
-@dataclass(frozen=True)
-class QuotientHomotopy:
+class QuotientHomotopy(NamedTuple):
     """Non-trivial rational homotopy of a quotient, split by parity.
 
     ``heuristic`` is True when some degree had no declared map rank and
@@ -112,7 +111,7 @@ def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
             raise InvalidEmbedding(f"{inclusion.id}: Hilbert series is not polynomial")
         del coeffs[-k:]
     series = IntegerPolynomial(coeffs)
-    if series.coefficient(0) != 1 or any(c < 0 for c in series):
+    if series.coefficient(0) != 1 or any(c < 0 for c in series.coefficients):
         raise InvalidEmbedding(
             f"{inclusion.id}: Hilbert series {series} is not a valid Poincare polynomial"
         )

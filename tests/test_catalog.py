@@ -120,6 +120,9 @@ def record_edit(key, record_id, edit):
          InvalidLabel, "'tags' must be a JSON array of strings"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"5": "x"})),
          InvalidLabel, "'map_ranks'"),
+        # the Brieskorn recognizer reads a winding tag as an integer: a malformed one is refused at load
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:x"])),
+         InvalidLabel, "embeddings[16] key 'tags': 'winding:x' does not carry an integer winding"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.pop("param_min")),
          InvalidLabel, "has no 'param_min' key"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": "multiple"})),

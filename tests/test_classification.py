@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -192,7 +191,7 @@ def test_classifier_swap_invariance_on_catalog():
 def test_classifier_requires_valid_diagram():
     d = CAT.diagram_record("case6-su3").diagram
     with pytest.raises(InvalidDiagram):
-        classify_diagram(replace(d, components_k_plus=2), CAT)
+        classify_diagram(d._replace(components_k_plus=2), CAT)
 
 
 def test_wu_and_linear_outcomes():
@@ -221,7 +220,7 @@ def test_brieskorn_zero_winding_is_nonprimitive():
     tags = frozenset(t for t in d.k_minus.tags if not t.startswith("winding:")) | {"winding:0"}
     k_minus0 = NamedEmbedding("bk-zero-winding", d.k_minus.ambient, d.k_minus.subgroup,
                               d.k_minus.homotopy_map_ranks, tags)
-    out = classify_diagram(replace(d, k_minus=k_minus0), CAT)
+    out = classify_diagram(d._replace(k_minus=k_minus0), CAT)
     assert out.kind == "not-rational-sphere" and "non-primitive" in out.reason
 
 
@@ -262,7 +261,7 @@ def test_outcome_as_dict_lists_the_fields_set():
 
 def test_orbit_data_checks_inclusions_live_in_g():
     # K+ taken from a diagram in Sp(2): no record matches, so orbit_betti takes the equal-rank branch
-    d = replace(CAT.diagram_record("case6-su3").diagram, k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
+    d = CAT.diagram_record("case6-su3").diagram._replace(k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
     assert CAT.matching_record(d) is None and d.h.subgroup.rank == d.g.rank
     with pytest.raises(InvalidEmbedding, match="differs from"):
         double_disk_euler(d)
@@ -343,7 +342,7 @@ def test_family_diagram_and_its_swap_classify_to_their_parameters(case):
 
 
 def exchanged(betti):
-    return None if betti is None else replace(betti, p_k_plus=betti.p_k_minus, p_k_minus=betti.p_k_plus)
+    return None if betti is None else betti._replace(p_k_plus=betti.p_k_minus, p_k_minus=betti.p_k_plus)
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,7 +354,7 @@ def test_orbit_betti_is_swap_invariant_with_k_exchanged(case):
 
 def without_tag(embedding, prefix):
     tags = frozenset(t for t in embedding.tags if not t.startswith(prefix + ":"))
-    return replace(embedding, tags=tags)
+    return embedding._replace(tags=tags)
 
 
 def near_misses():
@@ -363,10 +362,10 @@ def near_misses():
     tensor = tensor_su_diagram(5)
     seven = seven_family_diagram(realize_torsion(3))
     return {
-        "brieskorn K- without a winding tag": replace(brieskorn, k_minus=without_tag(brieskorn.k_minus, "winding")),
-        "brieskorn (2, 1, 2) components with even winding": replace(brieskorn, components_h=2, components_k_plus=2),
-        "tensor-su with K- as K+": replace(tensor, k_plus=tensor.k_minus, h_in_k_plus=tensor.h_in_k_minus),
-        "seven K+ without a slope tag": replace(seven, k_plus=without_tag(seven.k_plus, "slope")),
+        "brieskorn K- without a winding tag": brieskorn._replace(k_minus=without_tag(brieskorn.k_minus, "winding")),
+        "brieskorn (2, 1, 2) components with even winding": brieskorn._replace(components_h=2, components_k_plus=2),
+        "tensor-su with K- as K+": tensor._replace(k_plus=tensor.k_minus, h_in_k_plus=tensor.h_in_k_minus),
+        "seven K+ without a slope tag": seven._replace(k_plus=without_tag(seven.k_plus, "slope")),
     }
 
 

@@ -47,13 +47,18 @@ def test_unknown_attribute_raises_attribute_error():
 # -- what a fresh interpreter imports ------------------------------------------
 
 
-def modules_after(code: str) -> set[str]:
-    """The ``cohomone`` modules a fresh interpreter holds after running ``code``."""
-    probe = f"{code}\nimport sys\nprint(*[m for m in sys.modules if m.split('.')[0] == 'cohomone'])"
+def loaded_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
+
+
+def modules_after(code: str) -> set[str]:
+    """The ``cohomone`` modules a fresh interpreter holds after running ``code``."""
+    return {m for m in loaded_after(code) if m.split(".")[0] == "cohomone"}
 
 
 def test_submodules_resolve_as_attributes_of_a_bare_import():
@@ -83,3 +88,30 @@ def test_subcommands_that_read_no_catalog_never_import_it(argv):
     assert "cohomone.catalog" not in loaded
     if argv[0] == "brieskorn":
         assert "cohomone.diagram" not in loaded
+
+
+#: every subcommand, run on the diagram document ``{"catalog": "wu-s3s1"}`` where it reads one (from stdin)
+EVERY_SUBCOMMAND = [
+    ["brieskorn", "--m", "4", "--d", "5"],
+    ["degrees", "--group", "G2"],
+    ["quotient", "--embedding", "su6-sp3"],
+    ["hilbert", "--embedding", "t2-in-su3"],
+    ["gh-case", "--l-minus", "3", "--l-plus", "2", "--h", "0"],
+    ["classify", "--diagram", "-"],
+    ["primitivity", "--diagram", "-"],
+    ["mv-check", "--n", "11", "--h-spheres", "2,3,5", "--k-plus-spheres", "3,5", "--k-minus-spheres", "2,5"],
+    ["seven-family", "--realize", "2"],
+    ["verify-tables"],
+]
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import cohomone.cli", id="import-cli"),
+    pytest.param("import cohomone\ncohomone.default_catalog()", id="default-catalog"),
+    *(pytest.param(f"import io, sys\nsys.stdin = io.StringIO('{{\"catalog\": \"wu-s3s1\"}}')\n"
+                   f"from cohomone.cli import run\nassert run({argv!r}).exit_code == 0", id=argv[0])
+      for argv in EVERY_SUBCOMMAND),
+])
+def test_no_process_imports_dataclasses_or_inspect(code):
+    # value types are named tuples: importing dataclasses (and with it inspect) cost every process about 10 ms
+    assert not loaded_after(code) & {"dataclasses", "inspect"}

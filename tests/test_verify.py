@@ -72,7 +72,7 @@ def test_stored_betti_data_is_well_formed():
             continue
         assert data.n == record.diagram.manifold_dim, record.id
         for p in (data.p_h, data.p_k_plus, data.p_k_minus):
-            assert all(c >= 0 for c in p), record.id
+            assert all(c >= 0 for c in p.coefficients), record.id
             assert p.coefficient(0) == 1, record.id
 
 
