@@ -25,13 +25,19 @@ into factor templates (``lie_catalog.group_template``); ``tags_at`` keys
 are decoded to integers there.  Load refuses a family whose ambient
 group does not grow with m (no ambient term has a > 0), a ``tags_at``
 key that is not a decimal integer >= ``param_min``, a family whose
-instance at ``param_min`` cannot be built, and one whose subgroup
-outgrows its ambient group (in dimension or rank) at a larger m, which
-the groups at six values of m decide; it refuses a concrete embedding
-whose ``winding:`` tag does not carry an integer, which the Brieskorn
-recognizer reads.  Any error raised while a
-record is parsed or built keeps its type and names the file, the array
-index and, where one is at fault, the key.
+instance at ``param_min`` or at a ``tags_at`` key cannot be built, and
+one whose subgroup outgrows its ambient group (in dimension or rank) at
+a larger m, which the groups at six values of m decide.  Any error
+raised while a record is parsed or built keeps its type and names the
+file, the array index and, where one is at fault, the key.
+
+Only this module reads tag strings (``_typed_tags``; for a family,
+``tags`` plus ``tags_at[m]``).  ``winding:<int>`` and ``slope:<int>,<int>``
+may each appear once and ``contains:<id>`` any number of times; they
+become the typed fields of ``NamedEmbedding``, and any other string is a
+bare tag.  A second winding or slope tag, a winding that is not an
+integer and a slope that is not two comma-separated integers raise
+``InvalidLabel`` naming ``'tags'``.
 """
 
 from __future__ import annotations
@@ -65,17 +71,35 @@ def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], .
     raise InvalidLabel(f"{where} key 'map_ranks' must be \"injective\" or an object of integers, got {spec!r}")
 
 
+def _typed_tags(labels: Iterable[str], name: str) -> dict:
+    """The ``NamedEmbedding`` fields ``tags``, ``winding``, ``slope`` and ``contains`` that tag strings give.
+
+    A second winding or slope tag, or a value that does not parse, raises ``InvalidLabel`` naming ``name``.
+    """
+    labels = sorted(set(labels))  # so that no error depends on the order of a set
+    fields = {"tags": [label for label in labels if not label.startswith(("winding:", "slope:", "contains:"))],
+              "contains": frozenset(label[len("contains:"):] for label in labels if label.startswith("contains:"))}
+    for head, size, kind in (("winding", 1, "an integer winding"), ("slope", 2, "two comma-separated integers")):
+        found = [label for label in labels if label.startswith(f"{head}:")]
+        if len(found) > 1:
+            raise InvalidLabel(f"{name} key 'tags': more than one {head} tag: {', '.join(map(repr, found))}")
+        for label in found:
+            try:
+                numbers = tuple(int(v) for v in label[len(head) + 1:].split(","))
+            except ValueError:
+                numbers = ()
+            if len(numbers) != size:
+                raise InvalidLabel(f"{name} key 'tags': {label!r} does not carry {kind}")
+            fields[head] = numbers[0] if size == 1 else numbers
+    return fields
+
+
 def _embedding(
     name: str, ambient: GroupType, sub: GroupType, ranks: Optional[tuple[tuple[int, int], ...]], tags: Iterable[str]
 ) -> NamedEmbedding:
-    """An embedding of ``sub`` in ``ambient``; ``ranks`` None means rationally injective."""
-    return NamedEmbedding(
-        id=name,
-        ambient=ambient,
-        subgroup=sub,
-        homotopy_map_ranks=injective_rank_map(sub) if ranks is None else ranks,
-        tags=frozenset(tags),
-    )
+    """An embedding of ``sub`` in ``ambient`` with tag strings ``tags``; ``ranks`` None means rationally injective."""
+    ranks = injective_rank_map(sub) if ranks is None else ranks
+    return NamedEmbedding(name, ambient, sub, ranks, **_typed_tags(tags, name))
 
 
 def _named(where: str, build, *args):
@@ -95,12 +119,6 @@ def _groups(record: Mapping, where: str, parse) -> tuple:
 def _embedding_from_record(record: Mapping, where: str) -> NamedEmbedding:
     get = partial(_value, record, where=where, error=InvalidLabel)
     tags = _array(record, "tags", str, (), where, InvalidLabel)
-    for tag in tags:
-        if tag.startswith("winding:"):
-            try:
-                int(tag[len("winding:"):])
-            except ValueError:
-                raise InvalidLabel(f"{where} key 'tags': {tag!r} does not carry an integer winding") from None
     return _named(
         where, _embedding, get("id", str), *_groups(record, where, parse_group), _rank_spec(record, where), tags
     )
@@ -124,7 +142,8 @@ def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
         tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
         tags_at={int(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
     )
-    _named(where, family.instantiate, param_min)  # a family wrong from the start is refused here
+    # built at param_min and at each m with tags of its own, so that a family wrong there is refused here
+    _named(where, lambda: [family.instantiate(m) for m in (param_min, *family.tags_at)])
     excess = _outgrowth(family)
     if excess:
         raise InvalidLabel(f"{where} key 'subgroup': {record['subgroup']!r} outgrows the ambient group "
@@ -174,7 +193,7 @@ class EmbeddingFamily(NamedTuple):
             raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
         return _embedding(
             f"{self.id}@m={m}", group_at(self.ambient, m), group_at(self.subgroup, m),
-            self.map_ranks, self.tags | set(self.tags_at.get(m, ())),
+            self.map_ranks, self.tags.union(self.tags_at.get(m, ())),
         )
 
     def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
@@ -223,7 +242,7 @@ class Catalog:
     ) -> None:
         lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
         for e in embeddings.values():
-            if e.has_tag("lattice"):
+            if "lattice" in e.tags:
                 lattices[e.ambient] = lattices.get(e.ambient, ()) + (e,)
         by_descriptor: dict[tuple, DiagramRecord] = {}
         for record in diagrams.values():
@@ -262,16 +281,9 @@ class Catalog:
         Returns (embedding, family id, parameter) triples; concrete rows
         carry their own id as family and no parameter.
         """
-        out: list[tuple[NamedEmbedding, str, Optional[int]]] = []
-        for e in self.embeddings():
-            if e.has_tag("corank2") and e.ambient.rank <= max_rank:
-                out.append((e, e.id, None))
-        for fam in self.families():
-            if "corank2" not in fam.tags:
-                continue
-            for m, e in fam.instances_up_to_rank(max_rank).items():
-                out.append((e, fam.id, m))
-        return out
+        concrete = [(e, e.id, None) for e in self.embeddings() if "corank2" in e.tags and e.ambient.rank <= max_rank]
+        return concrete + [(e, fam.id, m) for fam in self.families() if "corank2" in fam.tags
+                           for m, e in fam.instances_up_to_rank(max_rank).items()]
 
     def lattice_for(self, group: GroupType) -> list[NamedEmbedding]:
         return list(self._lattices.get(group, ()))

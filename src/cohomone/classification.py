@@ -305,24 +305,24 @@ def _tensor_sp_orbits(n: int) -> Orbits:
 
 
 def _family_diagram(
-    stem: str, orbits: Orbits, tags: tuple[set[str], set[str], set[str]], **annotations
+    stem: str, orbits: Orbits, tags: tuple[set[str], ...], k_fields: tuple[dict, dict] = ({}, {}), **annotations
 ) -> GroupDiagram:
-    """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags``, the
-    witnesses present H in K-+ as blocks, and ``annotations`` are the component counts and
-    orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is refused before any
-    embedding is built, since checking one costs time linear in its rank.
+    """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
+    winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and ``annotations`` are
+    the component counts and orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is
+    refused before any embedding is built, since checking one costs time linear in its rank.
     """
     g, h, k_minus, k_plus = orbits
     dim = g.dimension - h.dimension + 1
     if dim > MAX_SPHERE_DIM:
         raise InvalidParams(f"{stem}: the manifold dimension {dim} exceeds {MAX_SPHERE_DIM}")
 
-    def embed(suffix: str, ambient: GroupType, subgroup: GroupType, labels: set[str]) -> NamedEmbedding:
-        return NamedEmbedding(f"{stem}-{suffix}", ambient, subgroup, tags=frozenset(labels))
+    def embed(suffix: str, ambient: GroupType, subgroup: GroupType, labels: set[str], **fields) -> NamedEmbedding:
+        return NamedEmbedding(f"{stem}-{suffix}", ambient, subgroup, tags=frozenset(labels), **fields)
 
     return GroupDiagram(
-        g=g, h=embed("h", g, h, tags[0]), k_minus=embed("kminus", g, k_minus, tags[1]),
-        k_plus=embed("kplus", g, k_plus, tags[2]),
+        g=g, h=embed("h", g, h, tags[0]), k_minus=embed("kminus", g, k_minus, tags[1], **k_fields[0]),
+        k_plus=embed("kplus", g, k_plus, tags[2], **k_fields[1]),
         h_in_k_minus=embed("h-in-km", k_minus, h, {"block"}), h_in_k_plus=embed("h-in-kp", k_plus, h, {"block"}),
         **annotations,
     )
@@ -342,10 +342,9 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
     if variant in _FIXED_BRIESKORN and m != _FIXED_BRIESKORN[variant][0]:
         raise InvalidParams(f"the {variant} variant exists only at m = {_FIXED_BRIESKORN[variant][0]}")
     family = {"family:brieskorn", f"variant:{variant}"}
-    winding = d if d % 2 else d // 2
     return _family_diagram(
         f"brieskorn[{variant},m={m},d={d}]", _brieskorn_orbits(m, variant),
-        ({"block", "proper-projections"}, family | {f"winding:{winding}"}, family | {"block"}),
+        ({"block", "proper-projections"}, family, family | {"block"}), ({"winding": d if d % 2 else d // 2}, {}),
         components_h=1 + d % 2, components_k_plus=1 + d % 2,  # two components each when d is odd
         nonorientable_k_plus=bool(m % 2 and d % 2),
     )
@@ -353,10 +352,11 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
 
 def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     """The S^3 x S^3 diagram with finite principal isotropy and two circle slopes."""
-    slopes = (f"slope:{params.p_minus},{params.q_minus}", f"slope:{params.p_plus},{params.q_plus}")
+    p_minus, q_minus, p_plus, q_plus = params
     return _family_diagram(
-        f"seven[{params.p_minus},{params.q_minus},{params.p_plus},{params.q_plus}]", _SEVEN_ORBITS,
-        ({"proper-projections", "finite:4"}, {"family:seven", slopes[0]}, {"family:seven", slopes[1]}),
+        f"seven[{p_minus},{q_minus},{p_plus},{q_plus}]", _SEVEN_ORBITS,
+        ({"proper-projections", "finite:4"}, {"family:seven"}, {"family:seven"}),
+        ({"slope": (p_minus, q_minus)}, {"slope": (p_plus, q_plus)}),
         components_h=4, components_k_minus=2, components_k_plus=2,
         nonorientable_k_minus=True, nonorientable_k_plus=True,
     )
@@ -414,10 +414,9 @@ def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
         shapes.append((so_m, _brieskorn_orbits(so_m, "standard")))
     for m, orbits in shapes:
         for cand in _oriented(d, orbits):
-            winding = cand.k_minus.tag_value("winding")
-            if winding is None:
+            a = cand.k_minus.winding
+            if a is None:
                 continue
-            a = int(winding)
             if a == 0:
                 return ClassificationOutcome(
                     "not-rational-sphere",
@@ -459,17 +458,13 @@ def _recognize_tensor_sp(d: GroupDiagram) -> Optional[ClassificationOutcome]:
 def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
     if not any(_oriented(d, _SEVEN_ORBITS)):
         return None
-    slope_minus = d.k_minus.tag_value("slope")
-    slope_plus = d.k_plus.tag_value("slope")
-    if slope_minus is None or slope_plus is None:
+    if d.k_minus.slope is None or d.k_plus.slope is None:
         return None
+    # exchanging the two slopes is the swap move, so order them canonically
+    low, high = sorted((d.k_minus.slope, d.k_plus.slope))
     try:
-        pair_minus = tuple(int(v) for v in slope_minus.split(","))
-        pair_plus = tuple(int(v) for v in slope_plus.split(","))
-        # exchanging the two slopes is the swap move, so order them canonically
-        (p_minus, q_minus), (p_plus, q_plus) = sorted((pair_minus, pair_plus))
-        params = SevenFamilyParams(p_minus, q_minus, p_plus, q_plus)
-    except (ValueError, InvalidParams):
+        params = SevenFamilyParams(*low, *high)
+    except InvalidParams:  # the 1 mod 4 rule
         return None
     torsion = seven_family_torsion(params)
     if torsion == 0:

@@ -187,7 +187,7 @@ def validate(d: GroupDiagram) -> list[Violation]:
                 )
             )
 
-    if not d.h.has_tag("proper-projections"):
+    if "proper-projections" not in d.h.tags:
         out.append(
             Violation(
                 "effectiveness-declaration",
@@ -292,7 +292,7 @@ def primitivity(
     """Search a declared subgroup lattice for a witness of non-primitivity.
 
     A lattice entry L witnesses non-primitivity when it is a proper
-    subgroup of G declared (via ``contains:<id>`` tags) to contain H and
+    subgroup of G declared (its ``contains`` ids) to contain H and
     both K+-.  With ``assert_rational_sphere`` the caller states that the
     total space is a rational sphere, which forbids such a witness; the
     scan then returns "primitive-required" (and finding a witness anyway
@@ -307,8 +307,7 @@ def primitivity(
             raise InvalidLattice(f"lattice entry {entry.id} lives in {entry.ambient}, not {d.g}")
         if entry.subgroup == d.g:
             continue
-        declared = {tag.split(":", 1)[1] for tag in entry.tags if tag.startswith("contains:")}
-        if needed <= declared:
+        if needed <= entry.contains:
             if assert_rational_sphere:
                 raise InvalidLattice(
                     f"lattice entry {entry.id} contradicts the rational-sphere assertion"

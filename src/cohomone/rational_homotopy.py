@@ -37,14 +37,6 @@ class QuotientHomotopy(NamedTuple):
     even_degrees: tuple[int, ...]
     heuristic: bool = False
 
-    @property
-    def formal_dimension(self) -> int:
-        """Sum over odd degrees minus sum of (e - 1) over even degrees.
-
-        For a rationally elliptic quotient this equals dim G/H.
-        """
-        return sum(self.odd_degrees) - sum(e - 1 for e in self.even_degrees)
-
 
 def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     """Rational homotopy of G/H from the exact sequence of H -> G -> G/H.
@@ -56,7 +48,7 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     """
     amb = degree_multiplicities(inclusion.ambient)
     sub = degree_multiplicities(inclusion.subgroup)
-    declared = inclusion.rank_map
+    declared = dict(inclusion.homotopy_map_ranks)
     odd: list[int] = []
     even: list[int] = []
     heuristic = False

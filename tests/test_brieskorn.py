@@ -2,6 +2,7 @@ import sympy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from cohomone.brieskorn import (
     BrieskornParams,
@@ -101,6 +102,32 @@ def test_homology_middle_order_matches_delta():
                 assert h.entry(m - 1) is None
             else:
                 assert h.torsion(m - 1) == (value,)
+
+
+def oracle_middle_homology(m: int, d: int):
+    """(free rank, torsion) of H_(m-1) as the cokernel of the monodromy minus the identity.
+
+    By Sebastiani-Thom the monodromy of z0^d + z1^2 + ... + zm^2 on the reduced homology of the
+    Milnor fibre is (-1)^m C, with C the companion matrix of 1 + t + ... + t^(d-1), and H_(m-1)
+    of the link is the cokernel of (-1)^m C - I (Milnor 1968, Brieskorn 1966).  Its Smith normal
+    form is computed by sympy, independently of the closed forms in the package.
+    """
+    n = d - 1
+    companion = sympy.zeros(n, n)
+    for i in range(n):
+        companion[i, n - 1] = -1
+        if i:
+            companion[i, i - 1] = 1
+    snf = smith_normal_form((-1) ** m * companion - sympy.eye(n), domain=sympy.ZZ)
+    diagonal = [abs(snf[i, i]) for i in range(n)]
+    return diagonal.count(0), tuple(sorted(x for x in diagonal if x > 1))
+
+
+def test_middle_homology_matches_the_monodromy_cokernel():
+    for m in range(3, 9):
+        for d in range(2, 16):
+            h = homology(BrieskornParams(m, d))
+            assert (h.free_rank(m - 1), h.torsion(m - 1)) == oracle_middle_homology(m, d), (m, d)
 
 
 def test_connectivity_no_low_entries():

@@ -63,8 +63,8 @@ def test_family_instantiation():
 def test_family_tags_at_parameter():
     cat = default_catalog()
     fam = next(f for f in cat.families() if f.id == "su(m)/su(m-2)")
-    assert fam.instantiate(4).has_tag("multiple")
-    assert not fam.instantiate(5).has_tag("multiple")
+    assert "multiple" in fam.instantiate(4).tags
+    assert "multiple" not in fam.instantiate(5).tags
 
 
 def edited_data(directory, name, edit):
@@ -120,9 +120,20 @@ def record_edit(key, record_id, edit):
          InvalidLabel, "'tags' must be a JSON array of strings"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"5": "x"})),
          InvalidLabel, "'map_ranks'"),
-        # the Brieskorn recognizer reads a winding tag as an integer: a malformed one is refused at load
+        # winding and slope tags are read into typed fields at load: a malformed or second one is refused
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:x"])),
-         InvalidLabel, "embeddings[16] key 'tags': 'winding:x' does not carry an integer winding"),
+         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': 'winding:x' does not carry an integer winding"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5", "block"])),
+         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': 'slope:5' does not carry two comma-separated integers"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5,1,1"])),
+         InvalidLabel, "su6-sp3 key 'tags': 'slope:5,1,1' does not carry two comma-separated integers"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "winding:1"])),
+         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5,1", "slope:1,1"])),
+         InvalidLabel, "su6-sp3 key 'tags': more than one slope tag: 'slope:1,1', 'slope:5,1'"),
+        # a family is built at each tags_at key too, so a bad tag there is refused at load
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"6": ["winding:x"]})),
+         InvalidLabel, "families[0]: su(m)/su(m-2)@m=6 key 'tags': 'winding:x' does not carry an integer winding"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.pop("param_min")),
          InvalidLabel, "has no 'param_min' key"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": "multiple"})),
@@ -182,22 +193,38 @@ def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, er
     assert run(["degrees", "--group", "G2"]).exit_code == 0
 
 
+def cli_process(argv, data, seed="0"):
+    """``python -m cohomone.cli argv`` in a fresh interpreter reading the catalog in ``data``."""
+    env = dict(os.environ, COHOMONE_DATA_DIR=str(data), PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "cohomone.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "block", "winding:1"])),
+     "embeddings[16]: su6-sp3 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
+    # the family's tags are a set: the message lists the two sorted, whatever order the set yields
+    (record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags=["winding:3", "corank2"],
+                                                                   tags_at={"4": ["winding:1"]})),
+     "families[0]: su(m)/su(m-2)@m=4 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
+])
+def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, detail):
+    edited_data(tmp_path, "embeddings.json", edit)
+    runs = [cli_process(["classify", "--diagram", "no-such-document.json"], tmp_path, seed) for seed in "12"]
+    assert [done.returncode for done in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr and detail in runs[0].stderr
+
+
 def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path):
     # instances_up_to_rank would never reach max_rank: verify-tables used to loop forever
     edit = record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient="SU(5)", subgroup="SU(3)"))
     edited_data(tmp_path, "embeddings.json", edit)
-    env = dict(os.environ, COHOMONE_DATA_DIR=str(tmp_path),
-               PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
-
-    def cli(argv):
-        return subprocess.run([sys.executable, "-m", "cohomone.cli", *argv], env=env, capture_output=True,
-                              text=True, timeout=60)
-
     for argv in (["quotient", "--embedding", "t2-in-su3"], ["verify-tables"]):
-        done = cli(argv)
+        done = cli_process(argv, tmp_path)
         assert done.returncode == 2, argv
         assert "embeddings.json: families[0] key 'ambient': 'SU(5)' does not grow with m" in done.stderr
-    assert cli(["degrees", "--group", "G2"]).returncode == 0  # reads no catalog
+    assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from cohomone.classification import (
 )
 from cohomone.diagram import double_disk_euler, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidParams
-from cohomone.lie_catalog import NamedEmbedding, parse_group
+from cohomone.lie_catalog import parse_group
 
 CAT = default_catalog()
 
@@ -217,10 +217,7 @@ def test_brieskorn_classification():
 
 def test_brieskorn_zero_winding_is_nonprimitive():
     d = brieskorn_diagram(6, 4, "standard")
-    tags = frozenset(t for t in d.k_minus.tags if not t.startswith("winding:")) | {"winding:0"}
-    k_minus0 = NamedEmbedding("bk-zero-winding", d.k_minus.ambient, d.k_minus.subgroup,
-                              d.k_minus.homotopy_map_ranks, tags)
-    out = classify_diagram(d._replace(k_minus=k_minus0), CAT)
+    out = classify_diagram(d._replace(k_minus=d.k_minus._replace(id="bk-zero-winding", winding=0)), CAT)
     assert out.kind == "not-rational-sphere" and "non-primitive" in out.reason
 
 
@@ -352,20 +349,15 @@ def test_orbit_betti_is_swap_invariant_with_k_exchanged(case):
     assert orbit_betti(d.swap(), CAT) == exchanged(orbit_betti(d, CAT))
 
 
-def without_tag(embedding, prefix):
-    tags = frozenset(t for t in embedding.tags if not t.startswith(prefix + ":"))
-    return embedding._replace(tags=tags)
-
-
 def near_misses():
     brieskorn = brieskorn_diagram(6, 4)
     tensor = tensor_su_diagram(5)
     seven = seven_family_diagram(realize_torsion(3))
     return {
-        "brieskorn K- without a winding tag": brieskorn._replace(k_minus=without_tag(brieskorn.k_minus, "winding")),
+        "brieskorn K- without a winding tag": brieskorn._replace(k_minus=brieskorn.k_minus._replace(winding=None)),
         "brieskorn (2, 1, 2) components with even winding": brieskorn._replace(components_h=2, components_k_plus=2),
         "tensor-su with K- as K+": tensor._replace(k_plus=tensor.k_minus, h_in_k_plus=tensor.h_in_k_minus),
-        "seven K+ without a slope tag": seven._replace(k_plus=without_tag(seven.k_plus, "slope")),
+        "seven K+ without a slope tag": seven._replace(k_plus=seven.k_plus._replace(slope=None)),
     }
 
 

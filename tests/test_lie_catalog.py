@@ -25,13 +25,15 @@ from cohomone.lie_catalog import (
 )
 
 
+EXCEPTIONAL_LABELS = [SimpleGroupLabel(f, r) for f, r in [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]]
+
+
 def all_test_labels():
     labels = [SimpleGroupLabel("A", n) for n in range(1, 10)]
     labels += [SimpleGroupLabel("B", n) for n in range(1, 10)]
     labels += [SimpleGroupLabel("C", n) for n in range(1, 10)]
     labels += [SimpleGroupLabel("D", n) for n in range(1, 10)]
-    labels += [SimpleGroupLabel(f, r) for f, r in [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]]
-    return labels
+    return labels + EXCEPTIONAL_LABELS
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -134,13 +136,25 @@ def test_degree_count_equals_rank():
         assert len(degrees(g)) == g.rank
 
 
-def test_dimension_equals_sum_of_degrees():
+@st.composite
+def group_products(draw):
+    """A product of 0-4 simple factors (SU, SO, Sp or exceptional, low ranks folded as built) times a torus."""
+    factor = st.one_of(
+        st.builds(special_unitary, st.integers(1, 12)), st.builds(special_orthogonal, st.integers(1, 14)),
+        st.builds(symplectic, st.integers(0, 10)), st.sampled_from(EXCEPTIONAL_LABELS).map(canonicalize),
+    )
+    group = GroupType((), draw(st.integers(0, 4)))
+    for simple in draw(st.lists(factor, max_size=4)):
+        group = group * simple
+    return group
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_products())
+def test_dimension_equals_sum_of_degrees(drawn):
     # ties the dimension table to the degree table, independently of both
-    for label in all_test_labels():
-        g = canonicalize(label)
-        assert g.dimension == sum(degrees(g))
-    mixed = parse_group("SU(3)xSp(2)xT2")
-    assert mixed.dimension == sum(degrees(mixed))
+    for g in [*map(canonicalize, all_test_labels()), parse_group("SU(3)xSp(2)xT2"), drawn]:
+        assert g.dimension == sum(degrees(g)), g
 
 
 def test_weyl_order_examples():
@@ -151,14 +165,15 @@ def test_weyl_order_examples():
     assert weyl_order(parse_group("T2")) == 1
 
 
-def test_weyl_order_degree_product_identity():
+@settings(max_examples=200, deadline=None)
+@given(group_products())
+def test_weyl_order_degree_product_identity(drawn):
     # |W| * 2^rank equals prod(d + 1) over the degrees, for every type
-    for label in all_test_labels():
-        g = canonicalize(label)
+    for g in [*map(canonicalize, all_test_labels()), drawn]:
         prod = 1
         for d in degrees(g):
             prod *= d + 1
-        assert weyl_order(g) * 2**g.rank == prod
+        assert weyl_order(g) * 2**g.rank == prod, g
 
 
 # -- the transitive-sphere table ----------------------------------------------
@@ -256,14 +271,15 @@ def test_embedding_rank_bound_enforced():
         NamedEmbedding("too-big", parse_group("SU(2)"), parse_group("SU(3)"))
 
 
-def test_embedding_tag_value():
-    emb = NamedEmbedding(
-        "tagged", parse_group("SU(3)"), parse_group("SU(2)"),
-        tags=frozenset({"winding:5", "block"}),
-    )
-    assert emb.tag_value("winding") == "5"
-    assert emb.tag_value("slope") is None
-    assert emb.has_tag("block")
+def test_embedding_typed_tag_fields():
+    su3, su2 = parse_group("SU(3)"), parse_group("SU(2)")
+    emb = NamedEmbedding("tagged", su3, su2, tags=frozenset({"block"}), winding=5)
+    assert (emb.winding, emb.slope, emb.contains) == (5, None, frozenset())
+    assert emb.tags == {"block"}
+    # a value-carrying prefix is a field, never a tag
+    for label in ("winding:1", "slope:5,1", "contains:t5-h-b"):
+        with pytest.raises(InvalidLabel, match=f"'{label}' is not a bare tag"):
+            NamedEmbedding("tagged", su3, su2, tags=frozenset({"block", label}))
 
 
 def test_group_helpers():

@@ -24,6 +24,19 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_only_the_catalog_loader_reads_value_carrying_tags():
+    # catalog.py parses winding:, slope: and contains: tags into NamedEmbedding fields, and lie_catalog.py
+    # refuses them as bare tags; any other module reads the typed fields
+    found = {
+        path.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(prefix in node.value for prefix in ("winding:", "slope:", "contains:"))
+    }
+    assert found <= {"catalog.py", "lie_catalog.py"}
+
+
 # -- the lazy package: exports resolve on first use ---------------------------
 
 

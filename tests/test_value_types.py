@@ -20,6 +20,13 @@ CASES = [
      "e: subgroup dimension exceeds ambient dimension"),
     (NamedEmbedding("e", SU3, SU2), {"homotopy_map_ranks": ((3, 2),)}, InvalidEmbedding,
      "e: degree-3 map rank 2 exceeds multiplicity bound"),
+    (NamedEmbedding("e", SU3, SU2), {"tags": frozenset({"block", "winding:1"})}, InvalidLabel,
+     "e: 'winding:1' is not a bare tag"),
+    (NamedEmbedding("e", SU3, SU2), {"winding": True}, InvalidLabel, "e: winding must be an int or None, got True"),
+    (NamedEmbedding("e", SU3, SU2), {"slope": (5,)}, InvalidLabel, "e: slope must be a pair of ints or None"),
+    (NamedEmbedding("e", SU3, SU2), {"slope": [5, 1]}, InvalidLabel, "e: slope must be a pair of ints or None"),
+    (NamedEmbedding("e", SU3, SU2), {"contains": {"h"}}, InvalidLabel,
+     "e: contains must be a frozenset of embedding ids"),
     (SphereActionRow(SU3, SU2, 5), {"sphere_dim": 4}, InvalidLabel, "dimension mismatch 8 - 3 != 4"),
     (IntegerPolynomial((1, 2)), {"coefficients": ("x",)}, ValueError, "invalid literal"),
     (BrieskornParams(4, 5), {"m": 1}, Unsupported, "m must be at least 3"),

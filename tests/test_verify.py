@@ -34,10 +34,10 @@ def test_report_covers_every_table():
 
 
 def test_contains_tags_reference_known_embeddings():
-    for emb in CAT.embeddings():
-        for tag in emb.tags:
-            if tag.startswith("contains:"):
-                CAT.embedding(tag.split(":", 1)[1])  # raises if unknown
+    declared = [target for emb in CAT.embeddings() for target in emb.contains]
+    assert declared
+    for target in declared:
+        CAT.embedding(target)  # raises if unknown
 
 
 def test_case6_record_fiber_tags_match_classifier_data():
