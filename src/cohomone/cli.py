@@ -3,18 +3,19 @@
 Every subcommand reads scalar flags (and, for diagrams, a JSON document
 from a file or stdin) and writes one deterministic JSON payload to
 stdout.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-Each handler imports the modules it runs, and only the subcommands in
-``_READS_CATALOG`` load the catalog, so a process does not pay for the
-other subcommands' modules or for a catalog it does not read.
+One table, ``_COMMANDS``, gives each subcommand's handler, flags, library
+operations and whether it reads the catalog; a small parser reads it.
+Each handler imports the modules it runs, and only the subcommands that
+read the catalog load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import CohomoneError, InvalidParams
 
@@ -22,34 +23,6 @@ if TYPE_CHECKING:
     from .catalog import Catalog
     from .diagram import GroupDiagram
     from .polynomial import IntegerPolynomial
-
-#: which subcommand exercises each public library operation (coverage-tested)
-OP_COVERAGE = {
-    "canonicalize": "degrees",
-    "degrees": "degrees",
-    "weyl_order": "degrees",
-    "transitive_sphere_pairs": "verify-tables",
-    "sphere_quotient": "verify-tables",
-    "spheres_acted_on": "verify-tables",
-    "quotient_homotopy": "quotient",
-    "hilbert_series": "hilbert",
-    "euler_characteristic": "hilbert",
-    "odd_product_poincare": "mv-check",
-    "validate": "classify",
-    "gh_classify": "gh-case",
-    "primitivity": "primitivity",
-    "double_disk_euler": "verify-tables",
-    "mv_feasible": "mv-check",
-    "delta_poly": "brieskorn",
-    "delta_at_one": "brieskorn",
-    "homology": "brieskorn",
-    "enumerate_corank2": "verify-tables",
-    "table3_filter": "verify-tables",
-    "seven_family_torsion": "seven-family",
-    "realize_torsion": "seven-family",
-    "case6_pairs": "verify-tables",
-    "classify_diagram": "classify",
-}
 
 
 class CommandResult(NamedTuple):
@@ -59,11 +32,6 @@ class CommandResult(NamedTuple):
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit code 2, diagnostics on stderr
-        raise _UsageError(message)
 
 
 def _integers(values: list[str], flag: str) -> tuple[int, ...]:
@@ -85,10 +53,16 @@ def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
 
     dims = _integers([v for v in text.split(",") if v.strip()], flag)
     if any(d < 1 for d in dims) or sum(dims) > MAX_SPHERE_DIM:
-        raise _UsageError(
-            f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}"
-        )
+        raise _UsageError(f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}")
     return odd_product_poincare(dims)
+
+
+def _printable(value: int, what: str) -> int:
+    """``value``, or InvalidParams if it has more digits than this interpreter prints."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent before Python 3.10.7: no limit
+    if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:  # 2^(3k) < 10^k
+        raise InvalidParams(f"{what} has more than {digits} digits, more than this interpreter prints")
+    return value
 
 
 def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
@@ -98,7 +72,7 @@ def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
         raise _UsageError(f"cannot read diagram file {spec}: {exc}") from exc
     try:
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer with more digits than int() reads
         raise _UsageError(f"diagram document {spec} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise _UsageError(f"diagram document {spec} is not a JSON object")
@@ -123,14 +97,10 @@ def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
 
     family = document.get("family")
     if family == "brieskorn":
-        return brieskorn_diagram(
-            _int_key(document, "m"), _int_key(document, "d"), document.get("variant", "standard")
-        )
+        return brieskorn_diagram(_int_key(document, "m"), _int_key(document, "d"), document.get("variant", "standard"))
     if family == "seven":
-        params = SevenFamilyParams(
-            *(_int_key(document, key) for key in ("p_minus", "q_minus", "p_plus", "q_plus"))
-        )
-        return seven_family_diagram(params)
+        keys = ("p_minus", "q_minus", "p_plus", "q_plus")
+        return seven_family_diagram(SevenFamilyParams(*(_int_key(document, key) for key in keys)))
     if family == "tensor-su":
         return tensor_su_diagram(_int_key(document, "n"))
     if family == "tensor-sp":
@@ -140,81 +110,19 @@ def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     return catalog.diagram_from_record(document)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cohomone", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("brieskorn", help="monodromy polynomial and homology of B^(2m-1)_d")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = sub.add_parser("degrees", help="rank, dimension, degrees and Weyl order of a group")
-    p.add_argument("--group", required=True, help="group expression, e.g. 'SU(3)xSU(2)'")
-
-    p = sub.add_parser("quotient", help="rational homotopy of G/H for a catalogued inclusion")
-    p.add_argument("--embedding", required=True, help="catalog embedding id")
-
-    p = sub.add_parser("hilbert", help="equal-rank Poincare series and Euler characteristic")
-    p.add_argument("--embedding", required=True, help="catalog embedding id")
-
-    p = sub.add_parser("gh-case", help="compatible homotopy-fiber cases and forced dimensions")
-    p.add_argument("--l-minus", type=int, required=True)
-    p.add_argument("--l-plus", type=int, required=True)
-    p.add_argument("--h", type=int, required=True, help="number of non-orientable singular orbits")
-    p.add_argument("--fiber", default=None, help="exceptional fiber tag to select")
-
-    p = sub.add_parser("classify", help="classify a diagram document")
-    p.add_argument("--diagram", required=True, help="JSON file path or '-' for stdin")
-
-    p = sub.add_parser("primitivity", help="scan the shipped lattice for non-primitivity witnesses")
-    p.add_argument("--diagram", required=True, help="JSON file path or '-' for stdin")
-    p.add_argument("--rational-sphere", action="store_true",
-                   help="assert the total space is a rational sphere")
-
-    p = sub.add_parser("mv-check", help="Mayer-Vietoris rank feasibility for Betti data")
-    p.add_argument("--n", type=int, required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--p-h", help="comma-separated Betti numbers of G/H by degree")
-    g.add_argument("--h-spheres", help="sphere dimensions whose product models G/H")
-    p.add_argument("--p-k-plus", help="Betti numbers of G/K+")
-    p.add_argument("--k-plus-spheres", help="sphere dimensions whose product models G/K+")
-    p.add_argument("--p-k-minus", help="Betti numbers of G/K-")
-    p.add_argument("--k-minus-spheres", help="sphere dimensions whose product models G/K-")
-
-    p = sub.add_parser("seven-family", help="torsion arithmetic of the seven-manifold family")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--realize", type=int, help="build parameters realizing this torsion order")
-    g.add_argument("--p-minus", type=int)
-    p.add_argument("--q-minus", type=int, default=1)
-    p.add_argument("--p-plus", type=int, default=None)
-    p.add_argument("--q-plus", type=int, default=1)
-
-    p = sub.add_parser("verify-tables", help="verify every shipped table and closed form")
-    p.add_argument("--timings", action="store_true",
-                   help="also write each report section's wall time in seconds, as JSON, to stderr")
-    return parser
-
-
-_PARSER = _build_parser()  # parse_args keeps no state between calls
-
-
 def _cmd_brieskorn(args) -> CommandResult:
     from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
 
     params = BrieskornParams(args.m, args.d)
-    groups = homology(params)
-    payload = {
+    return CommandResult(0, {
         "m": params.m,
         "d": params.d,
         "delta_coeffs": delta_poly(params).as_list(),
         "delta_at_one": delta_at_one(params),
-        "homology": [
-            {"degree": e.degree, "free_rank": e.free_rank, "torsion": list(e.torsion)}
-            for e in groups.entries
-        ],
+        "homology": [{"degree": e.degree, "free_rank": e.free_rank, "torsion": list(e.torsion)}
+                     for e in homology(params).entries],
         "rational_sphere": rational_sphere_gate(params),
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_degrees(args) -> CommandResult:
@@ -224,19 +132,13 @@ def _cmd_degrees(args) -> CommandResult:
     group = parse_group(args.group)
     if group.dimension > MAX_SPHERE_DIM:  # the degree list and the Weyl order grow with it
         raise InvalidParams(f"--group names a group of dimension {group.dimension}, above {MAX_SPHERE_DIM}")
-    order = weyl_order(group)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent before Python 3.10.7: no limit
-    if digits and order >= 10**digits:
-        raise InvalidParams(f"--group names a group whose Weyl order has more than {digits} digits, "
-                            "more than this interpreter prints")
-    payload = {
+    return CommandResult(0, {
         "group": str(group),
         "rank": group.rank,
         "dimension": group.dimension,
         "degrees": list(degrees(group)),
-        "weyl_order": order,
-    }
-    return CommandResult(0, payload)
+        "weyl_order": _printable(weyl_order(group), "--group names a group whose Weyl order"),
+    })
 
 
 def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
@@ -244,7 +146,7 @@ def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
 
     embedding = catalog.embedding(args.embedding)
     qh = quotient_homotopy(embedding)
-    payload = {
+    return CommandResult(0, {
         "embedding": embedding.id,
         "ambient": str(embedding.ambient),
         "subgroup": str(embedding.subgroup),
@@ -252,35 +154,29 @@ def _cmd_quotient(args, catalog: Catalog) -> CommandResult:
         "even_degrees": list(qh.even_degrees),
         "heuristic": qh.heuristic,
         "dimension": embedding.ambient.dimension - embedding.subgroup.dimension,
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_hilbert(args, catalog: Catalog) -> CommandResult:
     from .rational_homotopy import euler_characteristic, hilbert_series
 
     embedding = catalog.embedding(args.embedding)
-    series = hilbert_series(embedding)
-    payload = {
+    return CommandResult(0, {
         "embedding": embedding.id,
-        "coefficients": series.as_list(),
+        "coefficients": hilbert_series(embedding).as_list(),
         "euler_characteristic": euler_characteristic(embedding),
         "dimension": embedding.ambient.dimension - embedding.subgroup.dimension,
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_gh_case(args) -> CommandResult:
     from .diagram import gh_classify
 
-    cases = gh_classify(args.l_minus, args.l_plus, args.h, args.fiber)
-    payload = {
+    return CommandResult(0, {
         "query": {"l_minus": args.l_minus, "l_plus": args.l_plus, "h": args.h, "fiber": args.fiber},
-        "cases": [
-            {"case": c.case_index, "fiber": c.fiber_model, "dim": c.forced_dim} for c in cases
-        ],
-    }
-    return CommandResult(0, payload)
+        "cases": [{"case": c.case_index, "fiber": c.fiber_model, "dim": c.forced_dim}
+                  for c in gh_classify(args.l_minus, args.l_plus, args.h, args.fiber)],
+    })
 
 
 def _cmd_classify(args, catalog: Catalog) -> CommandResult:
@@ -288,14 +184,15 @@ def _cmd_classify(args, catalog: Catalog) -> CommandResult:
 
     diagram = _load_diagram(args.diagram, catalog)
     outcome = classify_diagram(diagram, catalog)
-    payload = {
+    for key in ("d", "torsion"):  # a winding, slope or family parameter can make either one too long to print
+        _printable(getattr(outcome, key) or 0, f"the classify outcome's {key}")
+    return CommandResult(0, {
         "group": str(diagram.g),
         "ell_minus": diagram.ell_minus,
         "ell_plus": diagram.ell_plus,
         "manifold_dim": diagram.manifold_dim,
         "outcome": outcome.as_dict(),
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
@@ -304,31 +201,29 @@ def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
     diagram = _load_diagram(args.diagram, catalog)
     lattice = catalog.lattice_for(diagram.g)
     result = primitivity(diagram, lattice, assert_rational_sphere=args.rational_sphere)
-    payload = {
+    return CommandResult(0, {
         "group": str(diagram.g),
         "lattice_size": len(lattice),
         "verdict": result.verdict,
         "witness": result.witness,
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_mv_check(args) -> CommandResult:
     from .diagram import mv_feasible
 
-    def pick(coeffs: Optional[str], spheres: Optional[str], name: str) -> IntegerPolynomial:
-        coeff_flag, sphere_flag = name.split("/")
+    def pick(coeffs: Optional[str], spheres: Optional[str], coeff_flag: str, sphere_flag: str) -> IntegerPolynomial:
         if coeffs is not None:
             return _coeffs(coeffs, coeff_flag)
         if spheres is not None:
             return _sphere_poly(spheres, sphere_flag)
-        raise _UsageError(f"missing {name} (give Betti coefficients or sphere dimensions)")
+        raise _UsageError(f"missing {coeff_flag}/{sphere_flag} (give Betti coefficients or sphere dimensions)")
 
-    p_h = pick(args.p_h, args.h_spheres, "--p-h/--h-spheres")
-    p_kp = pick(args.p_k_plus, args.k_plus_spheres, "--p-k-plus/--k-plus-spheres")
-    p_km = pick(args.p_k_minus, args.k_minus_spheres, "--p-k-minus/--k-minus-spheres")
+    p_h = pick(args.p_h, args.h_spheres, "--p-h", "--h-spheres")
+    p_kp = pick(args.p_k_plus, args.k_plus_spheres, "--p-k-plus", "--k-plus-spheres")
+    p_km = pick(args.p_k_minus, args.k_minus_spheres, "--p-k-minus", "--k-minus-spheres")
     result = mv_feasible(p_h, p_kp, p_km, args.n)
-    payload = {
+    return CommandResult(0, {
         "n": args.n,
         "p_h": p_h.as_list(),
         "p_k_plus": p_kp.as_list(),
@@ -336,26 +231,23 @@ def _cmd_mv_check(args) -> CommandResult:
         "verdict": result.verdict,
         "failing_degree": result.failing_degree,
         "rank_profile": [list(row) for row in result.rank_profile],
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_seven_family(args) -> CommandResult:
     from .classification import SevenFamilyParams, realize_torsion, seven_family_torsion
 
-    if args.realize is not None:
-        params = realize_torsion(args.realize)
-    else:
-        if args.p_plus is None:
-            raise _UsageError("--p-plus is required with --p-minus")
-        params = SevenFamilyParams(args.p_minus, args.q_minus, args.p_plus, args.q_plus)
-    torsion = seven_family_torsion(params)
-    payload = {
+    if args.realize is None and args.p_plus is None:
+        raise _UsageError("--p-plus is required with --p-minus")
+    params = realize_torsion(args.realize) if args.realize is not None else \
+        SevenFamilyParams(args.p_minus, args.q_minus, args.p_plus, args.q_plus)
+    torsion = _printable(seven_family_torsion(params), "the seven-family torsion")
+    _printable(max(map(abs, params)), "a seven-family parameter")  # --realize t gives 2t+1
+    return CommandResult(0, {
         "params": params._asdict(),
         "torsion": torsion,
         "rational_sphere": torsion != 0,
-    }
-    return CommandResult(0, payload)
+    })
 
 
 def _cmd_verify_tables(args, catalog: Catalog) -> CommandResult:
@@ -368,33 +260,146 @@ def _cmd_verify_tables(args, catalog: Catalog) -> CommandResult:
     return CommandResult(0 if report["summary"]["ok"] else 1, report)
 
 
-_HANDLERS = {
-    "brieskorn": _cmd_brieskorn,
-    "degrees": _cmd_degrees,
-    "quotient": _cmd_quotient,
-    "hilbert": _cmd_hilbert,
-    "gh-case": _cmd_gh_case,
-    "classify": _cmd_classify,
-    "primitivity": _cmd_primitivity,
-    "mv-check": _cmd_mv_check,
-    "seven-family": _cmd_seven_family,
-    "verify-tables": _cmd_verify_tables,
+class _Flag(NamedTuple):
+    kind: type  # int, str, or bool for a switch
+    help: str
+    required: bool = False  # in a group: one flag of the group is required
+    default: object = None
+    group: Optional[str] = None  # the flags of one group exclude one another
+
+
+class _Command(NamedTuple):
+    handler: Callable[..., CommandResult]
+    help: str
+    flags: dict[str, _Flag]
+    reads_catalog: bool  # only these handlers take the catalog; the others never load it
+    covers: tuple[str, ...]  # the public library operations the subcommand exercises (coverage-tested)
+
+
+_DIAGRAM = _Flag(str, "JSON file path or '-' for stdin", True)
+_EMBEDDING = _Flag(str, "catalog embedding id", True)
+
+_COMMANDS = {
+    "brieskorn": _Command(_cmd_brieskorn, "monodromy polynomial and homology of B^(2m-1)_d", {
+        "--m": _Flag(int, "the link B^(2m-1)_d has dimension 2m-1", True),
+        "--d": _Flag(int, "the exponent of z_0 in z_0^d + z_1^2 + ... + z_m^2", True),
+    }, False, ("delta_poly", "delta_at_one", "homology")),
+    "degrees": _Command(_cmd_degrees, "rank, dimension, degrees and Weyl order of a group",
+                        {"--group": _Flag(str, "group expression, e.g. 'SU(3)xSU(2)'", True)},
+                        False, ("canonicalize", "degrees", "weyl_order")),
+    "quotient": _Command(_cmd_quotient, "rational homotopy of G/H for a catalogued inclusion",
+                         {"--embedding": _EMBEDDING}, True, ("quotient_homotopy",)),
+    "hilbert": _Command(_cmd_hilbert, "equal-rank Poincare series and Euler characteristic",
+                        {"--embedding": _EMBEDDING}, True, ("hilbert_series", "euler_characteristic")),
+    "gh-case": _Command(_cmd_gh_case, "compatible homotopy-fiber cases and forced dimensions", {
+        "--l-minus": _Flag(int, "the sphere dimension of K-/H", True),
+        "--l-plus": _Flag(int, "the sphere dimension of K+/H", True),
+        "--h": _Flag(int, "number of non-orientable singular orbits", True),
+        "--fiber": _Flag(str, "exceptional fiber tag to select"),
+    }, False, ("gh_classify",)),
+    "classify": _Command(_cmd_classify, "classify a diagram document",
+                         {"--diagram": _DIAGRAM}, True, ("validate", "classify_diagram")),
+    "primitivity": _Command(_cmd_primitivity, "scan the shipped lattice for non-primitivity witnesses", {
+        "--diagram": _DIAGRAM,
+        "--rational-sphere": _Flag(bool, "assert the total space is a rational sphere", default=False),
+    }, True, ("primitivity",)),
+    "mv-check": _Command(_cmd_mv_check, "Mayer-Vietoris rank feasibility for Betti data", {
+        "--n": _Flag(int, "the dimension of the rational sphere", True),
+        "--p-h": _Flag(str, "comma-separated Betti numbers of G/H by degree", True, group="p-h"),
+        "--h-spheres": _Flag(str, "sphere dimensions whose product models G/H", True, group="p-h"),
+        "--p-k-plus": _Flag(str, "Betti numbers of G/K+"),
+        "--k-plus-spheres": _Flag(str, "sphere dimensions whose product models G/K+"),
+        "--p-k-minus": _Flag(str, "Betti numbers of G/K-"),
+        "--k-minus-spheres": _Flag(str, "sphere dimensions whose product models G/K-"),
+    }, False, ("odd_product_poincare", "mv_feasible")),
+    "seven-family": _Command(_cmd_seven_family, "torsion arithmetic of the seven-manifold family", {
+        "--realize": _Flag(int, "build parameters realizing this torsion order", True, group="params"),
+        "--p-minus": _Flag(int, "p- of the slope (p-, q-), 1 mod 4; needs --p-plus", True, group="params"),
+        "--q-minus": _Flag(int, "q- of the slope (p-, q-), 1 mod 4", default=1),
+        "--p-plus": _Flag(int, "p+ of the slope (p+, q+), 1 mod 4"),
+        "--q-plus": _Flag(int, "q+ of the slope (p+, q+), 1 mod 4", default=1),
+    }, False, ("seven_family_torsion", "realize_torsion")),
+    "verify-tables": _Command(_cmd_verify_tables, "verify every shipped table and closed form", {
+        "--timings": _Flag(bool, "also write each report section's seconds, as JSON, to stderr", default=False),
+    }, True, ("transitive_sphere_pairs", "sphere_quotient", "spheres_acted_on", "double_disk_euler",
+              "enumerate_corank2", "table3_filter", "case6_pairs")),
 }
-#: the subcommands whose handler takes the catalog; the rest never load it
-_READS_CATALOG = frozenset({"quotient", "hilbert", "classify", "primitivity", "verify-tables"})
+
+
+def _parse(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
+    """The subcommand of a command line and its flag values; no values means help was asked for."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if argv[0] not in _COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    flags, values, tokens = _COMMANDS[argv[0]].flags, {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return argv[0], None
+        name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+        flag = flags.get(name)  # an exact name: no prefix abbreviations
+        if flag is None:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if name in values:
+            raise _UsageError(f"argument {name}: given more than once")
+        if flag.kind is bool:
+            if eq:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, "--")  # as with argparse, '-' (stdin) and negative integers are values
+            if value[:1] == "-" and value != "-" and not value[1:].isdigit():
+                raise _UsageError(f"argument {name}: expected one argument")
+        if flag.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+        values[name] = value
+    chosen: dict[str, str] = {}  # an exclusive group, or a flag outside any -> the flag given for it
+    for name in values:
+        key = flags[name].group or name
+        if chosen.setdefault(key, name) != name:
+            raise _UsageError(f"argument {name}: not allowed with argument {chosen[key]}")
+    missing = [name for name, flag in flags.items() if flag.required and (flag.group or name) not in chosen]
+    if missing:  # like argparse, name the missing flags outside any group first (a command has one group at most)
+        plain = [name for name in missing if not flags[name].group]
+        raise _UsageError(f"the following arguments are required: {', '.join(plain)}" if plain
+                          else f"one of the arguments {' '.join(missing)} is required")
+    return argv[0], SimpleNamespace(**{name[2:].replace("-", "_"): values.get(name, flag.default)
+                                       for name, flag in flags.items()})
+
+
+def _usage(command: Optional[str]) -> dict:
+    """The help payload, built from the table: the subcommands, or one subcommand's flags."""
+    if command is None:
+        return {"usage": "cohomone COMMAND [FLAGS]; cohomone COMMAND --help lists its flags",
+                "commands": {name: entry.help for name, entry in _COMMANDS.items()}}
+    flags, words = _COMMANDS[command].flags, {}  # words: an exclusive group, or a flag outside any -> usage
+    for name, flag in flags.items():
+        word = name if flag.kind is bool else f"{name} {flag.kind.__name__.upper()}"
+        words.setdefault(flag.group or name, []).append(word if flag.required else f"[{word}]")
+    usage = " ".join(" | ".join(w).join("()") if len(w) > 1 else w[0] for w in words.values())
+    return {"usage": f"cohomone {command} {usage}", "help": _COMMANDS[command].help, "flags": {
+        name: flag.help + ("" if flag.default in (None, False) else f" (default {flag.default})")
+        for name, flag in flags.items()}}
 
 
 def run(argv: list[str], catalog: Optional[Catalog] = None) -> CommandResult:
     """Dispatch one command line; returns the exit code and JSON payload."""
     try:
-        args = _PARSER.parse_args(argv)
-        if args.command not in _READS_CATALOG:
-            return _HANDLERS[args.command](args)
-        if catalog is None:
-            from .catalog import default_catalog
+        command, args = _parse(argv)
+        if args is None:
+            return CommandResult(0, _usage(command))
+        entry = _COMMANDS[command]
+        if not entry.reads_catalog:
+            return entry.handler(args)
+        from .catalog import default_catalog
 
-            catalog = default_catalog()
-        return _HANDLERS[args.command](args, catalog)
+        return entry.handler(args, default_catalog() if catalog is None else catalog)
     except _UsageError as exc:
         return CommandResult(2, {"error": str(exc)})
     except CohomoneError as exc:
@@ -407,10 +412,7 @@ def render(payload: dict) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    if result.exit_code == 2:
-        sys.stderr.write(render(result.payload))
-    else:
-        sys.stdout.write(render(result.payload))
+    (sys.stderr if result.exit_code == 2 else sys.stdout).write(render(result.payload))
     return result.exit_code
 
 

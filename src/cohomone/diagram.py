@@ -383,8 +383,9 @@ def mv_feasible(
         b_k(H)            = s_k + delta_k
 
     with b(M) = 1 in degrees 0 and n.  Feasible iff every rank is
-    non-negative and the final connecting rank is zero.  The scan is
-    linear in n, so n above ``MAX_SPHERE_DIM`` is refused.
+    non-negative: the scan runs one degree past every non-zero Betti
+    number, where r = -delta_(k-1), so the final connecting rank is zero.
+    It is linear in n, so n above ``MAX_SPHERE_DIM`` is refused.
     """
     if not 1 <= n <= MAX_SPHERE_DIM:
         raise InvalidParams(f"the sphere dimension n must be between 1 and {MAX_SPHERE_DIM}, got {n}")
@@ -394,7 +395,6 @@ def mv_feasible(
     top = max(n, p_h.degree, p_k_plus.degree, p_k_minus.degree) + 1
     profile: list[tuple[int, int, int]] = []
     delta_prev = 0
-    verdict, failing = "feasible", None
     for k in range(top + 1):
         b_m = 1 if k in (0, n) else 0
         r = b_m - delta_prev
@@ -402,10 +402,6 @@ def mv_feasible(
         delta = p_h.coefficient(k) - s
         profile.append((r, s, delta))
         if r < 0 or s < 0 or delta < 0:
-            verdict, failing = "infeasible", k
-            break
+            return MVFeasibility("infeasible", k, tuple(profile))
         delta_prev = delta
-    else:
-        if delta_prev != 0:
-            verdict, failing = "infeasible", top
-    return MVFeasibility(verdict, failing, tuple(profile))
+    return MVFeasibility("feasible", None, tuple(profile))

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import shutil
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohomone
 from cohomone.catalog import data_dir, load_catalog
-from cohomone.cli import OP_COVERAGE, _HANDLERS, main, render, run
+from cohomone.cli import _COMMANDS, main, render, run
 
 
 def payload(argv, expect_code=0, catalog=None):
@@ -175,8 +179,8 @@ def test_every_operation_covered_by_exactly_one_subcommand():
         "enumerate_corank2", "table3_filter", "seven_family_torsion",
         "realize_torsion", "case6_pairs", "classify_diagram",
     }
-    assert set(OP_COVERAGE) == operations
-    assert set(OP_COVERAGE.values()) <= set(_HANDLERS)
+    covered = [op for command in _COMMANDS.values() for op in command.covers]
+    assert sorted(covered) == sorted(operations)  # each operation once
     for op in operations:
         assert hasattr(cohomone, op), op
 
@@ -373,3 +377,165 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     for bad in (["brieskorn", "--m", "x"], ["seven-family", "--p-minus", "1"], ["no-such-command"], []):
         assert run(bad).exit_code == 2
     assert [render(run(argv).payload) for argv in commands] == before
+
+
+# -- the command table and its parser -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([], "the following arguments are required: command"),
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from 'brieskorn', "),
+        (["brieskorn", "--m", "4"], "the following arguments are required: --d"),
+        (["brieskorn", "--m", "x", "--d", "3"], "argument --m: invalid int value: 'x'"),
+        (["brieskorn", "--d", "3", "--m"], "argument --m: expected one argument"),
+        (["brieskorn", "--m", "--d", "3"], "argument --m: expected one argument"),
+        (["brieskorn", "--m", "4", "--d", "5", "--foo"], "unrecognized arguments: --foo"),
+        (["brieskorn", "--m", "4", "--d", "5", "extra"], "unrecognized arguments: extra"),
+        (["seven-family"], "one of the arguments --realize --p-minus is required"),
+        (["seven-family", "--realize", "2", "--p-minus", "1"],
+         "argument --p-minus: not allowed with argument --realize"),
+        (["mv-check", "--p-h", "1", "--n", "5", "--h-spheres", "3"],
+         "argument --h-spheres: not allowed with argument --p-h"),
+        (["verify-tables", "--timings=1"], "argument --timings: ignored explicit argument '1'"),
+        (["degrees", "--group", "-h"], "argument --group: expected one argument"),
+        # decisions: no prefix abbreviations, and no flag given twice
+        (["quotient", "--emb", "su6-sp3"], "unrecognized arguments: --emb"),
+        (["mv-check", "--n", "5", "--p", "1"], "unrecognized arguments: --p"),
+        (["brieskorn", "--m", "4", "--m", "5", "--d", "5"], "argument --m: given more than once"),
+        (["verify-tables", "--timings", "--timings"], "argument --timings: given more than once"),
+    ],
+)
+def test_usage_errors_name_the_flag(argv, error):
+    result = run(argv)
+    assert result.exit_code == 2 and result.payload["error"].startswith(error)
+
+
+def test_flag_values_may_be_negative_or_joined_with_equals():
+    out = payload(["seven-family", "--p-minus", "-3", "--p-plus=1", "--q-minus=-7"])
+    assert out["params"] == {"p_minus": -3, "q_minus": -7, "p_plus": 1, "q_plus": 1}
+    assert payload(["brieskorn", "--m=4", "--d=5"]) == payload(["brieskorn", "--d", "5", "--m", "4"])
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_table(flag, capsys):
+    assert main([flag]) == 0
+    top = json.loads(capsys.readouterr().out)
+    assert list(top["commands"]) == sorted(_COMMANDS)
+    for command, entry in _COMMANDS.items():
+        out = payload([command, flag])
+        assert out["help"] == entry.help and list(out["flags"]) == list(entry.flags)
+    assert payload(["seven-family", "--realize", "2", flag])["usage"] == (
+        "cohomone seven-family (--realize INT | --p-minus INT) [--q-minus INT] [--p-plus INT] [--q-plus INT]"
+    )
+    assert payload(["primitivity", flag])["usage"] == "cohomone primitivity --diagram STR [--rational-sphere]"
+    assert payload(["seven-family", flag])["flags"]["--q-plus"].endswith("(default 1)")
+
+
+# -- integers too long to read or to print ----------------------------------------
+
+HUGE = "1" + "0" * 2199 + "1"  # 10^2200 + 1 = 1 mod 4: its square has 4401 digits
+
+
+def test_document_integer_too_long_to_read_exits_2(tmp_path):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"family": "brieskorn", "m": 7, "d": 1' + "0" * 5000 + "}")
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2 and str(doc) in result.payload["error"]
+    assert "not valid JSON" in result.payload["error"]
+
+
+def test_huge_seven_family_torsion_exits_2(tmp_path, capsys):
+    assert main(["seven-family", "--p-minus", HUGE, "--p-plus", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        "InvalidParams: the seven-family torsion has more than 4300 digits")
+    result = run(["seven-family", "--realize", "9" * 4300])  # p+ = 2t + 1 has 4301 digits
+    assert result.exit_code == 2 and "a seven-family parameter has more than" in result.payload["error"]
+    doc = tmp_path / "seven.json"
+    doc.write_text(f'{{"family": "seven", "p_minus": {HUGE}, "q_minus": 1, "p_plus": 1, "q_plus": 1}}')
+    for command, code in (("classify", 2), ("primitivity", 0)):  # primitivity prints no torsion
+        result = run([command, "--diagram", str(doc)])
+        assert result.exit_code == code, result.payload
+    assert "the classify outcome's torsion has more than" in run(["classify", "--diagram", str(doc)]).payload["error"]
+
+
+def test_huge_catalog_winding_exits_2(tmp_path):
+    # a Brieskorn-shaped record with components (1, 1, 1): d = 2|winding| = 10^4300 has 4301 digits
+    for name in ("embeddings.json", "diagrams.json"):
+        shutil.copy(data_dir() / name, tmp_path / name)
+    data = json.loads((tmp_path / "embeddings.json").read_text())
+    data["embeddings"] += [
+        {"id": "bk-h", "ambient": "T1xSO(4)", "subgroup": "T1", "tags": ["block", "proper-projections"]},
+        {"id": "bk-km", "ambient": "T1xSO(4)", "subgroup": "T2", "tags": ["winding:5" + "0" * 4299]},
+        {"id": "bk-kp", "ambient": "T1xSO(4)", "subgroup": "SO(3)", "tags": ["block"]},
+        {"id": "bk-h-km", "ambient": "T2", "subgroup": "T1", "tags": ["block"]},
+        {"id": "bk-h-kp", "ambient": "SO(3)", "subgroup": "T1", "tags": ["block"]},
+    ]
+    (tmp_path / "embeddings.json").write_text(json.dumps(data))
+    doc = tmp_path / "record.json"
+    doc.write_text(json.dumps({
+        "g": "T1xSO(4)", "h": "bk-h", "k_minus": "bk-km", "k_plus": "bk-kp",
+        "h_in_k_minus": "bk-h-km", "h_in_k_plus": "bk-h-kp",
+        "component_counts": {"h": 1, "k_minus": 1, "k_plus": 1},
+    }))
+    result = run(["classify", "--diagram", str(doc)], load_catalog(tmp_path))
+    assert result.exit_code == 2, result.payload
+    assert result.payload["error"].startswith("InvalidParams: the classify outcome's d has more than 4300 digits")
+
+
+# -- fuzzed command lines -------------------------------------------------------------
+
+#: flag values: small integers (so that no draw runs long), negative ones among them, and texts that some
+#: flags read and others refuse
+VALUES = st.integers(-40, 40).map(str) | st.sampled_from([
+    "x", "1.5", "", "1,0,1", "1,a", "3,5", "2,3,5", "G2", "SU(3)xSU(2)", "SU(6", "su6-sp3", "t2-in-su3", "nope",
+])
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("documents")
+    texts = {
+        "row.json": '{"catalog": "t5-row1"}', "brieskorn.json": '{"family": "brieskorn", "m": 6, "d": 4}',
+        "seven.json": '{"family": "seven", "p_minus": -3, "q_minus": 1, "p_plus": 5, "q_plus": 1}',
+        "array.json": "[1, 2]", "broken.json": "{not json",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in [*texts, "missing.json"]]
+
+
+@st.composite
+def command_lines(draw, documents):
+    """An argv drawn from the command table: known and unknown subcommands and flags, missing and
+    malformed values, `--flag=value`, prefix abbreviations, repeats, help and exclusive pairs."""
+    command = draw(st.sampled_from([*_COMMANDS, "no-such-command", "-h", "--help"]))
+    flags = list(_COMMANDS.get(command, _COMMANDS["mv-check"]).flags)
+    argv = [command]
+    for _ in range(draw(st.integers(0, 7))):
+        known = st.sampled_from(flags)
+        odd = st.sampled_from(["--foo", "-h", "extra"]) | known.map(lambda f: f[:-1])  # f[:-1]: an abbreviation
+        name = draw(st.one_of(known, known, known, odd))
+        value = draw(st.none() | VALUES | st.sampled_from(documents))
+        if value is None:
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv += [name, value]
+        else:
+            argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_command_lines_exit_0_1_or_2_with_json(documents, data):
+    argv = data.draw(command_lines(documents))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert isinstance(json.loads(err.getvalue())["error"], str)
+    else:
+        assert isinstance(json.loads(out.getvalue()), dict)

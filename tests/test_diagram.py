@@ -1,5 +1,7 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomone.catalog import default_catalog
 from cohomone.diagram import (
@@ -326,6 +328,36 @@ def test_mv_alternating_sum_identity_when_feasible():
             for k in range(top + 1)
         )
         assert lhs == 1 + (-1) ** n
+
+
+def mv_brute_force(p_h, p_kp, p_km, n):
+    """Is there any non-negative (r_k, s_k, delta_k) for every degree k that solves the exactness system?
+
+    Each rank is tried over its whole range: r_k and s_k up to b_k(K+) + b_k(K-), delta_k up to b_k(H).
+    Above the top degree every Betti number is zero, which forces the last delta to be zero.
+    """
+    top = max(n, p_h.degree, p_kp.degree, p_km.degree) + 1
+
+    def search(k, delta_prev):
+        if k > top:
+            return delta_prev == 0
+        b_m, b_k, b_h = 1 if k in (0, n) else 0, p_kp.coefficient(k) + p_km.coefficient(k), p_h.coefficient(k)
+        return any(
+            search(k + 1, delta)
+            for r in range(b_k + 1) for s in range(b_k + 1) for delta in range(b_h + 1)
+            if b_m == delta_prev + r and b_k == r + s and b_h == s + delta
+        )
+
+    return search(0, 0)
+
+
+betti = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(lambda c: IntegerPolynomial([1, *c]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(betti, betti, betti, st.integers(1, 8))  # a few percent of the draws are feasible
+def test_mv_feasible_agrees_with_brute_force(p_h, p_kp, p_km, n):
+    assert (mv_feasible(p_h, p_kp, p_km, n).verdict == "feasible") == mv_brute_force(p_h, p_kp, p_km, n)
 
 
 def test_mv_rejects_bad_input():

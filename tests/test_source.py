@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -60,13 +61,14 @@ def test_unknown_attribute_raises_attribute_error():
 # -- what a fresh interpreter imports ------------------------------------------
 
 
-def loaded_after(code: str) -> set[str]:
+@functools.lru_cache(maxsize=None)  # several tests probe the same processes
+def loaded_after(code: str) -> frozenset[str]:
     """Every module a fresh interpreter holds after running ``code``."""
     probe = f"{code}\nimport sys\nprint(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return frozenset(done.stdout.split())
 
 
 def modules_after(code: str) -> set[str]:
@@ -118,13 +120,24 @@ EVERY_SUBCOMMAND = [
 ]
 
 
-@pytest.mark.parametrize("code", [
+#: the code of every kind of process: a bare front-end import, a catalog load and each subcommand
+EVERY_PROCESS = [
     pytest.param("import cohomone.cli", id="import-cli"),
     pytest.param("import cohomone\ncohomone.default_catalog()", id="default-catalog"),
     *(pytest.param(f"import io, sys\nsys.stdin = io.StringIO('{{\"catalog\": \"wu-s3s1\"}}')\n"
                    f"from cohomone.cli import run\nassert run({argv!r}).exit_code == 0", id=argv[0])
       for argv in EVERY_SUBCOMMAND),
-])
+]
+
+
+@pytest.mark.parametrize("code", EVERY_PROCESS)
 def test_no_process_imports_dataclasses_or_inspect(code):
     # value types are named tuples: importing dataclasses (and with it inspect) cost every process about 10 ms
     assert not loaded_after(code) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("code", EVERY_PROCESS)
+def test_no_process_imports_argparse(code):
+    # the front end parses flags from its own command table: argparse, with the gettext and locale it
+    # imports, cost every process 2-4 ms to import
+    assert not loaded_after(code) & {"argparse", "gettext", "locale"}
