@@ -52,7 +52,7 @@ class HomologyEntry(namedtuple("HomologyEntry", "degree free_rank torsion")):
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     def __new__(cls, degree: int, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> "HomologyEntry":
-        if free_rank < 0 or any(t < 2 for t in torsion):
+        if free_rank < 0 or torsion and min(torsion) < 2:
             raise InvalidParams(f"malformed homology entry in degree {degree}")
         if free_rank == 0 and not torsion:
             raise InvalidParams(f"empty homology entry in degree {degree}")
@@ -66,9 +66,9 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
     def __new__(cls, entries: tuple[HomologyEntry, ...] = ()) -> "GradedAbelianGroup":
-        degs = [e.degree for e in entries]
-        if degs != sorted(set(degs)):
-            raise InvalidParams("entries must have strictly increasing degrees")
+        for i in range(1, len(entries)):
+            if entries[i - 1].degree >= entries[i].degree:
+                raise InvalidParams("entries must have strictly increasing degrees")
         return tuple.__new__(cls, (entries,))
 
     def entry(self, degree: int) -> HomologyEntry | None:
@@ -87,9 +87,7 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
 
     def is_rational_sphere(self, n: int) -> bool:
         """Free ranks concentrated in degrees 0 and n, both equal to 1."""
-        if self.free_rank(0) != 1 or self.free_rank(n) != 1:
-            return False
-        return all(e.free_rank == 0 for e in self.entries if e.degree not in (0, n))
+        return {e.degree: e.free_rank for e in self.entries if e.free_rank} == {0: 1, n: 1}
 
 
 def delta_poly(p: BrieskornParams) -> IntegerPolynomial:
@@ -113,17 +111,12 @@ def delta_at_one(p: BrieskornParams) -> int:
 
 def homology(p: BrieskornParams) -> GradedAbelianGroup:
     """Integral homology of B^(2m-1)_d as a graded abelian group."""
-    m, d = p.m, p.d
-    top = p.sphere_dim
-    entries = [HomologyEntry(0, free_rank=1)]
-    middle = delta_at_one(p)
-    if middle == 0:
-        entries.append(HomologyEntry(m - 1, free_rank=1))
-        entries.append(HomologyEntry(m, free_rank=1))
-    elif middle > 1:
-        entries.append(HomologyEntry(m - 1, torsion=(middle,)))
-    entries.append(HomologyEntry(top, free_rank=1))
-    return GradedAbelianGroup(tuple(entries))
+    m, order = p.m, delta_at_one(p)
+    if order == 0:
+        middle = (HomologyEntry(m - 1, 1), HomologyEntry(m, 1))
+    else:
+        middle = (HomologyEntry(m - 1, 0, (order,)),) if order > 1 else ()
+    return GradedAbelianGroup((HomologyEntry(0, 1), *middle, HomologyEntry(p.sphere_dim, 1)))
 
 
 def rational_sphere_gate(p: BrieskornParams) -> bool:

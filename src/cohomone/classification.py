@@ -55,7 +55,9 @@ class SevenFamilyParams(namedtuple("SevenFamilyParams", "p_minus q_minus p_plus 
 
     def __new__(cls, p_minus: int, q_minus: int, p_plus: int, q_plus: int) -> "SevenFamilyParams":
         self = tuple.__new__(cls, (p_minus, q_minus, p_plus, q_plus))
-        for name, value in zip(self._fields, self):
+        if p_minus % 4 == q_minus % 4 == p_plus % 4 == q_plus % 4 == 1:
+            return self
+        for name, value in zip(self._fields, self):  # name the first field that is not 1 mod 4
             if value % 4 != 1:
                 raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
         return self
@@ -80,11 +82,9 @@ def realize_torsion(t: int) -> SevenFamilyParams:
     """
     if t < 1:
         raise InvalidParams(f"t must be positive, got {t}")
-
-    def pick(v: int) -> int:
-        return v if v % 4 == 1 else -v
-
-    return SevenFamilyParams(pick(2 * t - 1), 1, pick(2 * t + 1), 1)
+    # 2t-1 is 1 mod 4 when t is odd and 2t+1 when t is even
+    p_minus, p_plus = (2 * t - 1, -2 * t - 1) if t % 2 else (1 - 2 * t, 2 * t + 1)
+    return SevenFamilyParams(p_minus, 1, p_plus, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -212,16 +212,12 @@ def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
 def _cmd_mv_check(args) -> CommandResult:
     from .diagram import mv_feasible
 
-    def pick(coeffs: Optional[str], spheres: Optional[str], coeff_flag: str, sphere_flag: str) -> IntegerPolynomial:
-        if coeffs is not None:
-            return _coeffs(coeffs, coeff_flag)
-        if spheres is not None:
-            return _sphere_poly(spheres, sphere_flag)
-        raise _UsageError(f"missing {coeff_flag}/{sphere_flag} (give Betti coefficients or sphere dimensions)")
-
-    p_h = pick(args.p_h, args.h_spheres, "--p-h", "--h-spheres")
-    p_kp = pick(args.p_k_plus, args.k_plus_spheres, "--p-k-plus", "--k-plus-spheres")
-    p_km = pick(args.p_k_minus, args.k_minus_spheres, "--p-k-minus", "--k-minus-spheres")
+    # the parser lets through exactly one flag of each pair
+    p_h = _coeffs(args.p_h, "--p-h") if args.p_h is not None else _sphere_poly(args.h_spheres, "--h-spheres")
+    p_kp = _coeffs(args.p_k_plus, "--p-k-plus") if args.p_k_plus is not None else \
+        _sphere_poly(args.k_plus_spheres, "--k-plus-spheres")
+    p_km = _coeffs(args.p_k_minus, "--p-k-minus") if args.p_k_minus is not None else \
+        _sphere_poly(args.k_minus_spheres, "--k-minus-spheres")
     result = mv_feasible(p_h, p_kp, p_km, args.n)
     return CommandResult(0, {
         "n": args.n,
@@ -237,8 +233,6 @@ def _cmd_mv_check(args) -> CommandResult:
 def _cmd_seven_family(args) -> CommandResult:
     from .classification import SevenFamilyParams, realize_torsion, seven_family_torsion
 
-    if args.realize is None and args.p_plus is None:
-        raise _UsageError("--p-plus is required with --p-minus")
     params = realize_torsion(args.realize) if args.realize is not None else \
         SevenFamilyParams(args.p_minus, args.q_minus, args.p_plus, args.q_plus)
     torsion = _printable(seven_family_torsion(params), "the seven-family torsion")
@@ -266,6 +260,7 @@ class _Flag(NamedTuple):
     required: bool = False  # in a group: one flag of the group is required
     default: object = None
     group: Optional[str] = None  # the flags of one group exclude one another
+    needs: Optional[str] = None  # a flag given only with this one; if required, required with it
 
 
 class _Command(NamedTuple):
@@ -307,17 +302,17 @@ _COMMANDS = {
         "--n": _Flag(int, "the dimension of the rational sphere", True),
         "--p-h": _Flag(str, "comma-separated Betti numbers of G/H by degree", True, group="p-h"),
         "--h-spheres": _Flag(str, "sphere dimensions whose product models G/H", True, group="p-h"),
-        "--p-k-plus": _Flag(str, "Betti numbers of G/K+"),
-        "--k-plus-spheres": _Flag(str, "sphere dimensions whose product models G/K+"),
-        "--p-k-minus": _Flag(str, "Betti numbers of G/K-"),
-        "--k-minus-spheres": _Flag(str, "sphere dimensions whose product models G/K-"),
+        "--p-k-plus": _Flag(str, "Betti numbers of G/K+", True, group="p-k-plus"),
+        "--k-plus-spheres": _Flag(str, "sphere dimensions whose product models G/K+", True, group="p-k-plus"),
+        "--p-k-minus": _Flag(str, "Betti numbers of G/K-", True, group="p-k-minus"),
+        "--k-minus-spheres": _Flag(str, "sphere dimensions whose product models G/K-", True, group="p-k-minus"),
     }, False, ("odd_product_poincare", "mv_feasible")),
     "seven-family": _Command(_cmd_seven_family, "torsion arithmetic of the seven-manifold family", {
         "--realize": _Flag(int, "build parameters realizing this torsion order", True, group="params"),
         "--p-minus": _Flag(int, "p- of the slope (p-, q-), 1 mod 4; needs --p-plus", True, group="params"),
-        "--q-minus": _Flag(int, "q- of the slope (p-, q-), 1 mod 4", default=1),
-        "--p-plus": _Flag(int, "p+ of the slope (p+, q+), 1 mod 4"),
-        "--q-plus": _Flag(int, "q+ of the slope (p+, q+), 1 mod 4", default=1),
+        "--q-minus": _Flag(int, "q- of the slope (p-, q-), 1 mod 4", default=1, needs="--p-minus"),
+        "--p-plus": _Flag(int, "p+ of the slope (p+, q+), 1 mod 4", True, needs="--p-minus"),
+        "--q-plus": _Flag(int, "q+ of the slope (p+, q+), 1 mod 4", default=1, needs="--p-minus"),
     }, False, ("seven_family_torsion", "realize_torsion")),
     "verify-tables": _Command(_cmd_verify_tables, "verify every shipped table and closed form", {
         "--timings": _Flag(bool, "also write each report section's seconds, as JSON, to stderr", default=False),
@@ -364,11 +359,19 @@ def _parse(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
         key = flags[name].group or name
         if chosen.setdefault(key, name) != name:
             raise _UsageError(f"argument {name}: not allowed with argument {chosen[key]}")
-    missing = [name for name, flag in flags.items() if flag.required and (flag.group or name) not in chosen]
-    if missing:  # like argparse, name the missing flags outside any group first (a command has one group at most)
+    for name in values:
+        needs = flags[name].needs
+        if needs and needs not in values:
+            other = chosen.get(flags[needs].group or needs)  # the flag given in place of the needed one
+            raise _UsageError(f"argument {name}: not allowed with argument {other}" if other
+                              else f"argument {name}: needs {needs}")
+    missing = [name for name, flag in flags.items() if flag.required and (flag.group or name) not in chosen
+               and (flag.needs is None or flag.needs in values)]
+    if missing:  # like argparse, name the missing flags outside any group, else those of the first missing group
         plain = [name for name in missing if not flags[name].group]
+        first = [name for name in missing if flags[name].group == flags[missing[0]].group]
         raise _UsageError(f"the following arguments are required: {', '.join(plain)}" if plain
-                          else f"one of the arguments {' '.join(missing)} is required")
+                          else f"one of the arguments {' '.join(first)} is required")
     return argv[0], SimpleNamespace(**{name[2:].replace("-", "_"): values.get(name, flag.default)
                                        for name, flag in flags.items()})
 
@@ -381,7 +384,11 @@ def _usage(command: Optional[str]) -> dict:
     flags, words = _COMMANDS[command].flags, {}  # words: an exclusive group, or a flag outside any -> usage
     for name, flag in flags.items():
         word = name if flag.kind is bool else f"{name} {flag.kind.__name__.upper()}"
-        words.setdefault(flag.group or name, []).append(word if flag.required else f"[{word}]")
+        word = word if flag.required else f"[{word}]"
+        if flag.needs:  # written after the flag it needs, which the table lists last of its group so far
+            words[flags[flag.needs].group or flag.needs][-1] += f" {word}"
+        else:
+            words.setdefault(flag.group or name, []).append(word)
     usage = " ".join(" | ".join(w).join("()") if len(w) > 1 else w[0] for w in words.values())
     return {"usage": f"cohomone {command} {usage}", "help": _COMMANDS[command].help, "flags": {
         name: flag.help + ("" if flag.default in (None, False) else f" (default {flag.default})")

@@ -213,11 +213,20 @@ CASE6_FIBERS: tuple[tuple[int, str, str, int], ...] = (
 
 
 class GHCaseResult(NamedTuple):
-    """One compatible homotopy-fiber case with its forced total dimension."""
+    """One compatible homotopy-fiber case with its forced total dimension; ``fiber`` holds the
+    dimensions of the fiber's spheres, the loop space's sphere last, or case 6's description."""
 
     case_index: int
-    fiber_model: str
     forced_dim: int
+    fiber: tuple[int, ...] | str
+
+    @property
+    def fiber_model(self) -> str:
+        """The fiber as text, e.g. "S1 x S3 x loops(S5)"; formatted only when read."""
+        if isinstance(self.fiber, str):
+            return self.fiber
+        *spheres, loop = self.fiber
+        return " x ".join(f"S{k}" for k in spheres) + f" x loops(S{loop})"
 
 
 def gh_classify(
@@ -238,40 +247,23 @@ def gh_classify(
     """
     if ell_minus < 1 or ell_plus < 1:
         raise InvalidParams("fiber dimensions must be at least 1")
-    if h not in (0, 1, 2):
+    if h == 0:
+        total = ell_minus + ell_plus
+        n4 = total + 1 if ell_minus % 2 == ell_plus % 2 else 2 * total + 1
+        results = [GHCaseResult(4, n4, (ell_minus, ell_plus, total + 1))]
+        if ell_minus == ell_plus and ell_minus % 2 == 0:
+            results.append(GHCaseResult(5, ell_minus + 1, (ell_minus, ell_minus + 1)))
+            results += [GHCaseResult(6, forced, description) for ell, tag, description, forced in CASE6_FIBERS
+                        if ell == ell_minus and fiber_hint in (None, tag)]
+        return results
+    if h not in (1, 2):
         raise InvalidParams("the non-orientable orbit count h must be 0, 1 or 2")
     lo, hi = (ell_minus, ell_plus) if ell_minus <= ell_plus else (ell_plus, ell_minus)
-    results: list[GHCaseResult] = []
-    if h == 2:
-        if lo == hi == 1:
-            results.append(GHCaseResult(1, "S3 x S3 x loops(S7)", 7))
-    elif h == 1:
-        if lo == hi == 1:
-            results.append(GHCaseResult(2, "S1 x S3 x loops(S5)", 5))
-        elif lo == 1 and hi >= 3 and hi % 2 == 1:
-            results.append(
-                GHCaseResult(3, f"S1 x S{2 * hi + 1} x loops(S{2 * hi + 3})", 2 * hi + 3)
-            )
-    else:
-        total = ell_minus + ell_plus
-        if ell_minus % 2 == ell_plus % 2:
-            n4 = total + 1
-        else:
-            n4 = 2 * total + 1
-        results.append(
-            GHCaseResult(4, f"S{ell_minus} x S{ell_plus} x loops(S{total + 1})", n4)
-        )
-        if ell_minus == ell_plus and ell_minus % 2 == 0:
-            results.append(
-                GHCaseResult(5, f"S{ell_minus} x loops(S{ell_minus + 1})", ell_minus + 1)
-            )
-            for ell, tag, description, forced in CASE6_FIBERS:
-                if ell != ell_minus:
-                    continue
-                if fiber_hint is not None and fiber_hint != tag:
-                    continue
-                results.append(GHCaseResult(6, description, forced))
-    return results
+    if lo == hi == 1:
+        return [GHCaseResult(1, 7, (3, 3, 7)) if h == 2 else GHCaseResult(2, 5, (1, 3, 5))]
+    if h == 1 and lo == 1 and hi >= 3 and hi % 2 == 1:
+        return [GHCaseResult(3, 2 * hi + 3, (1, 2 * hi + 1, 2 * hi + 3))]
+    return []
 
 
 # ---------------------------------------------------------------------------

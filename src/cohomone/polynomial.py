@@ -72,6 +72,8 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         return IntegerPolynomial(tuple(out))
 
     def __call__(self, value: int) -> int:
+        if value == 1:
+            return sum(self.coefficients)
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * value + c

@@ -168,28 +168,22 @@ def _check_table5(checks: list, catalog: Catalog) -> None:
 # -- Brieskorn grid -----------------------------------------------------------
 
 
-def _expected_homology(m: int, d: int) -> list:
-    top = 2 * m - 1
-    if m % 2 == 0:
-        middle = [] if d == 1 else [[m - 1, 0, [d]]]
-    elif d % 2 == 0:
-        middle = [[m - 1, 1, []], [m, 1, []]]
-    else:
-        middle = []
-    return [[0, 1, []]] + middle + [[top, 1, []]]
-
-
 def _check_brieskorn(checks: list, catalog: Catalog) -> None:
     mismatches = []
     gate_mismatches = []
     order_mismatches = []
     for m in _BRIESKORN_M:
+        bottom, top = (0, 1, ()), (2 * m - 1, 1, ())
+        free_middle = ((m - 1, 1, ()), (m, 1, ()))
         for d in _BRIESKORN_D:
             p = BrieskornParams(m, d)
             groups = homology(p)
-            if delta_poly(p)(1) != delta_at_one(p):
+            at_one = delta_poly(p)(1)
+            if at_one != delta_at_one(p):
                 mismatches.append([m, d, "delta"])
-            if [[e.degree, e.free_rank, list(e.torsion)] for e in groups.entries] != _expected_homology(m, d):
+            # derived from Delta(1): Z in degrees m-1 and m when it is 0, else Z/|Delta(1)| in degree m-1 (none if 1)
+            middle = free_middle if at_one == 0 else ((m - 1, 0, (abs(at_one),)),) if abs(at_one) > 1 else ()
+            if groups.entries != (bottom, *middle, top):
                 mismatches.append([m, d, "homology"])
             if groups.is_rational_sphere(p.sphere_dim) != rational_sphere_gate(p):
                 gate_mismatches.append([m, d])
@@ -212,7 +206,7 @@ def _check_seven_family(checks: list, catalog: Catalog) -> None:
         params = realize_torsion(t)
         if seven_family_torsion(params) != t:
             bad.append(t)
-        for v in (params.p_minus, params.q_minus, params.p_plus, params.q_plus):
+        for v in params:
             if v % 4 != 1:
                 bad.append(t)
     _check(checks, "seven-family/roundtrip", [], bad)
@@ -228,15 +222,15 @@ def _check_gh(checks: list, catalog: Catalog) -> None:
     formula_failures = []
     for ell_minus in range(1, _GH_ELL_MAX + 1):
         for ell_plus in range(1, _GH_ELL_MAX + 1):
+            # derived from the loop factor loops(S^N): case 4's map hits its top class, degree N (odd) or 2N-1 (even)
+            loop = ell_minus + ell_plus + 1
+            want = loop if loop % 2 else 2 * loop - 1
             for h in (0, 1, 2):
                 for result in gh_classify(ell_minus, ell_plus, h):
                     if result.forced_dim % 2 == 0:
                         parity_failures.append([ell_minus, ell_plus, h, result.case_index])
-                    if result.case_index == 4:
-                        same = ell_minus % 2 == ell_plus % 2
-                        want = ell_minus + ell_plus + 1 if same else 2 * (ell_minus + ell_plus) + 1
-                        if result.forced_dim != want:
-                            formula_failures.append([ell_minus, ell_plus, h])
+                    if result.case_index == 4 and result.forced_dim != want:
+                        formula_failures.append([ell_minus, ell_plus, h])
     _check(checks, "gh/all-forced-dims-odd", [], parity_failures)
     _check(checks, "gh/case4-parity-dichotomy", [], formula_failures)
     g2_query = [(r.case_index, r.forced_dim) for r in gh_classify(3, 2, 0)]

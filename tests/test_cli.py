@@ -57,6 +57,34 @@ def test_gh_case_subcommand():
     assert out["cases"] == [{"case": 4, "dim": 11, "fiber": "S3 x S2 x loops(S6)"}]
 
 
+# (l-, l+, h, --fiber) -> the payload's (case, fiber, dim) rows, in order; written out, not computed
+GH_CASE_PAYLOADS = [
+    ((1, 1, 2, None), [(1, "S3 x S3 x loops(S7)", 7)]),
+    ((1, 1, 1, None), [(2, "S1 x S3 x loops(S5)", 5)]),
+    ((1, 5, 1, None), [(3, "S1 x S11 x loops(S13)", 13)]),
+    ((5, 1, 1, None), [(3, "S1 x S11 x loops(S13)", 13)]),  # case 3 names the larger label
+    ((3, 2, 0, None), [(4, "S3 x S2 x loops(S6)", 11)]),
+    ((2, 3, 0, None), [(4, "S2 x S3 x loops(S6)", 11)]),  # case 4 keeps the argument order
+    ((2, 2, 0, None), [(4, "S2 x S2 x loops(S5)", 5), (5, "S2 x loops(S3)", 3), (6, "SU(3)/T2 x loops(S7)", 7),
+                       (6, "Sp(2)/T2 x loops(S9)", 9), (6, "G2/T2 x loops(S13)", 13)]),
+    ((2, 2, 0, "g2-mod-t2"), [(4, "S2 x S2 x loops(S5)", 5), (5, "S2 x loops(S3)", 3), (6, "G2/T2 x loops(S13)", 13)]),
+    ((4, 4, 0, None), [(4, "S4 x S4 x loops(S9)", 9), (5, "S4 x loops(S5)", 5),
+                       (6, "Sp(3)/Sp(1)^3 x loops(S13)", 13)]),
+    ((8, 8, 0, "f4-mod-spin8"), [(4, "S8 x S8 x loops(S17)", 17), (5, "S8 x loops(S9)", 9),
+                                 (6, "F4/Spin(8) x loops(S25)", 25)]),
+    ((2, 4, 1, None), []),
+]
+
+
+@pytest.mark.parametrize("query, rows", GH_CASE_PAYLOADS)
+def test_gh_case_fiber_text(query, rows):
+    l_minus, l_plus, h, fiber = query
+    argv = ["gh-case", "--l-minus", str(l_minus), "--l-plus", str(l_plus), "--h", str(h)]
+    out = payload(argv + (["--fiber", fiber] if fiber else []))
+    assert out["query"] == {"l_minus": l_minus, "l_plus": l_plus, "h": h, "fiber": fiber}
+    assert [(c["case"], c["fiber"], c["dim"]) for c in out["cases"]] == rows
+
+
 def test_classify_subcommand(tmp_path):
     doc = tmp_path / "diagram.json"
     doc.write_text(json.dumps({"family": "brieskorn", "m": 6, "d": 4}))
@@ -398,6 +426,20 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
          "argument --p-minus: not allowed with argument --realize"),
         (["mv-check", "--p-h", "1", "--n", "5", "--h-spheres", "3"],
          "argument --h-spheres: not allowed with argument --p-h"),
+        (["mv-check", "--n", "5", "--p-h", "1,0,0,1", "--p-k-plus", "1,0,1", "--k-plus-spheres", "3",
+          "--p-k-minus", "1,0,1"], "argument --k-plus-spheres: not allowed with argument --p-k-plus"),
+        (["mv-check", "--n", "5", "--p-h", "1", "--p-k-plus", "1", "--k-minus-spheres", "3", "--p-k-minus", "1"],
+         "argument --p-k-minus: not allowed with argument --k-minus-spheres"),
+        (["mv-check", "--n", "5", "--p-h", "1"], "one of the arguments --p-k-plus --k-plus-spheres is required"),
+        (["mv-check", "--n", "5", "--p-h", "1", "--k-plus-spheres", "3"],
+         "one of the arguments --p-k-minus --k-minus-spheres is required"),
+        # --realize takes no slope flag, not even one at its default
+        (["seven-family", "--realize", "2", "--q-minus", "5", "--p-plus", "9"],
+         "argument --q-minus: not allowed with argument --realize"),
+        (["seven-family", "--q-plus", "1", "--realize", "2"], "argument --q-plus: not allowed with argument --realize"),
+        (["seven-family", "--realize", "2", "--p-plus", "5"], "argument --p-plus: not allowed with argument --realize"),
+        (["seven-family", "--q-minus", "1"], "argument --q-minus: needs --p-minus"),
+        (["seven-family", "--p-minus", "1"], "the following arguments are required: --p-plus"),
         (["verify-tables", "--timings=1"], "argument --timings: ignored explicit argument '1'"),
         (["degrees", "--group", "-h"], "argument --group: expected one argument"),
         # decisions: no prefix abbreviations, and no flag given twice
@@ -427,7 +469,11 @@ def test_help_lists_the_table(flag, capsys):
         out = payload([command, flag])
         assert out["help"] == entry.help and list(out["flags"]) == list(entry.flags)
     assert payload(["seven-family", "--realize", "2", flag])["usage"] == (
-        "cohomone seven-family (--realize INT | --p-minus INT) [--q-minus INT] [--p-plus INT] [--q-plus INT]"
+        "cohomone seven-family (--realize INT | --p-minus INT [--q-minus INT] --p-plus INT [--q-plus INT])"
+    )
+    assert payload(["mv-check", flag])["usage"] == (
+        "cohomone mv-check --n INT (--p-h STR | --h-spheres STR) (--p-k-plus STR | --k-plus-spheres STR) "
+        "(--p-k-minus STR | --k-minus-spheres STR)"
     )
     assert payload(["primitivity", flag])["usage"] == "cohomone primitivity --diagram STR [--rational-sphere]"
     assert payload(["seven-family", flag])["flags"]["--q-plus"].endswith("(default 1)")

@@ -38,6 +38,20 @@ def test_only_the_catalog_loader_reads_value_carrying_tags():
     assert found <= {"catalog.py", "lie_catalog.py"}
 
 
+def test_report_path_formats_no_fiber_text_and_restates_no_homology():
+    # gh_classify runs 7,500 times a report, and only the gh-case payload reads the fiber text; the
+    # Brieskorn grid derives its expected homology from Delta(1) instead of restating homology()'s cases
+    def parse(name: str) -> ast.Module:
+        return ast.parse((SOURCE / name).read_text())
+
+    gh = next(node for node in ast.walk(parse("diagram.py"))
+              if isinstance(node, ast.FunctionDef) and node.name == "gh_classify")
+    assert not [node for node in ast.walk(gh) if isinstance(node, ast.JoinedStr)
+                or isinstance(node, ast.Attribute) and node.attr == "format"]
+    assert "_expected_homology" not in {node.name for node in ast.walk(parse("verify.py"))
+                                        if isinstance(node, ast.FunctionDef)}
+
+
 # -- the lazy package: exports resolve on first use ---------------------------
 
 

@@ -1,5 +1,9 @@
 """Report shape and shipped-data integrity checks."""
 
+import pytest
+
+from cohomone import verify
+from cohomone.brieskorn import BrieskornParams, delta_poly, homology
 from cohomone.catalog import default_catalog
 from cohomone.classification import (
     brieskorn_diagram,
@@ -84,3 +88,30 @@ def test_report_does_not_depend_on_diagrams_built_earlier():
     tensor_sp_diagram(3)
     assert render(build_report(default_catalog())) == before
     assert len(default_catalog().embeddings()) == 51
+
+
+def _off_at(real, cell, wrong):
+    """``real``, except that it gives ``wrong(result)`` for the arguments ``cell``."""
+    return lambda *args, **kwargs: wrong(real(*args, **kwargs)) if args == cell else real(*args, **kwargs)
+
+
+@pytest.mark.parametrize("target, cell, wrong, check_id, computed", [
+    # homology in (4, 7) is that of (4, 5): the grid check and the middle order at m = 4 both catch it
+    ("homology", (BrieskornParams(4, 7),), lambda _: homology(BrieskornParams(4, 5)),
+     "brieskorn/delta-and-homology-grid", [[4, 7, "homology"]]),
+    # Delta(1) of (4, 7) reads 6: the homology the check derives from it no longer matches
+    ("delta_poly", (BrieskornParams(4, 7),), lambda _: delta_poly(BrieskornParams(4, 6)),
+     "brieskorn/delta-and-homology-grid", [[4, 7, "delta"], [4, 7, "homology"]]),
+    # case 4 of (5, 8, 0) forces 29 instead of 2 * 14 - 1 = 27: still odd, so only the loop-factor check catches it
+    ("gh_classify", (5, 8, 0), lambda results: [r._replace(forced_dim=r.forced_dim + 2) for r in results],
+     "gh/case4-parity-dichotomy", [[5, 8, 0]]),
+])
+def test_derived_checks_catch_a_wrong_cell(monkeypatch, target, cell, wrong, check_id, computed):
+    monkeypatch.setattr(verify, target, _off_at(getattr(verify, target), cell, wrong))
+    report = build_report(CAT)
+    assert report["summary"]["ok"] is False and check_id in report["summary"]["failed"]
+    assert next(c for c in report["checks"] if c["id"] == check_id)["computed"] == computed
+    if target != "homology":
+        assert report["summary"]["failed"] == [check_id]
+    monkeypatch.undo()
+    assert build_report(CAT)["summary"]["ok"] is True
