@@ -29,8 +29,8 @@ _EXPORTS = {
     "classification": ("ClassificationOutcome", "CorankTwoRow", "SevenFamilyParams", "case6_pairs",
                        "classify_diagram", "enumerate_corank2", "realize_torsion",
                        "seven_family_torsion", "table3_filter"),
-    "diagram": ("GroupDiagram", "MVFeasibility", "double_disk_euler", "equivalent", "gh_classify",
-                "mv_feasible", "primitivity", "validate"),
+    "diagram": ("GroupDiagram", "MVFeasibility", "double_disk_euler", "gh_classify", "mv_feasible",
+                "primitivity", "validate"),
     "lie_catalog": ("GroupType", "NamedEmbedding", "SimpleGroupLabel", "canonicalize", "degrees",
                     "parse_group", "sphere_quotient", "spheres_acted_on", "transitive_sphere_pairs",
                     "weyl_order"),

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
+    TRIVIAL_GROUP,
     GroupType,
     NamedEmbedding,
     is_declared_injective,
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
 
 _T1 = GroupType((), 1)
 _SU2 = special_unitary(2)
-_TRIVIAL = GroupType()
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def realize_torsion(t: int) -> SevenFamilyParams:
 
 
 class CorankTwoRow(namedtuple(
-    "CorankTwoRow", "group subgroup ell_minus total ell_plus notes embedding_id family param"
+    "CorankTwoRow", "group subgroup ell_minus total ell_plus embedding_id family param"
 )):
     """A simple corank-2 pair (G, L) whose quotient has two odd homotopy degrees; total = ell_minus + ell_plus."""
 
@@ -102,13 +102,13 @@ class CorankTwoRow(namedtuple(
 
     def __new__(
         cls, group: GroupType, subgroup: GroupType, ell_minus: int, total: int, ell_plus: int,
-        notes: tuple[str, ...], embedding_id: str, family: str, param: Optional[int],
+        embedding_id: str, family: str, param: Optional[int],
     ) -> "CorankTwoRow":
         if ell_plus != total - ell_minus or ell_plus < 0:
             raise InvalidParams(f"{embedding_id}: inconsistent degree columns")
         if ell_minus % 2 == 0:
             raise InvalidParams(f"{embedding_id}: ell_minus must be odd")
-        return tuple.__new__(cls, (group, subgroup, ell_minus, total, ell_plus, notes, embedding_id, family, param))
+        return tuple.__new__(cls, (group, subgroup, ell_minus, total, ell_plus, embedding_id, family, param))
 
 
 def _or_default(catalog: Optional[Catalog]) -> Catalog:
@@ -142,12 +142,7 @@ def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[
         if qh.heuristic or qh.even_degrees or len(qh.odd_degrees) != 2:
             raise InvalidEmbedding(f"{embedding.id}: a corank-2 quotient needs exactly two odd degrees")
         ell_minus, total = qh.odd_degrees
-        notes = tuple(sorted(t for t in embedding.tags if t == "multiple" or t.startswith("m>=")))
-        rows.append(
-            CorankTwoRow(
-                g, sub, ell_minus, total, total - ell_minus, notes, embedding.id, family, param
-            )
-        )
+        rows.append(CorankTwoRow(g, sub, ell_minus, total, total - ell_minus, embedding.id, family, param))
     rows.sort(key=lambda r: (r.group.dimension, str(r.group), r.subgroup.dimension, str(r.subgroup), r.family, r.param or 0))
     return rows
 
@@ -283,7 +278,7 @@ _FIXED_BRIESKORN: dict[str, tuple[int, Orbits]] = {
     "g2": (7, (_T1 * _G2, special_unitary(2), _T1 * special_unitary(2), special_unitary(3))),
 }
 #: S^3 x S^3 with finite principal isotropy and two circles
-_SEVEN_ORBITS: Orbits = (_SU2 * _SU2, _TRIVIAL, _T1, _T1)
+_SEVEN_ORBITS: Orbits = (_SU2 * _SU2, TRIVIAL_GROUP, _T1, _T1)
 
 
 def _brieskorn_orbits(m: int, variant: str) -> Orbits:

@@ -11,7 +11,8 @@ spheres of positive dimension l+-.  This module owns:
   G/H -> M by (l-, l+, number of non-orientable singular orbits), each
   case forcing the dimension of a rational-sphere total space,
 * primitivity checks against a declared subgroup lattice,
-* descriptor-level diagram equivalence (with the K+/K- swap move),
+* the K+/K- swap move and the canonical descriptor it leaves fixed, by
+  which the catalog matches a diagram to its record,
 * the Euler-characteristic consistency of the decomposition, and
 * exact Mayer-Vietoris rank feasibility for candidate Betti data.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import Incomparable, InvalidEmbedding, InvalidLattice, InvalidParams
+from .errors import InvalidEmbedding, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic
@@ -229,6 +230,12 @@ class GHCaseResult(NamedTuple):
         return " x ".join(f"S{k}" for k in spheres) + f" x loops(S{loop})"
 
 
+def _unknown_fiber_tag(hint: str) -> InvalidParams:
+    """The error for a fiber hint that names no case-6 fiber; ``gh_classify`` itself formats no text."""
+    known = ", ".join(tag for _, tag, _, _ in CASE6_FIBERS)
+    return InvalidParams(f"unknown fiber tag {hint!r}; the case-6 fiber tags are {known}")
+
+
 def gh_classify(
     ell_minus: int,
     ell_plus: int,
@@ -243,10 +250,13 @@ def gh_classify(
     two fiber labels play symmetric roles except where a case singles
     out the circle side, so inputs are accepted in either order.  An
     empty list means no case is compatible (that combination cannot
-    carry a rational sphere).
+    carry a rational sphere).  A ``fiber_hint`` keeps one case-6 fiber
+    and must be a tag of ``CASE6_FIBERS``.
     """
     if ell_minus < 1 or ell_plus < 1:
         raise InvalidParams("fiber dimensions must be at least 1")
+    if fiber_hint is not None and fiber_hint not in (tag for _, tag, _, _ in CASE6_FIBERS):
+        raise _unknown_fiber_tag(fiber_hint)
     if h == 0:
         total = ell_minus + ell_plus
         n4 = total + 1 if ell_minus % 2 == ell_plus % 2 else 2 * total + 1
@@ -308,26 +318,6 @@ def primitivity(
     if assert_rational_sphere:
         return PrimitivityResult("primitive-required")
     return PrimitivityResult("unknown")
-
-
-# ---------------------------------------------------------------------------
-# Equivalence moves (descriptor level)
-# ---------------------------------------------------------------------------
-
-
-def equivalent(d1: GroupDiagram, d2: GroupDiagram) -> str:
-    """"equal", "swap-equal", or "distinct-at-descriptor-level".
-
-    Only the catalogued descriptors are compared; conjugation moves finer
-    than catalog identity are not decided.
-    """
-    if d1.g != d2.g:
-        raise Incomparable(f"diagrams live in different groups {d1.g} and {d2.g}")
-    if d1.descriptor() == d2.descriptor():
-        return "equal"
-    if d1.canonical_descriptor() == d2.canonical_descriptor():
-        return "swap-equal"
-    return "distinct-at-descriptor-level"
 
 
 # ---------------------------------------------------------------------------

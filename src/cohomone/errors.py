@@ -25,9 +25,5 @@ class InvalidLattice(CohomoneError):
     """A subgroup-lattice entry does not live inside the diagram's group."""
 
 
-class Incomparable(CohomoneError):
-    """Two diagrams cannot be compared (different ambient groups)."""
-
-
 class InvalidDiagram(CohomoneError):
     """A group diagram document is malformed or refers to unknown records."""

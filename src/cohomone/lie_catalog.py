@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Optional
 from .errors import InvalidEmbedding, InvalidLabel, Unsupported
 
 _CLASSICAL_FAMILIES = ("A", "B", "C", "D")
-_EXCEPTIONAL_RANKS = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 _EXCEPTIONAL_DATA = {
     # family: (dimension, degrees, weyl order)
     "G2": (14, (3, 11), 12),
@@ -58,6 +57,8 @@ _EXCEPTIONAL_DATA = {
     "E7": (133, (3, 11, 15, 19, 23, 27, 35), 2903040),
     "E8": (248, (3, 15, 23, 27, 35, 39, 47, 59), 696729600),
 }
+#: the rank is the number of degrees
+_EXCEPTIONAL_RANKS = {family: len(data[1]) for family, data in _EXCEPTIONAL_DATA.items()}
 
 
 class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):

@@ -40,10 +40,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
     def __new__(cls, coefficients: Iterable[int] = ()) -> "IntegerPolynomial":
         return tuple.__new__(cls, (_trim(coefficients),))
 
-    @classmethod
-    def one(cls) -> "IntegerPolynomial":
-        return cls((1,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -100,7 +96,7 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
 
 
 def product(polys: Iterable[IntegerPolynomial]) -> IntegerPolynomial:
-    acc = IntegerPolynomial.one()
+    acc = IntegerPolynomial((1,))
     for p in polys:
         acc = acc * p
     return acc

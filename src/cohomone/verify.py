@@ -67,8 +67,7 @@ def _check_table1(checks: list, catalog: Catalog) -> None:
 
 # -- Tables 2 and 3 -----------------------------------------------------------
 
-# expected (ell_minus, ell_minus + ell_plus, ell_plus) per family; parameterized
-# families are closed forms in m
+# expected (ell_minus, ell_minus + ell_plus, ell_plus) per sporadic pair
 _TABLE2_SPORADIC = {
     "su6-so6": (9, 11, 2),
     "su6-sp3": (5, 9, 4),
@@ -81,19 +80,12 @@ _TABLE2_SPORADIC = {
     "g2-trivial": (3, 11, 8),
 }
 
+# family -> (min m, ambient rank in m, expected columns in m)
 _TABLE2_FAMILIES = {
-    "su(m)/su(m-2)": lambda m: (2 * m - 3, 2 * m - 1, 2),
-    "spin(2m+1)/spin(2m-3)": lambda m: (4 * m - 5, 4 * m - 1, 4),
-    "sp(m)/sp(m-2)": lambda m: (4 * m - 5, 4 * m - 1, 4),
-    "spin(2m)/spin(2m-3)": lambda m: (2 * m - 1, 4 * m - 5, 2 * m - 4),
-}
-
-_TABLE2_RANGES = {
-    # family -> (min m, ambient rank as function of m)
-    "su(m)/su(m-2)": (3, lambda m: m - 1),
-    "spin(2m+1)/spin(2m-3)": (4, lambda m: m),
-    "sp(m)/sp(m-2)": (2, lambda m: m),
-    "spin(2m)/spin(2m-3)": (4, lambda m: m),
+    "su(m)/su(m-2)": (3, lambda m: m - 1, lambda m: (2 * m - 3, 2 * m - 1, 2)),
+    "spin(2m+1)/spin(2m-3)": (4, lambda m: m, lambda m: (4 * m - 5, 4 * m - 1, 4)),
+    "sp(m)/sp(m-2)": (2, lambda m: m, lambda m: (4 * m - 5, 4 * m - 1, 4)),
+    "spin(2m)/spin(2m-3)": (4, lambda m: m, lambda m: (2 * m - 1, 4 * m - 5, 2 * m - 4)),
 }
 
 _TABLE3_EXPECTED = {
@@ -115,9 +107,7 @@ def _expected_table2() -> dict[tuple[str, Optional[int]], tuple[int, int, int]]:
     expected: dict[tuple[str, Optional[int]], tuple[int, int, int]] = {
         (fam, None): cols for fam, cols in _TABLE2_SPORADIC.items()
     }
-    for fam, columns in _TABLE2_FAMILIES.items():
-        m_min, rank_of = _TABLE2_RANGES[fam]
-        m = m_min
+    for fam, (m, rank_of, columns) in _TABLE2_FAMILIES.items():
         while rank_of(m) <= _TABLE2_MAX_RANK:
             expected[(fam, m)] = columns(m)
             m += 1

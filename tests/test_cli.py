@@ -3,6 +3,7 @@ import io
 import json
 import shutil
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,18 @@ def test_gh_case_fiber_text(query, rows):
     out = payload(argv + (["--fiber", fiber] if fiber else []))
     assert out["query"] == {"l_minus": l_minus, "l_plus": l_plus, "h": h, "fiber": fiber}
     assert [(c["case"], c["fiber"], c["dim"]) for c in out["cases"]] == rows
+
+
+def test_gh_case_unknown_fiber_tag_exits_2():
+    result = run(["gh-case", "--l-minus", "4", "--l-plus", "4", "--h", "0", "--fiber", "sp3-mod-sp1cube"])
+    assert result.exit_code == 2
+    assert result.payload["error"] == (
+        "InvalidParams: unknown fiber tag 'sp3-mod-sp1cube'; the case-6 fiber tags are "
+        "su3-mod-t2, sp2-mod-t2, g2-mod-t2, sp3-mod-sp1cubed, f4-mod-spin8"
+    )
+    # a known tag that fits no case keeps the other cases
+    out = payload(["gh-case", "--l-minus", "4", "--l-plus", "4", "--h", "0", "--fiber", "f4-mod-spin8"])
+    assert [c["case"] for c in out["cases"]] == [4, 5]
 
 
 def test_classify_subcommand(tmp_path):
@@ -585,3 +598,61 @@ def test_fuzzed_command_lines_exit_0_1_or_2_with_json(documents, data):
         assert isinstance(json.loads(err.getvalue())["error"], str)
     else:
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# -- fuzzed diagram documents ---------------------------------------------------------
+
+#: any JSON value: every scalar type, and lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+SHIPPED_RECORDS = json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]
+FAMILY_KEYS = {
+    "brieskorn": ("m", "d", "variant"), "seven": ("p_minus", "q_minus", "p_plus", "q_plus"),
+    "tensor-su": ("n",), "tensor-sp": ("n",), "unknown": ("n", "m"),
+}
+
+
+@st.composite
+def annotation(draw):
+    """A ``component_counts`` or ``nonorientable`` value: any JSON value, or an object over its keys."""
+    keys = st.sampled_from(["h", "k_minus", "k_plus", "x"])
+    return draw(JSON_VALUES | st.dictionaries(keys, JSON_VALUES | st.integers(-2, 3), max_size=4))
+
+
+@st.composite
+def record_documents(draw):
+    """A shipped record with keys removed, or replaced by any JSON value or an annotation of the wrong shape."""
+    document = dict(draw(st.sampled_from(SHIPPED_RECORDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(document) or ["g"]))
+        if draw(st.booleans()):
+            document.pop(key, None)
+        else:
+            document[key] = draw(annotation() if key in ("component_counts", "nonorientable") else JSON_VALUES)
+    return document
+
+
+@st.composite
+def family_documents(draw):
+    """A family document whose keys are drawn: absent, small integers, or any JSON value."""
+    family = draw(st.sampled_from(sorted(FAMILY_KEYS)))
+    document = {"family": family}
+    for key in FAMILY_KEYS[family]:
+        value = draw(st.none() | st.integers(-3, 12) | st.sampled_from(["standard", "spin7", "g2"]) | JSON_VALUES)
+        if value is not None or draw(st.booleans()):  # None: the key is absent, or a JSON null
+            document[key] = value
+    return document
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=record_documents() | family_documents(), command=st.sampled_from(["classify", "primitivity"]))
+def test_fuzzed_diagram_documents_exit_0_or_2_with_json(document, command):
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+        result = run([command, "--diagram", "-"])
+    assert result.exit_code in (0, 2), result.payload
+    json.dumps(result.payload)
+    if result.exit_code == 2:
+        assert isinstance(result.payload["error"], str)

@@ -7,13 +7,12 @@ from cohomone.catalog import default_catalog
 from cohomone.diagram import (
     GroupDiagram,
     double_disk_euler,
-    equivalent,
     gh_classify,
     mv_feasible,
     primitivity,
     validate,
 )
-from cohomone.errors import Incomparable, InvalidLattice, InvalidParams
+from cohomone.errors import InvalidLattice, InvalidParams
 from cohomone.lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
 from cohomone.polynomial import IntegerPolynomial
 from cohomone.classification import brieskorn_diagram
@@ -154,6 +153,13 @@ def test_gh_rejects_bad_input():
         gh_classify(0, 1, 0)
     with pytest.raises(InvalidParams):
         gh_classify(1, 1, 3)
+    with pytest.raises(InvalidParams, match="unknown fiber tag 'sp3-mod-sp1cube'"):
+        gh_classify(4, 4, 0, "sp3-mod-sp1cube")
+
+
+def test_gh_known_fiber_hint_that_fits_no_case_keeps_the_other_cases():
+    assert case_dims(2, 2, 0, "f4-mod-spin8") == [(4, 5), (5, 3)]
+    assert case_dims(1, 1, 2, "g2-mod-t2") == [(1, 7)]
 
 
 def equal_parity_product_diagram():
@@ -229,25 +235,26 @@ def test_primitivity_rejects_foreign_lattice_entry():
         primitivity(d, [foreign])
 
 
-# -- equivalence ------------------------------------------------------------------------
+# -- equivalence: the canonical descriptor and catalog matching -------------------------
 
 
 def test_equivalence_moves():
     d = catalog_diagram("t5-row1")
-    assert equivalent(d, d) == "equal"
-    assert equivalent(d, d.swap()) == "swap-equal"
-    assert equivalent(d.swap(), d) == "swap-equal"
-    assert equivalent(d, catalog_diagram("t5-row5")) == "distinct-at-descriptor-level"
+    record = CAT.matching_record(d)
+    assert record is not None and record.id == "t5-row1"
+    assert d.descriptor() != d.swap().descriptor()
+    assert d.canonical_descriptor() == d.swap().canonical_descriptor()
+    assert CAT.matching_record(d.swap()) is record
+    other = catalog_diagram("t5-row5")
+    assert other.canonical_descriptor() != d.canonical_descriptor()
+    assert CAT.matching_record(other).id == "t5-row5"
 
 
 def test_equivalence_swap_applied_to_both_sides():
     d1, d2 = catalog_diagram("t5-row1"), catalog_diagram("t5-row5")
-    assert equivalent(d1.swap(), d2.swap()) == equivalent(d1, d2)
-
-
-def test_equivalence_needs_same_group():
-    with pytest.raises(Incomparable):
-        equivalent(catalog_diagram("t5-row1"), catalog_diagram("case6-su3"))
+    assert d1.swap().canonical_descriptor() != d2.swap().canonical_descriptor()
+    assert d1.swap().canonical_descriptor() != d2.canonical_descriptor()
+    assert [CAT.matching_record(d.swap()).id for d in (d1, d2)] == ["t5-row1", "t5-row5"]
 
 
 # -- Euler characteristic of the decomposition ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -50,6 +51,23 @@ def test_report_path_formats_no_fiber_text_and_restates_no_homology():
                 or isinstance(node, ast.Attribute) and node.attr == "format"]
     assert "_expected_homology" not in {node.name for node in ast.walk(parse("verify.py"))
                                         if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_exported_function_is_reached():
+    # an exported function is run by a subcommand (its command's ``covers``) or named elsewhere in the
+    # package; one that neither reaches is code that no subcommand, report or library path runs
+    from cohomone.cli import _COMMANDS
+
+    named = set()  # (identifier, the top-level def it appears in, or None)
+    for path in SOURCE.glob("*.py"):
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = statement.name if isinstance(statement, ast.FunctionDef) else None
+            named |= {(node.id if isinstance(node, ast.Name) else node.attr, owner) for node in ast.walk(statement)
+                      if isinstance(node, (ast.Name, ast.Attribute))}
+    covered = {op for command in _COMMANDS.values() for op in command.covers}
+    unreached = [name for name in cohomone.__all__ if inspect.isfunction(getattr(cohomone, name))
+                 and name not in covered and not any(ident == name != owner for ident, owner in named)]
+    assert unreached == []
 
 
 # -- the lazy package: exports resolve on first use ---------------------------

@@ -39,9 +39,9 @@ CASES = [
      InvalidParams, "strictly increasing degrees"),
     (SevenFamilyParams(1, 1, 5, 1), {"p_plus": 3}, InvalidParams, "p_plus = 3 is not congruent to 1 mod 4"),
     (SevenFamilyParams(1, 1, 5, 1), {"q_plus": 2, "q_minus": 7}, InvalidParams, "q_minus = 7 is not congruent"),
-    (CorankTwoRow(SU4, SU2, 5, 12, 7, (), "su4-su2", "su4-su2", None), {"ell_plus": 6}, InvalidParams,
+    (CorankTwoRow(SU4, SU2, 5, 12, 7, "su4-su2", "su4-su2", None), {"ell_plus": 6}, InvalidParams,
      "su4-su2: inconsistent degree columns"),
-    (CorankTwoRow(SU4, SU2, 5, 12, 7, (), "su4-su2", "su4-su2", None), {"ell_minus": 4, "ell_plus": 8},
+    (CorankTwoRow(SU4, SU2, 5, 12, 7, "su4-su2", "su4-su2", None), {"ell_minus": 4, "ell_plus": 8},
      InvalidParams, "su4-su2: ell_minus must be odd"),
     (ClassificationOutcome("brieskorn", m=4, d=5), {"kind": "nope"}, InvalidParams, "unknown outcome kind 'nope'"),
     (ClassificationOutcome("brieskorn", m=4, d=5), {"d": None}, InvalidParams,
