@@ -73,6 +73,7 @@ GH_CASE_PAYLOADS = [
                        (6, "Sp(3)/Sp(1)^3 x loops(S13)", 13)]),
     ((8, 8, 0, "f4-mod-spin8"), [(4, "S8 x S8 x loops(S17)", 17), (5, "S8 x loops(S9)", 9),
                                  (6, "F4/Spin(8) x loops(S25)", 25)]),
+    ((4, 4, 0, "f4-mod-spin8"), [(4, "S4 x S4 x loops(S9)", 9), (5, "S4 x loops(S5)", 5)]),  # a known tag, no fit
     ((2, 4, 1, None), []),
 ]
 
@@ -93,9 +94,6 @@ def test_gh_case_unknown_fiber_tag_exits_2():
         "InvalidParams: unknown fiber tag 'sp3-mod-sp1cube'; the case-6 fiber tags are "
         "su3-mod-t2, sp2-mod-t2, g2-mod-t2, sp3-mod-sp1cubed, f4-mod-spin8"
     )
-    # a known tag that fits no case keeps the other cases
-    out = payload(["gh-case", "--l-minus", "4", "--l-plus", "4", "--h", "0", "--fiber", "f4-mod-spin8"])
-    assert [c["case"] for c in out["cases"]] == [4, 5]
 
 
 def test_classify_subcommand(tmp_path):

@@ -157,11 +157,6 @@ def test_gh_rejects_bad_input():
         gh_classify(4, 4, 0, "sp3-mod-sp1cube")
 
 
-def test_gh_known_fiber_hint_that_fits_no_case_keeps_the_other_cases():
-    assert case_dims(2, 2, 0, "f4-mod-spin8") == [(4, 5), (5, 3)]
-    assert case_dims(1, 1, 2, "g2-mod-t2") == [(1, 7)]
-
-
 def equal_parity_product_diagram():
     """Equal-parity orientable diagram whose total space is the forced sphere.
 
