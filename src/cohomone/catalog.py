@@ -434,7 +434,7 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     return Catalog(catalog.version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def _cached_catalog(directory: str) -> Catalog:
     return load_catalog(Path(directory))
 

@@ -26,6 +26,7 @@ from .lie_catalog import (
     GroupType,
     NamedEmbedding,
     is_declared_injective,
+    memoized,
     parse_group,
     special_orthogonal,
     special_unitary,
@@ -281,6 +282,7 @@ _FIXED_BRIESKORN: dict[str, tuple[int, Orbits]] = {
 _SEVEN_ORBITS: Orbits = (_SU2 * _SU2, TRIVIAL_GROUP, _T1, _T1)
 
 
+@memoized
 def _brieskorn_orbits(m: int, variant: str) -> Orbits:
     """A circle times a rotation group, SO(m) or a fixed variant's; K- is the circle times H."""
     if variant != "standard":
@@ -289,11 +291,13 @@ def _brieskorn_orbits(m: int, variant: str) -> Orbits:
     return _T1 * special_orthogonal(m), h, _T1 * h, special_orthogonal(m - 1)
 
 
+@memoized
 def _tensor_su_orbits(n: int) -> Orbits:
     su = special_unitary(n - 2)
     return special_unitary(n) * _SU2, su * _T1, special_unitary(n - 1) * _T1, su * _SU2
 
 
+@memoized
 def _tensor_sp_orbits(n: int) -> Orbits:
     sp1sp1, sp = _SU2 * _SU2, symplectic(n - 2)
     return symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2)

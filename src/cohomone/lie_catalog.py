@@ -31,11 +31,12 @@ The module also ships the table of all effective transitive compact
 group actions on spheres and the sphere-recognition and named-embedding
 machinery built on top of it.  The table has six families whose row m
 acts on S^(a*m - 1) (a = 1, 2, 4 for SO, SU, Sp, alone or times U(1) or
-Sp(1)) and sporadic rows for G2, Spin(7) and Spin(9).  A lookup builds
+Sp(1)) and sporadic rows for G2, Spin(7) and Spin(9).  A lookup reads
 only the rows it can use: ``sphere_quotient`` the rows with m = (l+1)/a
 for the fiber dimension l, ``spheres_acted_on`` the rows whose group has
 the given group's rank.  No cap on m is needed: a row group of larger
-rank than the ambient group never matches it.
+rank than the ambient group never matches it.  Rows, like classical groups,
+are built once per (family, m) and kept up to ``CACHE_SIZE`` per cache.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, namedtuple
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidEmbedding, InvalidLabel, Unsupported
@@ -140,12 +141,14 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
     """Isomorphism type of a compact connected Lie group.
 
     Factors are canonicalized and sorted on construction, so types built
-    from different low-rank presentations compare equal.
+    from different low-rank presentations compare equal.  ``rank``, ``dimension``
+    and ``degrees`` are computed on first read and kept; attributes cannot be set.
     """
 
-    __slots__ = ()
+    # no __slots__: cached_property keeps the invariants in the instance __dict__, which it writes directly
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace canonicalizes too
     __add__ = __rmul__ = lambda self, other: NotImplemented  # no tuple concatenation or repetition
+    __reduce__ = lambda self: (type(self), tuple(self))  # copies and pickles carry the fields, not the cache
 
     def __new__(cls, factors: Iterable[SimpleGroupLabel] = (), torus_rank: int = 0) -> "GroupType":
         if torus_rank < 0:
@@ -157,13 +160,26 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
             torus_rank += extra_torus
         return tuple.__new__(cls, (tuple(sorted(expanded)), torus_rank))
 
-    @property
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"GroupType is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    @cached_property
     def rank(self) -> int:
         return sum(f.rank for f in self.factors) + self.torus_rank
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return sum(f.dimension for f in self.factors) + self.torus_rank
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Sorted multiset of rational homotopy generator degrees."""
+        out: list[int] = [1] * self.torus_rank
+        for f in self.factors:
+            out.extend(f.degrees)
+        return tuple(sorted(out))
 
     def is_trivial(self) -> bool:
         return not self.factors and self.torus_rank == 0
@@ -191,10 +207,7 @@ def canonicalize(label: SimpleGroupLabel) -> GroupType:
 
 def degrees(group: GroupType) -> tuple[int, ...]:
     """Sorted multiset of rational homotopy generator degrees."""
-    out: list[int] = [1] * group.torus_rank
-    for f in group.factors:
-        out.extend(f.degrees)
-    return tuple(sorted(out))
+    return group.degrees
 
 
 def degree_multiplicities(group: GroupType) -> Counter:
@@ -202,35 +215,40 @@ def degree_multiplicities(group: GroupType) -> Counter:
 
 
 def weyl_order(group: GroupType) -> int:
-    out = 1
-    for f in group.factors:
-        out *= f.weyl_order
-    return out
+    return math.prod(f.weyl_order for f in group.factors)
 
 
 # ---------------------------------------------------------------------------
 # Group expressions
 # ---------------------------------------------------------------------------
 
+#: entries kept by each memoized constructor; typed, so that 3.0 or True never answers for 3 or 1
+CACHE_SIZE = 512
+memoized = lru_cache(maxsize=CACHE_SIZE, typed=True)
 
+
+@memoized
 def special_orthogonal(n: int) -> GroupType:
     if n < 1:
         raise InvalidLabel(f"SO({n}) and Spin({n}) are not defined")
     return TRIVIAL_GROUP if n == 1 else GroupType((SimpleGroupLabel("B" if n % 2 else "D", n // 2),))
 
 
+@memoized
 def special_unitary(n: int) -> GroupType:
     if n < 1:
         raise InvalidLabel(f"SU({n}) is not defined")
     return TRIVIAL_GROUP if n == 1 else GroupType((SimpleGroupLabel("A", n - 1),))
 
 
+@memoized
 def symplectic(n: int) -> GroupType:
     if n < 0:
         raise InvalidLabel(f"Sp({n}) is not defined")
     return TRIVIAL_GROUP if n == 0 else GroupType((SimpleGroupLabel("C", n),))
 
 
+@memoized
 def _unitary(n: int) -> GroupType:
     if n < 1:
         raise InvalidLabel(f"U({n}) is not defined")
@@ -396,6 +414,7 @@ _SPORADIC_ROWS = {"g2": 6, "spin7": 7, "spin9": 15}
 _CLASSICAL_GROUPS = {"so": special_orthogonal, "su": special_unitary, "sp": symplectic}
 
 
+@memoized
 def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
     """Row ``m`` of a parameterized family, or the sporadic row ``family``."""
     if family == "g2":

@@ -1,3 +1,5 @@
+import io
+import json
 import os
 import subprocess
 import sys
@@ -186,6 +188,23 @@ def test_classifier_swap_invariance_on_catalog():
         direct = classify_diagram(record.diagram, CAT)
         swapped = classify_diagram(record.diagram.swap(), CAT)
         assert direct == swapped, record.id
+
+
+def test_no_cache_grows_with_input(monkeypatch):
+    # 3000 distinct m overflow every bounded cache the classifier fills; none keeps more than its maxsize
+    from cohomone.cli import run
+
+    for m in range(3, 3003):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"family": "brieskorn", "m": m, "d": 1})))
+        assert run(["classify", "--diagram", "-"], CAT).payload["outcome"] == {"kind": "brieskorn", "m": m, "d": 1}
+    caches = {value.__name__: value for name, module in list(sys.modules.items()) if name.startswith("cohomone.")
+              for value in vars(module).values() if hasattr(value, "cache_info")}
+    assert {"special_orthogonal", "special_unitary", "symplectic", "_unitary", "_sphere_row", "_brieskorn_orbits",
+            "_tensor_su_orbits", "_tensor_sp_orbits"} <= set(caches)
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize, name
+    assert caches["_brieskorn_orbits"].cache_info().currsize == caches["_brieskorn_orbits"].cache_info().maxsize
 
 
 def test_classifier_requires_valid_diagram():

@@ -1,12 +1,16 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from cohomone import classification, lie_catalog
 from cohomone.catalog import default_catalog
 from cohomone.errors import InvalidEmbedding, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
+    TRIVIAL_GROUP,
     GroupType,
     NamedEmbedding,
     SimpleGroupLabel,
@@ -174,6 +178,79 @@ def test_weyl_order_degree_product_identity(drawn):
         for d in degrees(g):
             prod *= d + 1
         assert weyl_order(g) * 2**g.rank == prod, g
+
+
+# -- cached invariants and memoized constructors ---------------------------------
+
+
+def recomputed(group):
+    """(rank, dimension, degrees) summed afresh from the factors."""
+    degree_list = [1] * group.torus_rank + [d for f in group.factors for d in f.degrees]
+    return (sum(f.rank for f in group.factors) + group.torus_rank,
+            sum(f.dimension for f in group.factors) + group.torus_rank, tuple(sorted(degree_list)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_products(), group_products())
+def test_cached_invariants_match_a_recomputation_and_cannot_be_set(drawn, other):
+    for g in (drawn, other):
+        assert (g.rank, g.dimension, g.degrees) == recomputed(g)  # the first read caches them
+    derived = [drawn * other, other * drawn, drawn._replace(torus_rank=drawn.torus_rank + 1),
+               drawn._replace(factors=other.factors), copy.copy(drawn), copy.deepcopy(drawn),
+               pickle.loads(pickle.dumps(drawn))]
+    for g in [drawn, other, *derived]:
+        assert (g.rank, g.dimension, g.degrees) == recomputed(g) and degrees(g) is g.degrees, g
+        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "new_name"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(g, name, 0)
+        for name in ("rank", "degrees", "new_name"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(g, name)
+        assert (g.rank, g.dimension, g.degrees) == recomputed(g)
+
+
+#: every memoized constructor, with an argument it refuses
+MEMOIZED_REFUSALS = [
+    (special_orthogonal, (0,), InvalidLabel), (special_unitary, (0,), InvalidLabel),
+    (symplectic, (-1,), InvalidLabel), (lie_catalog._unitary, (0,), InvalidLabel),
+    (lie_catalog._sphere_row, ("so", 1), InvalidLabel), (lie_catalog._sphere_row, ("nope", 3), KeyError),
+    (classification._brieskorn_orbits, (2, "standard"), InvalidLabel),
+    (classification._tensor_su_orbits, (1,), InvalidLabel), (classification._tensor_sp_orbits, (1,), InvalidLabel),
+]
+
+
+@pytest.mark.parametrize("build, args, error", MEMOIZED_REFUSALS, ids=lambda v: getattr(v, "__name__", None))
+def test_memoized_constructor_raises_on_every_call(build, args, error):
+    # lru_cache keeps no exception, so a bad argument is refused each time and takes no entry
+    before = build.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(error):
+            build(*args)
+    assert build.cache_info().currsize == before
+
+
+#: (memoized constructor, arguments equal and hash-equal to int ones, those int arguments)
+ODD_ARGUMENTS = [
+    (special_orthogonal, (3.0,), (3,)),
+    (special_orthogonal, (True,), (1,)),
+    (special_unitary, (5.0,), (5,)),
+    (symplectic, (True,), (1,)),
+    (lie_catalog._unitary, (3.0,), (3,)),
+    (lie_catalog._sphere_row, ("so", 5.0), ("so", 5)),
+    (lie_catalog._sphere_row, ("sp", True), ("sp", 1)),
+    (classification._brieskorn_orbits, (5.0, "standard"), (5, "standard")),
+    (classification._tensor_su_orbits, (5.0,), (5,)),
+    (classification._tensor_sp_orbits, (3.0,), (3,)),
+]
+
+
+@pytest.mark.parametrize("build, odd, args", ODD_ARGUMENTS, ids=lambda v: getattr(v, "__name__", None))
+def test_memoized_constructors_keep_int_keys_apart(build, odd, args):
+    # typed caches: a float or bool argument takes an entry of its own and never answers for the ints
+    build.cache_clear()
+    build(*odd)
+    assert repr(build(*args)) == repr(build.__wrapped__(*args))  # SO(5.0) would hold the label B2.0
+    assert build.cache_info().currsize == 2
 
 
 # -- the transitive-sphere table ----------------------------------------------

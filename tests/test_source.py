@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import importlib
 import inspect
 import os
 import subprocess
@@ -51,6 +52,29 @@ def test_report_path_formats_no_fiber_text_and_restates_no_homology():
                 or isinstance(node, ast.Attribute) and node.attr == "format"]
     assert "_expected_homology" not in {node.name for node in ast.walk(parse("verify.py"))
                                         if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_cache_is_bounded_and_typed():
+    # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = cohomone if path.stem == "__init__" else importlib.import_module(f"cohomone.{path.stem}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            from_functools = isinstance(node, ast.ImportFrom) and node.module == "functools"
+            imported = {alias.name for alias in node.names} if from_functools else set()
+            of_functools = isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools"
+            attr = node.attr if of_functools else None
+            if "cache" in imported or attr == "cache":
+                found.append(f"{path.name}:{node.lineno}: functools.cache")
+            elif attr == "lru_cache" or isinstance(node, ast.Name) and node.id == "lru_cache":
+                keywords = {k.arg: k.value for k in calls[id(node)].keywords} if id(node) in calls else {}
+                size = keywords.get("maxsize")
+                size = getattr(module, size.id, None) if isinstance(size, ast.Name) else getattr(size, "value", None)
+                if type(size) is not int or size < 1 or getattr(keywords.get("typed"), "value", None) is not True:
+                    found.append(f"{path.name}:{node.lineno}: lru_cache without a constant maxsize and typed=True")
+    assert found == []
 
 
 def test_every_exported_function_is_reached():
