@@ -389,9 +389,12 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def _read(path: Path) -> dict:
+def _read(path: Path, error: type[CohomoneError]) -> dict:
     """A data file's JSON object, whose ``"version"`` must be ``CATALOG_VERSION``."""
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError, JSONDecodeError
+        raise error(f"{path}: cannot read catalog file: {exc}") from None
     version = data.get("version") if isinstance(data, dict) else None
     if type(version) is not int or version != CATALOG_VERSION:
         raise Unsupported(f"{path}: catalog version {version!r} is not supported (expected {CATALOG_VERSION})")
@@ -407,19 +410,19 @@ def _records(data: Mapping, key: str, path: Path, error: type[CohomoneError], de
 def load_catalog(directory: Optional[Path] = None) -> Catalog:
     """The catalog in ``directory`` (default: ``data_dir()``).
 
-    Every key of every record is checked; a missing key or a value of the
-    wrong JSON type raises ``InvalidLabel`` (``embeddings.json``) or
-    ``InvalidDiagram`` (``diagrams.json``) naming the file and the key.
+    A file that cannot be read or is not UTF-8 JSON raises ``InvalidLabel``
+    (``embeddings.json``) or ``InvalidDiagram`` (``diagrams.json``) naming it, and
+    so does, naming the key too, a missing key or a value of the wrong JSON type.
     """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
-    data = _read(path)
+    data = _read(path, InvalidLabel)
     embeddings = (_embedding_from_record(*r) for r in _records(data, "embeddings", path, InvalidLabel))
     families = (_family_from_record(*r) for r in _records(data, "families", path, InvalidLabel, ()))
     # the diagram records resolve their embedding ids through this first-stage catalog
     catalog = Catalog(data["version"], _by_id(embeddings, InvalidLabel, path), _by_id(families, InvalidLabel, path), {})
     path = base / "diagrams.json"
-    data = _read(path)
+    data = _read(path, InvalidDiagram)
     records = (
         DiagramRecord(
             id=_value(record, "id", str, where=where),

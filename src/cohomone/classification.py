@@ -7,16 +7,17 @@ parameterized diagram factories (Brieskorn, tensor, seven-family), and
 the diagram classifier that template-matches a validated diagram against
 the shipped catalog and the structural family recognizers.
 
-Each family's orbit groups (G, H, K-, K+) are defined once, as a function
-of its parameter or as a constant.  Its factory builds the diagram from
-them; its recognizer reads the parameter off G and compares the orbit
-groups of the diagram, or of its swap, with the family's.
+Each family's orbit groups (G, H, K-, K+) are defined, and checked to fit, once per parameter.  Its
+factory builds the diagram from them, skipping the embedding checks those groups and this module's tags
+have passed; its recognizer reads the parameter off G and compares the orbit groups of the diagram, or
+of its swap, with the family's.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .diagram import CASE6_FIBERS, GroupDiagram, validate
@@ -25,6 +26,7 @@ from .lie_catalog import (
     TRIVIAL_GROUP,
     GroupType,
     NamedEmbedding,
+    check_winding_and_slope,
     is_declared_injective,
     memoized,
     parse_group,
@@ -271,15 +273,24 @@ def _outcome_from_record(record: DiagramRecord) -> Optional[ClassificationOutcom
 #: the orbit groups (G, H, K-, K+) of a diagram
 Orbits = tuple[GroupType, GroupType, GroupType, GroupType]
 
+
+def _fitted(g: GroupType, h: GroupType, k_minus: GroupType, k_plus: GroupType) -> Orbits:
+    """The orbits, once H, K-+ fit in G and H in K-+ by dimension and rank, as ``NamedEmbedding`` checks."""
+    for ambient, sub in ((g, h), (g, k_minus), (g, k_plus), (k_minus, h), (k_plus, h)):
+        if sub.dimension > ambient.dimension or sub.rank > ambient.rank:
+            raise InvalidEmbedding(f"the orbit group {sub} does not fit in {ambient}")
+    return g, h, k_minus, k_plus
+
+
 _G2 = parse_group("G2")
 #: the Brieskorn variants of fixed m, as (m, orbits): the 7-dimensional-spinor restriction of
 #: the rotation group at m = 8 and its exceptional-holonomy restriction at m = 7
 _FIXED_BRIESKORN: dict[str, tuple[int, Orbits]] = {
-    "spin7": (8, (_T1 * special_orthogonal(7), special_unitary(3), _T1 * special_unitary(3), _G2)),
-    "g2": (7, (_T1 * _G2, special_unitary(2), _T1 * special_unitary(2), special_unitary(3))),
+    "spin7": (8, _fitted(_T1 * special_orthogonal(7), special_unitary(3), _T1 * special_unitary(3), _G2)),
+    "g2": (7, _fitted(_T1 * _G2, special_unitary(2), _T1 * special_unitary(2), special_unitary(3))),
 }
 #: S^3 x S^3 with finite principal isotropy and two circles
-_SEVEN_ORBITS: Orbits = (_SU2 * _SU2, TRIVIAL_GROUP, _T1, _T1)
+_SEVEN_ORBITS: Orbits = _fitted(_SU2 * _SU2, TRIVIAL_GROUP, _T1, _T1)
 
 
 @memoized
@@ -288,19 +299,19 @@ def _brieskorn_orbits(m: int, variant: str) -> Orbits:
     if variant != "standard":
         return _FIXED_BRIESKORN[variant][1]
     h = special_orthogonal(m - 2)
-    return _T1 * special_orthogonal(m), h, _T1 * h, special_orthogonal(m - 1)
+    return _fitted(_T1 * special_orthogonal(m), h, _T1 * h, special_orthogonal(m - 1))
 
 
 @memoized
 def _tensor_su_orbits(n: int) -> Orbits:
     su = special_unitary(n - 2)
-    return special_unitary(n) * _SU2, su * _T1, special_unitary(n - 1) * _T1, su * _SU2
+    return _fitted(special_unitary(n) * _SU2, su * _T1, special_unitary(n - 1) * _T1, su * _SU2)
 
 
 @memoized
 def _tensor_sp_orbits(n: int) -> Orbits:
     sp1sp1, sp = _SU2 * _SU2, symplectic(n - 2)
-    return symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2)
+    return _fitted(symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2))
 
 
 def _family_diagram(
@@ -309,15 +320,19 @@ def _family_diagram(
     """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
     winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and ``annotations`` are
     the component counts and orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is
-    refused before any embedding is built, since checking one costs time linear in its rank.
+    refused before any embedding is built.  Of the checks of ``NamedEmbedding``, only the winding and
+    slope ones run: ``_fitted`` checked the groups, the tags are this module's, and no ranks are declared.
     """
     g, h, k_minus, k_plus = orbits
     dim = g.dimension - h.dimension + 1
     if dim > MAX_SPHERE_DIM:
         raise InvalidParams(f"{stem}: the manifold dimension {dim} exceeds {MAX_SPHERE_DIM}")
+    for group in orbits:  # a non-integer parameter gives a float rank: the TypeError of counting its degrees
+        index(group.rank)
 
-    def embed(suffix: str, ambient: GroupType, subgroup: GroupType, labels: set[str], **fields) -> NamedEmbedding:
-        return NamedEmbedding(f"{stem}-{suffix}", ambient, subgroup, tags=frozenset(labels), **fields)
+    def embed(suffix: str, ambient: GroupType, sub: GroupType, labels: set[str], winding=None, slope=None):
+        check_winding_and_slope(id := f"{stem}-{suffix}", winding, slope)
+        return tuple.__new__(NamedEmbedding, (id, ambient, sub, (), frozenset(labels), winding, slope, frozenset()))
 
     return GroupDiagram(
         g=g, h=embed("h", g, h, tags[0]), k_minus=embed("kminus", g, k_minus, tags[1], **k_fields[0]),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -23,6 +22,8 @@ if TYPE_CHECKING:
     from .catalog import Catalog
     from .diagram import GroupDiagram
     from .polynomial import IntegerPolynomial
+
+MAX_DOCUMENT_BYTES = 1 << 16  # the longest diagram document read, in bytes (characters from stdin)
 
 
 class CommandResult(NamedTuple):
@@ -67,12 +68,19 @@ def _printable(value: int, what: str) -> int:
 
 def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
     try:
-        raw = sys.stdin.read() if spec == "-" else Path(spec).read_text(encoding="utf-8")
+        if spec == "-":
+            raw = sys.stdin.read(MAX_DOCUMENT_BYTES + 1)
+        else:  # decoded below as text mode reads a file: \r\n and a lone \r end a line
+            with open(spec, "rb") as file:
+                raw = file.read(MAX_DOCUMENT_BYTES + 1)
+        if len(raw) > MAX_DOCUMENT_BYTES:
+            raise _UsageError(f"diagram document {spec} is longer than the limit of {MAX_DOCUMENT_BYTES} bytes")
+        text = raw if spec == "-" else raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read diagram file {spec}: {exc}") from exc
     try:
-        document = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer with more digits than int() reads
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer too long for int(), deep nesting
         raise _UsageError(f"diagram document {spec} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise _UsageError(f"diagram document {spec} is not a JSON object")

@@ -19,12 +19,16 @@ spheres of positive dimension l+-.  This module owns:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidEmbedding, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic
+
+#: a diagram's fields, or its descriptor's entries, in the order of its swap: K- and K+ entries exchanged
+_swapped = itemgetter(0, 1, 3, 2, 5, 4, 6, 8, 7, 10, 9)
 
 
 class GroupDiagram(NamedTuple):
@@ -71,16 +75,7 @@ class GroupDiagram(NamedTuple):
 
     def swap(self) -> "GroupDiagram":
         """The diagram with K+ and K- exchanged (an equivalence move)."""
-        return self._replace(
-            k_minus=self.k_plus,
-            k_plus=self.k_minus,
-            h_in_k_minus=self.h_in_k_plus,
-            h_in_k_plus=self.h_in_k_minus,
-            components_k_minus=self.components_k_plus,
-            components_k_plus=self.components_k_minus,
-            nonorientable_k_minus=self.nonorientable_k_plus,
-            nonorientable_k_plus=self.nonorientable_k_minus,
-        )
+        return GroupDiagram._make(_swapped(self))
 
     def descriptor(self) -> tuple:
         return (
@@ -102,7 +97,7 @@ class GroupDiagram(NamedTuple):
 
         Equal and swap-equal diagrams, and only those, share it.
         """
-        return min(self.descriptor(), self.swap().descriptor())
+        return min(own := self.descriptor(), _swapped(own))
 
     def orbit_inclusions(self) -> tuple[NamedEmbedding, NamedEmbedding, NamedEmbedding]:
         """H, K+ and K- as inclusions into G; one that lives in another group raises."""

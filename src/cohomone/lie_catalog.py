@@ -321,16 +321,15 @@ def parse_group(text: str) -> GroupType:
 class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_map_ranks tags winding slope contains")):
     """A catalogued conjugacy class of subgroup inclusion.
 
-    ``homotopy_map_ranks`` records, per degree, the rank of the induced
-    map on rational homotopy.  Degrees absent from the map have no
-    declared rank; consumers fall back to the maximal-rank heuristic.
-    ``tags`` are bare labels ("block", "spinor", "lattice", "m>=4", ...).
-    Three typed fields carry values: ``winding``, an int or None (the
-    circle winding of a Brieskorn K-); ``slope``, a pair of ints or None
-    (the circle slope of a seven-family K-+); and ``contains``, a frozenset
-    of the embedding ids a lattice entry contains.  A value of another type
-    (a bool is not an int) and a tag starting ``winding:``, ``slope:`` or
-    ``contains:`` raise ``InvalidLabel``; ``catalog`` reads such tags.
+    ``homotopy_map_ranks`` records, per degree, the rank of the induced map on rational homotopy.
+    Degrees absent from the map have no declared rank; consumers fall back to the maximal-rank heuristic.
+    ``tags`` are bare labels ("block", "spinor", "lattice", "m>=4", ...).  Three typed fields carry
+    values: ``winding``, an int or None (the circle winding of a Brieskorn K-); ``slope``, a pair of ints
+    or None (the circle slope of a seven-family K-+); and ``contains``, a frozenset of the embedding ids a
+    lattice entry contains.  A value of another type (a bool is not an int) and a tag starting
+    ``winding:``, ``slope:`` or ``contains:`` raise ``InvalidLabel``; ``catalog`` reads such tags.  The
+    constructor and ``_replace`` run every check; only the family factories of ``classification`` build
+    embeddings past them, from orbit groups checked once per parameter.
     """
 
     __slots__ = ()
@@ -346,15 +345,19 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
         prefixed = [t for t in tags if not isinstance(t, str) or t.startswith(("winding:", "slope:", "contains:"))]
         if prefixed:
             raise InvalidLabel(f"{id}: {', '.join(sorted(map(repr, prefixed)))} is not a bare tag")
-        if not (winding is None or type(winding) is int):
-            raise InvalidLabel(f"{id}: winding must be an int or None, got {winding!r}")
-        if not (slope is None or type(slope) is tuple and len(slope) == 2 and all(type(v) is int for v in slope)):
-            raise InvalidLabel(f"{id}: slope must be a pair of ints or None, got {slope!r}")
+        check_winding_and_slope(id, winding, slope)
         if not (type(contains) is frozenset and all(isinstance(c, str) for c in contains)):
             raise InvalidLabel(f"{id}: contains must be a frozenset of embedding ids, got {contains!r}")
         self = tuple.__new__(cls, (id, ambient, subgroup, ranks, tags, winding, slope, contains))
         validate_embedding(self)
         return self
+
+
+def check_winding_and_slope(id: str, winding: Optional[int], slope: Optional[tuple[int, int]]) -> None:
+    if not (winding is None or type(winding) is int):
+        raise InvalidLabel(f"{id}: winding must be an int or None, got {winding!r}")
+    if not (slope is None or type(slope) is tuple and len(slope) == 2 and all(type(v) is int for v in slope)):
+        raise InvalidLabel(f"{id}: slope must be a pair of ints or None, got {slope!r}")
 
 
 def validate_embedding(e: NamedEmbedding) -> None:

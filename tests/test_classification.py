@@ -29,8 +29,8 @@ from cohomone.classification import (
     tensor_su_diagram,
 )
 from cohomone.diagram import double_disk_euler, mv_feasible, validate
-from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidParams
-from cohomone.lie_catalog import parse_group
+from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams
+from cohomone.lie_catalog import NamedEmbedding, parse_group, special_orthogonal, special_unitary
 
 CAT = default_catalog()
 
@@ -386,6 +386,92 @@ def test_valid_near_misses_of_a_family_stay_unmatched(name):
     assert validate(d) == []
     assert classify_diagram(d, CAT).kind == "unmatched"
     assert classify_diagram(d.swap(), CAT).kind == "unmatched"
+
+
+# -- factory embeddings: the checked constructor as oracle ------------------------------
+
+
+@st.composite
+def factory_diagrams(draw):
+    """A factory diagram over the whole parameter range the factories accept cheaply."""
+    kind = draw(st.sampled_from(["standard", "spin7", "g2", "tensor-su", "tensor-sp", "seven"]))
+    if kind == "tensor-su":
+        return tensor_su_diagram(draw(st.integers(4, 60)))
+    if kind == "tensor-sp":
+        return tensor_sp_diagram(draw(st.integers(2, 60)))
+    if kind == "seven":
+        return seven_family_diagram(SevenFamilyParams(*draw(st.lists(
+            st.integers(-10**6, 10**6).map(lambda k: 4 * k + 1), min_size=4, max_size=4))))
+    m = {"spin7": 8, "g2": 7}.get(kind) or draw(st.integers(3, 60))
+    return brieskorn_diagram(m, draw(st.integers(1, 10**6)), kind)
+
+
+def swapped_by_name(d):
+    """The swap of ``d``, written field by field."""
+    return d._replace(
+        k_minus=d.k_plus, k_plus=d.k_minus, h_in_k_minus=d.h_in_k_plus, h_in_k_plus=d.h_in_k_minus,
+        components_k_minus=d.components_k_plus, components_k_plus=d.components_k_minus,
+        nonorientable_k_minus=d.nonorientable_k_plus, nonorientable_k_plus=d.nonorientable_k_minus,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(factory_diagrams())
+def test_factory_embeddings_pass_every_check_of_the_public_constructor(d):
+    for e in (d.h, d.k_minus, d.k_plus, d.h_in_k_minus, d.h_in_k_plus):
+        assert type(e) is NamedEmbedding
+        assert NamedEmbedding._make(e) == e  # _make runs every check of NamedEmbedding
+
+
+@settings(max_examples=200, deadline=None)
+@given(factory_diagrams(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans())
+def test_canonical_descriptor_is_the_smaller_of_the_two_orientations(d, c_h, c_minus, c_plus, n_minus, n_plus):
+    d = d._replace(components_h=c_h, components_k_minus=c_minus, components_k_plus=c_plus,
+                   nonorientable_k_minus=n_minus, nonorientable_k_plus=n_plus)
+    assert d.swap() == swapped_by_name(d)
+    assert d.canonical_descriptor() == min(d.descriptor(), swapped_by_name(d).descriptor())
+
+
+def test_canonical_descriptor_of_shipped_records():
+    for record in CAT.diagram_records():
+        d = record.diagram
+        assert d.swap() == swapped_by_name(d)
+        assert d.canonical_descriptor() == min(d.descriptor(), swapped_by_name(d).descriptor()), record.id
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: brieskorn_diagram(5, True), InvalidLabel,
+         "brieskorn[standard,m=5,d=True]-kminus: winding must be an int or None, got True"),
+        (lambda: brieskorn_diagram(5, 3.0), InvalidLabel,
+         "brieskorn[standard,m=5,d=3.0]-kminus: winding must be an int or None, got 3.0"),
+        (lambda: seven_family_diagram(SevenFamilyParams(5.0, 1, 1, 1)), InvalidLabel,
+         "seven[5.0,1,1,1]-kminus: slope must be a pair of ints or None, got (5.0, 1)"),
+        (lambda: seven_family_diagram(SevenFamilyParams(5, 1, 1, 1.0)), InvalidLabel,
+         "seven[5,1,1,1.0]-kplus: slope must be a pair of ints or None, got (1, 1.0)"),
+        # a non-integer m or n builds groups of float rank, which no degree count accepts
+        (lambda: brieskorn_diagram(6.0, 3), TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: tensor_su_diagram(5.0), TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: tensor_sp_diagram(3.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    ],
+)
+def test_factory_refusals_keep_their_type_and_text(call, error, text):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == text
+
+
+def test_orbit_groups_that_do_not_fit_are_refused():
+    fitted = cohomone.classification._fitted
+    so5, so3 = special_orthogonal(5), special_orthogonal(3)
+    assert fitted(so5, so3, so3, so3) == (so5, so3, so3, so3)
+    with pytest.raises(InvalidEmbedding, match="does not fit"):
+        fitted(so3, so3, so5, so3)  # K- larger than G
+    with pytest.raises(InvalidEmbedding, match="does not fit"):
+        fitted(so5, special_unitary(3), so3, so3)  # H (dimension 8) larger than K-
+    with pytest.raises(InvalidEmbedding, match="does not fit"):
+        fitted(so5 * so5, parse_group("T3"), so5, so5)  # H of rank 3 in K-+ of rank 2
 
 
 # -- orbit Betti data ------------------------------------------------------------------

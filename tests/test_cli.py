@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import time
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import cohomone
 from cohomone.catalog import data_dir, load_catalog
-from cohomone.cli import _COMMANDS, main, render, run
+from cohomone.cli import _COMMANDS, MAX_DOCUMENT_BYTES, main, render, run
 
 
 def payload(argv, expect_code=0, catalog=None):
@@ -172,6 +173,23 @@ def test_verify_tables_fails_on_corrupted_catalog(tmp_path):
     assert any("su6-sp3" in cid for cid in result.payload["summary"]["failed"])
 
 
+@pytest.mark.parametrize("name, error", [("embeddings.json", "InvalidLabel"), ("diagrams.json", "InvalidDiagram")])
+@pytest.mark.parametrize("fault", [None, b"\xff\xfe", b'{"version": 1, "diagrams": [', b"[" * 5000 + b"]" * 5000])
+def test_unreadable_catalog_file_exits_2_naming_it(tmp_path, monkeypatch, name, error, fault):
+    # a missing file, one that is not UTF-8, truncated JSON and JSON nested deeper than the reader recurses
+    for other in ("embeddings.json", "diagrams.json"):
+        shutil.copy(data_dir() / other, tmp_path / other)
+    if fault is None:
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_bytes(fault)
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    for argv in (["quotient", "--embedding", "t2-in-su3"], ["verify-tables"]):
+        result = run(argv)
+        assert result.exit_code == 2, result.payload
+        assert result.payload["error"].startswith(f"{error}: {tmp_path / name}: cannot read catalog file: ")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["no-such-command"]).exit_code == 2
     assert run(["brieskorn", "--m", "2", "--d", "3"]).exit_code == 2
@@ -233,6 +251,76 @@ def test_unreadable_diagram_file_exits_2(tmp_path, content):
         result = run([command, "--diagram", str(path)])
         assert result.exit_code == 2
         assert str(path) in result.payload["error"]
+
+
+def padded(document: dict, size: int) -> str:
+    """``document`` as JSON, padded with spaces to ``size`` characters."""
+    text = json.dumps(document)
+    return text + " " * (size - len(text))
+
+
+BRIESKORN = {"family": "brieskorn", "m": 6, "d": 3}
+TOO_LONG = f"is longer than the limit of {MAX_DOCUMENT_BYTES} bytes"
+
+
+def test_document_longer_than_the_limit_exits_2(tmp_path):
+    doc = tmp_path / "document.json"
+    doc.write_text(padded(BRIESKORN, MAX_DOCUMENT_BYTES))
+    assert run(["classify", "--diagram", str(doc)]).exit_code == 0
+    doc.write_text(padded(BRIESKORN, MAX_DOCUMENT_BYTES + 1))  # 65,537 bytes
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2 and result.payload["error"] == f"diagram document {doc} {TOO_LONG}"
+    # the limit counts the bytes of a file: 32,768 two-byte characters and the keys pass it, in fewer characters
+    doc.write_text('{"family": "brieskorn", "m": 6, "d": 3, "x": "' + "é" * 32768 + '"}', encoding="utf-8")
+    assert os.path.getsize(doc) > MAX_DOCUMENT_BYTES
+    assert TOO_LONG in run(["classify", "--diagram", str(doc)]).payload["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_document_exits_2():
+    result = run(["classify", "--diagram", "/dev/zero"])
+    assert result.exit_code == 2 and result.payload["error"] == f"diagram document /dev/zero {TOO_LONG}"
+
+
+@pytest.mark.parametrize("size, code", [(MAX_DOCUMENT_BYTES, 0), (MAX_DOCUMENT_BYTES + 1, 2), (10**7, 2)])
+def test_stdin_document_is_read_up_to_the_limit(size, code):
+    stdin = io.StringIO(padded(BRIESKORN, size))
+    with mock.patch("sys.stdin", stdin):
+        result = run(["classify", "--diagram", "-"])
+    assert result.exit_code == code, result.payload
+    if code == 2:
+        assert result.payload["error"] == f"diagram document - {TOO_LONG}"
+        assert stdin.tell() == MAX_DOCUMENT_BYTES + 1  # no more was read
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    doc = tmp_path / "nested.json"
+    doc.write_text("[" * 5000 + "]" * 5000 + "\n")  # 10,001 bytes
+    for command in ("classify", "primitivity"):
+        result = run([command, "--diagram", str(doc)])
+        assert result.exit_code == 2
+        assert result.payload["error"].startswith(f"diagram document {doc} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("raw", [
+    b'{\r\n"family": "brieskorn",\r\n "m": x}', b'{\r"m": 1,\r\r "d": }', b'\r\n\r\n{"a": [1,\r 2,,]}',
+    b'{"a": "\r"}', b'{"m": 1}\r\nx', b"\r\n\r\n", b'{"a": 1,\n\r\n\r"b"}',
+])
+def test_json_errors_in_crlf_documents_name_the_positions_text_mode_reads(tmp_path, raw):
+    doc = tmp_path / "crlf.json"
+    doc.write_bytes(raw)
+    with open(doc, encoding="utf-8") as file:  # text mode ends a line at \r\n and at a lone \r
+        text = file.read()
+    with pytest.raises(ValueError) as caught:
+        json.loads(text)
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.payload == {"error": f"diagram document {doc} is not valid JSON: {caught.value}"}
+
+
+def test_crlf_document_classifies(tmp_path):
+    doc = tmp_path / "crlf.json"
+    doc.write_bytes(b'{"family": "brieskorn",\r\n"m": 6,\r"d": 3}\r\n')
+    assert payload(["classify", "--diagram", str(doc)])["outcome"] == {"kind": "brieskorn", "m": 6, "d": 3}
 
 
 def test_non_object_document_exits_2(tmp_path):
@@ -645,10 +733,28 @@ def family_documents(draw):
     return document
 
 
+#: where a nested value sits: the whole document, or the value of a key that the CLI or a record reads
+NESTING_PLACES = ["%s", '{"catalog": %s}', '{"family": %s}', '{"family": "brieskorn", "m": %s, "d": 1}',
+                  '{"g": %s, "h": "t2-in-su3"}', '{"g": "SU(3)", "h": "t2-in-su3", "component_counts": %s}']
+
+
+@st.composite
+def nested_documents(draw):
+    """The text of a document holding arrays or objects nested up to 6000 deep: shallow, about as deep as
+    the JSON reader recurses, or deeper."""
+    depth = draw(st.integers(1, 6000) | st.integers(900, 1100))
+    if draw(st.booleans()):
+        value = "[" * depth + "]" * depth
+    else:
+        value = '{"a": ' * depth + "1" + "}" * depth
+    return draw(st.sampled_from(NESTING_PLACES)) % value
+
+
 @settings(max_examples=300, deadline=None)
-@given(document=record_documents() | family_documents(), command=st.sampled_from(["classify", "primitivity"]))
-def test_fuzzed_diagram_documents_exit_0_or_2_with_json(document, command):
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+@given(text=record_documents().map(json.dumps) | family_documents().map(json.dumps) | nested_documents(),
+       command=st.sampled_from(["classify", "primitivity"]))
+def test_fuzzed_diagram_documents_exit_0_or_2_with_json(text, command):
+    with mock.patch("sys.stdin", io.StringIO(text)):
         result = run([command, "--diagram", "-"])
     assert result.exit_code in (0, 2), result.payload
     json.dumps(result.payload)

@@ -54,6 +54,14 @@ def test_report_path_formats_no_fiber_text_and_restates_no_homology():
                                         if isinstance(node, ast.FunctionDef)}
 
 
+def test_only_the_family_factories_build_embeddings_unchecked():
+    # classification._family_diagram builds its embeddings from orbit groups checked once per parameter;
+    # every other NamedEmbedding runs the checks of its constructor
+    found = [(path.name, line) for path in sorted(SOURCE.glob("*.py"))
+             for line in path.read_text().splitlines() if "tuple.__new__(NamedEmbedding" in line]
+    assert len(found) == 1 and found[0][0] == "classification.py"
+
+
 def test_every_cache_is_bounded_and_typed():
     # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
     found = []
