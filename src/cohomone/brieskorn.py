@@ -77,10 +77,6 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
                 return e
         return None
 
-    def free_rank(self, degree: int) -> int:
-        e = self.entry(degree)
-        return e.free_rank if e else 0
-
     def torsion(self, degree: int) -> tuple[int, ...]:
         e = self.entry(degree)
         return e.torsion if e else ()

@@ -7,15 +7,16 @@ parameterized diagram factories (Brieskorn, tensor, seven-family), and
 the diagram classifier that template-matches a validated diagram against
 the shipped catalog and the structural family recognizers.
 
-Each family's orbit groups (G, H, K-, K+) are defined, and checked to fit, once per parameter.  Its
-factory builds the diagram from them, skipping the embedding checks those groups and this module's tags
-have passed; its recognizer reads the parameter off G and compares the orbit groups of the diagram, or
-of its swap, with the family's.
+``FAMILIES`` is the one table of the parameterized families: for each ``family`` name of a diagram
+document, its integer keys, its optional keys, its factory and its recognizer.  Each family's orbit
+groups (G, H, K-, K+) are defined, and checked to fit, once per parameter.  Its factory builds the
+diagram from them, skipping the embedding checks those groups and this module's tags have passed; its
+recognizer reads the parameter off G and compares the orbit groups of the diagram, or of its swap,
+with the family's.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
@@ -126,6 +127,8 @@ def _or_default(catalog: Optional[Catalog]) -> Catalog:
 def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[CorankTwoRow]:
     """All catalogued (G simple, L simple or trivial, corank 2) pairs with
     rationally injective inclusion, with the two odd quotient degrees.
+
+    A ``corank2``-tagged embedding that is no such pair raises InvalidEmbedding naming the condition.
     """
     if max_rank < 2:
         raise InvalidParams("max_rank must be at least 2")
@@ -133,14 +136,13 @@ def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[
     rows: list[CorankTwoRow] = []
     for embedding, family, param in catalog.corank2_sources(max_rank):
         g, sub = embedding.ambient, embedding.subgroup
-        if not g.is_simple():
-            continue
-        if not (sub.is_simple() or sub.is_trivial()):
-            continue
-        if g.rank - sub.rank != 2:
-            continue
-        if not is_declared_injective(embedding):
-            continue
+        for holds, condition in (
+            (g.is_simple(), "a simple G"), (sub.is_simple() or sub.is_trivial(), "a simple or trivial L"),
+            (g.rank - sub.rank == 2, "ranks of G and L differing by 2"),
+            (is_declared_injective(embedding), "a declared injective inclusion"),
+        ):
+            if not holds:
+                raise InvalidEmbedding(f"{embedding.id}: a corank-2 pair needs {condition}")
         qh = quotient_homotopy(embedding)
         if qh.heuristic or qh.even_degrees or len(qh.odd_degrees) != 2:
             raise InvalidEmbedding(f"{embedding.id}: a corank-2 quotient needs exactly two odd degrees")
@@ -282,6 +284,8 @@ def _fitted(g: GroupType, h: GroupType, k_minus: GroupType, k_plus: GroupType) -
     return g, h, k_minus, k_plus
 
 
+#: the least m of a Brieskorn diagram, with G = circle x SO(m)
+_BRIESKORN_MIN_M = 3
 _G2 = parse_group("G2")
 #: the Brieskorn variants of fixed m, as (m, orbits): the 7-dimensional-spinor restriction of
 #: the rotation group at m = 8 and its exceptional-holonomy restriction at m = 7
@@ -349,8 +353,8 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
     7-dimensional-spinor restriction ("spin7", m = 8 only), or the
     exceptional-holonomy restriction ("g2", m = 7 only).
     """
-    if m < 3 or d < 1:
-        raise InvalidParams("need m >= 3 and d >= 1")
+    if m < _BRIESKORN_MIN_M or d < 1:
+        raise InvalidParams(f"need m >= {_BRIESKORN_MIN_M} and d >= 1")
     if variant not in ("standard", *_FIXED_BRIESKORN):
         raise InvalidParams(f"unknown variant {variant!r}")
     if variant in _FIXED_BRIESKORN and m != _FIXED_BRIESKORN[variant][0]:
@@ -376,29 +380,47 @@ def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     )
 
 
-def _tensor_diagram(family: str, n: int, orbits: Orbits) -> GroupDiagram:
-    tags = {f"family:{family}", f"n:{n}"}
-    return _family_diagram(
-        f"{family}[n={n}]", orbits, ({"block", "proper-projections"}, tags | {"block"}, tags | {"diagonal"})
-    )
+class _Tensor(namedtuple("_Tensor", "name group field rank_offset min_n orbits refusal")):
+    """A tensor family: X(n) x X(2) on the unit sphere of F^n (x) F^2, X and F named by ``group`` and ``field``,
+    for n >= ``min_n``, its orbit groups built by ``orbits(n)``; n is the rank of X(n) plus ``rank_offset``,
+    and ``refusal`` the error below min_n, with {} for min_n."""
+
+    __slots__ = ()
+
+    def diagram(self, n: int) -> GroupDiagram:
+        if n < self.min_n:
+            raise InvalidParams(self.refusal.format(self.min_n))
+        tags = {f"family:{self.name}", f"n:{n}"}
+        stem, orbits = f"{self.name}[n={n}]", self.orbits(n)
+        return _family_diagram(stem, orbits, ({"block", "proper-projections"}, tags | {"block"}, tags | {"diagonal"}))
+
+    def recognize(self, d: GroupDiagram) -> Optional[ClassificationOutcome]:
+        n = max((f.rank for f in d.g.factors), default=0) + self.rank_offset  # G = X(n) x X(2)
+        if n < self.min_n or not any(_oriented(d, self.orbits(n))):
+            return None
+        group, field = self.group, self.field  # the manifold is the sphere S^(4n-1) or S^(8n-1)
+        return ClassificationOutcome("linear-sphere", description=(
+            f"{group}({n})x{group}(2) on S^{d.manifold_dim} via the tensor product of {field}^{n} and {field}^2"))
+
+
+_TENSOR_SU = _Tensor("tensor-su", "SU", "C", 1, 4, _tensor_su_orbits,
+                     "the tensor family needs n >= {} (n = 3 is the eleven-sphere table)")
+_TENSOR_SP = _Tensor("tensor-sp", "Sp", "H", 0, 2, _tensor_sp_orbits,
+                     "the quaternionic tensor family needs n >= {}")
 
 
 def tensor_su_diagram(n: int) -> GroupDiagram:
     """The SU(n) x SU(2) diagram of the tensor-product action on S^(4n-1), n >= 4."""
-    if n < 4:
-        raise InvalidParams("the tensor family needs n >= 4 (n = 3 is the eleven-sphere table)")
-    return _tensor_diagram("tensor-su", n, _tensor_su_orbits(n))
+    return _TENSOR_SU.diagram(n)
 
 
 def tensor_sp_diagram(n: int) -> GroupDiagram:
     """The Sp(n) x Sp(2) diagram of the quaternionic tensor action on S^(8n-1), n >= 2."""
-    if n < 2:
-        raise InvalidParams("the quaternionic tensor family needs n >= 2")
-    return _tensor_diagram("tensor-sp", n, _tensor_sp_orbits(n))
+    return _TENSOR_SP.diagram(n)
 
 
 # ---------------------------------------------------------------------------
-# Structural recognizers: read the parameter off G, then compare orbit groups
+# Structural recognizers (read the parameter off G, then compare orbit groups) and the family table
 # ---------------------------------------------------------------------------
 
 
@@ -411,13 +433,10 @@ def _oriented(d: GroupDiagram, orbits: Orbits) -> Iterator[GroupDiagram]:
 
 
 def _so_index(semisimple_part: GroupType) -> Optional[int]:
-    """m with so(m) equal to the given type, if any."""
-    dim = semisimple_part.dimension
-    # dim so(m) = m(m-1)/2
-    m = (1 + math.isqrt(1 + 8 * dim)) // 2
-    for candidate in (m, m + 1):
-        if candidate >= 3 and special_orthogonal(candidate) == semisimple_part:
-            return candidate
+    """m >= the least Brieskorn m with so(m) equal to the given type, if any."""
+    for m in (2 * semisimple_part.rank, 2 * semisimple_part.rank + 1):  # so(m) has rank m // 2
+        if m >= _BRIESKORN_MIN_M and special_orthogonal(m) == semisimple_part:
+            return m
     return None
 
 
@@ -451,24 +470,6 @@ def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
     return None
 
 
-def _recognize_tensor_su(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    n = max((f.rank for f in d.g.factors), default=0) + 1  # G = SU(n) x SU(2)
-    if n < 4 or not any(_oriented(d, _tensor_su_orbits(n))):
-        return None
-    return ClassificationOutcome(
-        "linear-sphere", description=f"SU({n})xSU(2) on S^{4 * n - 1} via the tensor product of C^{n} and C^2"
-    )
-
-
-def _recognize_tensor_sp(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    n = max((f.rank for f in d.g.factors), default=0)  # G = Sp(n) x Sp(2)
-    if n < 2 or not any(_oriented(d, _tensor_sp_orbits(n))):
-        return None
-    return ClassificationOutcome(
-        "linear-sphere", description=f"Sp({n})xSp(2) on S^{8 * n - 1} via the tensor product of H^{n} and H^2"
-    )
-
-
 def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
     if not any(_oriented(d, _SEVEN_ORBITS)):
         return None
@@ -486,12 +487,18 @@ def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
     return ClassificationOutcome("seven-family", params=params, torsion=torsion)
 
 
-_RECOGNIZERS = (
-    _recognize_brieskorn,
-    _recognize_tensor_su,
-    _recognize_tensor_sp,
-    _recognize_seven_family,
-)
+#: a diagram family: ``factory(*keys, **optional)`` builds its diagram from a document's integer ``keys`` and
+#: the ``optional`` keys it holds; ``recognize`` gives the outcome of its diagrams, and None for any other
+Family = namedtuple("Family", "keys optional factory recognize")
+
+#: the diagram families by document ``family`` name; the classifier tries the recognizers in this order
+FAMILIES: dict[str, Family] = {
+    "brieskorn": Family(("m", "d"), ("variant",), brieskorn_diagram, _recognize_brieskorn),
+    "tensor-su": Family(("n",), (), tensor_su_diagram, _TENSOR_SU.recognize),
+    "tensor-sp": Family(("n",), (), tensor_sp_diagram, _TENSOR_SP.recognize),
+    "seven": Family(SevenFamilyParams._fields, (),
+                    lambda *slopes: seven_family_diagram(SevenFamilyParams(*slopes)), _recognize_seven_family),
+}
 
 
 def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> ClassificationOutcome:
@@ -504,8 +511,8 @@ def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Clas
     outcome = _outcome_from_record(record) if record is not None else None
     if outcome is not None:
         return outcome
-    for recognize in _RECOGNIZERS:
-        outcome = recognize(d)
+    for family in FAMILIES.values():
+        outcome = family.recognize(d)
         if outcome is not None:
             return outcome
     return ClassificationOutcome("unmatched")

@@ -99,23 +99,16 @@ def _int_key(document: dict, key: str) -> int:
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     if "catalog" in document:
         return catalog.diagram_record(str(document["catalog"])).diagram
-    from .classification import (
-        SevenFamilyParams, brieskorn_diagram, seven_family_diagram, tensor_sp_diagram, tensor_su_diagram,
-    )
-
     family = document.get("family")
-    if family == "brieskorn":
-        return brieskorn_diagram(_int_key(document, "m"), _int_key(document, "d"), document.get("variant", "standard"))
-    if family == "seven":
-        keys = ("p_minus", "q_minus", "p_plus", "q_plus")
-        return seven_family_diagram(SevenFamilyParams(*(_int_key(document, key) for key in keys)))
-    if family == "tensor-su":
-        return tensor_su_diagram(_int_key(document, "n"))
-    if family == "tensor-sp":
-        return tensor_sp_diagram(_int_key(document, "n"))
-    if family is not None:
-        raise _UsageError(f"unknown diagram family {family!r}")
-    return catalog.diagram_from_record(document)
+    if family is None:
+        return catalog.diagram_from_record(document)
+    from .classification import FAMILIES
+
+    entry = FAMILIES.get(family) if isinstance(family, str) else None  # a JSON array or object is unhashable
+    if entry is None:
+        raise _UsageError(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, FAMILIES))})")
+    return entry.factory(*(_int_key(document, key) for key in entry.keys),
+                         **{key: document[key] for key in entry.optional if key in document})
 
 
 def _cmd_brieskorn(args) -> CommandResult:

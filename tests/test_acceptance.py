@@ -109,14 +109,15 @@ def test_criterion_4_brieskorn_grid():
                 p = BrieskornParams(m, d)
                 assert delta_poly(p)(1) == delta_at_one(p)
                 h = homology(p)
+                ranks = {e.degree: e.free_rank for e in h.entries}
                 top = p.sphere_dim
-                assert h.free_rank(0) == 1 and h.free_rank(top) == 1
+                assert ranks.get(0, 0) == 1 and ranks.get(top, 0) == 1
                 if m % 2 == 0:
                     expected_middle = () if d == 1 else (d,)
                     assert h.torsion(m - 1) == expected_middle
-                    assert h.free_rank(m - 1) == 0 and h.entry(m) is None
+                    assert ranks.get(m - 1, 0) == 0 and h.entry(m) is None
                 elif d % 2 == 0:
-                    assert h.free_rank(m - 1) == 1 and h.free_rank(m) == 1
+                    assert ranks.get(m - 1, 0) == 1 and ranks.get(m, 0) == 1
                 else:
                     assert h.entry(m - 1) is None and h.entry(m) is None
                 if m == 4:

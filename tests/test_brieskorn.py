@@ -95,9 +95,10 @@ def test_homology_middle_order_matches_delta():
         for d in range(1, 30):
             p = BrieskornParams(m, d)
             h = homology(p)
+            ranks = {e.degree: e.free_rank for e in h.entries}
             value = delta_at_one(p)
             if value == 0:
-                assert h.free_rank(m - 1) == 1 and h.free_rank(m) == 1
+                assert ranks.get(m - 1, 0) == 1 and ranks.get(m, 0) == 1
             elif value == 1:
                 assert h.entry(m - 1) is None
             else:
@@ -127,7 +128,8 @@ def test_middle_homology_matches_the_monodromy_cokernel():
     for m in range(3, 9):
         for d in range(2, 16):
             h = homology(BrieskornParams(m, d))
-            assert (h.free_rank(m - 1), h.torsion(m - 1)) == oracle_middle_homology(m, d), (m, d)
+            free_rank = {e.degree: e.free_rank for e in h.entries}.get(m - 1, 0)
+            assert (free_rank, h.torsion(m - 1)) == oracle_middle_homology(m, d), (m, d)
 
 
 def test_connectivity_no_low_entries():

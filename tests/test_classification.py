@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import cohomone
 import cohomone.classification
-from cohomone.catalog import default_catalog
+from cohomone.catalog import data_dir, default_catalog, load_catalog
 from cohomone.classification import (
+    FAMILIES,
     ClassificationOutcome,
     SevenFamilyParams,
     brieskorn_diagram,
@@ -91,6 +93,29 @@ def test_corank2_rank_bound_respected():
             assert r.group.rank <= max_rank
     with pytest.raises(InvalidParams):
         enumerate_corank2(1, CAT)
+
+
+@pytest.mark.parametrize("record, condition", [
+    ({"ambient": "SU(3)xSU(2)", "subgroup": "T1"}, "a simple G"),
+    ({"ambient": "SU(5)", "subgroup": "SU(2)xSU(2)"}, "a simple or trivial L"),
+    ({"ambient": "SU(6)", "subgroup": "SU(5)"}, "ranks of G and L differing by 2"),
+    ({"ambient": "SU(6)", "subgroup": "Sp(3)"}, "a declared injective inclusion"),
+])
+def test_corank2_tag_that_contradicts_its_groups_is_refused(tmp_path, monkeypatch, record, condition):
+    # the tag is a claim about the groups: one they contradict is an error, not a row left out of Table 2
+    from cohomone.cli import run
+
+    for name in ("embeddings.json", "diagrams.json"):
+        shutil.copy(data_dir() / name, tmp_path / name)
+    data = json.loads((tmp_path / "embeddings.json").read_text())
+    data["embeddings"].append({"id": "contradicted", **record, "tags": ["corank2"]})
+    (tmp_path / "embeddings.json").write_text(json.dumps(data))
+    message = f"contradicted: a corank-2 pair needs {condition}"
+    with pytest.raises(InvalidEmbedding) as caught:
+        enumerate_corank2(9, load_catalog(tmp_path))
+    assert str(caught.value) == message
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    assert run(["verify-tables"]) == (2, {"error": f"InvalidEmbedding: {message}"})
 
 
 def test_table3_filter():
@@ -355,6 +380,33 @@ def test_family_diagram_and_its_swap_classify_to_their_parameters(case):
     assert outcome.kind == kind
     assert {key: getattr(outcome, key) for key in expected} == expected
     assert classify_diagram(d.swap(), CAT) == outcome
+
+
+#: valid (integer keys, optional keys) of each family document, drawn
+FAMILY_ARGUMENTS = {
+    "brieskorn": st.tuples(st.integers(3, 30), st.integers(1, 300)).map(lambda md: (md, {}))
+    | st.tuples(st.sampled_from([(8, "spin7"), (7, "g2")]), st.integers(1, 300)).map(
+        lambda case: ((case[0][0], case[1]), {"variant": case[0][1]})),
+    "tensor-su": st.integers(4, 40).map(lambda n: ((n,), {})),
+    "tensor-sp": st.integers(2, 30).map(lambda n: ((n,), {})),
+    "seven": st.lists(st.integers(-30, 30).map(lambda k: 4 * k + 1), min_size=4, max_size=4).map(
+        lambda slopes: (tuple(slopes), {})),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_each_family_recognizes_its_own_diagrams_and_no_other_family_does(data):
+    # the recognizers are disjoint, so the order in which the classifier tries them changes no outcome
+    assert list(FAMILY_ARGUMENTS) == list(FAMILIES)
+    name = data.draw(st.sampled_from(list(FAMILIES)))
+    keys, optional = data.draw(FAMILY_ARGUMENTS[name])
+    d = FAMILIES[name].factory(*keys, **optional)
+    assert f"family:{name}" in d.k_minus.tags and f"family:{name}" in d.k_plus.tags
+    for diagram in (d, d.swap()):
+        assert FAMILIES[name].recognize(diagram) is not None
+        assert [other for other, family in FAMILIES.items()
+                if other != name and family.recognize(diagram) is not None] == []
 
 
 def exchanged(betti):

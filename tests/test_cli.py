@@ -355,6 +355,24 @@ def test_document_with_missing_or_non_integer_key_exits_2(tmp_path, document, ke
     assert key in result.payload["error"]
 
 
+FAMILY_CHOICES = "(choose from 'brieskorn', 'tensor-su', 'tensor-sp', 'seven')"
+
+
+@pytest.mark.parametrize("family, error", [
+    ("klein", f"unknown diagram family 'klein' {FAMILY_CHOICES}"),
+    ([], f"unknown diagram family [] {FAMILY_CHOICES}"),
+    ({}, f"unknown diagram family {{}} {FAMILY_CHOICES}"),
+    (5, f"unknown diagram family 5 {FAMILY_CHOICES}"),
+    (True, f"unknown diagram family True {FAMILY_CHOICES}"),
+    (None, "InvalidDiagram: diagram record has no 'g' key"),  # a null family is an inline record
+])
+def test_family_outside_the_table_exits_2_naming_the_table(family, error):
+    # an array or object family is unhashable, so it must not reach the table lookup
+    for command in ("classify", "primitivity"):
+        with mock.patch("sys.stdin", io.StringIO(json.dumps({"family": family}))):
+            assert run([command, "--diagram", "-"]) == (2, {"error": error})
+
+
 T5_ROW1_RECORD = {
     "g": "SU(3)xSU(2)", "h": "t5-h-a", "k_minus": "t5-km-1", "k_plus": "t5-kp-pi",
     "h_in_k_minus": "circle-in-su2xs1", "h_in_k_plus": "circle-in-su2",

@@ -62,6 +62,15 @@ def test_only_the_family_factories_build_embeddings_unchecked():
     assert len(found) == 1 and found[0][0] == "classification.py"
 
 
+def test_the_front_end_names_no_diagram_family_or_family_key():
+    # the families and their document keys are written once, in classification.FAMILIES, which the front end
+    # reads; "brieskorn" is left out because it also names a subcommand
+    family_words = {"tensor-su", "tensor-sp", "seven", "variant", "p_minus", "q_minus", "p_plus", "q_plus"}
+    found = [f"cli.py:{node.lineno}: {node.value!r}" for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in family_words]
+    assert found == []
+
+
 def test_every_cache_is_bounded_and_typed():
     # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
     found = []
