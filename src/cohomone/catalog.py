@@ -66,9 +66,19 @@ def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], .
     spec = record.get("map_ranks", {})
     if spec == "injective":
         return None
-    if isinstance(spec, Mapping) and all(k.isdigit() and _is(v, int) for k, v in spec.items()):
-        return tuple(sorted((int(k), v) for k, v in spec.items()))
+    if isinstance(spec, Mapping):
+        ranks = [(_decimal(k), v) for k, v in spec.items()]
+        if all(k is not None and _is(v, int) for k, v in ranks):
+            return tuple(sorted(ranks))
     raise InvalidLabel(f"{where} key 'map_ranks' must be \"injective\" or an object of integers, got {spec!r}")
+
+
+def _decimal(key: str) -> Optional[int]:
+    """The integer an object key of ASCII digits spells; None for any other key, or one too long for ``int``."""
+    try:
+        return int(key) if key.isascii() and key.isdigit() else None
+    except ValueError:
+        return None
 
 
 def _typed_tags(labels: Iterable[str], name: str) -> dict:
@@ -130,9 +140,9 @@ def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
     if not any(a for _, a, _ in ambient):  # so that instances_up_to_rank ends
         raise InvalidLabel(f"{where} key 'ambient': {record['ambient']!r} does not grow with m")
     param_min, tags_at = get("param_min", int), get("tags_at", Mapping, {})
-    for m in tags_at:
-        if not (m.isascii() and m.isdigit()) or int(m) < param_min:
-            raise InvalidLabel(f"{where} tags_at key {m!r} is not a decimal integer m >= {param_min}")
+    for key in tags_at:
+        if (m := _decimal(key)) is None or m < param_min:
+            raise InvalidLabel(f"{where} tags_at key {key!r} is not a decimal integer m >= {param_min}")
     family = EmbeddingFamily(
         id=get("id", str),
         ambient=ambient,

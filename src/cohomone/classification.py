@@ -5,7 +5,9 @@ table and its transitive-fiber filter, the five exceptional-fiber pairs,
 the four-parameter seven-manifold family with its torsion arithmetic,
 parameterized diagram factories (Brieskorn, tensor, seven-family), and
 the diagram classifier that template-matches a validated diagram against
-the shipped catalog and the structural family recognizers.
+the shipped catalog and the structural family recognizers.  The Betti
+data of a diagram's orbits, which only the ``verify-tables`` Mayer-Vietoris
+check reads, is derived in ``verify.orbit_betti``.
 
 ``FAMILIES`` is the one table of the parameterized families: for each ``family`` name of a diagram
 document, its integer keys, its optional keys, its factory and its recognizer.  Each family's orbit
@@ -36,11 +38,11 @@ from .lie_catalog import (
     spheres_acted_on,
     symplectic,
 )
-from .polynomial import MAX_SPHERE_DIM, one_plus_power
-from .rational_homotopy import hilbert_series, quotient_homotopy
+from .polynomial import MAX_SPHERE_DIM
+from .rational_homotopy import quotient_homotopy
 
 if TYPE_CHECKING:
-    from .catalog import Catalog, DiagramRecord, OrbitBetti
+    from .catalog import Catalog, DiagramRecord
 
 _T1 = GroupType((), 1)
 _SU2 = special_unitary(2)
@@ -59,11 +61,9 @@ class SevenFamilyParams(namedtuple("SevenFamilyParams", "p_minus q_minus p_plus 
 
     def __new__(cls, p_minus: int, q_minus: int, p_plus: int, q_plus: int) -> "SevenFamilyParams":
         self = tuple.__new__(cls, (p_minus, q_minus, p_plus, q_plus))
-        if p_minus % 4 == q_minus % 4 == p_plus % 4 == q_plus % 4 == 1:
-            return self
-        for name, value in zip(self._fields, self):  # name the first field that is not 1 mod 4
-            if value % 4 != 1:
-                raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
+        if not p_minus % 4 == q_minus % 4 == p_plus % 4 == q_plus % 4 == 1:
+            name, value = next(item for item in zip(self._fields, self) if item[1] % 4 != 1)  # the first field off
+            raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
         return self
 
 
@@ -516,53 +516,3 @@ def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Clas
         if outcome is not None:
             return outcome
     return ClassificationOutcome("unmatched")
-
-
-# ---------------------------------------------------------------------------
-# Rational Betti data of the three orbits
-# ---------------------------------------------------------------------------
-
-
-def orbit_betti(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Optional[OrbitBetti]:
-    """Rational Betti polynomials of G/H and G/K-+ with the expected sphere dimension.
-
-    Derived from the regime the diagram sits in (stored catalog data,
-    equal rank, one non-orientable orbit with a circle fiber, two
-    orientable orbits with opposite fiber parities, or the doubly
-    non-orientable circle-circle case); None outside these regimes.
-    """
-    from .catalog import OrbitBetti
-
-    record = _or_default(catalog).matching_record(d)
-    stored = record.orbit_poincare if record is not None else None
-    if stored is not None:
-        if record.diagram.descriptor() != d.descriptor():  # swap-equal: exchange the K-+ data
-            return stored._replace(p_k_plus=stored.p_k_minus, p_k_minus=stored.p_k_plus)
-        return stored
-
-    n = d.manifold_dim
-    if d.h.subgroup.rank == d.g.rank:
-        return OrbitBetti(*map(hilbert_series, d.orbit_inclusions()), n)
-    h_count = d.nonorientable_count
-    lo, hi = sorted((d.ell_minus, d.ell_plus))
-    if h_count == 0 and lo % 2 != hi % 2:
-        total = lo + hi
-        p_h = one_plus_power(lo) * one_plus_power(hi) * one_plus_power(total)
-        p_kp = one_plus_power(d.ell_minus) * one_plus_power(total)
-        p_km = one_plus_power(d.ell_plus) * one_plus_power(total)
-        return OrbitBetti(p_h, p_kp, p_km, n)
-    if h_count == 1 and lo == 1 and hi >= 3 and hi % 2:
-        # circle-fiber orbit is a rational (2*hi+1)-sphere; the other orbit
-        # is non-orientable with rational cohomology concentrated in 0 and 1
-        sphere = one_plus_power(2 * hi + 1)
-        line = one_plus_power(1)
-        p_h = line * sphere
-        if d.ell_minus == 1:
-            p_km, p_kp = sphere, line
-        else:
-            p_km, p_kp = line, sphere
-        return OrbitBetti(p_h, p_kp, p_km, n)
-    if h_count == 2 and lo == hi == 1 and d.g == _SU2 * _SU2 and d.h.subgroup.is_trivial():
-        cube = one_plus_power(3)
-        return OrbitBetti(cube * cube, cube, cube, n)
-    return None

@@ -3,8 +3,8 @@
 Every subcommand reads scalar flags (and, for diagrams, a JSON document
 from a file or stdin) and writes one deterministic JSON payload to
 stdout.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-One table, ``_COMMANDS``, gives each subcommand's handler, flags, library
-operations and whether it reads the catalog; a small parser reads it.
+One table, ``_COMMANDS``, gives each subcommand's handler, flags and
+whether it reads the catalog; a small parser reads it.
 Each handler imports the modules it runs, and only the subcommands that
 read the catalog load it.
 """
@@ -132,7 +132,8 @@ def _cmd_degrees(args) -> CommandResult:
 
     group = parse_group(args.group)
     if group.dimension > MAX_SPHERE_DIM:  # the degree list and the Weyl order grow with it
-        raise InvalidParams(f"--group names a group of dimension {group.dimension}, above {MAX_SPHERE_DIM}")
+        dimension = _printable(group.dimension, "--group names a group whose dimension")
+        raise InvalidParams(f"--group names a group of dimension {dimension}, above {MAX_SPHERE_DIM}")
     return CommandResult(0, {
         "group": str(group),
         "rank": group.rank,
@@ -269,7 +270,6 @@ class _Command(NamedTuple):
     help: str
     flags: dict[str, _Flag]
     reads_catalog: bool  # only these handlers take the catalog; the others never load it
-    covers: tuple[str, ...]  # the public library operations the subcommand exercises (coverage-tested)
 
 
 _DIAGRAM = _Flag(str, "JSON file path or '-' for stdin", True)
@@ -279,26 +279,24 @@ _COMMANDS = {
     "brieskorn": _Command(_cmd_brieskorn, "monodromy polynomial and homology of B^(2m-1)_d", {
         "--m": _Flag(int, "the link B^(2m-1)_d has dimension 2m-1", True),
         "--d": _Flag(int, "the exponent of z_0 in z_0^d + z_1^2 + ... + z_m^2", True),
-    }, False, ("delta_poly", "delta_at_one", "homology")),
+    }, False),
     "degrees": _Command(_cmd_degrees, "rank, dimension, degrees and Weyl order of a group",
-                        {"--group": _Flag(str, "group expression, e.g. 'SU(3)xSU(2)'", True)},
-                        False, ("canonicalize", "degrees", "weyl_order")),
+                        {"--group": _Flag(str, "group expression, e.g. 'SU(3)xSU(2)'", True)}, False),
     "quotient": _Command(_cmd_quotient, "rational homotopy of G/H for a catalogued inclusion",
-                         {"--embedding": _EMBEDDING}, True, ("quotient_homotopy",)),
+                         {"--embedding": _EMBEDDING}, True),
     "hilbert": _Command(_cmd_hilbert, "equal-rank Poincare series and Euler characteristic",
-                        {"--embedding": _EMBEDDING}, True, ("hilbert_series", "euler_characteristic")),
+                        {"--embedding": _EMBEDDING}, True),
     "gh-case": _Command(_cmd_gh_case, "compatible homotopy-fiber cases and forced dimensions", {
         "--l-minus": _Flag(int, "the sphere dimension of K-/H", True),
         "--l-plus": _Flag(int, "the sphere dimension of K+/H", True),
         "--h": _Flag(int, "number of non-orientable singular orbits", True),
         "--fiber": _Flag(str, "exceptional fiber tag to select"),
-    }, False, ("gh_classify",)),
-    "classify": _Command(_cmd_classify, "classify a diagram document",
-                         {"--diagram": _DIAGRAM}, True, ("validate", "classify_diagram")),
+    }, False),
+    "classify": _Command(_cmd_classify, "classify a diagram document", {"--diagram": _DIAGRAM}, True),
     "primitivity": _Command(_cmd_primitivity, "scan the shipped lattice for non-primitivity witnesses", {
         "--diagram": _DIAGRAM,
         "--rational-sphere": _Flag(bool, "assert the total space is a rational sphere", default=False),
-    }, True, ("primitivity",)),
+    }, True),
     "mv-check": _Command(_cmd_mv_check, "Mayer-Vietoris rank feasibility for Betti data", {
         "--n": _Flag(int, "the dimension of the rational sphere", True),
         "--p-h": _Flag(str, "comma-separated Betti numbers of G/H by degree", True, group="p-h"),
@@ -307,18 +305,17 @@ _COMMANDS = {
         "--k-plus-spheres": _Flag(str, "sphere dimensions whose product models G/K+", True, group="p-k-plus"),
         "--p-k-minus": _Flag(str, "Betti numbers of G/K-", True, group="p-k-minus"),
         "--k-minus-spheres": _Flag(str, "sphere dimensions whose product models G/K-", True, group="p-k-minus"),
-    }, False, ("odd_product_poincare", "mv_feasible")),
+    }, False),
     "seven-family": _Command(_cmd_seven_family, "torsion arithmetic of the seven-manifold family", {
         "--realize": _Flag(int, "build parameters realizing this torsion order", True, group="params"),
         "--p-minus": _Flag(int, "p- of the slope (p-, q-), 1 mod 4; needs --p-plus", True, group="params"),
         "--q-minus": _Flag(int, "q- of the slope (p-, q-), 1 mod 4", default=1, needs="--p-minus"),
         "--p-plus": _Flag(int, "p+ of the slope (p+, q+), 1 mod 4", True, needs="--p-minus"),
         "--q-plus": _Flag(int, "q+ of the slope (p+, q+), 1 mod 4", default=1, needs="--p-minus"),
-    }, False, ("seven_family_torsion", "realize_torsion")),
+    }, False),
     "verify-tables": _Command(_cmd_verify_tables, "verify every shipped table and closed form", {
         "--timings": _Flag(bool, "also write each report section's seconds, as JSON, to stderr", default=False),
-    }, True, ("transitive_sphere_pairs", "sphere_quotient", "spheres_acted_on", "double_disk_euler",
-              "enumerate_corank2", "table3_filter", "case6_pairs")),
+    }, True),
 }
 
 

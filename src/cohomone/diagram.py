@@ -339,10 +339,6 @@ class MVFeasibility(NamedTuple):
     failing_degree: Optional[int]
     rank_profile: tuple[tuple[int, int, int], ...]  # (r_k, s_k, delta_k) per degree
 
-    @property
-    def feasible(self) -> bool:
-        return self.verdict == "feasible"
-
 
 def mv_feasible(
     p_h: IntegerPolynomial,

@@ -200,11 +200,6 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
 TRIVIAL_GROUP = GroupType()
 
 
-def canonicalize(label: SimpleGroupLabel) -> GroupType:
-    """Canonical isomorphism type of a single Killing-Cartan label."""
-    return GroupType((label,))
-
-
 def degrees(group: GroupType) -> tuple[int, ...]:
     """Sorted multiset of rational homotopy generator degrees."""
     return group.degrees
@@ -278,13 +273,16 @@ def _term_template(term: str, text: str) -> FactorTemplate:
     if term in _CONSTANT_TERMS:
         return _CONSTANT_TERMS[term]
     match = _TERM_RE.fullmatch(term)
-    if not match:
-        context = f" in {text!r}" if term != text.strip() else ""
-        raise InvalidLabel(f"cannot parse group term {term!r}{context}")
-    name, _, a, b, n, family, rank = match.groups()
-    if family:
-        return _BUILDERS[family], 0, int(rank)
-    return (_BUILDERS[name], 0, int(n)) if n else (_BUILDERS[name], int(a or 1), int(b or 0))
+    try:  # int() refuses a number of more digits than this interpreter reads
+        if match:
+            name, _, a, b, n, family, rank = match.groups()
+            if family:
+                return _BUILDERS[family], 0, int(rank)
+            return (_BUILDERS[name], 0, int(n)) if n else (_BUILDERS[name], int(a or 1), int(b or 0))
+    except ValueError:
+        pass
+    context = f" in {text!r}" if term != text.strip() else ""
+    raise InvalidLabel(f"cannot parse group term {term!r}{context}")
 
 
 def group_template(text: str) -> tuple[FactorTemplate, ...]:

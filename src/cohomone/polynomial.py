@@ -45,9 +45,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         """Degree, with the zero polynomial at -1."""
         return len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def coefficient(self, degree: int) -> int:
         if 0 <= degree < len(self.coefficients):
             return self.coefficients[degree]
@@ -57,9 +54,7 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         return bool(self.coefficients)
 
     def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntegerPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
+        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)  # all zeros if either factor is zero
         for i, a in enumerate(self.coefficients):
             if a == 0:
                 continue
@@ -77,22 +72,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
 
     def as_list(self) -> list[int]:
         return list(self.coefficients)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t" if c not in (1, -1) else ("-t" if c == -1 else "t"))
-            else:
-                parts.append(f"{c}*t^{k}" if c not in (1, -1) else ("-t^%d" % k if c == -1 else f"t^{k}"))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
 
 
 def product(polys: Iterable[IntegerPolynomial]) -> IntegerPolynomial:

@@ -55,17 +55,10 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     for k in sorted(set(amb) | set(sub)):
         c_g = amb.get(k, 0)
         c_h = sub.get(k, 0)
-        bound = min(c_g, c_h)
-        if k in declared:
-            r = declared[k]
-            if r > bound:
-                raise InvalidEmbedding(
-                    f"{inclusion.id}: declared degree-{k} rank {r} exceeds bound {bound}"
-                )
-        else:
-            r = bound
-            if bound > 0:
-                heuristic = True
+        bound = min(c_g, c_h)  # NamedEmbedding checked that a declared rank is at most this
+        r = declared.get(k, bound)
+        if k not in declared and bound > 0:
+            heuristic = True
         odd.extend([k] * (c_g - r))
         even.extend([k + 1] * (c_h - r))
     return QuotientHomotopy(tuple(sorted(odd)), tuple(sorted(even)), heuristic)
@@ -105,7 +98,7 @@ def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
     series = IntegerPolynomial(coeffs)
     if series.coefficient(0) != 1 or any(c < 0 for c in series.coefficients):
         raise InvalidEmbedding(
-            f"{inclusion.id}: Hilbert series {series} is not a valid Poincare polynomial"
+            f"{inclusion.id}: Hilbert series {series.as_list()} is not a valid Poincare polynomial"
         )
     return series
 

@@ -12,13 +12,12 @@ import time
 from typing import Optional
 
 from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
-from .catalog import Catalog, default_catalog
+from .catalog import Catalog, DiagramRecord, OrbitBetti, default_catalog
 from .classification import (
     SevenFamilyParams,
     case6_pairs,
     classify_diagram,
     enumerate_corank2,
-    orbit_betti,
     realize_torsion,
     seven_family_torsion,
     table3_filter,
@@ -26,7 +25,7 @@ from .classification import (
 from .diagram import double_disk_euler, gh_classify, mv_feasible
 from .lie_catalog import transitive_sphere_pairs
 from .polynomial import IntegerPolynomial
-from .rational_homotopy import euler_characteristic, hilbert_series
+from .rational_homotopy import euler_characteristic, hilbert_series, odd_product_poincare
 
 
 # the ranges every report checks
@@ -274,11 +273,32 @@ def _check_equal_rank(checks: list, catalog: Catalog) -> None:
 # -- Mayer-Vietoris feasibility ---------------------------------------------------
 
 
+def orbit_betti(record: DiagramRecord) -> Optional[OrbitBetti]:
+    """Rational Betti polynomials of G/H and G/K+- of a catalogued diagram, with its dimension n.
+
+    The record's stored data if it has any; else the Hilbert series of the three orbits at equal
+    rank, or, when both singular orbits are orientable and the fibers S^l- and S^l+ have opposite
+    parities, sphere products: G/H ~ S^l- x S^l+ x S^(l- + l+) and G/K-+ ~ S^l+- x S^(l- + l+).
+    None in any other regime; ``mv-check`` takes Betti data of any regime from the command line.
+    """
+    if record.orbit_poincare is not None:
+        return record.orbit_poincare
+    d = record.diagram
+    n = d.manifold_dim
+    if d.h.subgroup.rank == d.g.rank:
+        return OrbitBetti(*map(hilbert_series, d.orbit_inclusions()), n)
+    if d.nonorientable_count == 0 and d.ell_minus % 2 != d.ell_plus % 2:
+        total = d.ell_minus + d.ell_plus
+        return OrbitBetti(odd_product_poincare((d.ell_minus, d.ell_plus, total)),
+                          odd_product_poincare((d.ell_minus, total)), odd_product_poincare((d.ell_plus, total)), n)
+    return None
+
+
 def _check_mv(checks: list, catalog: Catalog) -> None:
     for record in catalog.diagram_records():
         if not record.rational_sphere:
             continue
-        betti = orbit_betti(record.diagram, catalog)
+        betti = orbit_betti(record)
         if betti is None:
             _check(checks, f"mv/feasible/{record.id}", "derivable", "no-betti-data")
             continue

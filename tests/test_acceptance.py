@@ -19,7 +19,6 @@ from cohomone.classification import (
     SevenFamilyParams,
     classify_diagram,
     enumerate_corank2,
-    orbit_betti,
     realize_torsion,
     seven_family_torsion,
     table3_filter,
@@ -29,6 +28,7 @@ from cohomone.diagram import double_disk_euler, gh_classify, mv_feasible
 from cohomone.lie_catalog import transitive_sphere_pairs
 from cohomone.polynomial import IntegerPolynomial
 from cohomone.rational_homotopy import euler_characteristic, hilbert_series
+from cohomone.verify import orbit_betti
 
 CAT = default_catalog()
 
@@ -202,7 +202,7 @@ def test_criterion_8_mv_feasibility():
         for record in CAT.diagram_records():
             if not record.rational_sphere:
                 continue
-            betti = orbit_betti(record.diagram, CAT)
+            betti = orbit_betti(record)
             assert betti is not None, record.id
             result = mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, betti.n)
             assert result.verdict == "feasible", record.id

@@ -120,6 +120,24 @@ def record_edit(key, record_id, edit):
          InvalidLabel, "'tags' must be a JSON array of strings"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"5": "x"})),
          InvalidLabel, "'map_ranks'"),
+        # a key str.isdigit accepts but int refuses: a superscript digit, or more digits than int reads
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"\u00b3": 1})),
+         InvalidLabel, "embeddings[16] key 'map_ranks' must be"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"3" * 4301: 1})),
+         InvalidLabel, "embeddings[16] key 'map_ranks' must be"),
+        pytest.param("embeddings.json",
+                     record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4" * 4301: []})),
+                     InvalidLabel, f"families[0] tags_at key '{'4' * 4301}' is not a decimal integer m >= 3",
+                     id="tags_at-key-of-4301-digits"),
+        # a group argument of more digits than int reads does not parse
+        pytest.param("embeddings.json",
+                     record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=f"SU({'9' * 5000})")),
+                     InvalidLabel, f"embeddings[16] key 'ambient': cannot parse group term 'SU({'9' * 5000})'",
+                     id="ambient-argument-of-5000-digits"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient=f"SU({'9' * 5000}m)")),
+         InvalidLabel, "families[0] key 'ambient': cannot parse group term 'SU(999"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(g=f"B{'9' * 5000}")),
+         InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'B999"),
         # winding and slope tags are read into typed fields at load: a malformed or second one is refused
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:x"])),
          InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': 'winding:x' does not carry an integer winding"),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cohomone
 import cohomone.classification
-from cohomone.catalog import data_dir, default_catalog, load_catalog
+from cohomone.catalog import DiagramRecord, data_dir, default_catalog, load_catalog
 from cohomone.classification import (
     FAMILIES,
     ClassificationOutcome,
@@ -22,7 +22,6 @@ from cohomone.classification import (
     case6_pairs,
     classify_diagram,
     enumerate_corank2,
-    orbit_betti,
     realize_torsion,
     seven_family_diagram,
     seven_family_torsion,
@@ -33,6 +32,7 @@ from cohomone.classification import (
 from cohomone.diagram import double_disk_euler, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams
 from cohomone.lie_catalog import NamedEmbedding, parse_group, special_orthogonal, special_unitary
+from cohomone.verify import orbit_betti
 
 CAT = default_catalog()
 
@@ -301,13 +301,13 @@ def test_outcome_as_dict_lists_the_fields_set():
 
 
 def test_orbit_data_checks_inclusions_live_in_g():
-    # K+ taken from a diagram in Sp(2): no record matches, so orbit_betti takes the equal-rank branch
+    # K+ taken from a diagram in Sp(2): with no stored data, orbit_betti takes the equal-rank branch
     d = CAT.diagram_record("case6-su3").diagram._replace(k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
-    assert CAT.matching_record(d) is None and d.h.subgroup.rank == d.g.rank
+    assert d.h.subgroup.rank == d.g.rank
     with pytest.raises(InvalidEmbedding, match="differs from"):
         double_disk_euler(d)
     with pytest.raises(InvalidEmbedding, match="differs from"):
-        orbit_betti(d, CAT)
+        orbit_betti(DiagramRecord("mixed", d))
 
 
 def test_tensor_classification():
@@ -417,7 +417,7 @@ def exchanged(betti):
 @given(family_diagrams())
 def test_orbit_betti_is_swap_invariant_with_k_exchanged(case):
     d = case[0]
-    assert orbit_betti(d.swap(), CAT) == exchanged(orbit_betti(d, CAT))
+    assert orbit_betti(DiagramRecord("swap", d.swap())) == exchanged(orbit_betti(DiagramRecord("factory", d)))
 
 
 def near_misses():
@@ -531,35 +531,30 @@ def test_orbit_groups_that_do_not_fit_are_refused():
 
 def test_orbit_betti_regimes():
     # equal rank: Hilbert series route
-    betti = orbit_betti(CAT.diagram_record("case6-su3").diagram, CAT)
+    betti = orbit_betti(CAT.diagram_record("case6-su3"))
     assert betti.p_h.as_list() == [1, 0, 2, 0, 2, 0, 1]
     assert betti.p_k_plus.as_list() == [1, 0, 1, 0, 1]
     assert betti.n == 7
 
     # orientable, opposite parities: sphere-product route
-    betti = orbit_betti(CAT.diagram_record("t5-row1").diagram, CAT)
+    betti = orbit_betti(CAT.diagram_record("t5-row1"))
     assert betti.n == 11
     assert betti.p_h.as_list() == [1, 0, 1, 1, 0, 2, 0, 1, 1, 0, 1]
 
     # stored data
-    betti = orbit_betti(CAT.diagram_record("wu-s3s1").diagram, CAT)
+    betti = orbit_betti(CAT.diagram_record("wu-s3s1"))
     assert betti.n == 5 and betti.p_k_minus.as_list() == [1, 1]
 
-    # one non-orientable orbit over a circle fiber
-    betti = orbit_betti(brieskorn_diagram(5, 3, "standard"), CAT)
-    assert betti.n == 9
-    assert betti.p_h.as_list() == [1, 1, 0, 0, 0, 0, 0, 1, 1]
-
-    # doubly non-orientable circle-circle case
-    betti = orbit_betti(seven_family_diagram(realize_torsion(3)), CAT)
-    assert betti.n == 7 and betti.p_h.as_list() == [1, 0, 0, 2, 0, 0, 1]
+    # no other regime, such as a non-orientable orbit over a circle fiber, gives data; mv-check takes it
+    assert orbit_betti(DiagramRecord("brieskorn", brieskorn_diagram(5, 3, "standard"))) is None
+    assert orbit_betti(DiagramRecord("seven", seven_family_diagram(realize_torsion(3)))) is None
 
 
 def test_orbit_betti_all_rational_sphere_records_feasible():
     for record in CAT.diagram_records():
         if not record.rational_sphere:
             continue
-        betti = orbit_betti(record.diagram, CAT)
+        betti = orbit_betti(record)
         assert betti is not None, record.id
         result = mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, betti.n)
         assert result.verdict == "feasible", record.id

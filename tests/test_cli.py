@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cohomone
 from cohomone.catalog import data_dir, load_catalog
 from cohomone.cli import _COMMANDS, MAX_DOCUMENT_BYTES, main, render, run
 
@@ -224,24 +223,6 @@ def test_invalid_diagram_document_reports_violations(tmp_path):
     assert "connectedness" in result.payload["error"]
 
 
-def test_every_operation_covered_by_exactly_one_subcommand():
-    operations = {
-        "canonicalize", "degrees", "weyl_order", "transitive_sphere_pairs",
-        "sphere_quotient", "spheres_acted_on",
-        "quotient_homotopy", "hilbert_series", "euler_characteristic",
-        "odd_product_poincare",
-        "validate", "gh_classify", "primitivity",
-        "double_disk_euler", "mv_feasible",
-        "delta_poly", "delta_at_one", "homology",
-        "enumerate_corank2", "table3_filter", "seven_family_torsion",
-        "realize_torsion", "case6_pairs", "classify_diagram",
-    }
-    covered = [op for command in _COMMANDS.values() for op in command.covers]
-    assert sorted(covered) == sorted(operations)  # each operation once
-    for op in operations:
-        assert hasattr(cohomone, op), op
-
-
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not text"])
 def test_unreadable_diagram_file_exits_2(tmp_path, content):
     path = tmp_path / "diagram.json"
@@ -407,6 +388,11 @@ def test_record_value_of_wrong_json_type_exits_2(tmp_path, change, key):
         ({"g": "SU(x)"}, "diagram record key 'g': cannot parse group term 'SU(' in 'SU(x)'"),
         ({"g": "XYZ(3)"}, "diagram record key 'g': cannot parse group term 'XYZ(3)'"),
         ({"k_plus": "no-such-id"}, "diagram record key 'k_plus': unknown embedding id 'no-such-id'"),
+        # an argument of more digits than int() reads
+        pytest.param({"g": f"SU({'9' * 5000})"}, f"diagram record key 'g': cannot parse group term 'SU({'9' * 5000})'",
+                     id="SU(5000-digits)"),
+        pytest.param({"g": f"B{'9' * 5000}"}, f"diagram record key 'g': cannot parse group term 'B{'9' * 5000}'",
+                     id="B5000-digits"),
     ],
 )
 def test_record_bad_group_or_id_names_the_key(tmp_path, change, detail):
@@ -475,12 +461,22 @@ def test_family_documents_above_the_dimension_cap_exit_2_at_once(tmp_path, docum
 
 @pytest.mark.parametrize(
     "group, detail",
-    [("SU(1600)", "dimension 2559999"), ("x".join(["SU(2)"] * 15000), "digits")],
+    [("SU(1600)", "dimension 2559999"), ("x".join(["SU(2)"] * 15000), "digits"),
+     # a dimension of more digits than the interpreter prints is not printed
+     pytest.param(f"SU(1{'0' * 2200})", "whose dimension has more than 4300 digits", id="SU(10^2200)")],
 )
 def test_degrees_refuses_groups_it_cannot_print(group, detail):
     result = run(["degrees", "--group", group])
     assert result.exit_code == 2 and result.payload["error"].startswith("InvalidParams")
     assert detail in result.payload["error"]
+
+
+@pytest.mark.parametrize("term", [f"SU({'9' * 5000})", f"T({'9' * 5000})", f"B{'9' * 5000}"],
+                         ids=["SU(5000-digits)", "T(5000-digits)", "B5000-digits"])
+def test_degrees_refuses_arguments_of_more_digits_than_int_reads(term):
+    result = run(["degrees", "--group", f"SU(2)x{term}"])
+    assert result.exit_code == 2
+    assert result.payload["error"] == f"InvalidLabel: cannot parse group term {term!r} in 'SU(2)x{term}'"
 
 
 def test_degrees_prints_groups_just_inside_both_bounds():

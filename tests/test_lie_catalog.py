@@ -14,7 +14,6 @@ from cohomone.lie_catalog import (
     GroupType,
     NamedEmbedding,
     SimpleGroupLabel,
-    canonicalize,
     degrees,
     group_at,
     group_template,
@@ -57,12 +56,12 @@ def all_test_labels():
     ],
 )
 def test_canonicalize(label, expected):
-    assert str(canonicalize(SimpleGroupLabel(*label))) == expected
+    assert str(GroupType((SimpleGroupLabel(*label),))) == expected
 
 
 def test_canonicalize_idempotent():
     for label in all_test_labels():
-        once = canonicalize(label)
+        once = GroupType((label,))
         again = GroupType(once.factors, once.torus_rank)
         assert once == again
 
@@ -136,7 +135,7 @@ def test_degree_examples():
 
 def test_degree_count_equals_rank():
     for label in all_test_labels():
-        g = canonicalize(label)
+        g = GroupType((label,))
         assert len(degrees(g)) == g.rank
 
 
@@ -145,7 +144,8 @@ def group_products(draw):
     """A product of 0-4 simple factors (SU, SO, Sp or exceptional, low ranks folded as built) times a torus."""
     factor = st.one_of(
         st.builds(special_unitary, st.integers(1, 12)), st.builds(special_orthogonal, st.integers(1, 14)),
-        st.builds(symplectic, st.integers(0, 10)), st.sampled_from(EXCEPTIONAL_LABELS).map(canonicalize),
+        st.builds(symplectic, st.integers(0, 10)),
+        st.sampled_from(EXCEPTIONAL_LABELS).map(lambda label: GroupType((label,))),
     )
     group = GroupType((), draw(st.integers(0, 4)))
     for simple in draw(st.lists(factor, max_size=4)):
@@ -157,7 +157,7 @@ def group_products(draw):
 @given(group_products())
 def test_dimension_equals_sum_of_degrees(drawn):
     # ties the dimension table to the degree table, independently of both
-    for g in [*map(canonicalize, all_test_labels()), parse_group("SU(3)xSp(2)xT2"), drawn]:
+    for g in [*(GroupType((label,)) for label in all_test_labels()), parse_group("SU(3)xSp(2)xT2"), drawn]:
         assert g.dimension == sum(degrees(g)), g
 
 
@@ -173,7 +173,7 @@ def test_weyl_order_examples():
 @given(group_products())
 def test_weyl_order_degree_product_identity(drawn):
     # |W| * 2^rank equals prod(d + 1) over the degrees, for every type
-    for g in [*map(canonicalize, all_test_labels()), drawn]:
+    for g in [*(GroupType((label,)) for label in all_test_labels()), drawn]:
         prod = 1
         for d in degrees(g):
             prod *= d + 1
@@ -452,7 +452,7 @@ simple_labels = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(simple_labels)
 def test_spheres_acted_on_matches_table_scan(label):
-    group = canonicalize(label)
+    group = GroupType((label,))
     assume(group.is_simple())  # D1 and D2 are not
     rows = transitive_sphere_pairs(2 * group.rank + 3)
     assert spheres_acted_on(group) == {row.sphere_dim for row in rows if row.group == group}

@@ -16,7 +16,7 @@ def test_ring_operations():
     a = P((1, 2, 3))
     b = P((0, 1))
     assert (a * b).coefficients == (0, 1, 2, 3)
-    assert (a * P(())).is_zero() and (P(()) * a).is_zero()
+    assert not a * P(()) and not P(()) * a and not P(()) * P(())
 
 
 def test_mul_matches_schoolbook_on_grid():
@@ -40,12 +40,6 @@ def test_helpers():
     assert one_plus_power(3).coefficients == (1, 0, 0, 1)
     assert product([]).coefficients == (1,)
     assert product([one_plus_power(1), one_plus_power(2)]).coefficients == (1, 1, 1, 1)
-
-
-def test_str_rendering():
-    assert str(P(())) == "0"
-    assert str(P((1, 1))) == "1 + t"
-    assert str(P((0, 0, -1))) == "-t^2"
 
 
 @settings(max_examples=200, deadline=None)
