@@ -83,19 +83,20 @@ class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
 
     def is_rational_sphere(self, n: int) -> bool:
         """Free ranks concentrated in degrees 0 and n, both equal to 1."""
-        return {e.degree: e.free_rank for e in self.entries if e.free_rank} == {0: 1, n: 1}
+        return {degree: rank for degree, rank, _ in self.entries if rank} == {0: 1, n: 1}
 
 
 def delta_poly(p: BrieskornParams) -> IntegerPolynomial:
     """Monodromy characteristic polynomial (t^d - (-1)^(m*d)) / (t - (-1)^m).
 
     Coefficient k is s^(d-1-k) with s = (-1)^m.  The output is dense, with
-    d coefficients, so d above ``MAX_SPHERE_DIM`` is refused.
+    d coefficients, so d above ``MAX_SPHERE_DIM`` is refused.  Built past ``IntegerPolynomial``'s trim:
+    the coefficients are the ints 1 and s, and the leading one is 1.
     """
     if p.d > MAX_SPHERE_DIM:
         raise InvalidParams(f"delta_poly needs d at most {MAX_SPHERE_DIM}, got {p.d}")
     s = -1 if p.m % 2 else 1
-    return IntegerPolynomial(((1, s) * ((p.d + 1) // 2))[: p.d][::-1])
+    return tuple.__new__(IntegerPolynomial, (((1, s) * ((p.d + 1) // 2))[: p.d][::-1],))
 
 
 def delta_at_one(p: BrieskornParams) -> int:
@@ -106,13 +107,18 @@ def delta_at_one(p: BrieskornParams) -> int:
 
 
 def homology(p: BrieskornParams) -> GradedAbelianGroup:
-    """Integral homology of B^(2m-1)_d as a graded abelian group."""
+    """Integral homology of B^(2m-1)_d as a graded abelian group.
+
+    Built past the checks of ``HomologyEntry`` and ``GradedAbelianGroup``: the degrees 0 < m-1 < m < 2m-1
+    strictly increase for m >= 3, and a torsion entry appears only when |Delta(1)| > 1.
+    """
     m, order = p.m, delta_at_one(p)
     if order == 0:
-        middle = (HomologyEntry(m - 1, 1), HomologyEntry(m, 1))
+        middle = (tuple.__new__(HomologyEntry, (m - 1, 1, ())), tuple.__new__(HomologyEntry, (m, 1, ())))
     else:
-        middle = (HomologyEntry(m - 1, 0, (order,)),) if order > 1 else ()
-    return GradedAbelianGroup((HomologyEntry(0, 1), *middle, HomologyEntry(p.sphere_dim, 1)))
+        middle = (tuple.__new__(HomologyEntry, (m - 1, 0, (order,))),) if order > 1 else ()
+    entries = (tuple.__new__(HomologyEntry, (0, 1, ())), *middle, tuple.__new__(HomologyEntry, (2 * m - 1, 1, ())))
+    return tuple.__new__(GradedAbelianGroup, (entries,))
 
 
 def rational_sphere_gate(p: BrieskornParams) -> bool:

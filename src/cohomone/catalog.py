@@ -74,9 +74,10 @@ def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], .
 
 
 def _decimal(key: str) -> Optional[int]:
-    """The integer an object key of ASCII digits spells; None for any other key, or one too long for ``int``."""
+    """The integer an object key of ASCII digits without a leading zero spells, so that two keys never name one
+    integer; None for any other key, or one too long for ``int``."""
     try:
-        return int(key) if key.isascii() and key.isdigit() else None
+        return int(key) if key.isascii() and key.isdigit() and (key[0] != "0" or key == "0") else None
     except ValueError:
         return None
 
@@ -150,7 +151,7 @@ def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
         param_min=param_min,
         map_ranks=_rank_spec(record, where),
         tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
-        tags_at={int(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
+        tags_at={_decimal(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
     )
     # built at param_min and at each m with tags of its own, so that a family wrong there is refused here
     _named(where, lambda: [family.instantiate(m) for m in (param_min, *family.tags_at)])
@@ -198,19 +199,21 @@ class EmbeddingFamily(NamedTuple):
     tags: frozenset[str]
     tags_at: Mapping[int, tuple[str, ...]] = MappingProxyType({})
 
-    def instantiate(self, m: int) -> NamedEmbedding:
+    def instantiate(self, m: int, typed: Optional[dict] = None) -> NamedEmbedding:
+        """The instance at ``m``; ``typed``, ``_typed_tags`` of ``tags``, serves each m without ``tags_at``."""
         if m < self.param_min:
             raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
-        return _embedding(
-            f"{self.id}@m={m}", group_at(self.ambient, m), group_at(self.subgroup, m),
-            self.map_ranks, self.tags.union(self.tags_at.get(m, ())),
-        )
+        name, sub = f"{self.id}@m={m}", group_at(self.subgroup, m)
+        if typed is None or m in self.tags_at:
+            typed = _typed_tags(self.tags.union(self.tags_at.get(m, ())), name)
+        ranks = injective_rank_map(sub) if self.map_ranks is None else self.map_ranks
+        return NamedEmbedding(name, group_at(self.ambient, m), sub, ranks, **typed)
 
     def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
-        """The instances whose ambient group has rank at most ``max_rank``, by parameter."""
+        """The instances whose ambient group has rank at most ``max_rank``, by parameter; ``tags`` are read once."""
         out = {}
-        m = self.param_min
-        while (e := self.instantiate(m)).ambient.rank <= max_rank:
+        m, typed = self.param_min, _typed_tags(self.tags, f"{self.id}@m={self.param_min}")
+        while (e := self.instantiate(m, typed)).ambient.rank <= max_rank:
             out[m] = e
             m += 1
         return out

@@ -73,7 +73,7 @@ def seven_family_torsion(p: SevenFamilyParams) -> int:
     The congruences make every square 1 mod 8, so the difference is
     divisible by 8 exactly.
     """
-    diff = p.p_minus**2 * p.q_plus**2 - p.p_plus**2 * p.q_minus**2
+    diff = (p.p_minus * p.q_plus) ** 2 - (p.p_plus * p.q_minus) ** 2
     if diff % 8:
         raise InvalidParams(f"{p}: difference of squares {diff} is not divisible by 8")
     return abs(diff) // 8
@@ -82,13 +82,14 @@ def seven_family_torsion(p: SevenFamilyParams) -> int:
 def realize_torsion(t: int) -> SevenFamilyParams:
     """Parameters with torsion exactly t: p+ = +-(2t+1), p- = +-(2t-1), q = 1.
 
-    Exactly one sign of each of 2t+1 and 2t-1 is 1 mod 4.
+    Exactly one sign of each of 2t+1 and 2t-1 is 1 mod 4.  Built past ``SevenFamilyParams``'s check:
+    both p are 1 mod 4 by that parity rule, and q = 1; a t that is no integer is a TypeError.
     """
-    if t < 1:
+    if index(t) < 1:
         raise InvalidParams(f"t must be positive, got {t}")
     # 2t-1 is 1 mod 4 when t is odd and 2t+1 when t is even
     p_minus, p_plus = (2 * t - 1, -2 * t - 1) if t % 2 else (1 - 2 * t, 2 * t + 1)
-    return SevenFamilyParams(p_minus, 1, p_plus, 1)
+    return tuple.__new__(SevenFamilyParams, (p_minus, 1, p_plus, 1))
 
 
 # ---------------------------------------------------------------------------

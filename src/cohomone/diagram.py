@@ -19,6 +19,7 @@ spheres of positive dimension l+-.  This module owns:
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -206,6 +207,7 @@ CASE6_FIBERS: tuple[tuple[int, str, str, int], ...] = (
     (4, "sp3-mod-sp1cubed", "Sp(3)/Sp(1)^3 x loops(S13)", 13),
     (8, "f4-mod-spin8", "F4/Spin(8) x loops(S25)", 25),
 )
+_CASE6_TAGS = frozenset(tag for _, tag, _, _ in CASE6_FIBERS)
 
 
 class GHCaseResult(NamedTuple):
@@ -246,16 +248,18 @@ def gh_classify(
     out the circle side, so inputs are accepted in either order.  An
     empty list means no case is compatible (that combination cannot
     carry a rational sphere).  A ``fiber_hint`` keeps one case-6 fiber
-    and must be a tag of ``CASE6_FIBERS``.
+    and must be a tag of ``CASE6_FIBERS``.  Case 4, which every h = 0 call gives, is built with
+    ``tuple.__new__``: ``GHCaseResult`` checks nothing, and its three fields are computed here.
     """
     if ell_minus < 1 or ell_plus < 1:
         raise InvalidParams("fiber dimensions must be at least 1")
-    if fiber_hint is not None and fiber_hint not in (tag for _, tag, _, _ in CASE6_FIBERS):
+    if fiber_hint is not None and not (isinstance(fiber_hint, str) and fiber_hint in _CASE6_TAGS):
         raise _unknown_fiber_tag(fiber_hint)
     if h == 0:
         total = ell_minus + ell_plus
-        n4 = total + 1 if ell_minus % 2 == ell_plus % 2 else 2 * total + 1
-        results = [GHCaseResult(4, n4, (ell_minus, ell_plus, total + 1))]
+        if total % 2:  # labels of opposite parity
+            return [tuple.__new__(GHCaseResult, (4, 2 * total + 1, (ell_minus, ell_plus, total + 1)))]
+        results = [tuple.__new__(GHCaseResult, (4, total + 1, (ell_minus, ell_plus, total + 1)))]
         if ell_minus == ell_plus and ell_minus % 2 == 0:
             results.append(GHCaseResult(5, ell_minus + 1, (ell_minus, ell_minus + 1)))
             results += [GHCaseResult(6, forced, description) for ell, tag, description, forced in CASE6_FIBERS
@@ -263,6 +267,8 @@ def gh_classify(
         return results
     if h not in (1, 2):
         raise InvalidParams("the non-orientable orbit count h must be 0, 1 or 2")
+    if ell_minus != 1 and ell_plus != 1:  # every case with h > 0 has a circle fiber
+        return []
     lo, hi = (ell_minus, ell_plus) if ell_minus <= ell_plus else (ell_plus, ell_minus)
     if lo == hi == 1:
         return [GHCaseResult(1, 7, (3, 3, 7)) if h == 2 else GHCaseResult(2, 5, (1, 3, 5))]
@@ -366,13 +372,15 @@ def mv_feasible(
         if any(c < 0 for c in p.coefficients):
             raise InvalidParams("Betti polynomials must have non-negative coefficients")
     top = max(n, p_h.degree, p_k_plus.degree, p_k_minus.degree) + 1
+    # each polynomial has at most top coefficients, so each is padded with zeros up to degree top
+    padded = zip_longest(range(top + 1), p_h.coefficients, p_k_plus.coefficients, p_k_minus.coefficients, fillvalue=0)
     profile: list[tuple[int, int, int]] = []
     delta_prev = 0
-    for k in range(top + 1):
+    for k, b_h, b_k_plus, b_k_minus in padded:
         b_m = 1 if k in (0, n) else 0
         r = b_m - delta_prev
-        s = p_k_plus.coefficient(k) + p_k_minus.coefficient(k) - r
-        delta = p_h.coefficient(k) - s
+        s = b_k_plus + b_k_minus - r
+        delta = b_h - s
         profile.append((r, s, delta))
         if r < 0 or s < 0 or delta < 0:
             return MVFeasibility("infeasible", k, tuple(profile))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional
 
@@ -203,10 +203,6 @@ TRIVIAL_GROUP = GroupType()
 def degrees(group: GroupType) -> tuple[int, ...]:
     """Sorted multiset of rational homotopy generator degrees."""
     return group.degrees
-
-
-def degree_multiplicities(group: GroupType) -> Counter:
-    return Counter(degrees(group))
 
 
 def weyl_order(group: GroupType) -> int:
@@ -376,7 +372,8 @@ def validate_embedding(e: NamedEmbedding) -> None:
 
 def injective_rank_map(subgroup: GroupType) -> tuple[tuple[int, int], ...]:
     """Declared ranks for a rationally injective inclusion: full subgroup multiplicities."""
-    return tuple(sorted(degree_multiplicities(subgroup).items()))
+    degrees = subgroup.degrees
+    return tuple((k, degrees.count(k)) for k in sorted(set(degrees)))
 
 
 def is_declared_injective(e: NamedEmbedding) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidEmbedding, Unsupported
-from .lie_catalog import NamedEmbedding, degree_multiplicities, weyl_order
+from .lie_catalog import NamedEmbedding, weyl_order
 from .polynomial import IntegerPolynomial, one_plus_power, product
 
 
@@ -46,22 +46,20 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     degree k and c_H(k) - r(k) classes in degree k+1.  Missing declared
     ranks default to min(c_G, c_H) and set the heuristic flag.
     """
-    amb = degree_multiplicities(inclusion.ambient)
-    sub = degree_multiplicities(inclusion.subgroup)
+    amb, sub = inclusion.ambient.degrees, inclusion.subgroup.degrees
     declared = dict(inclusion.homotopy_map_ranks)
     odd: list[int] = []
     even: list[int] = []
     heuristic = False
-    for k in sorted(set(amb) | set(sub)):
-        c_g = amb.get(k, 0)
-        c_h = sub.get(k, 0)
+    for k in sorted({*amb, *sub}):  # so that both lists come out sorted
+        c_g, c_h = amb.count(k), sub.count(k)
         bound = min(c_g, c_h)  # NamedEmbedding checked that a declared rank is at most this
         r = declared.get(k, bound)
         if k not in declared and bound > 0:
             heuristic = True
         odd.extend([k] * (c_g - r))
         even.extend([k + 1] * (c_h - r))
-    return QuotientHomotopy(tuple(sorted(odd)), tuple(sorted(even)), heuristic)
+    return QuotientHomotopy(tuple(odd), tuple(even), heuristic)
 
 
 def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
@@ -81,14 +79,19 @@ def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
         raise Unsupported(
             f"hilbert_series needs an equal-rank pair, got ranks {g.rank} and {h.rank}"
         )
-    amb, sub = degree_multiplicities(g), degree_multiplicities(h)  # factor 1 - t^(d+1) per degree d
+    numerator, denominator = list(g.degrees), []  # factor 1 - t^(d+1) per degree d
+    for e in h.degrees:  # cancel the common factors
+        if e in numerator:
+            numerator.remove(e)
+        else:
+            denominator.append(e)
     coeffs = [1]
-    for d in (amb - sub).elements():
+    for d in numerator:
         k = d + 1
         coeffs.extend([0] * k)
         for i in range(len(coeffs) - 1, k - 1, -1):
             coeffs[i] -= coeffs[i - k]
-    for e in (sub - amb).elements():
+    for e in denominator:
         k = e + 1
         for i in range(k, len(coeffs)):
             coeffs[i] += coeffs[i - k]

@@ -9,6 +9,7 @@ timestamps, plain JSON-serializable values.
 from __future__ import annotations
 
 import time
+from itertools import zip_longest
 from typing import Optional
 
 from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
@@ -215,10 +216,10 @@ def _check_gh(checks: list, catalog: Catalog) -> None:
             loop = ell_minus + ell_plus + 1
             want = loop if loop % 2 else 2 * loop - 1
             for h in (0, 1, 2):
-                for result in gh_classify(ell_minus, ell_plus, h):
-                    if result.forced_dim % 2 == 0:
-                        parity_failures.append([ell_minus, ell_plus, h, result.case_index])
-                    if result.case_index == 4 and result.forced_dim != want:
+                for case_index, forced_dim, _ in gh_classify(ell_minus, ell_plus, h):
+                    if forced_dim % 2 == 0:
+                        parity_failures.append([ell_minus, ell_plus, h, case_index])
+                    if case_index == 4 and forced_dim != want:
                         formula_failures.append([ell_minus, ell_plus, h])
     _check(checks, "gh/all-forced-dims-odd", [], parity_failures)
     _check(checks, "gh/case4-parity-dichotomy", [], formula_failures)
@@ -304,10 +305,9 @@ def _check_mv(checks: list, catalog: Catalog) -> None:
             continue
         result = mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, betti.n)
         _check(checks, f"mv/feasible/{record.id}", "feasible", result.verdict)
-        lhs = sum(
-            (-1) ** k * (betti.p_k_plus.coefficient(k) + betti.p_k_minus.coefficient(k) - betti.p_h.coefficient(k))
-            for k in range(max(betti.p_h.degree, betti.p_k_plus.degree, betti.p_k_minus.degree) + 1)
-        )
+        columns = zip_longest(betti.p_h.coefficients, betti.p_k_plus.coefficients, betti.p_k_minus.coefficients,
+                              fillvalue=0)
+        lhs = sum((-1) ** k * (b_plus + b_minus - b_h) for k, (b_h, b_plus, b_minus) in enumerate(columns))
         rhs = 1 + (-1) ** betti.n
         _check(checks, f"mv/alternating-sum/{record.id}", rhs, lhs)
     counterexample = mv_feasible(

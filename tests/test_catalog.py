@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,7 @@ import cohomone
 from cohomone.catalog import data_dir, default_catalog, load_catalog
 from cohomone.cli import run
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, Unsupported
-from cohomone.lie_catalog import (
-    degree_multiplicities,
-    parse_group,
-    validate_embedding,
-)
+from cohomone.lie_catalog import parse_group, validate_embedding
 
 
 def test_catalog_loads_and_indexes():
@@ -32,8 +29,7 @@ def test_every_shipped_embedding_obeys_rank_bounds():
     cat = default_catalog()
     for emb in cat.embeddings():
         validate_embedding(emb)  # raises on violation
-        sub = degree_multiplicities(emb.subgroup)
-        amb = degree_multiplicities(emb.ambient)
+        sub, amb = Counter(emb.subgroup.degrees), Counter(emb.ambient.degrees)
         for k, r in emb.homotopy_map_ranks:
             assert 0 <= r <= min(sub.get(k, 0), amb.get(k, 0)), emb.id
 
@@ -125,6 +121,15 @@ def record_edit(key, record_id, edit):
          InvalidLabel, "embeddings[16] key 'map_ranks' must be"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"3" * 4301: 1})),
          InvalidLabel, "embeddings[16] key 'map_ranks' must be"),
+        # a key with a leading zero would name the same integer as another key, and the last one would win
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"3": 1, "03": 0})),
+         InvalidLabel, "embeddings[16] key 'map_ranks' must be \"injective\" or an object of integers, "
+                       "got {'3': 1, '03': 0}"),
+        ("embeddings.json",
+         record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": ["lattice"], "04": []})),
+         InvalidLabel, "families[0] tags_at key '04' is not a decimal integer m >= 3"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"05": []})),
+         InvalidLabel, "families[0] tags_at key '05' is not a decimal integer m >= 3"),
         pytest.param("embeddings.json",
                      record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4" * 4301: []})),
                      InvalidLabel, f"families[0] tags_at key '{'4' * 4301}' is not a decimal integer m >= 3",

@@ -1,18 +1,21 @@
 """Report shape and shipped-data integrity checks."""
 
+from collections import Counter
+
 import pytest
 
-from cohomone import verify
-from cohomone.brieskorn import BrieskornParams, delta_poly, homology
+from cohomone import classification, verify
+from cohomone.brieskorn import BrieskornParams, GradedAbelianGroup, HomologyEntry, delta_poly, homology
 from cohomone.catalog import default_catalog
 from cohomone.classification import (
+    SevenFamilyParams,
     brieskorn_diagram,
     realize_torsion,
     seven_family_diagram,
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from cohomone.cli import render
+from cohomone.cli import render, run
 from cohomone.diagram import CASE6_FIBERS, gh_classify
 from cohomone.verify import build_report
 
@@ -115,3 +118,52 @@ def test_derived_checks_catch_a_wrong_cell(monkeypatch, target, cell, wrong, che
         assert report["summary"]["failed"] == [check_id]
     monkeypatch.undo()
     assert build_report(CAT)["summary"]["ok"] is True
+
+
+def _unchecked(cls, *fields):
+    """A ``cls`` built the way a trusted producer builds one, past the checks of its constructor."""
+    return tuple.__new__(cls, fields)
+
+
+def _homology_of(*entries):
+    return _unchecked(GradedAbelianGroup, tuple(_unchecked(HomologyEntry, *e) for e in entries))
+
+
+@pytest.mark.parametrize("target, cell, value, check_id", [
+    # p- = 15 and p+ = 13 still give torsion 7, but 15 is not 1 mod 4, which SevenFamilyParams refuses
+    ("realize_torsion", (7,), _unchecked(SevenFamilyParams, 15, 1, 13, 1), "seven-family/roundtrip"),
+    # a middle entry of B^7_1 with torsion of order 1, which HomologyEntry refuses
+    ("homology", (BrieskornParams(4, 1),), _homology_of((0, 1, ()), (3, 0, (1,)), (7, 1, ())),
+     "brieskorn/delta-and-homology-grid"),
+    # the entries of B^9_3 out of degree order, which GradedAbelianGroup refuses
+    ("homology", (BrieskornParams(5, 3),), _homology_of((9, 1, ()), (0, 1, ())), "brieskorn/delta-and-homology-grid"),
+])
+def test_a_value_a_trusted_producer_builds_wrong_fails_its_check(monkeypatch, target, cell, value, check_id):
+    # the producer skips its type's checks, so its fault reaches the report's check: exit 1, not exit 2
+    real = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args: value if args == cell else real(*args))
+    result = run(["verify-tables"], CAT)
+    assert result.exit_code == 1 and result.payload["summary"]["failed"] == [check_id]
+
+
+def test_every_report_does_all_of_its_work(monkeypatch):
+    # no memo across reports and no shrunk grid: the second report makes every call the first one does
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("gh_classify", "homology", "delta_poly", "realize_torsion"):
+        count(verify, name)
+    count(classification, "quotient_homotopy")
+    build_report(CAT)
+    counts.clear()
+    assert build_report(CAT)["summary"]["ok"] is True
+    assert counts == {"gh_classify": 50 * 50 * 3 + 2, "homology": 8 * 50, "delta_poly": 8 * 50, "realize_torsion": 1000,
+                      "quotient_homotopy": len(CAT.corank2_sources(9))}
