@@ -210,11 +210,12 @@ class EmbeddingFamily(NamedTuple):
         return NamedEmbedding(name, group_at(self.ambient, m), sub, ranks, **typed)
 
     def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
-        """The instances whose ambient group has rank at most ``max_rank``, by parameter; ``tags`` are read once."""
+        """The instances whose ambient group has rank at most ``max_rank``, by parameter; ``tags`` are read once,
+        and the first m past ``max_rank`` is found from its ambient group alone."""
         out = {}
         m, typed = self.param_min, _typed_tags(self.tags, f"{self.id}@m={self.param_min}")
-        while (e := self.instantiate(m, typed)).ambient.rank <= max_rank:
-            out[m] = e
+        while group_at(self.ambient, m).rank <= max_rank:
+            out[m] = self.instantiate(m, typed)
             m += 1
         return out
 

@@ -251,7 +251,7 @@ class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind descriptio
 
     def as_dict(self) -> dict:
         """The fields that are set, with ``params`` as an object of its four integers."""
-        out = {name: value for name, value in self._asdict().items() if value is not None}
+        out = {name: value for name, value in zip(self._fields, self) if value is not None}
         if self.params is not None:
             out["params"] = self.params._asdict()
         return out
@@ -319,8 +319,12 @@ def _tensor_sp_orbits(n: int) -> Orbits:
     return _fitted(symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2))
 
 
+#: the tags of a witness, which presents H in K- or K+ as a block, and of a family's H
+_BLOCK, _PROPER_BLOCK = frozenset({"block"}), frozenset({"block", "proper-projections"})
+
+
 def _family_diagram(
-    stem: str, orbits: Orbits, tags: tuple[set[str], ...], k_fields: tuple[dict, dict] = ({}, {}), **annotations
+    stem: str, orbits: Orbits, tags: tuple[frozenset[str], ...], k_fields: tuple[dict, dict] = ({}, {}), **annotations
 ) -> GroupDiagram:
     """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
     winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and ``annotations`` are
@@ -335,16 +339,13 @@ def _family_diagram(
     for group in orbits:  # a non-integer parameter gives a float rank: the TypeError of counting its degrees
         index(group.rank)
 
-    def embed(suffix: str, ambient: GroupType, sub: GroupType, labels: set[str], winding=None, slope=None):
+    def embed(suffix: str, ambient: GroupType, sub: GroupType, labels: frozenset[str], winding=None, slope=None):
         check_winding_and_slope(id := f"{stem}-{suffix}", winding, slope)
-        return tuple.__new__(NamedEmbedding, (id, ambient, sub, (), frozenset(labels), winding, slope, frozenset()))
+        return tuple.__new__(NamedEmbedding, (id, ambient, sub, (), labels, winding, slope, frozenset()))
 
-    return GroupDiagram(
-        g=g, h=embed("h", g, h, tags[0]), k_minus=embed("kminus", g, k_minus, tags[1], **k_fields[0]),
-        k_plus=embed("kplus", g, k_plus, tags[2], **k_fields[1]),
-        h_in_k_minus=embed("h-in-km", k_minus, h, {"block"}), h_in_k_plus=embed("h-in-kp", k_plus, h, {"block"}),
-        **annotations,
-    )
+    return GroupDiagram(g, embed("h", g, h, tags[0]), embed("kminus", g, k_minus, tags[1], **k_fields[0]),
+                        embed("kplus", g, k_plus, tags[2], **k_fields[1]), embed("h-in-km", k_minus, h, _BLOCK),
+                        embed("h-in-kp", k_plus, h, _BLOCK), **annotations)
 
 
 def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram:
@@ -360,10 +361,10 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
         raise InvalidParams(f"unknown variant {variant!r}")
     if variant in _FIXED_BRIESKORN and m != _FIXED_BRIESKORN[variant][0]:
         raise InvalidParams(f"the {variant} variant exists only at m = {_FIXED_BRIESKORN[variant][0]}")
-    family = {"family:brieskorn", f"variant:{variant}"}
+    family = frozenset({"family:brieskorn", f"variant:{variant}"})
     return _family_diagram(
         f"brieskorn[{variant},m={m},d={d}]", _brieskorn_orbits(m, variant),
-        ({"block", "proper-projections"}, family, family | {"block"}), ({"winding": d if d % 2 else d // 2}, {}),
+        (_PROPER_BLOCK, family, family | _BLOCK), ({"winding": d if d % 2 else d // 2}, {}),
         components_h=1 + d % 2, components_k_plus=1 + d % 2,  # two components each when d is odd
         nonorientable_k_plus=bool(m % 2 and d % 2),
     )
@@ -374,7 +375,7 @@ def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     p_minus, q_minus, p_plus, q_plus = params
     return _family_diagram(
         f"seven[{p_minus},{q_minus},{p_plus},{q_plus}]", _SEVEN_ORBITS,
-        ({"proper-projections", "finite:4"}, {"family:seven"}, {"family:seven"}),
+        (frozenset({"proper-projections", "finite:4"}), frozenset({"family:seven"}), frozenset({"family:seven"})),
         ({"slope": (p_minus, q_minus)}, {"slope": (p_plus, q_plus)}),
         components_h=4, components_k_minus=2, components_k_plus=2,
         nonorientable_k_minus=True, nonorientable_k_plus=True,
@@ -391,9 +392,9 @@ class _Tensor(namedtuple("_Tensor", "name group field rank_offset min_n orbits r
     def diagram(self, n: int) -> GroupDiagram:
         if n < self.min_n:
             raise InvalidParams(self.refusal.format(self.min_n))
-        tags = {f"family:{self.name}", f"n:{n}"}
+        tags = frozenset({f"family:{self.name}", f"n:{n}"})
         stem, orbits = f"{self.name}[n={n}]", self.orbits(n)
-        return _family_diagram(stem, orbits, ({"block", "proper-projections"}, tags | {"block"}, tags | {"diagonal"}))
+        return _family_diagram(stem, orbits, (_PROPER_BLOCK, tags | _BLOCK, tags | {"diagonal"}))
 
     def recognize(self, d: GroupDiagram) -> Optional[ClassificationOutcome]:
         n = max((f.rank for f in d.g.factors), default=0) + self.rank_offset  # G = X(n) x X(2)
@@ -433,20 +434,21 @@ def _oriented(d: GroupDiagram, orbits: Orbits) -> Iterator[GroupDiagram]:
         yield d.swap()
 
 
-def _so_index(semisimple_part: GroupType) -> Optional[int]:
-    """m >= the least Brieskorn m with so(m) equal to the given type, if any."""
-    for m in (2 * semisimple_part.rank, 2 * semisimple_part.rank + 1):  # so(m) has rank m // 2
-        if m >= _BRIESKORN_MIN_M and special_orthogonal(m) == semisimple_part:
+def _so_index(g: GroupType) -> Optional[int]:
+    """m >= the least Brieskorn m with so(m) the semisimple part of ``g`` (its factors), if any."""
+    rank = g.rank - g.torus_rank
+    for m in (2 * rank, 2 * rank + 1):  # so(m) has rank m // 2, and no torus for m >= 3
+        if m >= _BRIESKORN_MIN_M and special_orthogonal(m).factors == g.factors:
             return m
     return None
 
 
 def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
-    shapes = list(_FIXED_BRIESKORN.values())
-    so_m = _so_index(GroupType(d.g.factors))  # the rotation part of G = circle x SO(m)
-    if so_m is not None:
-        shapes.append((so_m, _brieskorn_orbits(so_m, "standard")))
-    for m, orbits in shapes:
+    if d.g.torus_rank != 1:  # every shape's G is a circle times SO(m), Spin(7) or G2
+        return None
+    so_m = _so_index(d.g)  # the rotation part of G = circle x SO(m)
+    standard = () if so_m is None else ((so_m, _brieskorn_orbits(so_m, "standard")),)
+    for m, orbits in (*standard, *_FIXED_BRIESKORN.values()):  # the shapes' H differ: at most one matches
         for cand in _oriented(d, orbits):
             a = cand.k_minus.winding
             if a is None:

@@ -6,7 +6,9 @@ stdout.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 One table, ``_COMMANDS``, gives each subcommand's handler, flags and
 whether it reads the catalog; a small parser reads it.
 Each handler imports the modules it runs, and only the subcommands that
-read the catalog load it.
+read the catalog load it.  The per-document path of ``classify`` and
+``primitivity`` reads its modules as attributes of the package, which loads
+each on first use: an import statement would cost a microsecond per call.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
+import cohomone
+
 from .errors import CohomoneError, InvalidParams
 
 if TYPE_CHECKING:
@@ -24,6 +28,7 @@ if TYPE_CHECKING:
     from .polynomial import IntegerPolynomial
 
 MAX_DOCUMENT_BYTES = 1 << 16  # the longest diagram document read, in bytes (characters from stdin)
+_PRINTABLE = 1 << 1000  # below 10**640, the fewest digits an interpreter's print limit may be set to
 
 
 class CommandResult(NamedTuple):
@@ -60,6 +65,8 @@ def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
 
 def _printable(value: int, what: str) -> int:
     """``value``, or InvalidParams if it has more digits than this interpreter prints."""
+    if -_PRINTABLE < value < _PRINTABLE:
+        return value
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent before Python 3.10.7: no limit
     if digits and value.bit_length() > 3 * digits and abs(value) >= 10**digits:  # 2^(3k) < 10^k
         raise InvalidParams(f"{what} has more than {digits} digits, more than this interpreter prints")
@@ -102,12 +109,11 @@ def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     family = document.get("family")
     if family is None:
         return catalog.diagram_from_record(document)
-    from .classification import FAMILIES
-
-    entry = FAMILIES.get(family) if isinstance(family, str) else None  # a JSON array or object is unhashable
+    families = cohomone.classification.FAMILIES
+    entry = families.get(family) if isinstance(family, str) else None  # a JSON array or object is unhashable
     if entry is None:
-        raise _UsageError(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, FAMILIES))})")
-    return entry.factory(*(_int_key(document, key) for key in entry.keys),
+        raise _UsageError(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, families))})")
+    return entry.factory(*[_int_key(document, key) for key in entry.keys],
                          **{key: document[key] for key in entry.optional if key in document})
 
 
@@ -182,12 +188,11 @@ def _cmd_gh_case(args) -> CommandResult:
 
 
 def _cmd_classify(args, catalog: Catalog) -> CommandResult:
-    from .classification import classify_diagram
-
     diagram = _load_diagram(args.diagram, catalog)
-    outcome = classify_diagram(diagram, catalog)
-    for key in ("d", "torsion"):  # a winding, slope or family parameter can make either one too long to print
-        _printable(getattr(outcome, key) or 0, f"the classify outcome's {key}")
+    outcome = cohomone.classification.classify_diagram(diagram, catalog)
+    # a winding, slope or family parameter can make either one too long to print
+    _printable(outcome.d or 0, "the classify outcome's d")
+    _printable(outcome.torsion or 0, "the classify outcome's torsion")
     return CommandResult(0, {
         "group": str(diagram.g),
         "ell_minus": diagram.ell_minus,
@@ -198,11 +203,9 @@ def _cmd_classify(args, catalog: Catalog) -> CommandResult:
 
 
 def _cmd_primitivity(args, catalog: Catalog) -> CommandResult:
-    from .diagram import primitivity
-
     diagram = _load_diagram(args.diagram, catalog)
     lattice = catalog.lattice_for(diagram.g)
-    result = primitivity(diagram, lattice, assert_rational_sphere=args.rational_sphere)
+    result = cohomone.diagram.primitivity(diagram, lattice, assert_rational_sphere=args.rational_sphere)
     return CommandResult(0, {
         "group": str(diagram.g),
         "lattice_size": len(lattice),
@@ -402,9 +405,11 @@ def run(argv: list[str], catalog: Optional[Catalog] = None) -> CommandResult:
         entry = _COMMANDS[command]
         if not entry.reads_catalog:
             return entry.handler(args)
-        from .catalog import default_catalog
+        if catalog is None:
+            from .catalog import default_catalog
 
-        return entry.handler(args, default_catalog() if catalog is None else catalog)
+            catalog = default_catalog()
+        return entry.handler(args, catalog)
     except _UsageError as exc:
         return CommandResult(2, {"error": str(exc)})
     except CohomoneError as exc:

@@ -134,7 +134,8 @@ def validate(d: GroupDiagram) -> list[Violation]:
     if out:
         return out
 
-    ells = {"K-": d.ell_minus, "K+": d.ell_plus}
+    ell_minus, ell_plus = d.ell_minus, d.ell_plus
+    ells = {"K-": ell_minus, "K+": ell_plus}
     for name, ell in ells.items():
         if ell < 1:
             out.append(Violation("fiber-dimension", f"{name}/H has dimension {ell}; both fibers need dimension >= 1"))
@@ -152,7 +153,7 @@ def validate(d: GroupDiagram) -> list[Violation]:
     counts = {"H": d.components_h, "K-": d.components_k_minus, "K+": d.components_k_plus}
     if any(c < 1 for c in counts.values()):
         out.append(Violation("component-pattern", "component counts must be positive"))
-    elif d.ell_minus >= 2 and d.ell_plus >= 2:
+    elif ell_minus >= 2 and ell_plus >= 2:
         bad = [name for name, c in counts.items() if c != 1]
         if bad:
             out.append(
@@ -161,9 +162,9 @@ def validate(d: GroupDiagram) -> list[Violation]:
                     f"both fibers have dimension >= 2, so all groups are connected; {', '.join(bad)} annotated otherwise",
                 )
             )
-    elif min(d.ell_minus, d.ell_plus) == 1 and max(d.ell_minus, d.ell_plus) > 1:
+    elif min(ell_minus, ell_plus) == 1 and max(ell_minus, ell_plus) > 1:
         # circle side: the K with 1-dimensional fiber; big side: the other
-        if d.ell_minus == 1:
+        if ell_minus == 1:
             circle_name, circle_count, big_name, big_count = "K-", d.components_k_minus, "K+", d.components_k_plus
         else:
             circle_name, circle_count, big_name, big_count = "K+", d.components_k_plus, "K-", d.components_k_minus

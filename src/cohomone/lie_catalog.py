@@ -36,7 +36,8 @@ only the rows it can use: ``sphere_quotient`` the rows with m = (l+1)/a
 for the fiber dimension l, ``spheres_acted_on`` the rows whose group has
 the given group's rank.  No cap on m is needed: a row group of larger
 rank than the ambient group never matches it.  Rows, like classical groups,
-are built once per (family, m) and kept up to ``CACHE_SIZE`` per cache.
+are built once per (family, m), and the rows of a sphere dimension once per
+dimension, each cache keeping up to ``CACHE_SIZE`` entries.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
     """Isomorphism type of a compact connected Lie group.
 
     Factors are canonicalized and sorted on construction, so types built
-    from different low-rank presentations compare equal.  ``rank``, ``dimension``
-    and ``degrees`` are computed on first read and kept; attributes cannot be set.
+    from different low-rank presentations compare equal.  ``rank``, ``dimension``,
+    ``degrees`` and the text ``str`` gives are computed on first read and kept;
+    attributes cannot be set.
     """
 
     # no __slots__: cached_property keeps the invariants in the instance __dict__, which it writes directly
@@ -191,6 +193,10 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
         return GroupType(self.factors + other.factors, self.torus_rank + other.torus_rank)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         parts = [str(f) for f in self.factors]
         if self.torus_rank:
             parts.append(f"T{self.torus_rank}")
@@ -434,15 +440,12 @@ def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
     return SphereActionRow(group, isotropy, dim, family, m, frozenset(classes))
 
 
-def _sphere_rows_of_dimension(ell: int) -> Iterable[SphereActionRow]:
+@memoized
+def _sphere_rows_of_dimension(ell: int) -> tuple[SphereActionRow, ...]:
     """The rows acting on S^ell: m = (ell + 1) / a in each family, and the sporadic rows."""
-    for family, (a, m_min) in _ROW_FAMILIES.items():
-        m, remainder = divmod(ell + 1, a)
-        if remainder == 0 and m >= m_min:
-            yield _sphere_row(family, m)
-    for family, dim in _SPORADIC_ROWS.items():
-        if dim == ell:
-            yield _sphere_row(family)
+    rows = [_sphere_row(family, (ell + 1) // a) for family, (a, m_min) in _ROW_FAMILIES.items()
+            if (ell + 1) % a == 0 and (ell + 1) // a >= m_min]
+    return tuple(rows + [_sphere_row(family) for family, dim in _SPORADIC_ROWS.items() if dim == ell])
 
 
 def transitive_sphere_pairs(max_m: int = 12) -> list[SphereActionRow]:

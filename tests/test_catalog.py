@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cohomone
-from cohomone.catalog import data_dir, default_catalog, load_catalog
+from cohomone.catalog import EmbeddingFamily, data_dir, default_catalog, load_catalog
 from cohomone.cli import run
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, Unsupported
 from cohomone.lie_catalog import parse_group, validate_embedding
@@ -54,6 +54,27 @@ def test_family_instantiation():
     instances = fam.instances_up_to_rank(7)
     assert list(instances) == [4, 5, 6, 7]
     assert [x.ambient.rank for x in instances.values()] == [4, 5, 6, 7]
+
+
+def test_a_report_instantiates_only_the_family_instances_it_keeps(monkeypatch):
+    # the first m past max_rank is found from its ambient group alone, not built and checked as an embedding
+    cat = default_catalog()
+    instantiated, kept = [], []
+    instantiate, instances_up_to_rank = EmbeddingFamily.instantiate, EmbeddingFamily.instances_up_to_rank
+
+    def counted_instantiate(self, *args):
+        instantiated.append((self.id, args[0]))
+        return instantiate(self, *args)
+
+    def counted_instances(self, max_rank):
+        instances = instances_up_to_rank(self, max_rank)
+        kept.extend((self.id, m) for m in instances)
+        return instances
+
+    monkeypatch.setattr(EmbeddingFamily, "instantiate", counted_instantiate)
+    monkeypatch.setattr(EmbeddingFamily, "instances_up_to_rank", counted_instances)
+    assert cohomone.verify.build_report(cat)["summary"]["ok"]
+    assert kept and instantiated == kept
 
 
 def test_family_tags_at_parameter():

@@ -29,9 +29,9 @@ from cohomone.classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from cohomone.diagram import double_disk_euler, mv_feasible, validate
+from cohomone.diagram import double_disk_euler, gh_classify, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams
-from cohomone.lie_catalog import NamedEmbedding, parse_group, special_orthogonal, special_unitary
+from cohomone.lie_catalog import GroupType, NamedEmbedding, parse_group, special_orthogonal, special_unitary, symplectic
 from cohomone.verify import orbit_betti
 
 CAT = default_catalog()
@@ -409,6 +409,34 @@ def test_each_family_recognizes_its_own_diagrams_and_no_other_family_does(data):
                 if other != name and family.recognize(diagram) is not None] == []
 
 
+def rebuilt_so_index(semisimple_part):
+    """The reference for ``_so_index``: so(m) compared, as a whole group type, with G's factors rebuilt without G's torus."""
+    for m in (2 * semisimple_part.rank, 2 * semisimple_part.rank + 1):
+        if m >= 3 and special_orthogonal(m) == semisimple_part:
+            return m
+    return None
+
+
+def test_brieskorn_recognizer_reads_so_m_off_g_as_a_rebuilt_semisimple_part_does():
+    simple = [special_orthogonal(n) for n in range(1, 26)] + [special_unitary(n) for n in range(1, 14)] + \
+        [symplectic(n) for n in range(13)] + [parse_group(name) for name in ("G2", "F4", "E6", "E7", "E8")]
+    groups = {a * b for a in simple for b in simple if 1 <= (a * b).rank <= 12}
+    shapes = [(brieskorn_diagram(m, d, variant), m, d) for m, d, variant in (
+        *((m, d, "standard") for m in range(3, 9) for d in (1, 2)), (8, 3, "spin7"), (7, 2, "g2"))]
+    for torus in (0, 1, 2):
+        for group in groups:
+            g = group * GroupType((), torus)
+            assert cohomone.classification._so_index(g) == rebuilt_so_index(GroupType(g.factors)), g
+            for d, m, d_param in shapes:  # only the diagram's own G can match its orbit groups
+                outcome = cohomone.classification._recognize_brieskorn(d._replace(g=g))
+                if g != d.g:
+                    assert outcome is None, (g, d.g)
+                elif m % 2 and d_param % 2 == 0:
+                    assert outcome.kind == "not-rational-sphere", g
+                else:
+                    assert outcome == ClassificationOutcome("brieskorn", m=m, d=d_param), g
+
+
 def exchanged(betti):
     return None if betti is None else betti._replace(p_k_plus=betti.p_k_minus, p_k_minus=betti.p_k_plus)
 
@@ -438,6 +466,48 @@ def test_valid_near_misses_of_a_family_stay_unmatched(name):
     assert validate(d) == []
     assert classify_diagram(d, CAT).kind == "unmatched"
     assert classify_diagram(d.swap(), CAT).kind == "unmatched"
+
+
+# -- paper consistency: a rational-sphere verdict has the dimension its homotopy-fiber case forces -------
+
+#: the rational-sphere outcome kinds, each with the manifold dimension the outcome states, if it states one
+STATED_DIMENSION = {
+    "linear-sphere": lambda o: int(o.description.split(" on S^")[1].split()[0]),
+    "brieskorn": lambda o: 2 * o.m - 1,  # the link B^(2m-1)_d
+    "wu": lambda o: None,
+    "g2-quotient": lambda o: None,
+    "seven-family": lambda o: 7,
+}
+
+
+@st.composite
+def paper_diagrams(draw):
+    """A diagram of a ``FAMILIES`` entry or a shipped record, or the swap of one."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(list(FAMILIES)))
+        keys, optional = draw(FAMILY_ARGUMENTS[name])
+        d = FAMILIES[name].factory(*keys, **optional)
+    else:
+        d = draw(st.sampled_from(CAT.diagram_records())).diagram
+    return d.swap() if draw(st.booleans()) else d
+
+
+@settings(max_examples=300, deadline=None)
+@given(paper_diagrams())
+def test_every_rational_sphere_verdict_has_a_dimension_its_fiber_case_forces(d):
+    # the paper reads the homotopy-fiber case first, which forces the dimension, and names the family after
+    assert set(STATED_DIMENSION) | {"not-rational-sphere", "unmatched"} == set(cohomone.classification._OUTCOME_FIELDS)
+    outcome = classify_diagram(d, CAT)
+    assert classify_diagram(d.swap(), CAT) == outcome
+    if outcome.kind not in STATED_DIMENSION:
+        return
+    n = d.manifold_dim
+    assert n in {case.forced_dim for case in gh_classify(d.ell_minus, d.ell_plus, d.nonorientable_count)}
+    assert double_disk_euler(d) == 1 + (-1) ** n
+    assert STATED_DIMENSION[outcome.kind](outcome) in (None, n)
+    betti = orbit_betti(DiagramRecord("drawn", d))
+    if betti is not None:
+        assert betti.n == n and mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, n).verdict == "feasible"
 
 
 # -- factory embeddings: the checked constructor as oracle ------------------------------

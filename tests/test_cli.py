@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import time
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomone.catalog import data_dir, load_catalog
+from cohomone.classification import realize_torsion
 from cohomone.cli import _COMMANDS, MAX_DOCUMENT_BYTES, main, render, run
 
 
@@ -617,6 +619,28 @@ def test_huge_seven_family_torsion_exits_2(tmp_path, capsys):
         result = run([command, "--diagram", str(doc)])
         assert result.exit_code == code, result.payload
     assert "the classify outcome's torsion has more than" in run(["classify", "--diagram", str(doc)]).payload["error"]
+
+
+def test_classify_prints_values_under_2_to_the_1000_and_refuses_longer_ones_at_the_lowest_limit(tmp_path):
+    # values under 2**1000 skip the digit check: 2**1000 < 10**640, the lowest limit an interpreter takes
+    t = 2**1000 - 1
+    params = realize_torsion(t)._asdict()
+    for name, document, key in (("brieskorn", {"family": "brieskorn", "m": 6, "d": t}, "d"),
+                                ("seven", {"family": "seven", **params}, "torsion")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+        assert payload(["classify", "--diagram", str(tmp_path / f"{name}.json")])["outcome"][key] == t
+    huge = 10**330 + 1  # 1 mod 4: the torsion (huge**2 - 1) / 8 has 660 digits, each slope 331
+    (tmp_path / "long.json").write_text(json.dumps({"family": "seven", "p_minus": huge, "q_minus": 1,
+                                                    "p_plus": 1, "q_plus": 1}))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        result = run(["classify", "--diagram", str(tmp_path / "long.json")])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result.exit_code == 2
+    assert result.payload["error"] == ("InvalidParams: the classify outcome's torsion has more than 640 digits, "
+                                       "more than this interpreter prints")
 
 
 def test_huge_catalog_winding_exits_2(tmp_path):

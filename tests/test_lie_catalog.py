@@ -184,29 +184,36 @@ def test_weyl_order_degree_product_identity(drawn):
 
 
 def recomputed(group):
-    """(rank, dimension, degrees) summed afresh from the factors."""
+    """(rank, dimension, degrees, text) worked out afresh from the factors."""
     degree_list = [1] * group.torus_rank + [d for f in group.factors for d in f.degrees]
+    parts = [str(f) for f in group.factors] + ([f"T{group.torus_rank}"] if group.torus_rank else [])
     return (sum(f.rank for f in group.factors) + group.torus_rank,
-            sum(f.dimension for f in group.factors) + group.torus_rank, tuple(sorted(degree_list)))
+            sum(f.dimension for f in group.factors) + group.torus_rank, tuple(sorted(degree_list)),
+            "x".join(parts) if parts else "e")
+
+
+def cached(group):
+    return group.rank, group.dimension, group.degrees, str(group)
 
 
 @settings(max_examples=200, deadline=None)
 @given(group_products(), group_products())
 def test_cached_invariants_match_a_recomputation_and_cannot_be_set(drawn, other):
     for g in (drawn, other):
-        assert (g.rank, g.dimension, g.degrees) == recomputed(g)  # the first read caches them
+        assert cached(g) == recomputed(g)  # the first read caches them
     derived = [drawn * other, other * drawn, drawn._replace(torus_rank=drawn.torus_rank + 1),
                drawn._replace(factors=other.factors), copy.copy(drawn), copy.deepcopy(drawn),
                pickle.loads(pickle.dumps(drawn))]
+    assert [vars(g) for g in derived[-3:]] == [{}] * 3  # copies and pickles carry the two fields, not the cache
     for g in [drawn, other, *derived]:
-        assert (g.rank, g.dimension, g.degrees) == recomputed(g) and degrees(g) is g.degrees, g
-        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "new_name"):
+        assert cached(g) == recomputed(g) and degrees(g) is g.degrees, g
+        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "_text", "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(g, name, 0)
-        for name in ("rank", "degrees", "new_name"):
+        for name in ("rank", "degrees", "_text", "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(g, name)
-        assert (g.rank, g.dimension, g.degrees) == recomputed(g)
+        assert cached(g) == recomputed(g)
 
 
 #: every memoized constructor, with an argument it refuses
@@ -278,6 +285,18 @@ def test_table_rows_present(group, isotropy, dim):
     rows = transitive_sphere_pairs(12)
     matches = [r for r in rows if r.group == parse_group(group) and r.isotropy == parse_group(isotropy)]
     assert dim in {r.sphere_dim for r in matches}
+
+
+def test_rows_of_a_sphere_dimension_are_the_table_rows_of_that_dimension_in_table_order():
+    # the memoized per-dimension lookup against a scan of the instantiated table, sporadic rows last
+    table = transitive_sphere_pairs(301)  # so(m) acts on S^(m-1): every family row of dimension <= 300
+    for ell in range(1, 301):
+        rows = lie_catalog._sphere_rows_of_dimension(ell)
+        assert type(rows) is tuple and rows == tuple(row for row in table if row.sphere_dim == ell), ell
+    huge = 4 * 10**20 - 1  # S^huge is the unit sphere of R^(4k), C^(2k) and H^k for k = 10^20
+    assert [(row.family, row.m, row.sphere_dim) for row in lie_catalog._sphere_rows_of_dimension(huge)] == [
+        ("so", 4 * 10**20, huge), ("su", 2 * 10**20, huge), ("su-u1", 2 * 10**20, huge),
+        ("sp", 10**20, huge), ("sp-u1", 10**20, huge), ("sp-sp1", 10**20, huge)]
 
 
 def test_sphere_quotient_examples():
