@@ -31,6 +31,12 @@ a larger m, which the groups at six values of m decide.  Any error
 raised while a record is parsed or built keeps its type and names the
 file, the array index and, where one is at fault, the key.
 
+``read_object`` reads each JSON object of the data files and of a
+diagram document against its kind's key table, which gives each key's
+JSON type and, if optional, its default: it refuses a missing key or a
+value of another type, then an undeclared key.  ``parse_json``, the one
+JSON decoder, refuses a key repeated in one object.
+
 Only this module reads tag strings (``_typed_tags``; for a family,
 ``tags`` plus ``tags_at[m]``).  ``winding:<int>`` and ``slope:<int>,<int>``
 may each appear once and ``contains:<id>`` any number of times; they
@@ -44,8 +50,9 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Mapping
-from functools import lru_cache, partial
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -61,14 +68,13 @@ CATALOG_VERSION = 1
 _DATA_ENV = "COHOMONE_DATA_DIR"
 
 
-def _rank_spec(record: Mapping, where: str) -> Optional[tuple[tuple[int, int], ...]]:
+def _rank_spec(spec, where: str) -> Optional[tuple[tuple[int, int], ...]]:
     """A record's ``map_ranks``: None for "injective", else its (degree, rank) pairs."""
-    spec = record.get("map_ranks", {})
     if spec == "injective":
         return None
     if isinstance(spec, Mapping):
         ranks = [(_decimal(k), v) for k, v in spec.items()]
-        if all(k is not None and _is(v, int) for k, v in ranks):
+        if all(k is not None and type(v) is int for k, v in ranks):
             return tuple(sorted(ranks))
     raise InvalidLabel(f"{where} key 'map_ranks' must be \"injective\" or an object of integers, got {spec!r}")
 
@@ -105,14 +111,6 @@ def _typed_tags(labels: Iterable[str], name: str) -> dict:
     return fields
 
 
-def _embedding(
-    name: str, ambient: GroupType, sub: GroupType, ranks: Optional[tuple[tuple[int, int], ...]], tags: Iterable[str]
-) -> NamedEmbedding:
-    """An embedding of ``sub`` in ``ambient`` with tag strings ``tags``; ``ranks`` None means rationally injective."""
-    ranks = injective_rank_map(sub) if ranks is None else ranks
-    return NamedEmbedding(name, ambient, sub, ranks, **_typed_tags(tags, name))
-
-
 def _named(where: str, build, *args):
     """``build(*args)``; a ``CohomoneError`` it raises is raised again, same type, prefixed with ``where``."""
     try:
@@ -121,44 +119,35 @@ def _named(where: str, build, *args):
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def _groups(record: Mapping, where: str, parse) -> tuple:
-    """``parse`` of the ``"ambient"`` and ``"subgroup"`` expressions; an error names ``where`` and the key."""
-    ambient, subgroup = (_value(record, key, str, where=where, error=InvalidLabel) for key in ("ambient", "subgroup"))
-    return _named(f"{where} key 'ambient'", parse, ambient), _named(f"{where} key 'subgroup'", parse, subgroup)
+def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
+    embedding_id, ambient, subgroup, map_ranks, tags = read_object(record, _EMBEDDING, where, InvalidLabel)
+    ambient = _named(f"{where} key 'ambient'", parse_group, ambient)
+    subgroup = _named(f"{where} key 'subgroup'", parse_group, subgroup)
+    ranks = _rank_spec(map_ranks, where)
+    ranks = injective_rank_map(subgroup) if ranks is None else ranks
+    return _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks,
+                                                **_typed_tags(tags, embedding_id)))
 
 
-def _embedding_from_record(record: Mapping, where: str) -> NamedEmbedding:
-    get = partial(_value, record, where=where, error=InvalidLabel)
-    tags = _array(record, "tags", str, (), where, InvalidLabel)
-    return _named(
-        where, _embedding, get("id", str), *_groups(record, where, parse_group), _rank_spec(record, where), tags
-    )
-
-
-def _family_from_record(record: Mapping, where: str) -> EmbeddingFamily:
-    get = partial(_value, record, where=where, error=InvalidLabel)
-    ambient, subgroup = _groups(record, where, group_template)
+def _family_from_record(record: dict, where: str) -> EmbeddingFamily:
+    family_id, ambient_text, subgroup_text, map_ranks, tags, param_min, tags_at = read_object(
+        record, _FAMILY, where, InvalidLabel)
+    ambient = _named(f"{where} key 'ambient'", group_template, ambient_text)
+    subgroup = _named(f"{where} key 'subgroup'", group_template, subgroup_text)
     if not any(a for _, a, _ in ambient):  # so that instances_up_to_rank ends
-        raise InvalidLabel(f"{where} key 'ambient': {record['ambient']!r} does not grow with m")
-    param_min, tags_at = get("param_min", int), get("tags_at", Mapping, {})
-    for key in tags_at:
+        raise InvalidLabel(f"{where} key 'ambient': {ambient_text!r} does not grow with m")
+    for key in tags_at:  # the keys of tags_at are the values of m it declares
         if (m := _decimal(key)) is None or m < param_min:
             raise InvalidLabel(f"{where} tags_at key {key!r} is not a decimal integer m >= {param_min}")
-    family = EmbeddingFamily(
-        id=get("id", str),
-        ambient=ambient,
-        subgroup=subgroup,
-        param_min=param_min,
-        map_ranks=_rank_spec(record, where),
-        tags=frozenset(_array(record, "tags", str, (), where, InvalidLabel)),
-        tags_at={_decimal(m): _array(tags_at, m, str, where=f"{where} tags_at", error=InvalidLabel) for m in tags_at},
-    )
+    tags_by_m = read_object(tags_at, dict.fromkeys(tags_at, [str]), f"{where} tags_at", InvalidLabel)
+    family = EmbeddingFamily(family_id, ambient, subgroup, param_min, _rank_spec(map_ranks, where), frozenset(tags),
+                             dict(zip(map(_decimal, tags_at), tags_by_m)))
     # built at param_min and at each m with tags of its own, so that a family wrong there is refused here
     _named(where, lambda: [family.instantiate(m) for m in (param_min, *family.tags_at)])
     excess = _outgrowth(family)
     if excess:
-        raise InvalidLabel(f"{where} key 'subgroup': {record['subgroup']!r} outgrows the ambient group "
-                           f"{record['ambient']!r} in {excess} at some m >= {param_min}")
+        raise InvalidLabel(f"{where} key 'subgroup': {subgroup_text!r} outgrows the ambient group "
+                           f"{ambient_text!r} in {excess} at some m >= {param_min}")
     return family
 
 
@@ -317,73 +306,72 @@ class Catalog:
         """The record equal or swap-equal to ``diagram`` at descriptor level, if any."""
         return self._by_descriptor.get(diagram.canonical_descriptor())
 
-    def diagram_from_record(self, record: Mapping, where: str = "diagram record") -> GroupDiagram:
-        """The diagram a record document or ``diagrams.json`` entry describes.
-
-        A missing key or a value of the wrong JSON type raises
-        ``InvalidDiagram`` naming ``where`` and the key; a ``g`` that does not parse and an
-        unknown id raise ``InvalidLabel``, also naming ``where`` and the key.
-        """
-        get = partial(_value, record, where=where)
-        counts = get("component_counts", Mapping, {})
-        flags = get("nonorientable", Mapping, {})
-
-        def embedding(key: str) -> NamedEmbedding:
-            return _named(f"{where} key {key!r}", self.embedding, get(key, str))
-
+    def diagram_from_record(self, values: Sequence, where: str = "diagram record") -> GroupDiagram:
+        """The diagram of a record's ``_DIAGRAM`` values, in ``read_object`` order; a ``g`` that does not parse,
+        an unknown id and a malformed annotation raise an error naming ``where`` and the key."""
+        g, *ids, counts, flags = values
         return GroupDiagram(
-            g=_named(f"{where} key 'g'", parse_group, get("g", str)),
-            h=embedding("h"),
-            k_minus=embedding("k_minus"),
-            k_plus=embedding("k_plus"),
-            h_in_k_minus=embedding("h_in_k_minus"),
-            h_in_k_plus=embedding("h_in_k_plus"),
-            components_h=_value(counts, "h", int, 1, f"{where} component_counts"),
-            components_k_minus=_value(counts, "k_minus", int, 1, f"{where} component_counts"),
-            components_k_plus=_value(counts, "k_plus", int, 1, f"{where} component_counts"),
-            nonorientable_k_minus=_value(flags, "k_minus", bool, False, f"{where} nonorientable"),
-            nonorientable_k_plus=_value(flags, "k_plus", bool, False, f"{where} nonorientable"),
+            _named(f"{where} key 'g'", parse_group, g),
+            *(_named(f"{where} key {key!r}", self.embedding, value) for key, value in zip(_EMBEDDING_KEYS, ids)),
+            *read_object(counts, _COUNTS, f"{where} component_counts"),
+            *read_object(flags, _FLAGS, f"{where} nonorientable"),
         )
 
 
-_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", list: "array", Mapping: "object"}
+_EMPTY = MappingProxyType({})
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean", dict: "object", type(None): "null"}
+
+# the key tables of the JSON objects that read_object reads
+_EMBEDDING_KEYS = ("h", "k_minus", "k_plus", "h_in_k_minus", "h_in_k_plus")  # a diagram's, in GroupDiagram order
+_EMBEDDINGS_FILE = {"version": int, "comment": (str, ""), "embeddings": [dict], "families": ([dict], ())}
+_DIAGRAMS_FILE = {"version": int, "comment": (str, ""), "diagrams": [dict]}
+_EMBEDDING = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ())}
+_FAMILY = {**_EMBEDDING, "param_min": int, "tags_at": (dict, _EMPTY)}  # tags_at: m -> [str], m >= param_min
+#: a diagram: an inline record document holds these keys, and may hold a null ``family``
+_DIAGRAM = {"g": str, **dict.fromkeys(_EMBEDDING_KEYS, str), "component_counts": (dict, _EMPTY),
+           "nonorientable": (dict, _EMPTY)}
+INLINE_RECORD = {"family": (type(None), None), **_DIAGRAM}
+_RECORD = {"id": str, **_DIAGRAM, "outcome": (dict, _EMPTY), "rational_sphere": (bool, False),
+           "orbit_poincare": (dict, _EMPTY), "tags": ([str], ())}
+_COUNTS = {"h": (int, 1), "k_minus": (int, 1), "k_plus": (int, 1)}
+_FLAGS = {"k_minus": (bool, False), "k_plus": (bool, False)}
+_ORBIT = {"h": [int], "k_plus": [int], "k_minus": [int], "n": int}
 
 
-def _is(value, kind: type) -> bool:
-    # bool subclasses int, but a JSON true is not an integer
-    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+def read_object(obj: Mapping, table: Mapping, where: str, error: type[Exception] = InvalidDiagram) -> list:
+    """The values of ``obj`` under the keys of ``table``, in table order; ``obj`` may hold no other key.
 
-
-def _value(mapping: Mapping, key: str, kind: type, default=None, where="diagram record", error=InvalidDiagram):
-    """``mapping[key]``, which must have JSON type ``kind``; ``default`` when absent, if given.
-
-    A missing key or a value of another type raises ``error`` naming ``where`` and the key.
+    ``table`` maps each key to its JSON type: ``str``, ``int``, ``bool``, ``dict``, ``type(None)``, ``[item]``
+    for an array of ``item`` values (given as a tuple) or ``object`` for any value; ``(type, default)`` makes
+    the key optional.  A missing key, a value of another type and then a key outside ``table`` raise ``error``
+    naming ``where`` and the key.
     """
-    if key not in mapping:
-        if default is None:
-            raise error(f"{where} has no {key!r} key")
-        return default
-    value = mapping[key]
-    if not _is(value, kind):
-        raise error(f"{where} key {key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    return value
+    values = []
+    for key, kind in table.items():
+        if key not in obj:
+            if type(kind) is not tuple:
+                raise error(f"{where} has no {key!r} key")
+            values.append(kind[1])
+            continue
+        value, kind = obj[key], kind[0] if type(kind) is tuple else kind
+        if type(value) is kind or kind is object:
+            values.append(value)
+        elif type(kind) is list and type(value) is list and all(type(item) is kind[0] for item in value):
+            values.append(tuple(value))
+        else:
+            name = f"array of {_JSON_TYPES[kind[0]]}s" if type(kind) is list else _JSON_TYPES[kind]
+            raise error(f"{where} key {key!r} must be a JSON {name}, got {value!r}")
+    if not obj.keys() <= table.keys():
+        key = next(key for key in obj if key not in table)
+        raise error(f"{where} has unknown key {key!r} (allowed: {', '.join(map(repr, table))})")
+    return values
 
 
-def _array(mapping: Mapping, key: str, item: type, default=None, where="diagram record", error=InvalidDiagram):
-    """``mapping[key]`` as a tuple; it must be a JSON array of ``item`` values."""
-    values = _value(mapping, key, list, default, where, error)
-    if not all(_is(value, item) for value in values):
-        raise error(f"{where} key {key!r} must be a JSON array of {_JSON_TYPES[item]}s, got {values!r}")
-    return tuple(values)
-
-
-def _orbit_poincare(record: Mapping, where: str) -> Optional[OrbitBetti]:
-    data = _value(record, "orbit_poincare", Mapping, {}, where)
+def _orbit_poincare(data: Mapping, where: str) -> Optional[OrbitBetti]:
     if not data:
         return None
-    where = f"{where} orbit_poincare"
-    p_h, p_kp, p_km = (IntegerPolynomial(_array(data, key, int, where=where)) for key in ("h", "k_plus", "k_minus"))
-    return OrbitBetti(p_h, p_kp, p_km, _value(data, "n", int, where=where))
+    *polynomials, n = read_object(data, _ORBIT, f"{where} orbit_poincare")
+    return OrbitBetti(*map(IntegerPolynomial, polynomials), n)
 
 
 def _by_id(records: Iterable, error: type[CohomoneError], source: Path) -> Mapping:
@@ -403,22 +391,35 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def _read(path: Path, error: type[CohomoneError]) -> dict:
-    """A data file's JSON object, whose ``"version"`` must be ``CATALOG_VERSION``."""
+def _json_object(pairs: list) -> dict:
+    """A decoded JSON object; a key it repeats raises ``ValueError``, as a syntax error does."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"object key {next(key for key, n in counts.items() if n > 1)!r} is repeated")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
+def parse_json(text: str):
+    """The JSON value ``text`` holds, read by the one decoder of the package, which refuses a repeated key."""
+    if text.startswith("\ufeff"):  # as json.loads refuses it; JSONDecoder.decode would say "Expecting value"
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
+def _read(path: Path, error: type[CohomoneError], table: Mapping) -> list:
+    """The values of a data file's top-level ``table`` keys; its ``"version"`` must be ``CATALOG_VERSION``."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: UnicodeDecodeError, JSONDecodeError
+        data = parse_json(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise error(f"{path}: cannot read catalog file: {exc}") from None
-    version = data.get("version") if isinstance(data, dict) else None
+    version = data.get("version") if type(data) is dict else None
     if type(version) is not int or version != CATALOG_VERSION:
         raise Unsupported(f"{path}: catalog version {version!r} is not supported (expected {CATALOG_VERSION})")
-    return data
-
-
-def _records(data: Mapping, key: str, path: Path, error: type[CohomoneError], default=None):
-    """(record, where) for each object of the array ``data[key]``; ``where`` names file, key and index."""
-    records = _array(data, key, Mapping, default, str(path), error)
-    return ((record, f"{path}: {key}[{i}]") for i, record in enumerate(records))
+    return read_object(data, table, str(path), error)
 
 
 def load_catalog(directory: Optional[Path] = None) -> Catalog:
@@ -426,29 +427,23 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
 
     A file that cannot be read or is not UTF-8 JSON raises ``InvalidLabel``
     (``embeddings.json``) or ``InvalidDiagram`` (``diagrams.json``) naming it, and
-    so does, naming the key too, a missing key or a value of the wrong JSON type.
+    so does, naming the key too, a missing, repeated or undeclared key or a value of the wrong JSON type.
     """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
-    data = _read(path, InvalidLabel)
-    embeddings = (_embedding_from_record(*r) for r in _records(data, "embeddings", path, InvalidLabel))
-    families = (_family_from_record(*r) for r in _records(data, "families", path, InvalidLabel, ()))
+    version, _, embeddings, families = _read(path, InvalidLabel, _EMBEDDINGS_FILE)
+    embeddings = (_embedding_from_record(r, f"{path}: embeddings[{i}]") for i, r in enumerate(embeddings))
+    families = (_family_from_record(r, f"{path}: families[{i}]") for i, r in enumerate(families))
     # the diagram records resolve their embedding ids through this first-stage catalog
-    catalog = Catalog(data["version"], _by_id(embeddings, InvalidLabel, path), _by_id(families, InvalidLabel, path), {})
+    catalog = Catalog(version, _by_id(embeddings, InvalidLabel, path), _by_id(families, InvalidLabel, path), {})
     path = base / "diagrams.json"
-    data = _read(path, InvalidDiagram)
-    records = (
-        DiagramRecord(
-            id=_value(record, "id", str, where=where),
-            diagram=catalog.diagram_from_record(record, where),
-            outcome=_value(record, "outcome", Mapping, {}, where),
-            rational_sphere=_value(record, "rational_sphere", bool, False, where),
-            orbit_poincare=_orbit_poincare(record, where),
-            tags=frozenset(_array(record, "tags", str, (), where)),
-        )
-        for record, where in _records(data, "diagrams", path, InvalidDiagram)
-    )
-    return Catalog(catalog.version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
+    records = []
+    for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
+        where = f"{path}: diagrams[{i}]"
+        record_id, *diagram, outcome, rational_sphere, orbit, tags = read_object(record, _RECORD, where)
+        records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where), outcome,
+                                     rational_sphere, _orbit_poincare(orbit, where), frozenset(tags)))
+    return Catalog(version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
 
 
 @lru_cache(maxsize=4, typed=True)

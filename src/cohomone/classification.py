@@ -10,7 +10,7 @@ data of a diagram's orbits, which only the ``verify-tables`` Mayer-Vietoris
 check reads, is derived in ``verify.orbit_betti``.
 
 ``FAMILIES`` is the one table of the parameterized families: for each ``family`` name of a diagram
-document, its integer keys, its optional keys, its factory and its recognizer.  Each family's orbit
+document, the key table of its documents, its factory and its recognizer.  Each family's orbit
 groups (G, H, K-, K+) are defined, and checked to fit, once per parameter.  Its factory builds the
 diagram from them, skipping the embedding checks those groups and this module's tags have passed; its
 recognizer reads the parameter off G and compares the orbit groups of the diagram, or of its swap,
@@ -490,16 +490,17 @@ def _recognize_seven_family(d: GroupDiagram) -> Optional[ClassificationOutcome]:
     return ClassificationOutcome("seven-family", params=params, torsion=torsion)
 
 
-#: a diagram family: ``factory(*keys, **optional)`` builds its diagram from a document's integer ``keys`` and
-#: the ``optional`` keys it holds; ``recognize`` gives the outcome of its diagrams, and None for any other
-Family = namedtuple("Family", "keys optional factory recognize")
+#: a diagram family: ``keys`` declares its documents' keys for ``catalog.read_object``: ``family``, the integer
+#: arguments of ``factory`` in order, then optional ones; ``recognize`` gives its diagrams' outcome, else None
+Family = namedtuple("Family", "keys factory recognize")
 
 #: the diagram families by document ``family`` name; the classifier tries the recognizers in this order
 FAMILIES: dict[str, Family] = {
-    "brieskorn": Family(("m", "d"), ("variant",), brieskorn_diagram, _recognize_brieskorn),
-    "tensor-su": Family(("n",), (), tensor_su_diagram, _TENSOR_SU.recognize),
-    "tensor-sp": Family(("n",), (), tensor_sp_diagram, _TENSOR_SP.recognize),
-    "seven": Family(SevenFamilyParams._fields, (),
+    "brieskorn": Family({"family": str, "m": int, "d": int, "variant": (str, "standard")}, brieskorn_diagram,
+                        _recognize_brieskorn),
+    "tensor-su": Family({"family": str, "n": int}, tensor_su_diagram, _TENSOR_SU.recognize),
+    "tensor-sp": Family({"family": str, "n": int}, tensor_sp_diagram, _TENSOR_SP.recognize),
+    "seven": Family({"family": str, **dict.fromkeys(SevenFamilyParams._fields, int)},
                     lambda *slopes: seven_family_diagram(SevenFamilyParams(*slopes)), _recognize_seven_family),
 }
 

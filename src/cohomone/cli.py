@@ -86,35 +86,29 @@ def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read diagram file {spec}: {exc}") from exc
     try:
-        document = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer too long for int(), deep nesting
+        document = cohomone.catalog.parse_json(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, a repeated key, an integer too long for int(), deep nesting
         raise _UsageError(f"diagram document {spec} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise _UsageError(f"diagram document {spec} is not a JSON object")
     return _diagram_from_document(document, catalog)
 
 
-def _int_key(document: dict, key: str) -> int:
-    if key not in document:
-        raise _UsageError(f"diagram document has no {key!r} key")
-    value = document[key]
-    if not isinstance(value, int) or isinstance(value, bool):  # a JSON true is not an integer
-        raise _UsageError(f"diagram document key {key!r} must be an integer, got {value!r}")
-    return value
+_REFERENCE = {"catalog": str}  # the keys of a document naming a shipped diagram
 
 
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
+    read = cohomone.catalog.read_object
     if "catalog" in document:
-        return catalog.diagram_record(str(document["catalog"])).diagram
+        return catalog.diagram_record(*read(document, _REFERENCE, "diagram document", _UsageError)).diagram
     family = document.get("family")
     if family is None:
-        return catalog.diagram_from_record(document)
+        return catalog.diagram_from_record(read(document, cohomone.catalog.INLINE_RECORD, "diagram record")[1:])
     families = cohomone.classification.FAMILIES
     entry = families.get(family) if isinstance(family, str) else None  # a JSON array or object is unhashable
     if entry is None:
         raise _UsageError(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, families))})")
-    return entry.factory(*[_int_key(document, key) for key in entry.keys],
-                         **{key: document[key] for key in entry.optional if key in document})
+    return entry.factory(*read(document, entry.keys, "diagram document", _UsageError)[1:])
 
 
 def _cmd_brieskorn(args) -> CommandResult:

@@ -7,8 +7,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohomone
+from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FAMILY, _FLAGS, _ORBIT, _RECORD
 from cohomone.catalog import EmbeddingFamily, data_dir, default_catalog, load_catalog
 from cohomone.cli import run
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, Unsupported
@@ -221,6 +224,30 @@ def record_edit(key, record_id, edit):
          InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'XYZ(3)'"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(h="no-such-id")),
          InvalidLabel, "diagrams[10] key 'h': unknown embedding id 'no-such-id'"),
+        # every object may hold only the keys its kind declares
+        ("diagrams.json",
+         record_edit("diagrams", "wu-s3s1", lambda r: r.update(component_count=r.pop("component_counts"))),
+         InvalidDiagram, "diagrams[10] has unknown key 'component_count' (allowed: 'id', 'g', 'h', 'k_minus', "
+                         "'k_plus', 'h_in_k_minus', 'h_in_k_plus', 'component_counts', 'nonorientable', 'outcome', "
+                         "'rational_sphere', 'orbit_poincare', 'tags')"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["component_counts"].update(kplus=2)),
+         InvalidDiagram, "diagrams[10] component_counts has unknown key 'kplus' (allowed: 'h', 'k_minus', 'k_plus')"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["nonorientable"].update(h=True)),
+         InvalidDiagram, "diagrams[10] nonorientable has unknown key 'h' (allowed: 'k_minus', 'k_plus')"),
+        ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].update(g=[1])),
+         InvalidDiagram, "diagrams[10] orbit_poincare has unknown key 'g' (allowed: 'h', 'k_plus', 'k_minus', 'n')"),
+        ("diagrams.json", lambda data: data.update(diagram=[]),
+         InvalidDiagram, "diagrams.json has unknown key 'diagram' (allowed: 'version', 'comment', 'diagrams')"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_rank={})),
+         InvalidLabel, "embeddings[16] has unknown key 'map_rank' (allowed: 'id', 'ambient', 'subgroup', "
+                       "'map_ranks', 'tags')"),
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(param_max=9)),
+         InvalidLabel, "families[0] has unknown key 'param_max'"),
+        ("embeddings.json", lambda data: data.update(family=[]),
+         InvalidLabel, "embeddings.json has unknown key 'family' (allowed: 'version', 'comment', 'embeddings', "
+                       "'families')"),
+        ("embeddings.json", lambda data: data.update(comment=["a comment"]),
+         InvalidLabel, "embeddings.json key 'comment' must be a JSON string"),
     ],
 )
 def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, error, detail):
@@ -235,6 +262,59 @@ def test_malformed_record_rejected_at_load(tmp_path, monkeypatch, name, edit, er
         assert result.exit_code == 2 and detail in result.payload["error"], argv
     # the others never load it
     assert run(["degrees", "--group", "G2"]).exit_code == 0
+
+
+@pytest.mark.parametrize("name, old, new, key", [
+    # json.loads keeps the last of two equal keys
+    ("diagrams.json", '{"id": "t5-row1", "g": "SU(3)xSU(2)",', '{"id": "t5-row1", "g": "G2", "g": "SU(3)xSU(2)",', "g"),
+    ("diagrams.json", '"version": 1,', '"version": 1, "version": 1,', "version"),
+    ("embeddings.json", '"id": "su6-sp3",', '"id": "su6-sp3", "id": "su6-sp3",', "id"),
+])
+def test_repeated_key_rejected_at_load(tmp_path, monkeypatch, name, old, new, key):
+    edited_data(tmp_path, name, lambda data: None)
+    text = (data_dir() / name).read_text()
+    assert text.count(old) == 1
+    (tmp_path / name).write_text(text.replace(old, new))
+    error = InvalidLabel if name == "embeddings.json" else InvalidDiagram
+    with pytest.raises(error, match=f"{name}: cannot read catalog file: object key '{key}' is repeated"):
+        load_catalog(tmp_path)
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    assert run(["verify-tables"]).exit_code == 2
+
+
+#: each kind of object in the data files and its key table: (file, path, table), where the path is empty for the
+#: top level, names the array for its records, and then a key of those records for the object under it
+CATALOG_OBJECTS = [
+    ("embeddings.json", (), _EMBEDDINGS_FILE),
+    ("embeddings.json", ("embeddings",), _EMBEDDING),
+    ("embeddings.json", ("families",), _FAMILY),
+    ("diagrams.json", (), _DIAGRAMS_FILE),
+    ("diagrams.json", ("diagrams",), _RECORD),
+    ("diagrams.json", ("diagrams", "component_counts"), _COUNTS),
+    ("diagrams.json", ("diagrams", "nonorientable"), _FLAGS),
+    ("diagrams.json", ("diagrams", "orbit_poincare"), _ORBIT),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_undeclared_key_in_a_catalog_object_is_refused_naming_it(tmp_path_factory, data):
+    name, path, table = data.draw(st.sampled_from(CATALOG_OBJECTS))
+    key = data.draw(st.text(max_size=8).filter(lambda key: key not in table))
+    value = data.draw(st.none() | st.integers() | st.text(max_size=4) | st.lists(st.integers(), max_size=2))
+
+    def add_key(file):
+        target = file
+        if path:
+            target = data.draw(st.sampled_from([r for r in file[path[0]] if all(step in r for step in path[1:])]))
+            for step in path[1:]:
+                target = target[step]
+        target[key] = value
+
+    directory = edited_data(tmp_path_factory.mktemp("catalog"), name, add_key)
+    with pytest.raises(InvalidLabel if name == "embeddings.json" else InvalidDiagram) as caught:
+        load_catalog(directory)
+    assert f"has unknown key {key!r} (allowed: {', '.join(map(repr, table))})" in str(caught.value)
 
 
 def cli_process(argv, data, seed="0"):

@@ -5,15 +5,17 @@ import os
 import shutil
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohomone.catalog import data_dir, load_catalog
-from cohomone.classification import realize_torsion
-from cohomone.cli import _COMMANDS, MAX_DOCUMENT_BYTES, main, render, run
+from cohomone.catalog import _COUNTS, _FLAGS, INLINE_RECORD, data_dir, load_catalog
+from cohomone.classification import FAMILIES, classify_diagram, realize_torsion
+from cohomone.cli import _COMMANDS, _REFERENCE, MAX_DOCUMENT_BYTES, main, render, run
+from cohomone.errors import CohomoneError
 
 
 def payload(argv, expect_code=0, catalog=None):
@@ -422,6 +424,64 @@ def test_record_cannot_name_factory_embeddings(tmp_path):
     assert result.exit_code == 2 and f"{stem}-h" in result.payload["error"]
 
 
+SHIPPED = {record["id"]: record for record in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]}
+#: a shipped record as an inline document: the keys of its diagram, without the record's own id, outcome and tags
+INLINE = {record_id: {key: value for key, value in record.items() if key in INLINE_RECORD}
+          for record_id, record in SHIPPED.items()}
+WU = INLINE["wu-s3s1"]
+DIAGRAM_KEYS = ("'family', 'g', 'h', 'k_minus', 'k_plus', 'h_in_k_minus', 'h_in_k_plus', 'component_counts', "
+                "'nonorientable'")
+MISSPELLED_COUNTS = {**{key: value for key, value in WU.items() if key != "component_counts"},
+                     "component_count": WU["component_counts"]}
+
+
+@pytest.mark.parametrize("text, error", [
+    # accepted, a misspelled key would drop the annotations: not-rational-sphere in place of wu
+    pytest.param(json.dumps(MISSPELLED_COUNTS),
+                 f"InvalidDiagram: diagram record has unknown key 'component_count' (allowed: {DIAGRAM_KEYS})",
+                 id="component_count"),
+    # accepted, a misspelled optional key would leave the standard diagram
+    pytest.param(json.dumps({"family": "brieskorn", "m": 7, "d": 3, "varient": "g2"}),
+                 "diagram document has unknown key 'varient' (allowed: 'family', 'm', 'd', 'variant')", id="varient"),
+    # a reference answers for its record alone, so other keys are refused
+    pytest.param(json.dumps({"catalog": "t5-row1", "family": "brieskorn", "m": 3}),
+                 "diagram document has unknown key 'family' (allowed: 'catalog')", id="reference-and-family"),
+    # accepted, a misspelled count would take the default 1
+    pytest.param(json.dumps({**WU, "component_counts": {"h": 2, "k_minus": 2, "kplus": 3}}),
+                 "InvalidDiagram: diagram record component_counts has unknown key 'kplus' "
+                 "(allowed: 'h', 'k_minus', 'k_plus')", id="kplus"),
+    pytest.param(json.dumps({**WU, "nonorientable": {"k_minus": True, "h": True}}),
+                 "InvalidDiagram: diagram record nonorientable has unknown key 'h' (allowed: 'k_minus', 'k_plus')",
+                 id="nonorientable-h"),
+    # an id that is not a string is refused, not looked up as its str()
+    pytest.param(json.dumps({"catalog": 5}), "diagram document key 'catalog' must be a JSON string, got 5",
+                 id="catalog-5"),
+    # json.loads keeps the last of two equal keys, here m = 6
+    pytest.param('{"family": "brieskorn", "m": 3, "d": 1, "m": 6}',
+                 "diagram document - is not valid JSON: object key 'm' is repeated", id="repeated-m"),
+    pytest.param('{"catalog": "t5-row1", "catalog": "wu-s3s1"}',
+                 "diagram document - is not valid JSON: object key 'catalog' is repeated", id="repeated-catalog"),
+    pytest.param(json.dumps(WU)[:-1] + ', "nonorientable": {}}',
+                 "diagram document - is not valid JSON: object key 'nonorientable' is repeated",
+                 id="repeated-nonorientable"),
+])
+def test_undeclared_or_repeated_key_exits_2(text, error):
+    for command in ("classify", "primitivity"):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            assert run([command, "--diagram", "-"]) == (2, {"error": error}), command
+
+
+def test_null_family_record_and_byte_order_mark(tmp_path):
+    # a record may carry a null family; a document led by a UTF-8 byte order mark is refused as json.loads refuses it
+    doc = tmp_path / "record.json"
+    doc.write_text(json.dumps({**T5_ROW1_RECORD, "family": None}))
+    assert payload(["classify", "--diagram", str(doc)])["outcome"] == {"kind": "g2-quotient", "index": 3}
+    doc.write_text('\ufeff{"catalog": "t5-row1"}', encoding="utf-8")
+    result = run(["classify", "--diagram", str(doc)])
+    assert result.exit_code == 2
+    assert result.payload["error"].startswith(f"diagram document {doc} is not valid JSON: Unexpected UTF-8 BOM")
+
+
 def test_mv_check_refuses_huge_n_at_once():
     start = time.perf_counter()
     result = run(["mv-check", "--n", "100000000000", "--p-h", "1", "--p-k-plus", "1", "--p-k-minus", "1"])
@@ -732,7 +792,6 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
 )
-SHIPPED_RECORDS = json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]
 FAMILY_KEYS = {
     "brieskorn": ("m", "d", "variant"), "seven": ("p_minus", "q_minus", "p_plus", "q_plus"),
     "tensor-su": ("n",), "tensor-sp": ("n",), "unknown": ("n", "m"),
@@ -748,8 +807,9 @@ def annotation(draw):
 
 @st.composite
 def record_documents(draw):
-    """A shipped record with keys removed, or replaced by any JSON value or an annotation of the wrong shape."""
-    document = dict(draw(st.sampled_from(SHIPPED_RECORDS)))
+    """A shipped record, as an inline document, with keys removed, or replaced by any JSON value or an annotation
+    of the wrong shape."""
+    document = dict(draw(st.sampled_from(list(INLINE.values()))))
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from(sorted(document) or ["g"]))
         if draw(st.booleans()):
@@ -798,3 +858,49 @@ def test_fuzzed_diagram_documents_exit_0_or_2_with_json(text, command):
     json.dumps(result.payload)
     if result.exit_code == 2:
         assert isinstance(result.payload["error"], str)
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())["diagrams"]
+
+
+@st.composite
+def declared_documents(draw):
+    """(document, key table, object to which a key is added, expected (exit code, payload)) of a diagram document
+    each of whose keys its kind declares: a reference, a shipped record inline, or a family document whose
+    integer keys are drawn and optional keys left out."""
+    kind = draw(st.sampled_from(["reference", "inline", *FAMILIES]))
+    if kind in ("reference", "inline"):
+        record_id = draw(st.sampled_from(sorted(SHIPPED)))
+        expected = (0, GOLDEN[record_id]["classify"])  # as the benchmark's golden file records it
+        if kind == "reference":
+            document = {"catalog": record_id}
+            return document, _REFERENCE, document, expected
+        document = json.loads(json.dumps(INLINE[record_id]))
+        nested = draw(st.sampled_from([None, "component_counts", "nonorientable"]))
+        if nested is None:
+            return document, INLINE_RECORD, document, expected
+        document.setdefault(nested, {})
+        return document, {"component_counts": _COUNTS, "nonorientable": _FLAGS}[nested], document[nested], expected
+    table = FAMILIES[kind].keys
+    document = {"family": kind, **{key: draw(st.integers(-3, 12)) for key, value in table.items() if value is int}}
+    try:
+        diagram = FAMILIES[kind].factory(*list(document.values())[1:])
+        expected = (0, {"group": str(diagram.g), "ell_minus": diagram.ell_minus, "ell_plus": diagram.ell_plus,
+                        "manifold_dim": diagram.manifold_dim, "outcome": classify_diagram(diagram).as_dict()})
+    except CohomoneError as exc:
+        expected = (2, {"error": f"{type(exc).__name__}: {exc}"})
+    return document, table, document, expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=declared_documents(), key=st.text(max_size=8), value=JSON_VALUES)
+def test_one_undeclared_key_exits_2_naming_it(drawn, key, value):
+    document, table, target, expected = drawn
+    assume(key not in table and key not in ("catalog", "family"))  # those two choose the kind of document
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+        assert run(["classify", "--diagram", "-"]) == expected
+    target[key] = value
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+        result = run(["classify", "--diagram", "-"])
+    assert result.exit_code == 2
+    assert f"has unknown key {key!r} (allowed: {', '.join(map(repr, table))})" in result.payload["error"]

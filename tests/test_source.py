@@ -102,6 +102,23 @@ def test_the_front_end_names_no_diagram_family_or_family_key():
     assert found == []
 
 
+def test_one_json_decoder_reads_every_document():
+    # catalog.parse_json's decoder refuses a repeated key; json.load, json.loads or a second decoder would keep
+    # the last of two equal keys
+    readers, decoders = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json" \
+                    and node.attr in ("load", "loads"):
+                readers.append(f"{path.name}:{node.lineno}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                readers += [f"{path.name}:{node.lineno}: from json import {alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call) and "JSONDecoder" in ast.unparse(node.func):
+                decoders.append(path.name)
+    assert readers == []
+    assert decoders == ["catalog.py"]
+
+
 def test_every_cache_is_bounded_and_typed():
     # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
     found = []
