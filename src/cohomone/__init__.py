@@ -5,7 +5,7 @@ Submodules:
 * ``lie_catalog``        group types, degrees, Weyl orders, sphere actions
 * ``polynomial``         exact integer polynomials
 * ``rational_homotopy``  quotient homotopy, Hilbert series, Euler characteristics
-* ``diagram``            group diagrams, validation, fiber cases, Mayer-Vietoris
+* ``diagram``            group diagrams, validation, fiber cases, Mayer-Vietoris, outcomes
 * ``brieskorn``          monodromy polynomial and homology of B^(2m-1)_d
 * ``classification``     table reproductions, seven-family arithmetic, classifier
 * ``catalog``            the shipped embedding and diagram data
@@ -26,11 +26,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "brieskorn": ("BrieskornParams", "GradedAbelianGroup", "delta_at_one", "delta_poly", "homology"),
     "catalog": ("Catalog", "default_catalog", "load_catalog"),
-    "classification": ("ClassificationOutcome", "CorankTwoRow", "SevenFamilyParams", "case6_pairs",
-                       "classify_diagram", "enumerate_corank2", "realize_torsion",
+    "classification": ("CorankTwoRow", "case6_pairs", "classify_diagram", "enumerate_corank2", "realize_torsion",
                        "seven_family_torsion", "table3_filter"),
-    "diagram": ("GroupDiagram", "MVFeasibility", "double_disk_euler", "gh_classify", "mv_feasible",
-                "primitivity", "validate"),
+    "diagram": ("ClassificationOutcome", "GroupDiagram", "MVFeasibility", "SevenFamilyParams", "double_disk_euler",
+                "gh_classify", "mv_feasible", "primitivity", "validate"),
     "lie_catalog": ("GroupType", "NamedEmbedding", "SimpleGroupLabel", "degrees", "parse_group",
                     "sphere_quotient", "spheres_acted_on", "transitive_sphere_pairs", "weyl_order"),
     "polynomial": ("IntegerPolynomial",),

@@ -35,7 +35,9 @@ file, the array index and, where one is at fault, the key.
 diagram document against its kind's key table, which gives each key's
 JSON type and, if optional, its default: it refuses a missing key or a
 value of another type, then an undeclared key.  ``parse_json``, the one
-JSON decoder, refuses a key repeated in one object.
+JSON decoder, refuses a key repeated in one object.  A record's ``outcome``
+is read by its kind's table (``_OUTCOMES``) and built at load; it decides
+``rational_sphere``, which only a record without an outcome states.
 
 Only this module reads tag strings (``_typed_tags``; for a family,
 ``tags`` plus ``tags_at[m]``).  ``winding:<int>`` and ``slope:<int>,<int>``
@@ -57,7 +59,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .diagram import GroupDiagram
+from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
 from .lie_catalog import FactorTemplate, GroupType, NamedEmbedding, group_at, group_template
 from .lie_catalog import injective_rank_map, parse_group
@@ -219,11 +221,11 @@ class OrbitBetti(NamedTuple):
 
 
 class DiagramRecord(NamedTuple):
-    """A catalogued diagram with its stored classification metadata."""
+    """A catalogued diagram with its stored verdict: the ``outcome``, if any, which decides ``rational_sphere``."""
 
     id: str
     diagram: GroupDiagram
-    outcome: Mapping = MappingProxyType({})  # empty when the record stores none
+    outcome: Optional[ClassificationOutcome] = None
     rational_sphere: bool = False
     orbit_poincare: Optional[OrbitBetti] = None
     tags: frozenset[str] = frozenset()
@@ -331,8 +333,11 @@ _FAMILY = {**_EMBEDDING, "param_min": int, "tags_at": (dict, _EMPTY)}  # tags_at
 _DIAGRAM = {"g": str, **dict.fromkeys(_EMBEDDING_KEYS, str), "component_counts": (dict, _EMPTY),
            "nonorientable": (dict, _EMPTY)}
 INLINE_RECORD = {"family": (type(None), None), **_DIAGRAM}
-_RECORD = {"id": str, **_DIAGRAM, "outcome": (dict, _EMPTY), "rational_sphere": (bool, False),
+_RECORD = {"id": str, **_DIAGRAM, "outcome": (dict, None), "rational_sphere": (bool, None),
            "orbit_poincare": (dict, _EMPTY), "tags": ([str], ())}
+#: a stored outcome, by the kinds a record may store: no seven-family (its params are no JSON value), no unmatched
+_OUTCOMES = {kind: {"kind": str, **_OUTCOME_FIELDS[kind]}
+             for kind in ("linear-sphere", "brieskorn", "wu", "g2-quotient", "not-rational-sphere")}
 _COUNTS = {"h": (int, 1), "k_minus": (int, 1), "k_plus": (int, 1)}
 _FLAGS = {"k_minus": (bool, False), "k_plus": (bool, False)}
 _ORBIT = {"h": [int], "k_plus": [int], "k_minus": [int], "n": int}
@@ -365,6 +370,21 @@ def read_object(obj: Mapping, table: Mapping, where: str, error: type[Exception]
         key = next(key for key in obj if key not in table)
         raise error(f"{where} has unknown key {key!r} (allowed: {', '.join(map(repr, table))})")
     return values
+
+
+def _verdict(outcome: Optional[Mapping], rational_sphere: Optional[bool], where: str) -> tuple:
+    """A record's ``outcome``, read by its kind's key table and built, and the ``rational_sphere`` that it decides."""
+    if outcome is None:
+        return None, bool(rational_sphere)
+    table = _OUTCOMES.get(kind) if type(kind := outcome.get("kind")) is str else None
+    if table is None:
+        raise InvalidDiagram(f"{where}: unknown outcome kind {kind!r} "
+                             f"(stored kinds: {', '.join(map(repr, _OUTCOMES))})")
+    if rational_sphere is not None:
+        raise InvalidDiagram(f"{where} states 'rational_sphere', which its 'outcome' decides")
+    values = read_object(outcome, table, f"{where} outcome")
+    outcome = _named(f"{where} outcome", lambda: ClassificationOutcome(**dict(zip(table, values))))
+    return outcome, outcome.kind != "not-rational-sphere"
 
 
 def _orbit_poincare(data: Mapping, where: str) -> Optional[OrbitBetti]:
@@ -441,8 +461,9 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
         where = f"{path}: diagrams[{i}]"
         record_id, *diagram, outcome, rational_sphere, orbit, tags = read_object(record, _RECORD, where)
-        records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where), outcome,
-                                     rational_sphere, _orbit_poincare(orbit, where), frozenset(tags)))
+        records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where),
+                                     *_verdict(outcome, rational_sphere, where), _orbit_poincare(orbit, where),
+                                     frozenset(tags)))
     return Catalog(version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
 
 

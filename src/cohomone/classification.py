@@ -23,7 +23,7 @@ from collections import namedtuple
 from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
-from .diagram import CASE6_FIBERS, GroupDiagram, validate
+from .diagram import CASE6_FIBERS, ClassificationOutcome, GroupDiagram, SevenFamilyParams, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
 from .lie_catalog import (
     TRIVIAL_GROUP,
@@ -42,7 +42,7 @@ from .polynomial import MAX_SPHERE_DIM
 from .rational_homotopy import quotient_homotopy
 
 if TYPE_CHECKING:
-    from .catalog import Catalog, DiagramRecord
+    from .catalog import Catalog
 
 _T1 = GroupType((), 1)
 _SU2 = special_unitary(2)
@@ -51,20 +51,6 @@ _SU2 = special_unitary(2)
 # ---------------------------------------------------------------------------
 # Seven-manifold family
 # ---------------------------------------------------------------------------
-
-
-class SevenFamilyParams(namedtuple("SevenFamilyParams", "p_minus q_minus p_plus q_plus")):
-    """Parameters of the S^3 x S^3 seven-manifold family; all = 1 mod 4."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, p_minus: int, q_minus: int, p_plus: int, q_plus: int) -> "SevenFamilyParams":
-        self = tuple.__new__(cls, (p_minus, q_minus, p_plus, q_plus))
-        if not p_minus % 4 == q_minus % 4 == p_plus % 4 == q_plus % 4 == 1:
-            name, value = next(item for item in zip(self._fields, self) if item[1] % 4 != 1)  # the first field off
-            raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
-        return self
 
 
 def seven_family_torsion(p: SevenFamilyParams) -> int:
@@ -194,79 +180,6 @@ def case6_pairs() -> list[Case6Pair]:
         isotropy = "x".join([base] * int(power or 1))
         pairs.append(Case6Pair(parse_group(group), parse_group(isotropy), ell, tag, forced))
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# Classification outcomes
-# ---------------------------------------------------------------------------
-
-
-#: the fields each outcome kind requires, with their types; its other fields stay None
-_OUTCOME_FIELDS: dict[str, dict[str, type]] = {
-    "linear-sphere": {"description": str},
-    "brieskorn": {"m": int, "d": int},
-    "wu": {},
-    "g2-quotient": {"index": int},
-    "seven-family": {"params": SevenFamilyParams, "torsion": int},
-    "not-rational-sphere": {"reason": str},
-    "unmatched": {},
-}
-
-#: the outcome kinds a ``diagrams.json`` record may store
-_RECORD_KINDS = ("linear-sphere", "brieskorn", "wu", "g2-quotient", "not-rational-sphere")
-
-
-class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind description m d index params torsion reason")):
-    """Tagged alternative naming the matched family, or a reasoned rejection.
-
-    ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(
-        cls, kind: str, description: Optional[str] = None, m: Optional[int] = None, d: Optional[int] = None,
-        index: Optional[int] = None, params: Optional[SevenFamilyParams] = None, torsion: Optional[int] = None,
-        reason: Optional[str] = None,
-    ) -> "ClassificationOutcome":
-        self = tuple.__new__(cls, (kind, description, m, d, index, params, torsion, reason))
-        required = _OUTCOME_FIELDS.get(kind)
-        if required is None:
-            raise InvalidParams(f"unknown outcome kind {kind!r}")
-        for name, value in zip(self._fields[1:], self[1:]):
-            expected = required.get(name)
-            if expected is None and value is not None:
-                raise InvalidParams(f"{kind} outcomes take no {name}, got {value!r}")
-            # bool subclasses int, but True is not an integer
-            if expected is not None and (not isinstance(value, expected) or isinstance(value, bool)):
-                raise InvalidParams(f"{kind} outcomes require {name} of type {expected.__name__}, got {value!r}")
-        if kind == "brieskorn" and m % 2 and d % 2 == 0:
-            raise InvalidParams("Brieskorn outcomes require m even or d odd")
-        if kind == "g2-quotient" and index not in (1, 3):
-            raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
-        if kind == "seven-family" and not torsion:
-            raise InvalidParams("seven-family outcomes require nonzero torsion order")
-        return self
-
-    def as_dict(self) -> dict:
-        """The fields that are set, with ``params`` as an object of its four integers."""
-        out = {name: value for name, value in zip(self._fields, self) if value is not None}
-        if self.params is not None:
-            out["params"] = self.params._asdict()
-        return out
-
-
-def _outcome_from_record(record: DiagramRecord) -> Optional[ClassificationOutcome]:
-    data = record.outcome
-    if not data:
-        return None
-    if data.get("kind") not in _RECORD_KINDS:
-        raise InvalidDiagram(f"diagram record {record.id} carries unknown outcome kind {data.get('kind')!r}")
-    try:
-        return ClassificationOutcome(**data)
-    except (TypeError, InvalidParams) as exc:  # TypeError: a key that is no outcome field
-        raise InvalidDiagram(f"diagram record {record.id} carries a malformed outcome: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +366,13 @@ def _recognize_brieskorn(d: GroupDiagram) -> Optional[ClassificationOutcome]:
             a = cand.k_minus.winding
             if a is None:
                 continue
-            if a == 0:
-                return ClassificationOutcome(
-                    "not-rational-sphere",
-                    reason="the circle factor acts with the same orbits as its complement (non-primitive)",
-                )
             counts = (cand.components_h, cand.components_k_minus, cand.components_k_plus)
             if counts == (1, 1, 1):
+                if a == 0:  # the one pattern that admits d = 2|a| = 0
+                    return ClassificationOutcome(
+                        "not-rational-sphere",
+                        reason="the circle factor acts with the same orbits as its complement (non-primitive)",
+                    )
                 d_param = 2 * abs(a)
             elif counts == (2, 1, 2) and a % 2:
                 d_param = abs(a)
@@ -512,9 +425,8 @@ def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> Clas
     if violations:
         raise InvalidDiagram("; ".join(str(v) for v in violations))
     record = catalog.matching_record(d)
-    outcome = _outcome_from_record(record) if record is not None else None
-    if outcome is not None:
-        return outcome
+    if record is not None and record.outcome is not None:
+        return record.outcome
     for family in FAMILIES.values():
         outcome = family.recognize(d)
         if outcome is not None:

@@ -13,12 +13,14 @@ spheres of positive dimension l+-.  This module owns:
 * primitivity checks against a declared subgroup lattice,
 * the K+/K- swap move and the canonical descriptor it leaves fixed, by
   which the catalog matches a diagram to its record,
-* the Euler-characteristic consistency of the decomposition, and
-* exact Mayer-Vietoris rank feasibility for candidate Betti data.
+* the Euler-characteristic consistency of the decomposition,
+* exact Mayer-Vietoris rank feasibility for candidate Betti data, and
+* ``ClassificationOutcome``, the verdict of the classifier and of a record.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import zip_longest
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -387,3 +389,75 @@ def mv_feasible(
             return MVFeasibility("infeasible", k, tuple(profile))
         delta_prev = delta
     return MVFeasibility("feasible", None, tuple(profile))
+
+
+# ---------------------------------------------------------------------------
+# Classification outcomes
+# ---------------------------------------------------------------------------
+
+
+class SevenFamilyParams(namedtuple("SevenFamilyParams", "p_minus q_minus p_plus q_plus")):
+    """Parameters of the S^3 x S^3 seven-manifold family; all = 1 mod 4."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, p_minus: int, q_minus: int, p_plus: int, q_plus: int) -> "SevenFamilyParams":
+        self = tuple.__new__(cls, (p_minus, q_minus, p_plus, q_plus))
+        if not p_minus % 4 == q_minus % 4 == p_plus % 4 == q_plus % 4 == 1:
+            name, value = next(item for item in zip(self._fields, self) if item[1] % 4 != 1)  # the first field off
+            raise InvalidParams(f"{name} = {value} is not congruent to 1 mod 4")
+        return self
+
+
+#: the fields each outcome kind requires, with their types; its other fields stay None
+_OUTCOME_FIELDS: dict[str, dict[str, type]] = {
+    "linear-sphere": {"description": str},
+    "brieskorn": {"m": int, "d": int},
+    "wu": {},
+    "g2-quotient": {"index": int},
+    "seven-family": {"params": SevenFamilyParams, "torsion": int},
+    "not-rational-sphere": {"reason": str},
+    "unmatched": {},
+}
+
+
+class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind description m d index params torsion reason")):
+    """Tagged alternative naming the matched family, or a reasoned rejection.
+
+    ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(
+        cls, kind: str, description: Optional[str] = None, m: Optional[int] = None, d: Optional[int] = None,
+        index: Optional[int] = None, params: Optional[SevenFamilyParams] = None, torsion: Optional[int] = None,
+        reason: Optional[str] = None,
+    ) -> "ClassificationOutcome":
+        self = tuple.__new__(cls, (kind, description, m, d, index, params, torsion, reason))
+        required = _OUTCOME_FIELDS.get(kind)
+        if required is None:
+            raise InvalidParams(f"unknown outcome kind {kind!r}")
+        for name, value in zip(self._fields[1:], self[1:]):
+            expected = required.get(name)
+            if expected is None and value is not None:
+                raise InvalidParams(f"{kind} outcomes take no {name}, got {value!r}")
+            # bool subclasses int, but True is not an integer
+            if expected is not None and (not isinstance(value, expected) or isinstance(value, bool)):
+                raise InvalidParams(f"{kind} outcomes require {name} of type {expected.__name__}, got {value!r}")
+        if kind == "brieskorn" and m % 2 and d % 2 == 0:
+            raise InvalidParams("Brieskorn outcomes require m even or d odd")
+        if kind == "g2-quotient" and index not in (1, 3):
+            raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
+        if kind == "seven-family" and not torsion:
+            raise InvalidParams("seven-family outcomes require nonzero torsion order")
+        return self
+
+    def as_dict(self) -> dict:
+        """The fields that are set, with ``params`` as an object of its four integers."""
+        out = {name: value for name, value in zip(self._fields, self) if value is not None}
+        if self.params is not None:
+            out["params"] = self.params._asdict()
+        return out

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohomone
-from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FAMILY, _FLAGS, _ORBIT, _RECORD
+from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FAMILY, _FLAGS, _ORBIT, _OUTCOMES
+from cohomone.catalog import _RECORD
 from cohomone.catalog import EmbeddingFamily, data_dir, default_catalog, load_catalog
 from cohomone.cli import run
-from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, Unsupported
+from cohomone.diagram import ClassificationOutcome
+from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import parse_group, validate_embedding
 
 
@@ -129,6 +132,44 @@ def record_edit(key, record_id, edit):
     return lambda data: edit(next(r for r in data[key] if r["id"] == record_id))
 
 
+def stored_outcome(record_id, outcome):
+    """A ``diagrams.json`` edit storing ``outcome`` in the record ``record_id``."""
+    return record_edit("diagrams", record_id, lambda r: r.update(outcome=outcome))
+
+
+#: (file, edit, error, detail) of a malformed stored verdict, which the load refuses whatever subcommand reads it
+BAD_VERDICTS = [
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "g2-quotient"}), InvalidDiagram, "index"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "brieskorn", "m": "x", "d": 3}), InvalidDiagram, "'x'"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "seven-family", "torsion": 3}), InvalidDiagram,
+     "unknown outcome kind 'seven-family'"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "g2-quotient", "index": 3, "note": "x"}), InvalidDiagram,
+     "note"),
+    # each kind has its own key table: a field of another kind is undeclared, and a missing one is named
+    ("diagrams.json", stored_outcome("wu-s3s1", {"kind": "wu", "m": 3}), InvalidDiagram,
+     "diagrams[10] outcome has unknown key 'm' (allowed: 'kind')"),
+    ("diagrams.json", stored_outcome("t5-row4", {"kind": "linear-sphere"}), InvalidDiagram,
+     "diagrams[3] outcome has no 'description' key"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "g2-quotient", "index": True}), InvalidDiagram,
+     "diagrams[0] outcome key 'index' must be a JSON integer, got True"),
+    ("diagrams.json", stored_outcome("t5-row2", {"kind": "not-rational-sphere", "reason": 5}), InvalidDiagram,
+     "diagrams[1] outcome key 'reason' must be a JSON string, got 5"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "unmatched"}), InvalidDiagram,
+     "diagrams[0]: unknown outcome kind 'unmatched' (stored kinds: 'linear-sphere', 'brieskorn', 'wu', "
+     "'g2-quotient', 'not-rational-sphere')"),
+    ("diagrams.json", stored_outcome("t5-row1", {"index": 3}), InvalidDiagram, "unknown outcome kind None"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": ["wu"]}), InvalidDiagram, "unknown outcome kind ['wu']"),
+    # a well-typed outcome is built at load, so the invariants of its kind are checked there
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "brieskorn", "m": 3, "d": 2}), InvalidParams,
+     "diagrams[0] outcome: Brieskorn outcomes require m even or d odd"),
+    ("diagrams.json", stored_outcome("t5-row1", {"kind": "g2-quotient", "index": 2}), InvalidParams,
+     "diagrams[0] outcome: the G2/SU(2) quotients carry subgroup index 1 or 3"),
+    # the outcome decides the flag: a record states one or the other
+    ("diagrams.json", record_edit("diagrams", "t5-row2", lambda r: r.update(rational_sphere=True)), InvalidDiagram,
+     "diagrams[1] states 'rational_sphere', which its 'outcome' decides"),
+]
+
+
 @pytest.mark.parametrize(
     "name, edit, error, detail",
     [
@@ -193,6 +234,7 @@ def record_edit(key, record_id, edit):
          InvalidDiagram, "'rational_sphere' must be a JSON boolean"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(outcome="wu")),
          InvalidDiagram, "'outcome' must be a JSON object"),
+        *BAD_VERDICTS,
         # group expressions are parsed, and families built at param_min, at load
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(q-2)")),
          InvalidLabel, "families[0] key 'subgroup': cannot parse group term 'SU(q-2)'"),
@@ -283,7 +325,8 @@ def test_repeated_key_rejected_at_load(tmp_path, monkeypatch, name, old, new, ke
 
 
 #: each kind of object in the data files and its key table: (file, path, table), where the path is empty for the
-#: top level, names the array for its records, and then a key of those records for the object under it
+#: top level, names the array for its records, and then a key of those records for the object under it; a stored
+#: outcome has one table per kind, so the test first writes a well-typed outcome of the table's kind there
 CATALOG_OBJECTS = [
     ("embeddings.json", (), _EMBEDDINGS_FILE),
     ("embeddings.json", ("embeddings",), _EMBEDDING),
@@ -293,6 +336,7 @@ CATALOG_OBJECTS = [
     ("diagrams.json", ("diagrams", "component_counts"), _COUNTS),
     ("diagrams.json", ("diagrams", "nonorientable"), _FLAGS),
     ("diagrams.json", ("diagrams", "orbit_poincare"), _ORBIT),
+    *(("diagrams.json", ("diagrams", "outcome"), table) for table in _OUTCOMES.values()),
 ]
 
 
@@ -309,6 +353,10 @@ def test_one_undeclared_key_in_a_catalog_object_is_refused_naming_it(tmp_path_fa
             target = data.draw(st.sampled_from([r for r in file[path[0]] if all(step in r for step in path[1:])]))
             for step in path[1:]:
                 target = target[step]
+        kind = next((kind for kind, kind_table in _OUTCOMES.items() if kind_table is table), None)
+        if kind is not None:
+            target.clear()
+            target.update({field: {str: "x", int: 1}[json_type] for field, json_type in table.items()}, kind=kind)
         target[key] = value
 
     directory = edited_data(tmp_path_factory.mktemp("catalog"), name, add_key)
@@ -340,6 +388,29 @@ def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, det
     assert runs[0].stderr == runs[1].stderr and detail in runs[0].stderr
 
 
+@pytest.mark.parametrize("name, edit, error, detail", BAD_VERDICTS)
+def test_a_malformed_stored_verdict_exits_2_from_every_catalog_reader_in_a_fresh_process(tmp_path, name, edit, error,
+                                                                                        detail):
+    edited_data(tmp_path, name, edit)
+    for argv in CATALOG_READERS:
+        done = cli_process(argv, tmp_path)
+        assert done.returncode == 2 and f"{error.__name__}: " in done.stderr and detail in done.stderr, argv
+    assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
+
+
+def test_no_loaded_diagram_record_holds_a_raw_json_object():
+    # every stored object is read into a value type by its key table at load, none kept as the dict it was parsed to
+    def walk(value, where):
+        assert not isinstance(value, Mapping), where
+        if isinstance(value, (tuple, frozenset)):
+            for i, item in enumerate(value):
+                walk(item, f"{where}[{i}]")
+
+    for record in default_catalog().diagram_records():
+        assert record.outcome is None or type(record.outcome) is ClassificationOutcome, record.id
+        walk(record, record.id)
+
+
 def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path):
     # instances_up_to_rank would never reach max_rank: verify-tables used to loop forever
     edit = record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient="SU(5)", subgroup="SU(3)"))
@@ -349,26 +420,6 @@ def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path)
         assert done.returncode == 2, argv
         assert "embeddings.json: families[0] key 'ambient': 'SU(5)' does not grow with m" in done.stderr
     assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
-
-
-@pytest.mark.parametrize(
-    "outcome, detail",
-    [
-        ({"kind": "g2-quotient"}, "index"),
-        ({"kind": "brieskorn", "m": "x", "d": 3}, "'x'"),
-        ({"kind": "seven-family", "torsion": 3}, "unknown outcome kind 'seven-family'"),
-        ({"kind": "g2-quotient", "index": 3, "note": "x"}, "note"),
-    ],
-)
-def test_malformed_stored_outcome_exits_2(tmp_path, outcome, detail):
-    catalog = load_catalog(edited_data(tmp_path, "diagrams.json",
-                                       record_edit("diagrams", "t5-row1", lambda r: r.update(outcome=outcome))))
-    document = tmp_path / "document.json"
-    document.write_text(json.dumps({"catalog": "t5-row1"}))
-    result = run(["classify", "--diagram", str(document)], catalog)
-    assert result.exit_code == 2
-    assert result.payload["error"].startswith("InvalidDiagram") and "t5-row1" in result.payload["error"]
-    assert detail in result.payload["error"]
 
 
 @pytest.mark.parametrize("name", ["embeddings.json", "diagrams.json"])

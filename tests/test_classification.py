@@ -265,6 +265,23 @@ def test_brieskorn_zero_winding_is_nonprimitive():
     assert out.kind == "not-rational-sphere" and "non-primitive" in out.reason
 
 
+def test_every_recognizer_agrees_with_every_shipped_verdict():
+    # the classifier answers a shipped record with its stored outcome before any recognizer runs, so a recognizer
+    # that contradicts one shows only on a copy of the diagram outside the catalog
+    disagreements = []
+    for record in CAT.diagram_records():
+        for orientation, d in (("direct", record.diagram), ("swap", record.diagram.swap())):
+            for name, family in FAMILIES.items():
+                verdict = family.recognize(d)
+                if verdict is None or verdict == record.outcome:
+                    continue
+                # a record without an outcome fixes only its flag: a rational sphere is never not-rational-sphere
+                if record.outcome is None and not (record.rational_sphere and verdict.kind == "not-rational-sphere"):
+                    continue
+                disagreements.append((record.id, orientation, name, verdict))
+    assert disagreements == []
+
+
 def test_brieskorn_outcome_gate_invariant():
     with pytest.raises(InvalidParams):
         ClassificationOutcome("brieskorn", m=5, d=4)
@@ -496,7 +513,7 @@ def paper_diagrams(draw):
 @given(paper_diagrams())
 def test_every_rational_sphere_verdict_has_a_dimension_its_fiber_case_forces(d):
     # the paper reads the homotopy-fiber case first, which forces the dimension, and names the family after
-    assert set(STATED_DIMENSION) | {"not-rational-sphere", "unmatched"} == set(cohomone.classification._OUTCOME_FIELDS)
+    assert set(STATED_DIMENSION) | {"not-rational-sphere", "unmatched"} == set(cohomone.diagram._OUTCOME_FIELDS)
     outcome = classify_diagram(d, CAT)
     assert classify_diagram(d.swap(), CAT) == outcome
     if outcome.kind not in STATED_DIMENSION:

@@ -471,6 +471,21 @@ def test_undeclared_or_repeated_key_exits_2(text, error):
             assert run([command, "--diagram", "-"]) == (2, {"error": error}), command
 
 
+def test_inline_wu_document_is_no_brieskorn_verdict_with_or_without_its_record(tmp_path):
+    # the swap of the Wu diagram has the m = 3 Brieskorn orbit groups and a K- of winding 0, but components
+    # (2, 1, 2): the winding-0 verdict belongs to the (1, 1, 1) pattern alone
+    doc = tmp_path / "wu.json"
+    doc.write_text(json.dumps(WU))
+    assert payload(["classify", "--diagram", str(doc)])["outcome"] == {"kind": "wu"}
+    for name in ("embeddings.json", "diagrams.json"):
+        shutil.copy(data_dir() / name, tmp_path / name)
+    diagrams = json.loads((tmp_path / "diagrams.json").read_text())
+    diagrams["diagrams"] = [record for record in diagrams["diagrams"] if record["id"] != "wu-s3s1"]
+    (tmp_path / "diagrams.json").write_text(json.dumps(diagrams))
+    assert payload(["classify", "--diagram", str(doc)], catalog=load_catalog(tmp_path))["outcome"] == {
+        "kind": "unmatched"}
+
+
 def test_null_family_record_and_byte_order_mark(tmp_path):
     # a record may carry a null family; a document led by a UTF-8 byte order mark is refused as json.loads refuses it
     doc = tmp_path / "record.json"
