@@ -39,13 +39,11 @@ JSON decoder, refuses a key repeated in one object.  A record's ``outcome``
 is read by its kind's table (``_OUTCOMES``) and built at load; it decides
 ``rational_sphere``, which only a record without an outcome states.
 
-Only this module reads tag strings (``_typed_tags``; for a family,
-``tags`` plus ``tags_at[m]``).  ``winding:<int>`` and ``slope:<int>,<int>``
-may each appear once and ``contains:<id>`` any number of times; they
-become the typed fields of ``NamedEmbedding``, and any other string is a
-bare tag.  A second winding or slope tag, a winding that is not an
-integer and a slope that is not two comma-separated integers raise
-``InvalidLabel`` naming ``'tags'``.
+A concrete embedding's values are JSON keys of their own: ``winding`` an
+integer, ``slope`` an array of two integers and ``contains`` an array of
+embedding ids.  ``tags`` (for a family, ``tags`` plus ``tags_at[m]``) are
+bare labels, and ``NamedEmbedding`` refuses a tag that spells one of these
+values, so a value written as a tag is refused at load, not dropped.
 """
 
 from __future__ import annotations
@@ -90,29 +88,6 @@ def _decimal(key: str) -> Optional[int]:
         return None
 
 
-def _typed_tags(labels: Iterable[str], name: str) -> dict:
-    """The ``NamedEmbedding`` fields ``tags``, ``winding``, ``slope`` and ``contains`` that tag strings give.
-
-    A second winding or slope tag, or a value that does not parse, raises ``InvalidLabel`` naming ``name``.
-    """
-    labels = sorted(set(labels))  # so that no error depends on the order of a set
-    fields = {"tags": [label for label in labels if not label.startswith(("winding:", "slope:", "contains:"))],
-              "contains": frozenset(label[len("contains:"):] for label in labels if label.startswith("contains:"))}
-    for head, size, kind in (("winding", 1, "an integer winding"), ("slope", 2, "two comma-separated integers")):
-        found = [label for label in labels if label.startswith(f"{head}:")]
-        if len(found) > 1:
-            raise InvalidLabel(f"{name} key 'tags': more than one {head} tag: {', '.join(map(repr, found))}")
-        for label in found:
-            try:
-                numbers = tuple(int(v) for v in label[len(head) + 1:].split(","))
-            except ValueError:
-                numbers = ()
-            if len(numbers) != size:
-                raise InvalidLabel(f"{name} key 'tags': {label!r} does not carry {kind}")
-            fields[head] = numbers[0] if size == 1 else numbers
-    return fields
-
-
 def _named(where: str, build, *args):
     """``build(*args)``; a ``CohomoneError`` it raises is raised again, same type, prefixed with ``where``."""
     try:
@@ -122,13 +97,14 @@ def _named(where: str, build, *args):
 
 
 def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
-    embedding_id, ambient, subgroup, map_ranks, tags = read_object(record, _EMBEDDING, where, InvalidLabel)
+    embedding_id, ambient, subgroup, map_ranks, tags, winding, slope, contains = read_object(
+        record, _EMBEDDING, where, InvalidLabel)
     ambient = _named(f"{where} key 'ambient'", parse_group, ambient)
     subgroup = _named(f"{where} key 'subgroup'", parse_group, subgroup)
     ranks = _rank_spec(map_ranks, where)
     ranks = injective_rank_map(subgroup) if ranks is None else ranks
-    return _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks,
-                                                **_typed_tags(tags, embedding_id)))
+    return _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
+                                                frozenset(contains)))
 
 
 def _family_from_record(record: dict, where: str) -> EmbeddingFamily:
@@ -190,23 +166,21 @@ class EmbeddingFamily(NamedTuple):
     tags: frozenset[str]
     tags_at: Mapping[int, tuple[str, ...]] = MappingProxyType({})
 
-    def instantiate(self, m: int, typed: Optional[dict] = None) -> NamedEmbedding:
-        """The instance at ``m``; ``typed``, ``_typed_tags`` of ``tags``, serves each m without ``tags_at``."""
+    def instantiate(self, m: int) -> NamedEmbedding:
+        """The instance at ``m``, tagged with ``tags`` and ``tags_at[m]``."""
         if m < self.param_min:
             raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
-        name, sub = f"{self.id}@m={m}", group_at(self.subgroup, m)
-        if typed is None or m in self.tags_at:
-            typed = _typed_tags(self.tags.union(self.tags_at.get(m, ())), name)
+        sub = group_at(self.subgroup, m)
         ranks = injective_rank_map(sub) if self.map_ranks is None else self.map_ranks
-        return NamedEmbedding(name, group_at(self.ambient, m), sub, ranks, **typed)
+        return NamedEmbedding(f"{self.id}@m={m}", group_at(self.ambient, m), sub, ranks,
+                              self.tags.union(self.tags_at.get(m, ())))
 
     def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
-        """The instances whose ambient group has rank at most ``max_rank``, by parameter; ``tags`` are read once,
-        and the first m past ``max_rank`` is found from its ambient group alone."""
-        out = {}
-        m, typed = self.param_min, _typed_tags(self.tags, f"{self.id}@m={self.param_min}")
+        """The instances whose ambient group has rank at most ``max_rank``, by parameter; the first m past
+        ``max_rank`` is found from its ambient group alone."""
+        out, m = {}, self.param_min
         while group_at(self.ambient, m).rank <= max_rank:
-            out[m] = self.instantiate(m, typed)
+            out[m] = self.instantiate(m)
             m += 1
         return out
 
@@ -327,8 +301,10 @@ _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", dict: "object", t
 _EMBEDDING_KEYS = ("h", "k_minus", "k_plus", "h_in_k_minus", "h_in_k_plus")  # a diagram's, in GroupDiagram order
 _EMBEDDINGS_FILE = {"version": int, "comment": (str, ""), "embeddings": [dict], "families": ([dict], ())}
 _DIAGRAMS_FILE = {"version": int, "comment": (str, ""), "diagrams": [dict]}
-_EMBEDDING = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ())}
-_FAMILY = {**_EMBEDDING, "param_min": int, "tags_at": (dict, _EMPTY)}  # tags_at: m -> [str], m >= param_min
+_INCLUSION = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ())}
+#: a concrete embedding may carry values that no family does: a winding, a slope pair, the ids a lattice entry contains
+_EMBEDDING = {**_INCLUSION, "winding": (int, None), "slope": ([int], None), "contains": ([str], ())}
+_FAMILY = {**_INCLUSION, "param_min": int, "tags_at": (dict, _EMPTY)}  # tags_at: m -> [str], m >= param_min
 #: a diagram: an inline record document holds these keys, and may hold a null ``family``
 _DIAGRAM = {"g": str, **dict.fromkeys(_EMBEDDING_KEYS, str), "component_counts": (dict, _EMPTY),
            "nonorientable": (dict, _EMPTY)}

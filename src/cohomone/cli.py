@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import cohomone
 
-from .errors import CohomoneError, InvalidParams
+from .errors import CohomoneError, InvalidDiagram, InvalidParams
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -88,9 +88,9 @@ def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
     try:
         document = cohomone.catalog.parse_json(text)
     except (ValueError, RecursionError) as exc:  # not JSON, a repeated key, an integer too long for int(), deep nesting
-        raise _UsageError(f"diagram document {spec} is not valid JSON: {exc}") from exc
+        raise InvalidDiagram(f"diagram document {spec} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
-        raise _UsageError(f"diagram document {spec} is not a JSON object")
+        raise InvalidDiagram(f"diagram document {spec} is not a JSON object")
     return _diagram_from_document(document, catalog)
 
 
@@ -100,15 +100,15 @@ _REFERENCE = {"catalog": str}  # the keys of a document naming a shipped diagram
 def _diagram_from_document(document: dict, catalog: Catalog) -> GroupDiagram:
     read = cohomone.catalog.read_object
     if "catalog" in document:
-        return catalog.diagram_record(*read(document, _REFERENCE, "diagram document", _UsageError)).diagram
+        return catalog.diagram_record(*read(document, _REFERENCE, "diagram document")).diagram
     family = document.get("family")
     if family is None:
         return catalog.diagram_from_record(read(document, cohomone.catalog.INLINE_RECORD, "diagram record")[1:])
     families = cohomone.classification.FAMILIES
     entry = families.get(family) if isinstance(family, str) else None  # a JSON array or object is unhashable
     if entry is None:
-        raise _UsageError(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, families))})")
-    return entry.factory(*read(document, entry.keys, "diagram document", _UsageError)[1:])
+        raise InvalidDiagram(f"unknown diagram family {family!r} (choose from {', '.join(map(repr, families))})")
+    return entry.factory(*read(document, entry.keys, "diagram document")[1:])
 
 
 def _cmd_brieskorn(args) -> CommandResult:

@@ -202,7 +202,7 @@ def validate(d: GroupDiagram) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 #: case-6 fibers: (fiber dimension l, tag, description "G/H x loops(S^n)", forced total dimension n);
-#: ``classification.case6_pairs`` reads the pairs (G, H) from the descriptions
+#: ``classification.case6_pairs`` reads the pairs (G, H) from the descriptions; the report checks l and n against them
 CASE6_FIBERS: tuple[tuple[int, str, str, int], ...] = (
     (2, "su3-mod-t2", "SU(3)/T2 x loops(S7)", 7),
     (2, "sp2-mod-t2", "Sp(2)/T2 x loops(S9)", 9),

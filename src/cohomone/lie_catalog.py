@@ -326,10 +326,11 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
     ``tags`` are bare labels ("block", "spinor", "lattice", "m>=4", ...).  Three typed fields carry
     values: ``winding``, an int or None (the circle winding of a Brieskorn K-); ``slope``, a pair of ints
     or None (the circle slope of a seven-family K-+); and ``contains``, a frozenset of the embedding ids a
-    lattice entry contains.  A value of another type (a bool is not an int) and a tag starting
-    ``winding:``, ``slope:`` or ``contains:`` raise ``InvalidLabel``; ``catalog`` reads such tags.  The
-    constructor and ``_replace`` run every check; only the family factories of ``classification`` build
-    embeddings past them, from orbit groups checked once per parameter.
+    lattice entry contains; the catalog reads them from JSON keys of the same names.  A value of another
+    type (a bool is not an int) raises ``InvalidLabel``, and so does a tag starting ``winding:``, ``slope:``
+    or ``contains:``, so that a value written as a tag is refused instead of lost.  The constructor and
+    ``_replace`` run every check; only the family factories of ``classification`` build embeddings past
+    them, from orbit groups checked once per parameter.
     """
 
     __slots__ = ()

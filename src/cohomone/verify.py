@@ -24,7 +24,7 @@ from .classification import (
     table3_filter,
 )
 from .diagram import double_disk_euler, gh_classify, mv_feasible
-from .lie_catalog import transitive_sphere_pairs
+from .lie_catalog import NamedEmbedding, transitive_sphere_pairs
 from .polynomial import IntegerPolynomial
 from .rational_homotopy import euler_characteristic, hilbert_series, odd_product_poincare
 
@@ -258,13 +258,12 @@ def _check_equal_rank(checks: list, catalog: Catalog) -> None:
             euler_characteristic(embedding),
             hilbert_series(embedding)(1),
         )
-    for pair in case6_pairs():
-        _check(
-            checks,
-            f"equal-rank/case6-fiber-dim/{pair.fiber_tag}",
-            True,
-            pair.fiber_dim in (2, 4, 8),
-        )
+    for pair in case6_pairs():  # l is the lowest positive degree of H*(G/H), and case 6 forces dim G/H + 1
+        series = hilbert_series(NamedEmbedding(pair.fiber_tag, pair.group, pair.isotropy)).coefficients
+        ell = next((k for k in range(1, len(series)) if series[k]), 0)
+        forced = pair.group.dimension - pair.isotropy.dimension + 1
+        _check(checks, f"equal-rank/case6-fiber-dim/{pair.fiber_tag}", True,
+               (pair.fiber_dim, pair.total_dim) == (ell, forced))
     for record in catalog.diagram_records():
         chi = double_disk_euler(record.diagram)
         if record.diagram.manifold_dim % 2:

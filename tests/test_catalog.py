@@ -208,20 +208,31 @@ BAD_VERDICTS = [
          InvalidLabel, "families[0] key 'ambient': cannot parse group term 'SU(999"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(g=f"B{'9' * 5000}")),
          InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'B999"),
-        # winding and slope tags are read into typed fields at load: a malformed or second one is refused
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:x"])),
-         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': 'winding:x' does not carry an integer winding"),
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5", "block"])),
-         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': 'slope:5' does not carry two comma-separated integers"),
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5,1,1"])),
-         InvalidLabel, "su6-sp3 key 'tags': 'slope:5,1,1' does not carry two comma-separated integers"),
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "winding:1"])),
-         InvalidLabel, "embeddings[16]: su6-sp3 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["slope:5,1", "slope:1,1"])),
-         InvalidLabel, "su6-sp3 key 'tags': more than one slope tag: 'slope:1,1', 'slope:5,1'"),
+        # a winding, a slope and the ids a lattice entry contains are typed keys, read at load
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(winding=True)),
+         InvalidLabel, "embeddings[16] key 'winding' must be a JSON integer, got True"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(winding="1")),
+         InvalidLabel, "embeddings[16] key 'winding' must be a JSON integer, got '1'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(slope=[5])),
+         InvalidLabel, "embeddings[16]: su6-sp3: slope must be a pair of ints or None, got (5,)"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(slope=[5, 1, 1])),
+         InvalidLabel, "embeddings[16]: su6-sp3: slope must be a pair of ints or None, got (5, 1, 1)"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(slope=["5", 1])),
+         InvalidLabel, "embeddings[16] key 'slope' must be a JSON array of integers, got ['5', 1]"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(contains="x")),
+         InvalidLabel, "embeddings[16] key 'contains' must be a JSON array of strings, got 'x'"),
+        # a family carries tags only
+        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(winding=1)),
+         InvalidLabel, "families[0] has unknown key 'winding' (allowed: 'id', 'ambient', 'subgroup', 'map_ranks', "
+                       "'tags', 'param_min', 'tags_at')"),
+        # a value written as a tag is refused, not dropped
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:1"])),
+         InvalidLabel, "embeddings[16]: su6-sp3: 'winding:1' is not a bare tag"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["contains:x"])),
+         InvalidLabel, "embeddings[16]: su6-sp3: 'contains:x' is not a bare tag"),
         # a family is built at each tags_at key too, so a bad tag there is refused at load
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"6": ["winding:x"]})),
-         InvalidLabel, "families[0]: su(m)/su(m-2)@m=6 key 'tags': 'winding:x' does not carry an integer winding"),
+         InvalidLabel, "families[0]: su(m)/su(m-2)@m=6: 'winding:x' is not a bare tag"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.pop("param_min")),
          InvalidLabel, "has no 'param_min' key"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": "multiple"})),
@@ -282,7 +293,7 @@ BAD_VERDICTS = [
          InvalidDiagram, "diagrams.json has unknown key 'diagram' (allowed: 'version', 'comment', 'diagrams')"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_rank={})),
          InvalidLabel, "embeddings[16] has unknown key 'map_rank' (allowed: 'id', 'ambient', 'subgroup', "
-                       "'map_ranks', 'tags')"),
+                       "'map_ranks', 'tags', 'winding', 'slope', 'contains')"),
         ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(param_max=9)),
          InvalidLabel, "families[0] has unknown key 'param_max'"),
         ("embeddings.json", lambda data: data.update(family=[]),
@@ -375,11 +386,10 @@ def cli_process(argv, data, seed="0"):
 
 @pytest.mark.parametrize("edit, detail", [
     (record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "block", "winding:1"])),
-     "embeddings[16]: su6-sp3 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
+     "embeddings[16]: su6-sp3: 'winding:1', 'winding:3' is not a bare tag"),
     # the family's tags are a set: the message lists the two sorted, whatever order the set yields
-    (record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags=["winding:3", "corank2"],
-                                                                   tags_at={"4": ["winding:1"]})),
-     "families[0]: su(m)/su(m-2)@m=4 key 'tags': more than one winding tag: 'winding:1', 'winding:3'"),
+    (record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags=["winding:3", "corank2", "winding:1"])),
+     "families[0]: su(m)/su(m-2)@m=3: 'winding:1', 'winding:3' is not a bare tag"),
 ])
 def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, detail):
     edited_data(tmp_path, "embeddings.json", edit)

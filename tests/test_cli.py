@@ -284,7 +284,7 @@ def test_deeply_nested_document_exits_2(tmp_path):
     for command in ("classify", "primitivity"):
         result = run([command, "--diagram", str(doc)])
         assert result.exit_code == 2
-        assert result.payload["error"].startswith(f"diagram document {doc} is not valid JSON: ")
+        assert result.payload["error"].startswith(f"InvalidDiagram: diagram document {doc} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("raw", [
@@ -299,7 +299,7 @@ def test_json_errors_in_crlf_documents_name_the_positions_text_mode_reads(tmp_pa
     with pytest.raises(ValueError) as caught:
         json.loads(text)
     result = run(["classify", "--diagram", str(doc)])
-    assert result.payload == {"error": f"diagram document {doc} is not valid JSON: {caught.value}"}
+    assert result.payload == {"error": f"InvalidDiagram: diagram document {doc} is not valid JSON: {caught.value}"}
 
 
 def test_crlf_document_classifies(tmp_path):
@@ -344,11 +344,11 @@ FAMILY_CHOICES = "(choose from 'brieskorn', 'tensor-su', 'tensor-sp', 'seven')"
 
 
 @pytest.mark.parametrize("family, error", [
-    ("klein", f"unknown diagram family 'klein' {FAMILY_CHOICES}"),
-    ([], f"unknown diagram family [] {FAMILY_CHOICES}"),
-    ({}, f"unknown diagram family {{}} {FAMILY_CHOICES}"),
-    (5, f"unknown diagram family 5 {FAMILY_CHOICES}"),
-    (True, f"unknown diagram family True {FAMILY_CHOICES}"),
+    ("klein", f"InvalidDiagram: unknown diagram family 'klein' {FAMILY_CHOICES}"),
+    ([], f"InvalidDiagram: unknown diagram family [] {FAMILY_CHOICES}"),
+    ({}, f"InvalidDiagram: unknown diagram family {{}} {FAMILY_CHOICES}"),
+    (5, f"InvalidDiagram: unknown diagram family 5 {FAMILY_CHOICES}"),
+    (True, f"InvalidDiagram: unknown diagram family True {FAMILY_CHOICES}"),
     (None, "InvalidDiagram: diagram record has no 'g' key"),  # a null family is an inline record
 ])
 def test_family_outside_the_table_exits_2_naming_the_table(family, error):
@@ -442,10 +442,12 @@ MISSPELLED_COUNTS = {**{key: value for key, value in WU.items() if key != "compo
                  id="component_count"),
     # accepted, a misspelled optional key would leave the standard diagram
     pytest.param(json.dumps({"family": "brieskorn", "m": 7, "d": 3, "varient": "g2"}),
-                 "diagram document has unknown key 'varient' (allowed: 'family', 'm', 'd', 'variant')", id="varient"),
+                 "InvalidDiagram: diagram document has unknown key 'varient' (allowed: 'family', 'm', 'd', 'variant')",
+                 id="varient"),
     # a reference answers for its record alone, so other keys are refused
     pytest.param(json.dumps({"catalog": "t5-row1", "family": "brieskorn", "m": 3}),
-                 "diagram document has unknown key 'family' (allowed: 'catalog')", id="reference-and-family"),
+                 "InvalidDiagram: diagram document has unknown key 'family' (allowed: 'catalog')",
+                 id="reference-and-family"),
     # accepted, a misspelled count would take the default 1
     pytest.param(json.dumps({**WU, "component_counts": {"h": 2, "k_minus": 2, "kplus": 3}}),
                  "InvalidDiagram: diagram record component_counts has unknown key 'kplus' "
@@ -454,21 +456,36 @@ MISSPELLED_COUNTS = {**{key: value for key, value in WU.items() if key != "compo
                  "InvalidDiagram: diagram record nonorientable has unknown key 'h' (allowed: 'k_minus', 'k_plus')",
                  id="nonorientable-h"),
     # an id that is not a string is refused, not looked up as its str()
-    pytest.param(json.dumps({"catalog": 5}), "diagram document key 'catalog' must be a JSON string, got 5",
-                 id="catalog-5"),
+    pytest.param(json.dumps({"catalog": 5}),
+                 "InvalidDiagram: diagram document key 'catalog' must be a JSON string, got 5", id="catalog-5"),
     # json.loads keeps the last of two equal keys, here m = 6
     pytest.param('{"family": "brieskorn", "m": 3, "d": 1, "m": 6}',
-                 "diagram document - is not valid JSON: object key 'm' is repeated", id="repeated-m"),
+                 "InvalidDiagram: diagram document - is not valid JSON: object key 'm' is repeated", id="repeated-m"),
     pytest.param('{"catalog": "t5-row1", "catalog": "wu-s3s1"}',
-                 "diagram document - is not valid JSON: object key 'catalog' is repeated", id="repeated-catalog"),
+                 "InvalidDiagram: diagram document - is not valid JSON: object key 'catalog' is repeated",
+                 id="repeated-catalog"),
     pytest.param(json.dumps(WU)[:-1] + ', "nonorientable": {}}',
-                 "diagram document - is not valid JSON: object key 'nonorientable' is repeated",
+                 "InvalidDiagram: diagram document - is not valid JSON: object key 'nonorientable' is repeated",
                  id="repeated-nonorientable"),
 ])
 def test_undeclared_or_repeated_key_exits_2(text, error):
     for command in ("classify", "primitivity"):
         with mock.patch("sys.stdin", io.StringIO(text)):
             assert run([command, "--diagram", "-"]) == (2, {"error": error}), command
+
+
+@pytest.mark.parametrize("document", [
+    {"family": "brieskorn", "m": 7, "d": 3, "typo": 1},
+    {"catalog": "t5-row1", "typo": 1},
+    {**WU, "typo": 1},
+])
+def test_a_document_fault_names_one_error_type_whatever_the_document_kind(document):
+    # the same undeclared key in a family, a reference and an inline record document
+    for command in ("classify", "primitivity"):
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+            result = run([command, "--diagram", "-"])
+        assert result.exit_code == 2 and result.payload["error"].startswith("InvalidDiagram: "), result.payload
+        assert "unknown key 'typo'" in result.payload["error"]
 
 
 def test_inline_wu_document_is_no_brieskorn_verdict_with_or_without_its_record(tmp_path):
@@ -494,7 +511,8 @@ def test_null_family_record_and_byte_order_mark(tmp_path):
     doc.write_text('\ufeff{"catalog": "t5-row1"}', encoding="utf-8")
     result = run(["classify", "--diagram", str(doc)])
     assert result.exit_code == 2
-    assert result.payload["error"].startswith(f"diagram document {doc} is not valid JSON: Unexpected UTF-8 BOM")
+    assert result.payload["error"].startswith(f"InvalidDiagram: diagram document {doc} is not valid JSON: "
+                                              "Unexpected UTF-8 BOM")
 
 
 def test_mv_check_refuses_huge_n_at_once():
@@ -719,13 +737,14 @@ def test_classify_prints_values_under_2_to_the_1000_and_refuses_longer_ones_at_t
 
 
 def test_huge_catalog_winding_exits_2(tmp_path):
-    # a Brieskorn-shaped record with components (1, 1, 1): d = 2|winding| = 10^4300 has 4301 digits
+    # a Brieskorn-shaped record with components (1, 1, 1): a winding of 4300 digits, the most the default digit
+    # limit lets a JSON integer have, gives d = 2|winding| = 10^4300 of 4301 digits
     for name in ("embeddings.json", "diagrams.json"):
         shutil.copy(data_dir() / name, tmp_path / name)
     data = json.loads((tmp_path / "embeddings.json").read_text())
     data["embeddings"] += [
         {"id": "bk-h", "ambient": "T1xSO(4)", "subgroup": "T1", "tags": ["block", "proper-projections"]},
-        {"id": "bk-km", "ambient": "T1xSO(4)", "subgroup": "T2", "tags": ["winding:5" + "0" * 4299]},
+        {"id": "bk-km", "ambient": "T1xSO(4)", "subgroup": "T2", "winding": 5 * 10**4299},
         {"id": "bk-kp", "ambient": "T1xSO(4)", "subgroup": "SO(3)", "tags": ["block"]},
         {"id": "bk-h-km", "ambient": "T2", "subgroup": "T1", "tags": ["block"]},
         {"id": "bk-h-kp", "ambient": "SO(3)", "subgroup": "T1", "tags": ["block"]},

@@ -29,8 +29,8 @@ def test_no_assert_statements_in_package():
 
 
 def test_only_the_catalog_loader_reads_value_carrying_tags():
-    # catalog.py parses winding:, slope: and contains: tags into NamedEmbedding fields, and lie_catalog.py
-    # refuses them as bare tags; any other module reads the typed fields
+    # a winding, a slope and a lattice entry's contents are typed keys of embeddings.json and typed fields of
+    # NamedEmbedding; lie_catalog.py holds the winding:, slope: and contains: prefixes only to refuse such a tag
     found = {
         path.name
         for path in SOURCE.glob("*.py")
@@ -38,7 +38,7 @@ def test_only_the_catalog_loader_reads_value_carrying_tags():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and any(prefix in node.value for prefix in ("winding:", "slope:", "contains:"))
     }
-    assert found <= {"catalog.py", "lie_catalog.py"}
+    assert found == {"lie_catalog.py"}
 
 
 def test_report_path_formats_no_fiber_text_and_restates_no_homology():

@@ -146,6 +146,17 @@ def test_a_value_a_trusted_producer_builds_wrong_fails_its_check(monkeypatch, ta
     assert result.exit_code == 1 and result.payload["summary"]["failed"] == [check_id]
 
 
+@pytest.mark.parametrize("tag, column, value", [
+    ("su3-mod-t2", 3, 9),  # the forced dimension: SU(3)/T2 has dimension 6, so case 6 forces 7
+    ("f4-mod-spin8", 0, 4),  # the fiber dimension: the lowest class of F4/Spin(8) has degree 8
+])
+def test_a_wrong_case6_fiber_column_fails_its_check(monkeypatch, tag, column, value):
+    rows = tuple(row[:column] + (value,) + row[column + 1:] if row[1] == tag else row for row in CASE6_FIBERS)
+    monkeypatch.setattr(classification, "CASE6_FIBERS", rows)
+    result = run(["verify-tables"], CAT)
+    assert result.exit_code == 1 and result.payload["summary"]["failed"] == [f"equal-rank/case6-fiber-dim/{tag}"]
+
+
 def test_every_report_does_all_of_its_work(monkeypatch):
     # no memo across reports and no shrunk grid: the second report makes every call the first one does
     counts = Counter()
