@@ -9,27 +9,13 @@ All records are immutable after load: a :class:`Catalog` refuses
 attribute assignment and has no mutator, and the diagram factories in
 ``classification`` build self-contained embeddings instead of adding
 them, so every lookup answers the same whatever the process did before.
-The indexes are built once, at load.  Embeddings, families and diagram
-records are keyed by id in id order, so ``embeddings()`` and
+The indexes are built once, at load.  Embeddings and diagram records
+are keyed by id in id order, so ``embeddings()`` and
 ``diagram_records()`` need no sort; an id may appear once per kind.
 Lattice entries are keyed by ambient group.  Diagram records are keyed
 by ``GroupDiagram.canonical_descriptor``, which equal and swap-equal
 diagrams share, so matching a diagram against the records is one dict
 lookup; two records with the same key are refused.
-
-Embedding records may be concrete or parameterized families (one
-integer parameter ``m`` with a lower bound ``param_min``).  A family's
-group expressions use arguments ``a*m + b`` (a an integer >= 0, b any
-integer, e.g. ``Spin(2m+1)``, ``SU(m-2)``) and are parsed once, at load,
-into factor templates (``lie_catalog.group_template``); ``tags_at`` keys
-are decoded to integers there.  Load refuses a family whose ambient
-group does not grow with m (no ambient term has a > 0), a ``tags_at``
-key that is not a decimal integer >= ``param_min``, a family whose
-instance at ``param_min`` or at a ``tags_at`` key cannot be built, and
-one whose subgroup outgrows its ambient group (in dimension or rank) at
-a larger m, which the groups at six values of m decide.  Any error
-raised while a record is parsed or built keeps its type and names the
-file, the array index and, where one is at fault, the key.
 
 ``read_object`` reads each JSON object of the data files and of a
 diagram document against its kind's key table, which gives each key's
@@ -39,11 +25,13 @@ JSON decoder, refuses a key repeated in one object.  A record's ``outcome``
 is read by its kind's table (``_OUTCOMES``) and built at load; it decides
 ``rational_sphere``, which only a record without an outcome states.
 
-A concrete embedding's values are JSON keys of their own: ``winding`` an
-integer, ``slope`` an array of two integers and ``contains`` an array of
-embedding ids.  ``tags`` (for a family, ``tags`` plus ``tags_at[m]``) are
-bare labels, and ``NamedEmbedding`` refuses a tag that spells one of these
-values, so a value written as a tag is refused at load, not dropped.
+An embedding's values are JSON keys of their own: ``winding`` an integer,
+``slope`` an array of two integers and ``contains`` an array of ids of
+embeddings of the same file; an id that names none is refused.
+``tags`` are bare labels, and ``NamedEmbedding`` refuses a tag that spells
+one of these values, so a value written as a tag is refused at load, not
+dropped.  The parameterized corank-2 pairs are no records: their table is
+``classification.CORANK2_FAMILIES``.
 """
 
 from __future__ import annotations
@@ -59,8 +47,7 @@ from typing import NamedTuple, Optional
 
 from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
-from .lie_catalog import FactorTemplate, GroupType, NamedEmbedding, group_at, group_template
-from .lie_catalog import injective_rank_map, parse_group
+from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
 from .polynomial import IntegerPolynomial
 
 #: the only ``"version"`` the data files may carry
@@ -107,84 +94,6 @@ def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
                                                 frozenset(contains)))
 
 
-def _family_from_record(record: dict, where: str) -> EmbeddingFamily:
-    family_id, ambient_text, subgroup_text, map_ranks, tags, param_min, tags_at = read_object(
-        record, _FAMILY, where, InvalidLabel)
-    ambient = _named(f"{where} key 'ambient'", group_template, ambient_text)
-    subgroup = _named(f"{where} key 'subgroup'", group_template, subgroup_text)
-    if not any(a for _, a, _ in ambient):  # so that instances_up_to_rank ends
-        raise InvalidLabel(f"{where} key 'ambient': {ambient_text!r} does not grow with m")
-    for key in tags_at:  # the keys of tags_at are the values of m it declares
-        if (m := _decimal(key)) is None or m < param_min:
-            raise InvalidLabel(f"{where} tags_at key {key!r} is not a decimal integer m >= {param_min}")
-    tags_by_m = read_object(tags_at, dict.fromkeys(tags_at, [str]), f"{where} tags_at", InvalidLabel)
-    family = EmbeddingFamily(family_id, ambient, subgroup, param_min, _rank_spec(map_ranks, where), frozenset(tags),
-                             dict(zip(map(_decimal, tags_at), tags_by_m)))
-    # built at param_min and at each m with tags of its own, so that a family wrong there is refused here
-    _named(where, lambda: [family.instantiate(m) for m in (param_min, *family.tags_at)])
-    excess = _outgrowth(family)
-    if excess:
-        raise InvalidLabel(f"{where} key 'subgroup': {subgroup_text!r} outgrows the ambient group "
-                           f"{ambient_text!r} in {excess} at some m >= {param_min}")
-    return family
-
-
-def _outgrowth(family: EmbeddingFamily) -> Optional[str]:
-    """``"dimension"`` or ``"rank"`` if the subgroup's exceeds the ambient's at some m >= ``param_min``, else None.
-
-    Along one parity of m both excesses are polynomials of degree <= 2 in m (rank too: SO(n) has rank n // 2),
-    so their values at three values of m of that parity decide.
-    """
-    for start in (family.param_min, family.param_min + 1):
-        excess = []
-        for m in (start, start + 2, start + 4):
-            subgroup, ambient = group_at(family.subgroup, m), group_at(family.ambient, m)
-            excess.append((subgroup.dimension - ambient.dimension, subgroup.rank - ambient.rank))
-        for what, values in zip(("dimension", "rank"), zip(*excess)):
-            if _positive_somewhere(*values):
-                return what
-    return None
-
-
-def _positive_somewhere(v0: int, v1: int, v2: int) -> bool:
-    """Whether the polynomial p of degree <= 2 with p(0), p(1), p(2) = v0, v1, v2 is positive at an integer t >= 0."""
-    d1, d2 = v1 - v0, v2 - 2 * v1 + v0  # p(t) = v0 + t*d1 + t*(t-1)/2*d2
-    if d2 > 0 or (d2 == 0 and d1 > 0):
-        return True
-    t = max(0, -(-d1 // -d2)) if d2 else 0  # where the step p(t+1) - p(t) = d1 + t*d2 stops being positive
-    return v0 + t * d1 + t * (t - 1) // 2 * d2 > 0
-
-
-class EmbeddingFamily(NamedTuple):
-    """A subgroup-inclusion family parameterized by an integer m, its groups parsed into factor templates."""
-
-    id: str
-    ambient: tuple[FactorTemplate, ...]
-    subgroup: tuple[FactorTemplate, ...]
-    param_min: int
-    map_ranks: Optional[tuple[tuple[int, int], ...]]  # None: rationally injective
-    tags: frozenset[str]
-    tags_at: Mapping[int, tuple[str, ...]] = MappingProxyType({})
-
-    def instantiate(self, m: int) -> NamedEmbedding:
-        """The instance at ``m``, tagged with ``tags`` and ``tags_at[m]``."""
-        if m < self.param_min:
-            raise InvalidLabel(f"{self.id}: parameter m={m} below minimum {self.param_min}")
-        sub = group_at(self.subgroup, m)
-        ranks = injective_rank_map(sub) if self.map_ranks is None else self.map_ranks
-        return NamedEmbedding(f"{self.id}@m={m}", group_at(self.ambient, m), sub, ranks,
-                              self.tags.union(self.tags_at.get(m, ())))
-
-    def instances_up_to_rank(self, max_rank: int) -> dict[int, NamedEmbedding]:
-        """The instances whose ambient group has rank at most ``max_rank``, by parameter; the first m past
-        ``max_rank`` is found from its ambient group alone."""
-        out, m = {}, self.param_min
-        while group_at(self.ambient, m).rank <= max_rank:
-            out[m] = self.instantiate(m)
-            m += 1
-        return out
-
-
 class OrbitBetti(NamedTuple):
     """Rational Betti polynomials of G/H and G/K+-, with the sphere dimension n."""
 
@@ -206,19 +115,17 @@ class DiagramRecord(NamedTuple):
 
 
 class Catalog:
-    """The embedding, family and diagram records, indexed at load and read-only after.
+    """The embedding and diagram records, indexed at load and read-only after.
 
     The by-id mappings are in id order.  Each attribute is set once, here;
     assigning or deleting one raises ``AttributeError``.  Build one with
     :func:`load_catalog`.
     """
 
-    __slots__ = ("version", "_embeddings", "_families", "_diagrams", "_lattices", "_by_descriptor")
+    __slots__ = ("version", "_embeddings", "_diagrams", "_lattices", "_by_descriptor")
 
-    def __init__(
-        self, version: int, embeddings: Mapping[str, NamedEmbedding], families: Mapping[str, EmbeddingFamily],
-        diagrams: Mapping[str, DiagramRecord],
-    ) -> None:
+    def __init__(self, version: int, embeddings: Mapping[str, NamedEmbedding],
+                 diagrams: Mapping[str, DiagramRecord]) -> None:
         lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
         for e in embeddings.values():
             if "lattice" in e.tags:
@@ -231,7 +138,7 @@ class Catalog:
                     f"diagram records {by_descriptor[key].id!r} and {record.id!r} describe the same diagram"
                 )
             by_descriptor[key] = record
-        values = (version, embeddings, families, diagrams, MappingProxyType(lattices), MappingProxyType(by_descriptor))
+        values = (version, embeddings, diagrams, MappingProxyType(lattices), MappingProxyType(by_descriptor))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -250,19 +157,6 @@ class Catalog:
 
     def embeddings(self) -> list[NamedEmbedding]:
         return list(self._embeddings.values())
-
-    def families(self) -> list[EmbeddingFamily]:
-        return list(self._families.values())
-
-    def corank2_sources(self, max_rank: int) -> list[tuple[NamedEmbedding, str, Optional[int]]]:
-        """Concrete and instantiated embeddings tagged for the corank-2 table.
-
-        Returns (embedding, family id, parameter) triples; concrete rows
-        carry their own id as family and no parameter.
-        """
-        concrete = [(e, e.id, None) for e in self.embeddings() if "corank2" in e.tags and e.ambient.rank <= max_rank]
-        return concrete + [(e, fam.id, m) for fam in self.families() if "corank2" in fam.tags
-                           for m, e in fam.instances_up_to_rank(max_rank).items()]
 
     def lattice_for(self, group: GroupType) -> list[NamedEmbedding]:
         return list(self._lattices.get(group, ()))
@@ -299,12 +193,11 @@ _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", dict: "object", t
 
 # the key tables of the JSON objects that read_object reads
 _EMBEDDING_KEYS = ("h", "k_minus", "k_plus", "h_in_k_minus", "h_in_k_plus")  # a diagram's, in GroupDiagram order
-_EMBEDDINGS_FILE = {"version": int, "comment": (str, ""), "embeddings": [dict], "families": ([dict], ())}
+_EMBEDDINGS_FILE = {"version": int, "comment": (str, ""), "embeddings": [dict]}
 _DIAGRAMS_FILE = {"version": int, "comment": (str, ""), "diagrams": [dict]}
-_INCLUSION = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ())}
-#: a concrete embedding may carry values that no family does: a winding, a slope pair, the ids a lattice entry contains
-_EMBEDDING = {**_INCLUSION, "winding": (int, None), "slope": ([int], None), "contains": ([str], ())}
-_FAMILY = {**_INCLUSION, "param_min": int, "tags_at": (dict, _EMPTY)}  # tags_at: m -> [str], m >= param_min
+#: an embedding may carry values: a winding, a slope pair, the ids a lattice entry contains
+_EMBEDDING = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ()),
+              "winding": (int, None), "slope": ([int], None), "contains": ([str], ())}
 #: a diagram: an inline record document holds these keys, and may hold a null ``family``
 _DIAGRAM = {"g": str, **dict.fromkeys(_EMBEDDING_KEYS, str), "component_counts": (dict, _EMPTY),
            "nonorientable": (dict, _EMPTY)}
@@ -427,11 +320,15 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
-    version, _, embeddings, families = _read(path, InvalidLabel, _EMBEDDINGS_FILE)
-    embeddings = (_embedding_from_record(r, f"{path}: embeddings[{i}]") for i, r in enumerate(embeddings))
-    families = (_family_from_record(r, f"{path}: families[{i}]") for i, r in enumerate(families))
+    version, _, records = _read(path, InvalidLabel, _EMBEDDINGS_FILE)
+    embeddings = [_embedding_from_record(r, f"{path}: embeddings[{i}]") for i, r in enumerate(records)]
+    by_id = _by_id(embeddings, InvalidLabel, path)
+    for i, embedding in enumerate(embeddings):
+        unknown = sorted(c for c in embedding.contains if c not in by_id)
+        if unknown:
+            raise InvalidLabel(f"{path}: embeddings[{i}] key 'contains': unknown embedding id {unknown[0]!r}")
     # the diagram records resolve their embedding ids through this first-stage catalog
-    catalog = Catalog(version, _by_id(embeddings, InvalidLabel, path), _by_id(families, InvalidLabel, path), {})
+    catalog = Catalog(version, by_id, {})
     path = base / "diagrams.json"
     records = []
     for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
@@ -440,7 +337,7 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
         records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where),
                                      *_verdict(outcome, rational_sphere, where), _orbit_poincare(orbit, where),
                                      frozenset(tags)))
-    return Catalog(version, catalog._embeddings, catalog._families, _by_id(records, InvalidDiagram, path))
+    return Catalog(version, by_id, _by_id(records, InvalidDiagram, path))
 
 
 @lru_cache(maxsize=4, typed=True)

@@ -1,12 +1,11 @@
 """The classification layer.
 
-Queryable reproductions of the classification data: the corank-2 pair
-table and its transitive-fiber filter, the five exceptional-fiber pairs,
-the four-parameter seven-manifold family with its torsion arithmetic,
-parameterized diagram factories (Brieskorn, tensor, seven-family), and
-the diagram classifier that template-matches a validated diagram against
-the shipped catalog and the structural family recognizers.  The Betti
-data of a diagram's orbits, which only the ``verify-tables`` Mayer-Vietoris
+Queryable reproductions of the classification data: the corank-2 pair table, its four infinite
+families written once in ``CORANK2_FAMILIES``, and its transitive-fiber filter, the five
+exceptional-fiber pairs, the four-parameter seven-manifold family with its torsion arithmetic,
+parameterized diagram factories (Brieskorn, tensor, seven-family), and the diagram classifier that
+template-matches a validated diagram against the shipped catalog and the structural family
+recognizers.  The Betti data of a diagram's orbits, which only the ``verify-tables`` Mayer-Vietoris
 check reads, is derived in ``verify.orbit_betti``.
 
 ``FAMILIES`` is the one table of the parameterized families: for each ``family`` name of a diagram
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import index
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .diagram import CASE6_FIBERS, ClassificationOutcome, GroupDiagram, SevenFamilyParams, validate
 from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
@@ -30,6 +29,7 @@ from .lie_catalog import (
     GroupType,
     NamedEmbedding,
     check_winding_and_slope,
+    injective_rank_map,
     is_declared_injective,
     memoized,
     parse_group,
@@ -111,17 +111,38 @@ def _or_default(catalog: Optional[Catalog]) -> Catalog:
     return default_catalog()
 
 
+#: the four infinite families of the corank-2 table, by id: (least m, the pair (G, L) at m)
+CORANK2_FAMILIES: dict[str, tuple[int, Callable[[int], tuple[GroupType, GroupType]]]] = {
+    "su(m)/su(m-2)": (3, lambda m: (special_unitary(m), special_unitary(m - 2))),
+    "spin(2m+1)/spin(2m-3)": (4, lambda m: (special_orthogonal(2 * m + 1), special_orthogonal(2 * m - 3))),
+    "sp(m)/sp(m-2)": (2, lambda m: (symplectic(m), symplectic(m - 2))),
+    "spin(2m)/spin(2m-3)": (4, lambda m: (special_orthogonal(2 * m), special_orthogonal(2 * m - 3))),
+}
+
+
+def corank2_sources(max_rank: int, catalog: Catalog) -> list[tuple[NamedEmbedding, str, Optional[int]]]:
+    """The candidate pairs of the corank-2 table whose G has rank at most ``max_rank``, as (embedding, family id,
+    parameter) triples: the catalog's ``corank2``-tagged embeddings, each its own family with no parameter, then
+    the instances ``<id>@m=<m>`` of ``CORANK2_FAMILIES``, rationally injective, from each family's least m on."""
+    sources = [(e, e.id, None) for e in catalog.embeddings() if "corank2" in e.tags and e.ambient.rank <= max_rank]
+    for family, (m, pair) in CORANK2_FAMILIES.items():
+        while (groups := pair(m))[0].rank <= max_rank:
+            g, sub = groups
+            sources.append((NamedEmbedding(f"{family}@m={m}", g, sub, injective_rank_map(sub)), family, m))
+            m += 1
+    return sources
+
+
 def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[CorankTwoRow]:
     """All catalogued (G simple, L simple or trivial, corank 2) pairs with
     rationally injective inclusion, with the two odd quotient degrees.
 
-    A ``corank2``-tagged embedding that is no such pair raises InvalidEmbedding naming the condition.
+    A source of ``corank2_sources`` that is no such pair raises InvalidEmbedding naming the condition.
     """
     if max_rank < 2:
         raise InvalidParams("max_rank must be at least 2")
-    catalog = _or_default(catalog)
     rows: list[CorankTwoRow] = []
-    for embedding, family, param in catalog.corank2_sources(max_rank):
+    for embedding, family, param in corank2_sources(max_rank, _or_default(catalog)):
         g, sub = embedding.ambient, embedding.subgroup
         for holds, condition in (
             (g.is_simple(), "a simple G"), (sub.is_simple() or sub.is_trivial(), "a simple or trivial L"),

@@ -27,6 +27,10 @@ together and are enforced by the test suite: the dimension of a group
 equals the sum of its degrees, and the Weyl order times 2^rank equals
 the product of (degree + 1) over all degrees.
 
+``parse_group`` reads a group expression of constant terms into one
+``GroupType``; a group that depends on a parameter is built in code, from
+``special_unitary``, ``special_orthogonal`` or ``symplectic``.
+
 The module also ships the table of all effective transitive compact
 group actions on spheres and the sphere-recognition and named-embedding
 machinery built on top of it.  The table has six families whose row m
@@ -46,7 +50,7 @@ import math
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import InvalidEmbedding, InvalidLabel, Unsupported
 
@@ -256,61 +260,43 @@ def _simple(family: str, rank: int) -> GroupType:
     return GroupType((SimpleGroupLabel(family, rank),))
 
 
-#: a factor template ``(build, a, b)`` stands for the factor ``build(a*m + b)``; a constant term has a = 0
-FactorTemplate = tuple[Callable[[int], GroupType], int, int]
-
-_torus = partial(GroupType, ())
+#: the builder of each term that takes an integer argument, by name
 _BUILDERS = {"SU": special_unitary, "SO": special_orthogonal, "Spin": special_orthogonal, "Sp": symplectic,
-             "U": _unitary, "T": _torus, **{family: partial(_simple, family) for family in _CLASSICAL_FAMILIES}}
+             "U": _unitary, "T": partial(GroupType, ()),
+             **{family: partial(_simple, family) for family in _CLASSICAL_FAMILIES}}
 _CONSTANT_TERMS = {
-    **dict.fromkeys(("e", "{e}", "1", "trivial"), (_torus, 0, 0)), "S1": (_torus, 0, 1), "S3": (special_unitary, 0, 2),
-    **{family: (partial(_simple, family), 0, rank) for family, rank in _EXCEPTIONAL_RANKS.items()},
+    **dict.fromkeys(("e", "{e}", "1", "trivial"), TRIVIAL_GROUP), "S1": GroupType((), 1), "S3": special_unitary(2),
+    **{family: _simple(family, rank) for family, rank in _EXCEPTIONAL_RANKS.items()},
 }
-#: a named term with argument a*m+b or n, bare or in balanced parentheses, or a raw classical label such as B2
-_TERM_RE = re.compile(r"(SU|SO|Spin|Sp|U|T)(\()?(?:(\d*)m([+-]\d+)?|(\d+))(?(2)\))|([A-D])(\d+)")
+#: a named term with an integer argument, bare or in balanced parentheses, or a raw classical label such as B2
+_TERM_RE = re.compile(r"(SU|SO|Spin|Sp|U|T)(\()?(\d+)(?(2)\))|([A-D])(\d+)")
 
 
-def _term_template(term: str, text: str) -> FactorTemplate:
+def _term(term: str, text: str) -> GroupType:
     term = term.strip()
     if term in _CONSTANT_TERMS:
         return _CONSTANT_TERMS[term]
     match = _TERM_RE.fullmatch(term)
-    try:  # int() refuses a number of more digits than this interpreter reads
-        if match:
-            name, _, a, b, n, family, rank = match.groups()
-            if family:
-                return _BUILDERS[family], 0, int(rank)
-            return (_BUILDERS[name], 0, int(n)) if n else (_BUILDERS[name], int(a or 1), int(b or 0))
-    except ValueError:
-        pass
+    if match:
+        name, _, n, family, rank = match.groups()
+        try:  # int() refuses a number of more digits than this interpreter reads
+            return _BUILDERS[name or family](int(n or rank))
+        except ValueError:
+            pass
     context = f" in {text!r}" if term != text.strip() else ""
     raise InvalidLabel(f"cannot parse group term {term!r}{context}")
 
 
-def group_template(text: str) -> tuple[FactorTemplate, ...]:
-    """The factor templates of a group expression such as ``SU(3)xSU(2)``, ``Spin(2m+1)`` or ``A2xT1``.
+def parse_group(text: str) -> GroupType:
+    """The group an expression such as ``SU(3)xSU(2)``, ``Spin(7)`` or ``A2xT1`` names.
 
     Terms are separated by ``x`` or a Unicode multiplication sign; a term is
-    SU/SO/Spin/Sp/U/T with an integer argument or one ``a*m + b`` (``m``,
-    ``2m+1``, ``m-2``: a >= 0, b any integer), S1, S3, e, or a raw label like B2 or E7.
+    SU/SO/Spin/Sp/U/T with an integer argument, bare or in balanced
+    parentheses, S1, S3, e, or a raw label like B2 or E7.
     """
-    return tuple([_term_template(term, text) for term in text.replace("×", "x").split("x")])
-
-
-def group_at(template: tuple[FactorTemplate, ...], m: int) -> GroupType:
-    """The group ``template`` names at parameter ``m``, built as one ``GroupType``."""
-    groups = [build(a * m + b) for build, a, b in template]
-    if len(groups) == 1:
-        return groups[0]
-    return GroupType(sum((g.factors for g in groups), ()), sum(g.torus_rank for g in groups))
-
-
-def parse_group(text: str) -> GroupType:
-    """The group a constant expression such as ``SU(3)xSU(2)`` names; a term in m is refused."""
-    template = group_template(text)
-    if any(a for _, a, _ in template):
-        raise InvalidLabel(f"group expression {text!r} depends on a parameter m")
-    return group_at(template, 0)
+    groups = [_term(term, text) for term in text.replace("×", "x").split("x")]
+    return groups[0] if len(groups) == 1 else GroupType(sum((g.factors for g in groups), ()),
+                                                        sum(g.torus_rank for g in groups))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +309,7 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
 
     ``homotopy_map_ranks`` records, per degree, the rank of the induced map on rational homotopy.
     Degrees absent from the map have no declared rank; consumers fall back to the maximal-rank heuristic.
-    ``tags`` are bare labels ("block", "spinor", "lattice", "m>=4", ...).  Three typed fields carry
+    ``tags`` are bare labels ("block", "spinor", "lattice", "corank2", ...).  Three typed fields carry
     values: ``winding``, an int or None (the circle winding of a Brieskorn K-); ``slope``, a pair of ints
     or None (the circle slope of a seven-family K-+); and ``contains``, a frozenset of the embedding ids a
     lattice entry contains; the catalog reads them from JSON keys of the same names.  A value of another
@@ -421,7 +407,8 @@ _CLASSICAL_GROUPS = {"so": special_orthogonal, "su": special_unitary, "sp": symp
 
 @memoized
 def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
-    """Row ``m`` of a parameterized family, or the sporadic row ``family``."""
+    """Row ``m`` of a parameterized family, or the sporadic row ``family``, built past ``SphereActionRow``'s
+    check: the ``table1`` check of ``verify-tables`` compares each row's ``sphere_dim`` with its groups."""
     if family == "g2":
         group, isotropy = GroupType((SimpleGroupLabel("G2", 2),)), special_unitary(3)
     elif family == "spin7":
@@ -438,7 +425,7 @@ def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
     diagonal = (family, m) in (("so", 4), ("sp-sp1", 1))  # S^3 = SO(4)/SO(3) = Sp(1)xSp(1)/Sp(1)
     classes = {"spinor"} if family == "spin9" else {"block", "diagonal"} if diagonal else {"block"}
     dim = _SPORADIC_ROWS[family] if m is None else _ROW_FAMILIES[family][0] * m - 1
-    return SphereActionRow(group, isotropy, dim, family, m, frozenset(classes))
+    return tuple.__new__(SphereActionRow, (group, isotropy, dim, family, m, frozenset(classes)))
 
 
 @memoized

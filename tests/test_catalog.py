@@ -12,19 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohomone
-from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FAMILY, _FLAGS, _ORBIT, _OUTCOMES
-from cohomone.catalog import _RECORD
-from cohomone.catalog import EmbeddingFamily, data_dir, default_catalog, load_catalog
+from cohomone import lie_catalog
+from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FLAGS, _ORBIT, _OUTCOMES, _RECORD
+from cohomone.catalog import data_dir, default_catalog, load_catalog
+from cohomone.classification import CORANK2_FAMILIES, corank2_sources, enumerate_corank2
 from cohomone.cli import run
 from cohomone.diagram import ClassificationOutcome
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
-from cohomone.lie_catalog import parse_group, validate_embedding
+from cohomone.lie_catalog import is_declared_injective, parse_group, validate_embedding
 
 
 def test_catalog_loads_and_indexes():
     cat = default_catalog()
     assert len(cat.embeddings()) >= 50
-    assert len(cat.families()) == 4
     assert len(cat.diagram_records()) == 13
     emb = cat.embedding("su6-sp3")
     assert emb.ambient == parse_group("SU(6)")
@@ -49,45 +49,44 @@ def test_unknown_ids_raise():
 
 
 def test_family_instantiation():
-    cat = default_catalog()
-    fam = next(f for f in cat.families() if f.id == "spin(2m+1)/spin(2m-3)")
-    e = fam.instantiate(4)
+    family = "spin(2m+1)/spin(2m-3)"
+    assert len(CORANK2_FAMILIES) == 4 and CORANK2_FAMILIES[family][0] == 4
+    instances = {m: e for e, source, m in corank2_sources(7, default_catalog()) if source == family}
+    e = instances[4]
     assert e.ambient == parse_group("Spin(9)")
     assert e.subgroup == parse_group("Spin(5)")
-    assert e.id == "spin(2m+1)/spin(2m-3)@m=4"
-    with pytest.raises(InvalidLabel):
-        fam.instantiate(3)
-    instances = fam.instances_up_to_rank(7)
+    assert e.id == "spin(2m+1)/spin(2m-3)@m=4" and is_declared_injective(e)
     assert list(instances) == [4, 5, 6, 7]
     assert [x.ambient.rank for x in instances.values()] == [4, 5, 6, 7]
 
 
+
+@pytest.mark.parametrize("family", list(CORANK2_FAMILIES))
+def test_each_family_yields_a_corank2_row_at_every_m_up_to_the_rank_bound(family):
+    least, pair = CORANK2_FAMILIES[family]
+    instances = [(e, m) for e, source, m in corank2_sources(9, default_catalog()) if source == family]
+    assert [m for _, m in instances] == list(range(least, least + len(instances))) and len(instances) >= 2
+    assert pair(least + len(instances))[0].rank > 9
+    for e, m in instances:
+        validate_embedding(e)
+        assert e.id == f"{family}@m={m}" and (e.ambient, e.subgroup) == pair(m) and is_declared_injective(e)
+        assert e.ambient.rank - e.subgroup.rank == 2
+    rows = [row for row in enumerate_corank2(9, default_catalog()) if row.family == family]
+    assert [row.param for row in rows] == [m for _, m in instances]
+
 def test_a_report_instantiates_only_the_family_instances_it_keeps(monkeypatch):
-    # the first m past max_rank is found from its ambient group alone, not built and checked as an embedding
+    # the first m past max_rank is found from its groups alone, not built and checked as an embedding
     cat = default_catalog()
-    instantiated, kept = [], []
-    instantiate, instances_up_to_rank = EmbeddingFamily.instantiate, EmbeddingFamily.instances_up_to_rank
+    kept = sorted(row.embedding_id for row in enumerate_corank2(9, cat) if row.param is not None)
+    built, validate = [], lie_catalog.validate_embedding
 
-    def counted_instantiate(self, *args):
-        instantiated.append((self.id, args[0]))
-        return instantiate(self, *args)
+    def counted_validate(embedding):
+        built.append(embedding.id)
+        validate(embedding)
 
-    def counted_instances(self, max_rank):
-        instances = instances_up_to_rank(self, max_rank)
-        kept.extend((self.id, m) for m in instances)
-        return instances
-
-    monkeypatch.setattr(EmbeddingFamily, "instantiate", counted_instantiate)
-    monkeypatch.setattr(EmbeddingFamily, "instances_up_to_rank", counted_instances)
+    monkeypatch.setattr(lie_catalog, "validate_embedding", counted_validate)
     assert cohomone.verify.build_report(cat)["summary"]["ok"]
-    assert kept and instantiated == kept
-
-
-def test_family_tags_at_parameter():
-    cat = default_catalog()
-    fam = next(f for f in cat.families() if f.id == "su(m)/su(m-2)")
-    assert "multiple" in fam.instantiate(4).tags
-    assert "multiple" not in fam.instantiate(5).tags
+    assert kept and sorted(i for i in built if "@m=" in i) == kept
 
 
 def edited_data(directory, name, edit):
@@ -190,22 +189,19 @@ BAD_VERDICTS = [
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"3": 1, "03": 0})),
          InvalidLabel, "embeddings[16] key 'map_ranks' must be \"injective\" or an object of integers, "
                        "got {'3': 1, '03': 0}"),
-        ("embeddings.json",
-         record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": ["lattice"], "04": []})),
-         InvalidLabel, "families[0] tags_at key '04' is not a decimal integer m >= 3"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"05": []})),
-         InvalidLabel, "families[0] tags_at key '05' is not a decimal integer m >= 3"),
-        pytest.param("embeddings.json",
-                     record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4" * 4301: []})),
-                     InvalidLabel, f"families[0] tags_at key '{'4' * 4301}' is not a decimal integer m >= 3",
-                     id="tags_at-key-of-4301-digits"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"05": 1})),
+         InvalidLabel, "embeddings[16] key 'map_ranks' must be \"injective\" or an object of integers, "
+                       "got {'05': 1}"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_ranks={"four": 1})),
+         InvalidLabel, "embeddings[16] key 'map_ranks' must be \"injective\" or an object of integers, "
+                       "got {'four': 1}"),
         # a group argument of more digits than int reads does not parse
         pytest.param("embeddings.json",
                      record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=f"SU({'9' * 5000})")),
                      InvalidLabel, f"embeddings[16] key 'ambient': cannot parse group term 'SU({'9' * 5000})'",
                      id="ambient-argument-of-5000-digits"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient=f"SU({'9' * 5000}m)")),
-         InvalidLabel, "families[0] key 'ambient': cannot parse group term 'SU(999"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=f"SU({'9' * 5000}m)")),
+         InvalidLabel, "embeddings[16] key 'ambient': cannot parse group term 'SU(999"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(g=f"B{'9' * 5000}")),
          InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'B999"),
         # a winding, a slope and the ids a lattice entry contains are typed keys, read at load
@@ -221,22 +217,15 @@ BAD_VERDICTS = [
          InvalidLabel, "embeddings[16] key 'slope' must be a JSON array of integers, got ['5', 1]"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(contains="x")),
          InvalidLabel, "embeddings[16] key 'contains' must be a JSON array of strings, got 'x'"),
-        # a family carries tags only
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(winding=1)),
-         InvalidLabel, "families[0] has unknown key 'winding' (allowed: 'id', 'ambient', 'subgroup', 'map_ranks', "
-                       "'tags', 'param_min', 'tags_at')"),
+        # a lattice entry contains embeddings of the file: an id that names none would make primitivity "unknown"
+        ("embeddings.json",
+         record_edit("embeddings", "t5-l-su2su2", lambda r: r.update(contains=["t5-h-b", "t5-km-23", "no-such-id"])),
+         InvalidLabel, "embeddings[50] key 'contains': unknown embedding id 'no-such-id'"),
         # a value written as a tag is refused, not dropped
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:1"])),
          InvalidLabel, "embeddings[16]: su6-sp3: 'winding:1' is not a bare tag"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["contains:x"])),
          InvalidLabel, "embeddings[16]: su6-sp3: 'contains:x' is not a bare tag"),
-        # a family is built at each tags_at key too, so a bad tag there is refused at load
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"6": ["winding:x"]})),
-         InvalidLabel, "families[0]: su(m)/su(m-2)@m=6: 'winding:x' is not a bare tag"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.pop("param_min")),
-         InvalidLabel, "has no 'param_min' key"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"4": "multiple"})),
-         InvalidLabel, "'4' must be a JSON array"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].pop("n")),
          InvalidDiagram, "orbit_poincare has no 'n' key"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].update(h=[1, "1"])),
@@ -246,33 +235,27 @@ BAD_VERDICTS = [
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(outcome="wu")),
          InvalidDiagram, "'outcome' must be a JSON object"),
         *BAD_VERDICTS,
-        # group expressions are parsed, and families built at param_min, at load
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(q-2)")),
-         InvalidLabel, "families[0] key 'subgroup': cannot parse group term 'SU(q-2)'"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="XYZ(3)")),
          InvalidLabel, "embeddings[16] key 'subgroup': cannot parse group term 'XYZ(3)'"),
-        ("embeddings.json", record_edit("families", "sp(m)/sp(m-2)", lambda r: r.update(ambient="XYZ(3)")),
-         InvalidLabel, "families[2] key 'ambient': cannot parse group term 'XYZ(3)'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient="XYZ(3)")),
+         InvalidLabel, "embeddings[16] key 'ambient': cannot parse group term 'XYZ(3)'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(q-2)")),
+         InvalidLabel, "embeddings[16] key 'subgroup': cannot parse group term 'SU(q-2)'"),
+        # a group term in the parameter m is no group: the corank-2 families are built in code
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient="SU(m)")),
+         InvalidLabel, "embeddings[16] key 'ambient': cannot parse group term 'SU(m)'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(2m-4)")),
+         InvalidLabel, "embeddings[16] key 'subgroup': cannot parse group term 'SU(2m-4)'"),
+        ("embeddings.json", record_edit("embeddings", "su5-sp2", lambda r: r.update(subgroup="Sp(m-2)")),
+         InvalidLabel, "embeddings[17] key 'subgroup': cannot parse group term 'Sp(m-2)'"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(m+1)")),
-         InvalidEmbedding, "families[0]: su(m)/su(m-2)@m=3: subgroup dimension exceeds ambient dimension"),
-        # a subgroup that fits at param_min but outgrows the ambient later is refused at load, by closed forms
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="SU(2m-4)")),
-         InvalidLabel, "families[0] key 'subgroup': 'SU(2m-4)' outgrows the ambient group 'SU(m)' in dimension"),
+        # a subgroup of smaller dimension may still outgrow the ambient group in rank
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="T(6)")),
+         InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup rank exceeds ambient rank"),
         ("embeddings.json",
-         record_edit("families", "su(m)/su(m-2)", lambda r: r.update(subgroup="T(2m-5)", map_ranks={})),
-         InvalidLabel, "families[0] key 'subgroup': 'T(2m-5)' outgrows the ambient group 'SU(m)' in rank"),
-        ("embeddings.json", record_edit("families", "spin(2m)/spin(2m-3)", lambda r: r.update(subgroup="SO(3m-9)")),
-         InvalidLabel, "families[3] key 'subgroup': 'SO(3m-9)' outgrows the ambient group 'Spin(2m)' in dimension"),
-        # SO(n) has rank n // 2: this one outgrows in rank at odd m only (m = 5), never in dimension
-        ("embeddings.json", record_edit("families", "spin(2m)/spin(2m-3)",
-                                        lambda r: r.update(subgroup="SO(m+1)xSO(m+1)", map_ranks={})),
-         InvalidLabel, "families[3] key 'subgroup': 'SO(m+1)xSO(m+1)' outgrows the ambient group 'Spin(2m)' in rank"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"four": []})),
-         InvalidLabel, "families[0] tags_at key 'four' is not a decimal integer m >= 3"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags_at={"2": []})),
-         InvalidLabel, "families[0] tags_at key '2' is not a decimal integer m >= 3"),
+         record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(2)xSU(2)xSU(2)xSU(2)xSU(2)xSU(2)")),
+         InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup rank exceeds ambient rank"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(g="XYZ(3)")),
          InvalidLabel, "diagrams[10] key 'g': cannot parse group term 'XYZ(3)'"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r.update(h="no-such-id")),
@@ -294,11 +277,18 @@ BAD_VERDICTS = [
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_rank={})),
          InvalidLabel, "embeddings[16] has unknown key 'map_rank' (allowed: 'id', 'ambient', 'subgroup', "
                        "'map_ranks', 'tags', 'winding', 'slope', 'contains')"),
-        ("embeddings.json", record_edit("families", "su(m)/su(m-2)", lambda r: r.update(param_max=9)),
-         InvalidLabel, "families[0] has unknown key 'param_max'"),
+        # the keys of the removed family records are no embedding keys
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(param_min=3)),
+         InvalidLabel, "embeddings[16] has unknown key 'param_min' (allowed: 'id', 'ambient', 'subgroup', "
+                       "'map_ranks', 'tags', 'winding', 'slope', 'contains')"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags_at={"4": ["multiple"]})),
+         InvalidLabel, "embeddings[16] has unknown key 'tags_at'"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(param_max=9)),
+         InvalidLabel, "embeddings[16] has unknown key 'param_max'"),
+        ("embeddings.json", lambda data: data.update(families=[]),
+         InvalidLabel, "embeddings.json has unknown key 'families' (allowed: 'version', 'comment', 'embeddings')"),
         ("embeddings.json", lambda data: data.update(family=[]),
-         InvalidLabel, "embeddings.json has unknown key 'family' (allowed: 'version', 'comment', 'embeddings', "
-                       "'families')"),
+         InvalidLabel, "embeddings.json has unknown key 'family' (allowed: 'version', 'comment', 'embeddings')"),
         ("embeddings.json", lambda data: data.update(comment=["a comment"]),
          InvalidLabel, "embeddings.json key 'comment' must be a JSON string"),
     ],
@@ -341,7 +331,6 @@ def test_repeated_key_rejected_at_load(tmp_path, monkeypatch, name, old, new, ke
 CATALOG_OBJECTS = [
     ("embeddings.json", (), _EMBEDDINGS_FILE),
     ("embeddings.json", ("embeddings",), _EMBEDDING),
-    ("embeddings.json", ("families",), _FAMILY),
     ("diagrams.json", (), _DIAGRAMS_FILE),
     ("diagrams.json", ("diagrams",), _RECORD),
     ("diagrams.json", ("diagrams", "component_counts"), _COUNTS),
@@ -387,9 +376,9 @@ def cli_process(argv, data, seed="0"):
 @pytest.mark.parametrize("edit, detail", [
     (record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "block", "winding:1"])),
      "embeddings[16]: su6-sp3: 'winding:1', 'winding:3' is not a bare tag"),
-    # the family's tags are a set: the message lists the two sorted, whatever order the set yields
-    (record_edit("families", "su(m)/su(m-2)", lambda r: r.update(tags=["winding:3", "corank2", "winding:1"])),
-     "families[0]: su(m)/su(m-2)@m=3: 'winding:1', 'winding:3' is not a bare tag"),
+    # the message lists the two sorted, in whatever order the record writes them
+    (record_edit("embeddings", "su5-sp2", lambda r: r.update(tags=["winding:1", "corank2", "winding:3"])),
+     "embeddings[17]: su5-sp2: 'winding:1', 'winding:3' is not a bare tag"),
 ])
 def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, detail):
     edited_data(tmp_path, "embeddings.json", edit)
@@ -421,15 +410,27 @@ def test_no_loaded_diagram_record_holds_a_raw_json_object():
         walk(record, record.id)
 
 
-def test_family_whose_ambient_does_not_grow_is_refused_without_hanging(tmp_path):
-    # instances_up_to_rank would never reach max_rank: verify-tables used to loop forever
-    edit = record_edit("families", "su(m)/su(m-2)", lambda r: r.update(ambient="SU(5)", subgroup="SU(3)"))
-    edited_data(tmp_path, "embeddings.json", edit)
-    for argv in (["quotient", "--embedding", "t2-in-su3"], ["verify-tables"]):
-        done = cli_process(argv, tmp_path)
-        assert done.returncode == 2, argv
-        assert "embeddings.json: families[0] key 'ambient': 'SU(5)' does not grow with m" in done.stderr
-    assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
+#: the parameterized records of an older embeddings.json; the four corank-2 families are now built in code
+OLD_FAMILIES = [
+    {"id": "su(m)/su(m-2)", "ambient": "SU(m)", "subgroup": "SU(m-2)", "param_min": 3, "map_ranks": "injective",
+     "tags": ["block", "corank2", "m>=3"], "tags_at": {"4": ["multiple"]}},
+    {"id": "spin(2m+1)/spin(2m-3)", "ambient": "Spin(2m+1)", "subgroup": "Spin(2m-3)", "param_min": 4,
+     "map_ranks": "injective", "tags": ["block", "corank2", "m>=4"]},
+    {"id": "sp(m)/sp(m-2)", "ambient": "Sp(m)", "subgroup": "Sp(m-2)", "param_min": 2, "map_ranks": "injective",
+     "tags": ["block", "corank2", "m>=2"], "tags_at": {"3": ["multiple"]}},
+    {"id": "spin(2m)/spin(2m-3)", "ambient": "Spin(2m)", "subgroup": "Spin(2m-3)", "param_min": 4,
+     "map_ranks": "injective", "tags": ["block", "corank2", "m>=4"]},
+]
+
+
+def test_a_catalog_that_still_has_families_exits_2_from_every_catalog_reader(tmp_path, monkeypatch):
+    # refused, not ignored: its families would otherwise be dropped without a word
+    edited_data(tmp_path, "embeddings.json", lambda data: data.update(families=OLD_FAMILIES))
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    for argv in CATALOG_READERS:
+        result = run(argv)
+        assert result.exit_code == 2, argv
+        assert "embeddings.json has unknown key 'families'" in result.payload["error"], argv
 
 
 @pytest.mark.parametrize("name", ["embeddings.json", "diagrams.json"])

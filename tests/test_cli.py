@@ -199,6 +199,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["quotient", "--embedding", "nope"]).exit_code == 2
     assert run(["degrees", "--group", "XYZ(3)"]).exit_code == 2
     assert run(["degrees", "--group", "SU(6"]).exit_code == 2
+    result = run(["degrees", "--group", "SU(m)"])  # a group expression has no parameter
+    assert result.exit_code == 2 and result.payload["error"] == "InvalidLabel: cannot parse group term 'SU(m)'"
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")
     assert run(["classify", "--diagram", str(doc)]).exit_code == 2

@@ -15,8 +15,6 @@ from cohomone.lie_catalog import (
     NamedEmbedding,
     SimpleGroupLabel,
     degrees,
-    group_at,
-    group_template,
     parse_group,
     special_orthogonal,
     special_unitary,
@@ -88,38 +86,34 @@ def test_exceptional_isomorphisms_collapse_in_parser():
 # -- degrees / dimension / Weyl order -----------------------------------------
 
 
+#: each named term of a group expression and the builder of its group
+TERM_BUILDERS = {"SU": special_unitary, "SO": special_orthogonal, "Spin": special_orthogonal, "Sp": symplectic,
+                 "U": lambda n: special_unitary(n) * GroupType((), 1) if n > 0 else special_unitary(n),
+                 "T": lambda n: GroupType((), n)}
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["SU", "SO", "Spin", "Sp", "U", "T"]), st.integers(0, 5), st.integers(-12, 12),
-       st.integers(0, 12), st.booleans())
-def test_family_term_evaluates_to_the_group_of_its_number(name, a, b, m, spelled):
-    # the argument a*m + b, its coefficient 1 and offset 0 written out or left implicit
-    text = f"{name}({a if a != 1 or spelled else ''}m{f'{b:+d}' if b or spelled else ''})"
-    template = group_template(text)
-    assert [(coef, offset) for _, coef, offset in template] == [(a, b)]
+@given(st.lists(st.tuples(st.sampled_from(sorted(TERM_BUILDERS)), st.integers(0, 14), st.booleans()),
+                min_size=1, max_size=4), st.sampled_from(["x", "×"]))
+def test_a_product_of_terms_is_the_product_of_their_groups(terms, sign):
+    # each integer argument written bare or in parentheses
+    text = sign.join(f"{name}({n})" if parenthesized else f"{name}{n}" for name, n, parenthesized in terms)
     try:
-        expected = parse_group(f"{name}({a * m + b})")
-    except InvalidLabel:  # a negative number, or one the builder does not define
+        expected = TRIVIAL_GROUP
+        for name, n, _ in terms:
+            expected = expected * TERM_BUILDERS[name](n)
+    except InvalidLabel:  # SU(0), SO(0), U(0): a group the builder does not define
         with pytest.raises(InvalidLabel):
-            group_at(template, m)
+            parse_group(text)
     else:
-        assert group_at(template, m) == expected
-
-
-def test_products_of_family_terms_and_the_parameter_refusal():
-    template = group_template("SU(m)xSp(2m-1)xT1xG2")
-    assert group_at(template, 3) == parse_group("SU(3)xSp(5)xT1xG2")
-    with pytest.raises(InvalidLabel, match="'SU\\(m\\)xT1' depends on a parameter m"):
-        parse_group("SU(m)xT1")
-    for text in ("SU(m2)", "SU(-m)", "SU(m+-1)", "SU(1m-)", "B(m)"):
-        with pytest.raises(InvalidLabel, match="cannot parse group term"):
-            group_template(text)
+        assert parse_group(text) == expected
 
 
 def test_arguments_are_bare_or_in_balanced_parentheses():
-    for text in ("SU(6", "Sp3)", "U(2)xT1)", "SU((6))", "Spin(2m+1"):
+    for text in ("SU(6", "Sp3)", "U(2)xT1)", "SU((6))", "Spin(2m+1", "SU(m)", "Spin(2m+1)", "SU(m)xT1", "B(2)"):
         with pytest.raises(InvalidLabel, match="cannot parse group term"):
             parse_group(text)
-    assert parse_group("SU6") == parse_group("SU(6)") == group_at(group_template("SU(2m-4)"), 5)
+    assert parse_group("SU6") == parse_group("SU(6)")
     assert parse_group("Sp3") == parse_group("Sp(3)") and parse_group("U2xT1") == parse_group("U(2)xT1")
 
 

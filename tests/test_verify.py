@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cohomone import classification, verify
+from cohomone import classification, lie_catalog, verify
 from cohomone.brieskorn import BrieskornParams, GradedAbelianGroup, HomologyEntry, delta_poly, homology
 from cohomone.catalog import default_catalog
 from cohomone.classification import (
@@ -157,6 +157,23 @@ def test_a_wrong_case6_fiber_column_fails_its_check(monkeypatch, tag, column, va
     assert result.exit_code == 1 and result.payload["summary"]["failed"] == [f"equal-rank/case6-fiber-dim/{tag}"]
 
 
+def test_a_wrong_sphere_row_dimension_fails_its_table1_check(monkeypatch):
+    # the rows are built past SphereActionRow's check, so a wrong sphere_dim reaches the table1 check: exit 1, not 2
+    caches = (lie_catalog._sphere_row, lie_catalog._sphere_rows_of_dimension)
+    monkeypatch.setitem(lie_catalog._SPORADIC_ROWS, "g2", 5)  # G2/SU(3) is S^6
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        result = run(["verify-tables"], CAT)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert result.exit_code == 1 and "table1/g2" in result.payload["summary"]["failed"]
+    assert next(c for c in result.payload["checks"] if c["id"] == "table1/g2")["computed"] == 6
+    assert run(["verify-tables"], CAT).exit_code == 0
+
+
 def test_every_report_does_all_of_its_work(monkeypatch):
     # no memo across reports and no shrunk grid: the second report makes every call the first one does
     counts = Counter()
@@ -177,4 +194,4 @@ def test_every_report_does_all_of_its_work(monkeypatch):
     counts.clear()
     assert build_report(CAT)["summary"]["ok"] is True
     assert counts == {"gh_classify": 50 * 50 * 3 + 2, "homology": 8 * 50, "delta_poly": 8 * 50, "realize_torsion": 1000,
-                      "quotient_homotopy": len(CAT.corank2_sources(9))}
+                      "quotient_homotopy": len(classification.corank2_sources(9, CAT))}
