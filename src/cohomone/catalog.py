@@ -12,10 +12,10 @@ them, so every lookup answers the same whatever the process did before.
 The indexes are built once, at load.  Embeddings and diagram records
 are keyed by id in id order, so ``embeddings()`` and
 ``diagram_records()`` need no sort; an id may appear once per kind.
-Lattice entries are keyed by ambient group.  Diagram records are keyed
-by ``GroupDiagram.canonical_descriptor``, which equal and swap-equal
-diagrams share, so matching a diagram against the records is one dict
-lookup; two records with the same key are refused.
+Lattice entries (the embeddings that contain others) are keyed by ambient
+group, diagram records by ``GroupDiagram.canonical_descriptor``, which
+equal and swap-equal diagrams share, so matching a diagram against the
+records is one dict lookup; two records with the same key are refused.
 
 ``read_object`` reads each JSON object of the data files and of a
 diagram document against its kind's key table, which gives each key's
@@ -27,10 +27,10 @@ is read by its kind's table (``_OUTCOMES``) and built at load; it decides
 
 An embedding's values are JSON keys of their own: ``winding`` an integer,
 ``slope`` an array of two integers and ``contains`` an array of ids of
-embeddings of the same file; an id that names none is refused.
-``tags`` are bare labels, and ``NamedEmbedding`` refuses a tag that spells
-one of these values, so a value written as a tag is refused at load, not
-dropped.  The parameterized corank-2 pairs are no records: their table is
+embeddings of the same file; an id that names none is refused.  ``tags``
+are labels of ``lie_catalog.EMBEDDING_TAGS``, which ``NamedEmbedding``
+checks, and ``comment`` is free text that the loader drops.  The
+parameterized corank-2 pairs are no records: their table is
 ``classification.CORANK2_FAMILIES``.
 """
 
@@ -84,7 +84,7 @@ def _named(where: str, build, *args):
 
 
 def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
-    embedding_id, ambient, subgroup, map_ranks, tags, winding, slope, contains = read_object(
+    embedding_id, ambient, subgroup, map_ranks, tags, winding, slope, contains, _ = read_object(
         record, _EMBEDDING, where, InvalidLabel)
     ambient = _named(f"{where} key 'ambient'", parse_group, ambient)
     subgroup = _named(f"{where} key 'subgroup'", parse_group, subgroup)
@@ -111,7 +111,6 @@ class DiagramRecord(NamedTuple):
     outcome: Optional[ClassificationOutcome] = None
     rational_sphere: bool = False
     orbit_poincare: Optional[OrbitBetti] = None
-    tags: frozenset[str] = frozenset()
 
 
 class Catalog:
@@ -128,7 +127,7 @@ class Catalog:
                  diagrams: Mapping[str, DiagramRecord]) -> None:
         lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
         for e in embeddings.values():
-            if "lattice" in e.tags:
+            if e.contains:
                 lattices[e.ambient] = lattices.get(e.ambient, ()) + (e,)
         by_descriptor: dict[tuple, DiagramRecord] = {}
         for record in diagrams.values():
@@ -195,15 +194,15 @@ _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", dict: "object", t
 _EMBEDDING_KEYS = ("h", "k_minus", "k_plus", "h_in_k_minus", "h_in_k_plus")  # a diagram's, in GroupDiagram order
 _EMBEDDINGS_FILE = {"version": int, "comment": (str, ""), "embeddings": [dict]}
 _DIAGRAMS_FILE = {"version": int, "comment": (str, ""), "diagrams": [dict]}
-#: an embedding may carry values: a winding, a slope pair, the ids a lattice entry contains
+#: an embedding may carry values: a winding, a slope pair, the ids a lattice entry contains; and a comment
 _EMBEDDING = {"id": str, "ambient": str, "subgroup": str, "map_ranks": (object, _EMPTY), "tags": ([str], ()),
-              "winding": (int, None), "slope": ([int], None), "contains": ([str], ())}
+              "winding": (int, None), "slope": ([int], None), "contains": ([str], ()), "comment": (str, "")}
 #: a diagram: an inline record document holds these keys, and may hold a null ``family``
 _DIAGRAM = {"g": str, **dict.fromkeys(_EMBEDDING_KEYS, str), "component_counts": (dict, _EMPTY),
            "nonorientable": (dict, _EMPTY)}
 INLINE_RECORD = {"family": (type(None), None), **_DIAGRAM}
 _RECORD = {"id": str, **_DIAGRAM, "outcome": (dict, None), "rational_sphere": (bool, None),
-           "orbit_poincare": (dict, _EMPTY), "tags": ([str], ())}
+           "orbit_poincare": (dict, _EMPTY)}
 #: a stored outcome, by the kinds a record may store: no seven-family (its params are no JSON value), no unmatched
 _OUTCOMES = {kind: {"kind": str, **_OUTCOME_FIELDS[kind]}
              for kind in ("linear-sphere", "brieskorn", "wu", "g2-quotient", "not-rational-sphere")}
@@ -333,10 +332,9 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     records = []
     for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
         where = f"{path}: diagrams[{i}]"
-        record_id, *diagram, outcome, rational_sphere, orbit, tags = read_object(record, _RECORD, where)
+        record_id, *diagram, outcome, rational_sphere, orbit = read_object(record, _RECORD, where)
         records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where),
-                                     *_verdict(outcome, rational_sphere, where), _orbit_poincare(orbit, where),
-                                     frozenset(tags)))
+                                     *_verdict(outcome, rational_sphere, where), _orbit_poincare(orbit, where)))
     return Catalog(version, by_id, _by_id(records, InvalidDiagram, path))
 
 

@@ -253,8 +253,9 @@ def _tensor_sp_orbits(n: int) -> Orbits:
     return _fitted(symplectic(n) * symplectic(2), sp * sp1sp1, symplectic(n - 1) * sp1sp1, sp * symplectic(2))
 
 
-#: the tags of a witness, which presents H in K- or K+ as a block, and of a family's H
-_BLOCK, _PROPER_BLOCK = frozenset({"block"}), frozenset({"block", "proper-projections"})
+#: the tags of the family embeddings: a witness presents H in K- or K+ as a block, and each H has proper projections
+_BLOCK, _DIAGONAL, _PROPER = (frozenset({tag}) for tag in ("block", "diagonal", "proper-projections"))
+_PROPER_BLOCK, _UNTAGGED = _BLOCK | _PROPER, frozenset()
 
 
 def _family_diagram(
@@ -263,8 +264,8 @@ def _family_diagram(
     """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
     winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and ``annotations`` are
     the component counts and orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is
-    refused before any embedding is built.  Of the checks of ``NamedEmbedding``, only the winding and
-    slope ones run: ``_fitted`` checked the groups, the tags are this module's, and no ranks are declared.
+    refused before any embedding is built.  Of the checks of ``NamedEmbedding``, only the winding and slope
+    ones run: ``_fitted`` checked the groups, the tags are labels of ``EMBEDDING_TAGS``, and no ranks are declared.
     """
     g, h, k_minus, k_plus = orbits
     dim = g.dimension - h.dimension + 1
@@ -295,10 +296,9 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
         raise InvalidParams(f"unknown variant {variant!r}")
     if variant in _FIXED_BRIESKORN and m != _FIXED_BRIESKORN[variant][0]:
         raise InvalidParams(f"the {variant} variant exists only at m = {_FIXED_BRIESKORN[variant][0]}")
-    family = frozenset({"family:brieskorn", f"variant:{variant}"})
     return _family_diagram(
         f"brieskorn[{variant},m={m},d={d}]", _brieskorn_orbits(m, variant),
-        (_PROPER_BLOCK, family, family | _BLOCK), ({"winding": d if d % 2 else d // 2}, {}),
+        (_PROPER_BLOCK, _UNTAGGED, _BLOCK), ({"winding": d if d % 2 else d // 2}, {}),
         components_h=1 + d % 2, components_k_plus=1 + d % 2,  # two components each when d is odd
         nonorientable_k_plus=bool(m % 2 and d % 2),
     )
@@ -308,8 +308,7 @@ def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     """The S^3 x S^3 diagram with finite principal isotropy and two circle slopes."""
     p_minus, q_minus, p_plus, q_plus = params
     return _family_diagram(
-        f"seven[{p_minus},{q_minus},{p_plus},{q_plus}]", _SEVEN_ORBITS,
-        (frozenset({"proper-projections", "finite:4"}), frozenset({"family:seven"}), frozenset({"family:seven"})),
+        f"seven[{p_minus},{q_minus},{p_plus},{q_plus}]", _SEVEN_ORBITS, (_PROPER, _UNTAGGED, _UNTAGGED),
         ({"slope": (p_minus, q_minus)}, {"slope": (p_plus, q_plus)}),
         components_h=4, components_k_minus=2, components_k_plus=2,
         nonorientable_k_minus=True, nonorientable_k_plus=True,
@@ -326,9 +325,7 @@ class _Tensor(namedtuple("_Tensor", "name group field rank_offset min_n orbits r
     def diagram(self, n: int) -> GroupDiagram:
         if n < self.min_n:
             raise InvalidParams(self.refusal.format(self.min_n))
-        tags = frozenset({f"family:{self.name}", f"n:{n}"})
-        stem, orbits = f"{self.name}[n={n}]", self.orbits(n)
-        return _family_diagram(stem, orbits, (_PROPER_BLOCK, tags | _BLOCK, tags | {"diagonal"}))
+        return _family_diagram(f"{self.name}[n={n}]", self.orbits(n), (_PROPER_BLOCK, _BLOCK, _DIAGONAL))
 
     def recognize(self, d: GroupDiagram) -> Optional[ClassificationOutcome]:
         n = max((f.rank for f in d.g.factors), default=0) + self.rank_offset  # G = X(n) x X(2)

@@ -303,20 +303,21 @@ def parse_group(text: str) -> GroupType:
 # Named embeddings
 # ---------------------------------------------------------------------------
 
+#: read by sphere_quotient (block, diagonal, spinor), diagram.validate and classification.corank2_sources
+EMBEDDING_TAGS = frozenset({"block", "diagonal", "spinor", "proper-projections", "corank2"})
+
 
 class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_map_ranks tags winding slope contains")):
     """A catalogued conjugacy class of subgroup inclusion.
 
     ``homotopy_map_ranks`` records, per degree, the rank of the induced map on rational homotopy.
     Degrees absent from the map have no declared rank; consumers fall back to the maximal-rank heuristic.
-    ``tags`` are bare labels ("block", "spinor", "lattice", "corank2", ...).  Three typed fields carry
-    values: ``winding``, an int or None (the circle winding of a Brieskorn K-); ``slope``, a pair of ints
-    or None (the circle slope of a seven-family K-+); and ``contains``, a frozenset of the embedding ids a
-    lattice entry contains; the catalog reads them from JSON keys of the same names.  A value of another
-    type (a bool is not an int) raises ``InvalidLabel``, and so does a tag starting ``winding:``, ``slope:``
-    or ``contains:``, so that a value written as a tag is refused instead of lost.  The constructor and
-    ``_replace`` run every check; only the family factories of ``classification`` build embeddings past
-    them, from orbit groups checked once per parameter.
+    ``tags`` are labels of ``EMBEDDING_TAGS``: any other tag, a misspelled label too, raises ``InvalidLabel``.
+    Three typed fields carry values, read from JSON keys of the same names: ``winding``, an int or None (the
+    circle winding of a Brieskorn K-); ``slope``, a pair of ints or None (the circle slope of a seven-family
+    K-+); and ``contains``, the frozenset of embedding ids a lattice entry contains.  A value of another type
+    (a bool is not an int) raises ``InvalidLabel``.  The constructor and ``_replace`` run every check; only
+    the family factories of ``classification`` skip them, for orbit groups checked once per parameter.
     """
 
     __slots__ = ()
@@ -329,9 +330,9 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
     ) -> "NamedEmbedding":
         ranks = tuple(sorted((int(k), int(v)) for k, v in homotopy_map_ranks))
         tags = frozenset(tags)
-        prefixed = [t for t in tags if not isinstance(t, str) or t.startswith(("winding:", "slope:", "contains:"))]
-        if prefixed:
-            raise InvalidLabel(f"{id}: {', '.join(sorted(map(repr, prefixed)))} is not a bare tag")
+        if not tags <= EMBEDDING_TAGS:
+            raise InvalidLabel(f"{id}: unknown tag {', '.join(sorted(map(repr, tags - EMBEDDING_TAGS)))} "
+                               f"(allowed: {', '.join(map(repr, sorted(EMBEDDING_TAGS)))})")
         check_winding_and_slope(id, winding, slope)
         if not (type(contains) is frozenset and all(isinstance(c, str) for c in contains)):
             raise InvalidLabel(f"{id}: contains must be a frozenset of embedding ids, got {contains!r}")

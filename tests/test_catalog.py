@@ -169,6 +169,24 @@ BAD_VERDICTS = [
 ]
 
 
+def retagged(record_id, *tags):
+    """An ``embeddings.json`` edit giving the record ``record_id`` the tags ``tags``."""
+    return record_edit("embeddings", record_id, lambda r: r.update(tags=list(tags)))
+
+
+ALLOWED_TAGS = "(allowed: 'block', 'corank2', 'diagonal', 'proper-projections', 'spinor')"
+#: (file, edit, error, detail) of a tag outside the vocabulary, and of a diagram record that still has tags
+BAD_TAGS = [
+    # a lattice entry is an embedding with contents: a misspelled lattice tag would make primitivity "unknown"
+    ("embeddings.json", retagged("t5-l-su2su2", "latice", "block"), InvalidLabel,
+     f"embeddings[50]: t5-l-su2su2: unknown tag 'latice' {ALLOWED_TAGS}"),
+    ("diagrams.json", record_edit("diagrams", "case6-su3", lambda r: r.update(tags=["case6", "fiber:su3-mod-t2"])),
+     InvalidDiagram, "diagrams[5] has unknown key 'tags' (allowed: 'id', 'g', 'h', 'k_minus', 'k_plus', "
+                     "'h_in_k_minus', 'h_in_k_plus', 'component_counts', 'nonorientable', 'outcome', "
+                     "'rational_sphere', 'orbit_poincare')"),
+]
+
+
 @pytest.mark.parametrize(
     "name, edit, error, detail",
     [
@@ -221,11 +239,29 @@ BAD_VERDICTS = [
         ("embeddings.json",
          record_edit("embeddings", "t5-l-su2su2", lambda r: r.update(contains=["t5-h-b", "t5-km-23", "no-such-id"])),
          InvalidLabel, "embeddings[50] key 'contains': unknown embedding id 'no-such-id'"),
-        # a value written as a tag is refused, not dropped
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["block", "winding:1"])),
-         InvalidLabel, "embeddings[16]: su6-sp3: 'winding:1' is not a bare tag"),
-        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["contains:x"])),
-         InvalidLabel, "embeddings[16]: su6-sp3: 'contains:x' is not a bare tag"),
+        # a tag is a label of the vocabulary: a misspelled one, an unread one and a value written as a tag are
+        # refused, not read as absent
+        *BAD_TAGS,
+        ("embeddings.json", retagged("su3-kplus-u2", "blok"), InvalidLabel,
+         f"embeddings[5]: su3-kplus-u2: unknown tag 'blok' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("t5-kp-pi", "diagnal"), InvalidLabel,
+         f"embeddings[40]: t5-kp-pi: unknown tag 'diagnal' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("f4-kplus-spin9", "block", "spinr"), InvalidLabel,
+         f"embeddings[13]: f4-kplus-spin9: unknown tag 'spinr' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("t2-in-su3", "proper-projection"), InvalidLabel,
+         f"embeddings[0]: t2-in-su3: unknown tag 'proper-projection' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("su6-sp3", "corank-2"), InvalidLabel,
+         f"embeddings[16]: su6-sp3: unknown tag 'corank-2' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("t5-l-su2su2", "lattice", "block"), InvalidLabel,
+         f"embeddings[50]: t5-l-su2su2: unknown tag 'lattice' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("t5-h-a", "proper-projections", "weights:(z~2,z2,1)|(z,z~)"), InvalidLabel,
+         f"embeddings[34]: t5-h-a: unknown tag 'weights:(z~2,z2,1)|(z,z~)' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("su6-sp3", "block", "winding:1"), InvalidLabel,
+         f"embeddings[16]: su6-sp3: unknown tag 'winding:1' {ALLOWED_TAGS}"),
+        ("embeddings.json", retagged("su6-sp3", "contains:x"), InvalidLabel,
+         f"embeddings[16]: su6-sp3: unknown tag 'contains:x' {ALLOWED_TAGS}"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(comment=["real-form"])),
+         InvalidLabel, "embeddings[16] key 'comment' must be a JSON string, got ['real-form']"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].pop("n")),
          InvalidDiagram, "orbit_poincare has no 'n' key"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["orbit_poincare"].update(h=[1, "1"])),
@@ -265,7 +301,7 @@ BAD_VERDICTS = [
          record_edit("diagrams", "wu-s3s1", lambda r: r.update(component_count=r.pop("component_counts"))),
          InvalidDiagram, "diagrams[10] has unknown key 'component_count' (allowed: 'id', 'g', 'h', 'k_minus', "
                          "'k_plus', 'h_in_k_minus', 'h_in_k_plus', 'component_counts', 'nonorientable', 'outcome', "
-                         "'rational_sphere', 'orbit_poincare', 'tags')"),
+                         "'rational_sphere', 'orbit_poincare')"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["component_counts"].update(kplus=2)),
          InvalidDiagram, "diagrams[10] component_counts has unknown key 'kplus' (allowed: 'h', 'k_minus', 'k_plus')"),
         ("diagrams.json", record_edit("diagrams", "wu-s3s1", lambda r: r["nonorientable"].update(h=True)),
@@ -276,11 +312,11 @@ BAD_VERDICTS = [
          InvalidDiagram, "diagrams.json has unknown key 'diagram' (allowed: 'version', 'comment', 'diagrams')"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(map_rank={})),
          InvalidLabel, "embeddings[16] has unknown key 'map_rank' (allowed: 'id', 'ambient', 'subgroup', "
-                       "'map_ranks', 'tags', 'winding', 'slope', 'contains')"),
+                       "'map_ranks', 'tags', 'winding', 'slope', 'contains', 'comment')"),
         # the keys of the removed family records are no embedding keys
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(param_min=3)),
          InvalidLabel, "embeddings[16] has unknown key 'param_min' (allowed: 'id', 'ambient', 'subgroup', "
-                       "'map_ranks', 'tags', 'winding', 'slope', 'contains')"),
+                       "'map_ranks', 'tags', 'winding', 'slope', 'contains', 'comment')"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(tags_at={"4": ["multiple"]})),
          InvalidLabel, "embeddings[16] has unknown key 'tags_at'"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(param_max=9)),
@@ -374,11 +410,11 @@ def cli_process(argv, data, seed="0"):
 
 
 @pytest.mark.parametrize("edit, detail", [
-    (record_edit("embeddings", "su6-sp3", lambda r: r.update(tags=["winding:3", "block", "winding:1"])),
-     "embeddings[16]: su6-sp3: 'winding:1', 'winding:3' is not a bare tag"),
+    (retagged("su6-sp3", "winding:3", "block", "winding:1"),
+     f"embeddings[16]: su6-sp3: unknown tag 'winding:1', 'winding:3' {ALLOWED_TAGS}"),
     # the message lists the two sorted, in whatever order the record writes them
-    (record_edit("embeddings", "su5-sp2", lambda r: r.update(tags=["winding:1", "corank2", "winding:3"])),
-     "embeddings[17]: su5-sp2: 'winding:1', 'winding:3' is not a bare tag"),
+    (retagged("su5-sp2", "winding:1", "corank2", "winding:3"),
+     f"embeddings[17]: su5-sp2: unknown tag 'winding:1', 'winding:3' {ALLOWED_TAGS}"),
 ])
 def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, detail):
     edited_data(tmp_path, "embeddings.json", edit)
@@ -387,7 +423,7 @@ def test_two_winding_tags_exit_2_alike_under_every_hash_seed(tmp_path, edit, det
     assert runs[0].stderr == runs[1].stderr and detail in runs[0].stderr
 
 
-@pytest.mark.parametrize("name, edit, error, detail", BAD_VERDICTS)
+@pytest.mark.parametrize("name, edit, error, detail", BAD_VERDICTS + BAD_TAGS)
 def test_a_malformed_stored_verdict_exits_2_from_every_catalog_reader_in_a_fresh_process(tmp_path, name, edit, error,
                                                                                         detail):
     edited_data(tmp_path, name, edit)
@@ -469,3 +505,5 @@ def test_lattice_lookup_scoped_by_group():
     cat = default_catalog()
     assert [e.id for e in cat.lattice_for(parse_group("SU(3)xSU(2)"))] == ["t5-l-su2su2"]
     assert cat.lattice_for(parse_group("G2")) == []
+    # the lattice entries are the embeddings with contents
+    assert [e.id for e in cat.embeddings() if e.contains] == ["t5-l-su2su2"]

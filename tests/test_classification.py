@@ -31,7 +31,15 @@ from cohomone.classification import (
 )
 from cohomone.diagram import double_disk_euler, gh_classify, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams
-from cohomone.lie_catalog import GroupType, NamedEmbedding, parse_group, special_orthogonal, special_unitary, symplectic
+from cohomone.lie_catalog import (
+    EMBEDDING_TAGS,
+    GroupType,
+    NamedEmbedding,
+    parse_group,
+    special_orthogonal,
+    special_unitary,
+    symplectic,
+)
 from cohomone.verify import orbit_betti
 
 CAT = default_catalog()
@@ -419,7 +427,8 @@ def test_each_family_recognizes_its_own_diagrams_and_no_other_family_does(data):
     name = data.draw(st.sampled_from(list(FAMILIES)))
     keys, optional = data.draw(FAMILY_ARGUMENTS[name])
     d = FAMILIES[name].factory(*keys, **optional)
-    assert f"family:{name}" in d.k_minus.tags and f"family:{name}" in d.k_plus.tags
+    # the factories build their embeddings past NamedEmbedding's check of the tags
+    assert all(e.tags <= EMBEDDING_TAGS for e in (d.h, d.k_minus, d.k_plus, d.h_in_k_minus, d.h_in_k_plus))
     for diagram in (d, d.swap()):
         assert FAMILIES[name].recognize(diagram) is not None
         assert [other for other, family in FAMILIES.items()

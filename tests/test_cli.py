@@ -427,7 +427,7 @@ def test_record_cannot_name_factory_embeddings(tmp_path):
 
 
 SHIPPED = {record["id"]: record for record in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]}
-#: a shipped record as an inline document: the keys of its diagram, without the record's own id, outcome and tags
+#: a shipped record as an inline document: the keys of its diagram, without the record's own id and outcome
 INLINE = {record_id: {key: value for key, value in record.items() if key in INLINE_RECORD}
           for record_id, record in SHIPPED.items()}
 WU = INLINE["wu-s3s1"]

@@ -27,7 +27,7 @@ def catalog_diagram(record_id):
 def fixed_point_diagram():
     """K+ = K- = G with G/H a sphere (the two-fixed-point suspension shape)."""
     g = parse_group("SU(2)")
-    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g), frozenset({"identity"}))
+    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g))
     h = NamedEmbedding(
         "circle-in-su2-principal", g, parse_group("T1"), ((1, 0),),
         frozenset({"block", "proper-projections"}),
@@ -79,20 +79,14 @@ def test_component_pattern_for_single_circle_fiber():
 
 def test_effectiveness_declaration_required():
     d = catalog_diagram("case6-su3")
-    h_undeclared = NamedEmbedding(
-        "t2-in-su3-undeclared", d.h.ambient, d.h.subgroup, d.h.homotopy_map_ranks,
-        frozenset({"maximal-torus"}),
-    )
+    h_undeclared = NamedEmbedding("t2-in-su3-undeclared", d.h.ambient, d.h.subgroup, d.h.homotopy_map_ranks)
     assert "effectiveness-declaration" in rules(d._replace(h=h_undeclared))
 
 
 def test_sphere_recognition_failure_reported():
     d = catalog_diagram("su5-lambda2")
-    # present H inside K+ through a non-standard inclusion: not a table sphere
-    fake_witness = NamedEmbedding(
-        "sp1sp1-in-sp2-nonstd", parse_group("Sp(2)"), parse_group("Sp(1)xSp(1)"),
-        ((3, 1),), frozenset({"maximal"}),
-    )
+    # present H inside K+ through an inclusion of no sphere class: not a table sphere
+    fake_witness = NamedEmbedding("sp1sp1-in-sp2-nonstd", parse_group("Sp(2)"), parse_group("Sp(1)xSp(1)"), ((3, 1),))
     assert "sphere-recognition" in rules(d._replace(h_in_k_plus=fake_witness))
 
 
@@ -165,10 +159,9 @@ def equal_parity_product_diagram():
     """
     g = parse_group("SU(2)xSU(2)")
     u2 = parse_group("U(2)")
-    h = NamedEmbedding("t2-in-su2su2", g, parse_group("T2"), ((1, 0),),
-                       frozenset({"maximal-torus", "proper-projections"}))
-    k_minus = NamedEmbedding("su2t1-a", g, u2, ((1, 0), (3, 1)), frozenset({"block", "slot:a"}))
-    k_plus = NamedEmbedding("su2t1-b", g, u2, ((1, 0), (3, 1)), frozenset({"block", "slot:b"}))
+    h = NamedEmbedding("t2-in-su2su2", g, parse_group("T2"), ((1, 0),), frozenset({"proper-projections"}))
+    k_minus = NamedEmbedding("su2t1-a", g, u2, ((1, 0), (3, 1)), frozenset({"block"}))
+    k_plus = NamedEmbedding("su2t1-b", g, u2, ((1, 0), (3, 1)), frozenset({"block"}))
     witness = CAT.embedding("t2-in-u2")
     return GroupDiagram(g=g, h=h, k_minus=k_minus, k_plus=k_plus,
                         h_in_k_minus=witness, h_in_k_plus=witness)
@@ -270,7 +263,7 @@ def test_double_disk_euler_fixed_points():
 
 def test_double_disk_euler_odd_orbit_suspension():
     g = parse_group("SU(2)")
-    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g), frozenset({"identity"}))
+    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g))
     trivial = NamedEmbedding(
         "trivial-in-su2", g, GroupType(), (), frozenset({"proper-projections"})
     )

@@ -1,15 +1,19 @@
 import copy
+import itertools
 import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from sympy.liealgebras.cartan_type import CartanType
+from sympy.liealgebras.weyl_group import WeylGroup
 
 from cohomone import classification, lie_catalog
 from cohomone.catalog import default_catalog
 from cohomone.errors import InvalidEmbedding, InvalidLabel, Unsupported
 from cohomone.lie_catalog import (
+    EMBEDDING_TAGS,
     TRIVIAL_GROUP,
     GroupType,
     NamedEmbedding,
@@ -174,6 +178,85 @@ def test_weyl_order_degree_product_identity(drawn):
         assert weyl_order(g) * 2**g.rank == prod, g
 
 
+# -- an independent oracle: each label's root system ---------------------------------
+
+#: the least rank of each classical family that sympy's CartanType builds; the lower ranks are the folds below
+SYMPY_LEAST_RANK = {"A": 2, "B": 2, "C": 3, "D": 3}
+
+
+def positive_root_counts(cartan):
+    """The number of positive roots of height 1, 2, ..., built up from the simple roots by root strings: the
+    alpha_i-string through a root goes p steps down and p - <root, alpha_i^vee> steps up."""
+    rank = len(cartan)
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots, level, counts = set(simple), simple, []
+    while level:
+        counts.append(len(level))
+        higher = set()
+        for root in level:
+            for i, alpha in enumerate(simple):
+                down = 0
+                while tuple(c - (down + 1) * a for c, a in zip(root, alpha)) in roots:
+                    down += 1
+                if down > sum(c * cartan[j][i] for j, c in enumerate(root)):
+                    higher.add(tuple(c + a for c, a in zip(root, alpha)))
+        roots |= higher
+        level = sorted(higher)
+    return counts
+
+
+def root_system_invariants(label):
+    """(dimension, degrees, Weyl order) from sympy's root data: rank + 2 #roots, 2e + 1 for the exponents e, the
+    dual partition of the root counts by height, and the order of sympy's Weyl group."""
+    counts = positive_root_counts(CartanType(str(label)).cartan_matrix().tolist())
+    exponents = [sum(n >= j for n in counts) for j in range(1, label.rank + 1)]
+    return (label.rank + 2 * sum(counts), tuple(sorted(2 * e + 1 for e in exponents)),
+            int(WeylGroup(str(label)).group_order()))
+
+
+@pytest.mark.parametrize("label", [label for label in all_test_labels()
+                                   if label.rank >= SYMPY_LEAST_RANK.get(label.family, 0)], ids=str)
+def test_each_label_has_the_invariants_of_its_root_system(label):
+    assert (label.dimension, tuple(sorted(label.degrees)), label.weyl_order) == root_system_invariants(label)
+
+
+def standard_cartan(label):
+    """The Cartan matrix 2(a_i, a_j) / (a_j, a_j) of the standard simple roots a_i of a classical label, in the
+    coordinates e_1, e_2, ...: the e_i - e_(i+1), then for B, C and D e_n, 2e_n and e_(n-1) + e_n."""
+    family, n = label
+    e = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]
+    roots = [[x - y for x, y in zip(e[i], e[i + 1])] for i in range(n if family == "A" else n - 1)]
+    if family != "A":
+        roots.append({"B": e[n - 1], "C": [2 * x for x in e[n - 1]],
+                      "D": [x + y for x, y in zip(e[n - 2], e[n - 1])]}[family])
+    return [[2 * sum(x * y for x, y in zip(a, b)) // sum(y * y for y in b) for b in roots] for a in roots]
+
+
+def dynkin_data(labels):
+    """The block-diagonal Cartan matrix of ``labels`` up to relabeling: its least form under a permutation."""
+    entries, size = {}, 0
+    for block in map(standard_cartan, labels):
+        entries.update({(size + i, size + j): v for i, row in enumerate(block) for j, v in enumerate(row)})
+        size += len(block)
+    return min(tuple(entries.get((i, j), 0) for i in p for j in p) for p in itertools.permutations(range(size)))
+
+
+#: the classical labels up to rank 3 but D1, a circle
+LOW_RANK = [SimpleGroupLabel(family, n) for family in "ABCD" for n in range(2 if family == "D" else 1, 4)]
+
+
+def test_the_low_rank_folds_identify_exactly_the_labels_of_equal_dynkin_data():
+    # Spin(3) = Sp(1) = SU(2), Sp(2) = Spin(5), Spin(4) = SU(2)^2 and Spin(6) = SU(4), told by their Cartan matrices
+    groups = [labels for k in (1, 2, 3) for labels in itertools.combinations_with_replacement(LOW_RANK, k)
+              if sum(label.rank for label in labels) <= 3]
+    data = {labels: dynkin_data(labels) for labels in groups}
+    for a, b in itertools.combinations(groups, 2):
+        assert (GroupType(a) == GroupType(b)) == (data[a] == data[b]), (a, b)
+    for label in LOW_RANK:  # where sympy builds the label, the standard roots give its Cartan matrix
+        if label.rank >= SYMPY_LEAST_RANK[label.family]:
+            assert standard_cartan(label) == CartanType(str(label)).cartan_matrix().tolist(), label
+
+
 # -- cached invariants and memoized constructors ---------------------------------
 
 
@@ -298,7 +381,7 @@ def test_sphere_quotient_examples():
     assert sphere_quotient(parse_group("Spin(7)"), g2_block) == 7
     su2_block = NamedEmbedding("su2-in-su3", parse_group("SU(3)"), parse_group("SU(2)"), tags=frozenset({"block"}))
     assert sphere_quotient(parse_group("SU(3)"), su2_block) == 5
-    so3_max = NamedEmbedding("so3-max-in-su3", parse_group("SU(3)"), parse_group("SO(3)"), tags=frozenset({"maximal"}))
+    so3_max = NamedEmbedding("so3-max-in-su3", parse_group("SU(3)"), parse_group("SO(3)"))  # no sphere class
     assert sphere_quotient(parse_group("SU(3)"), so3_max) is None
 
 
@@ -366,10 +449,12 @@ def test_embedding_typed_tag_fields():
     emb = NamedEmbedding("tagged", su3, su2, tags=frozenset({"block"}), winding=5)
     assert (emb.winding, emb.slope, emb.contains) == (5, None, frozenset())
     assert emb.tags == {"block"}
-    # a value-carrying prefix is a field, never a tag
-    for label in ("winding:1", "slope:5,1", "contains:t5-h-b"):
-        with pytest.raises(InvalidLabel, match=f"'{label}' is not a bare tag"):
+    # a value-carrying prefix is a field, never a tag, and a tag outside the vocabulary is refused
+    for label in ("winding:1", "slope:5,1", "contains:t5-h-b", "lattice", "maximal"):
+        with pytest.raises(InvalidLabel, match=f"tagged: unknown tag '{label}' \\(allowed: 'block', 'corank2', "):
             NamedEmbedding("tagged", su3, su2, tags=frozenset({"block", label}))
+    # every class of a sphere-action row is a label a tag may hold
+    assert set().union(*(row.embedding_classes for row in transitive_sphere_pairs(12))) <= EMBEDDING_TAGS
 
 
 def test_group_helpers():

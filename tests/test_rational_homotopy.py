@@ -13,6 +13,7 @@ from cohomone.lie_catalog import (
     injective_rank_map,
     is_declared_injective,
     parse_group,
+    transitive_sphere_pairs,
 )
 from cohomone.rational_homotopy import (
     euler_characteristic,
@@ -28,10 +29,22 @@ def space(embedding_id):
 
 def identity_space(expr):
     g = parse_group(expr)
-    return NamedEmbedding(f"id-{expr}", g, g, injective_rank_map(g), frozenset({"identity"}))
+    return NamedEmbedding(f"id-{expr}", g, g, injective_rank_map(g))
 
 
 # -- quotient homotopy ---------------------------------------------------------
+
+
+def test_each_table1_quotient_has_the_rational_homotopy_of_its_sphere():
+    # across layers: the sphere-action table against quotient_homotopy, under the map of the largest rank in each
+    # degree; an odd sphere S^n has one generator, in degree n, an even one two, in degrees 2n - 1 and n
+    for row in transitive_sphere_pairs(12):
+        g, h, n = row.group.degrees, row.isotropy.degrees, row.sphere_dim
+        ranks = [(k, min(g.count(k), h.count(k))) for k in set(h)]
+        if n % 2:  # the isotropy's generators inject
+            assert sorted(ranks) == list(injective_rank_map(row.isotropy)), row
+        expected = ((n,), ()) if n % 2 else ((2 * n - 1,), (n,))
+        assert quotient_homotopy(NamedEmbedding("row", row.group, row.isotropy, ranks)) == (*expected, False), row
 
 
 def test_quotient_homotopy_examples():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cohomone
+from cohomone.lie_catalog import EMBEDDING_TAGS
 
 SOURCE = Path(cohomone.__file__).parent
 
@@ -28,17 +29,14 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_only_the_catalog_loader_reads_value_carrying_tags():
-    # a winding, a slope and a lattice entry's contents are typed keys of embeddings.json and typed fields of
-    # NamedEmbedding; lie_catalog.py holds the winding:, slope: and contains: prefixes only to refuse such a tag
-    found = {
-        path.name
-        for path in SOURCE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and any(prefix in node.value for prefix in ("winding:", "slope:", "contains:"))
-    }
-    assert found == {"lie_catalog.py"}
+def test_every_label_of_the_tag_vocabulary_has_a_reader():
+    # EMBEDDING_TAGS holds no unread label: each occurs as a string constant of the package outside its definition
+    found = set()
+    for path in SOURCE.glob("*.py"):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not (isinstance(top, ast.Assign) and [ast.unparse(t) for t in top.targets] == ["EMBEDDING_TAGS"]):
+                found |= {node.value for node in ast.walk(top) if isinstance(node, ast.Constant)}
+    assert EMBEDDING_TAGS <= found, sorted(EMBEDDING_TAGS - found)
 
 
 def test_report_path_formats_no_fiber_text_and_restates_no_homology():

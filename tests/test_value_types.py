@@ -21,7 +21,7 @@ CASES = [
     (NamedEmbedding("e", SU3, SU2), {"homotopy_map_ranks": ((3, 2),)}, InvalidEmbedding,
      "e: degree-3 map rank 2 exceeds multiplicity bound"),
     (NamedEmbedding("e", SU3, SU2), {"tags": frozenset({"block", "winding:1"})}, InvalidLabel,
-     "e: 'winding:1' is not a bare tag"),
+     r"e: unknown tag 'winding:1' \(allowed: 'block', 'corank2', 'diagonal', 'proper-projections', 'spinor'\)"),
     (NamedEmbedding("e", SU3, SU2), {"winding": True}, InvalidLabel, "e: winding must be an int or None, got True"),
     (NamedEmbedding("e", SU3, SU2), {"slope": (5,)}, InvalidLabel, "e: slope must be a pair of ints or None"),
     (NamedEmbedding("e", SU3, SU2), {"slope": [5, 1]}, InvalidLabel, "e: slope must be a pair of ints or None"),

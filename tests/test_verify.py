@@ -47,21 +47,19 @@ def test_contains_tags_reference_known_embeddings():
         CAT.embedding(target)  # raises if unknown
 
 
-def test_case6_record_fiber_tags_match_classifier_data():
-    known = {tag: (ell, dim) for ell, tag, _, dim in CASE6_FIBERS}
-    tagged = 0
+def test_case6_record_fibers_match_classifier_data():
+    # a case-6 record's fiber is the one case-6 fiber with l = l- = l+ that forces the record's dimension
+    used = []
     for record in CAT.diagram_records():
-        fiber = next((t.split(":", 1)[1] for t in record.tags if t.startswith("fiber:")), None)
-        if fiber is None:
-            continue
-        tagged += 1
-        ell, dim = known[fiber]
         d = record.diagram
-        assert (d.ell_minus, d.ell_plus) == (ell, ell), record.id
-        assert d.manifold_dim == dim, record.id
-        case6 = [r for r in gh_classify(ell, ell, 0, fiber) if r.case_index == 6]
-        assert [r.forced_dim for r in case6] == [dim], record.id
-    assert tagged == 5
+        fibers = [tag for ell, tag, _, dim in CASE6_FIBERS
+                  if (d.ell_minus, d.ell_plus) == (ell, ell) and d.manifold_dim == dim]
+        assert len(fibers) == record.id.startswith("case6-"), record.id
+        for fiber in fibers:
+            used.append(fiber)
+            case6 = [r for r in gh_classify(d.ell_minus, d.ell_plus, 0, fiber) if r.case_index == 6]
+            assert [r.forced_dim for r in case6] == [d.manifold_dim], record.id
+    assert len(used) == 5 and sorted(used) == sorted(tag for _, tag, _, _ in CASE6_FIBERS)
 
 
 def test_diagram_records_use_registered_embeddings():
