@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
 from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
-from .polynomial import IntegerPolynomial
+from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 
 #: the only ``"version"`` the data files may carry
 CATALOG_VERSION = 1
@@ -83,11 +83,20 @@ def _named(where: str, build, *args):
         raise type(exc)(f"{where}: {exc}") from None
 
 
+def _catalog_group(text: str) -> GroupType:
+    """The group ``text`` names; one of dimension above ``MAX_SPHERE_DIM``, whose degree list grows with it, is
+    refused before any degree list is built."""
+    group = parse_group(text)
+    if group.dimension > MAX_SPHERE_DIM:
+        raise InvalidLabel(f"the group has dimension above {MAX_SPHERE_DIM}")
+    return group
+
+
 def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
     embedding_id, ambient, subgroup, map_ranks, tags, winding, slope, contains, _ = read_object(
         record, _EMBEDDING, where, InvalidLabel)
-    ambient = _named(f"{where} key 'ambient'", parse_group, ambient)
-    subgroup = _named(f"{where} key 'subgroup'", parse_group, subgroup)
+    ambient = _named(f"{where} key 'ambient'", _catalog_group, ambient)
+    subgroup = _named(f"{where} key 'subgroup'", _catalog_group, subgroup)
     ranks = _rank_spec(map_ranks, where)
     ranks = injective_rank_map(subgroup) if ranks is None else ranks
     return _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,

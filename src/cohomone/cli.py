@@ -115,6 +115,7 @@ def _cmd_brieskorn(args) -> CommandResult:
     from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
 
     params = BrieskornParams(args.m, args.d)
+    _printable(2 * params.m - 1, "the top homology degree 2m-1")
     return CommandResult(0, {
         "m": params.m,
         "d": params.d,
@@ -174,10 +175,12 @@ def _cmd_hilbert(args, catalog: Catalog) -> CommandResult:
 def _cmd_gh_case(args) -> CommandResult:
     from .diagram import gh_classify
 
+    cases = gh_classify(args.l_minus, args.l_plus, args.h, args.fiber)
+    for c in cases:  # a case's forced dimension is its largest number
+        _printable(c.forced_dim, "a gh-case forced dimension")
     return CommandResult(0, {
         "query": {"l_minus": args.l_minus, "l_plus": args.l_plus, "h": args.h, "fiber": args.fiber},
-        "cases": [{"case": c.case_index, "fiber": c.fiber_model, "dim": c.forced_dim}
-                  for c in gh_classify(args.l_minus, args.l_plus, args.h, args.fiber)],
+        "cases": [{"case": c.case_index, "fiber": c.fiber_model, "dim": c.forced_dim} for c in cases],
     })
 
 
@@ -218,6 +221,7 @@ def _cmd_mv_check(args) -> CommandResult:
     p_km = _coeffs(args.p_k_minus, "--p-k-minus") if args.p_k_minus is not None else \
         _sphere_poly(args.k_minus_spheres, "--k-minus-spheres")
     result = mv_feasible(p_h, p_kp, p_km, args.n)
+    _printable(max(max(map(abs, row)) for row in result.rank_profile), "a Mayer-Vietoris rank")
     return CommandResult(0, {
         "n": args.n,
         "p_h": p_h.as_list(),

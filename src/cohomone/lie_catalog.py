@@ -31,11 +31,12 @@ the product of (degree + 1) over all degrees.
 ``GroupType``; a group that depends on a parameter is built in code, from
 ``special_unitary``, ``special_orthogonal`` or ``symplectic``.
 
-The module also ships the table of all effective transitive compact
-group actions on spheres and the sphere-recognition and named-embedding
-machinery built on top of it.  The table has six families whose row m
-acts on S^(a*m - 1) (a = 1, 2, 4 for SO, SU, Sp, alone or times U(1) or
-Sp(1)) and sporadic rows for G2, Spin(7) and Spin(9).  A lookup reads
+The module also ships Table 1 of the paper, all effective transitive
+compact group actions on spheres, and the sphere-recognition and
+named-embedding machinery built on top of it.  Each row of Table 1 is
+written once: ``_ROW_FAMILIES`` holds the six families whose row m acts on
+S^(a*m - 1) (a = 1, 2, 4 for SO, SU, Sp, alone or times U(1) or Sp(1)),
+``_SPORADIC_ROWS`` the rows for G2, Spin(7) and Spin(9).  A lookup reads
 only the rows it can use: ``sphere_quotient`` the rows with m = (l+1)/a
 for the fiber dimension l, ``spheres_acted_on`` the rows whose group has
 the given group's rank.  No cap on m is needed: a row group of larger
@@ -380,67 +381,51 @@ def is_declared_injective(e: NamedEmbedding) -> bool:
 
 
 class SphereActionRow(namedtuple("SphereActionRow", "group isotropy sphere_dim family m embedding_classes")):
-    """One instantiated row of the transitive-sphere-action table."""
+    """One instantiated row of Table 1.  It checks nothing: the ``table1`` check of ``verify-tables`` compares
+    each row's ``sphere_dim`` with its groups, so a wrong row fails that check instead of stopping the report."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(
-        cls, group: GroupType, isotropy: GroupType, sphere_dim: int, family: str = "", m: Optional[int] = None,
-        embedding_classes: frozenset[str] = frozenset(),
-    ) -> "SphereActionRow":
-        if group.dimension - isotropy.dimension != sphere_dim:
-            raise InvalidLabel(
-                f"sphere row {family}({m}): dimension mismatch "
-                f"{group.dimension} - {isotropy.dimension} != {sphere_dim}"
-            )
-        return tuple.__new__(cls, (group, isotropy, sphere_dim, family, m, embedding_classes))
 
 
-#: parameterized row families: name -> (a, smallest m).  Row m acts on the unit
-#: sphere S^(a*m - 1) of R^m, C^m or H^m (a = 1, 2, 4); the "-u1" and "-sp1"
-#: families add a factor that lies in both the group and the isotropy.
-_ROW_FAMILIES = {"so": (1, 2), "su": (2, 2), "su-u1": (2, 2), "sp": (4, 1), "sp-u1": (4, 1), "sp-sp1": (4, 1)}
-#: sporadic rows: name -> sphere dimension
-_SPORADIC_ROWS = {"g2": 6, "spin7": 7, "spin9": 15}
-_CLASSICAL_GROUPS = {"so": special_orthogonal, "su": special_unitary, "sp": symplectic}
+_BLOCK = frozenset({"block"})
+#: Table 1's families: name -> (a, least m, builder of G(m), passenger P).  Row m is G(m)xP acting on the unit
+#: sphere S^(a*m - 1) of R^m, C^m or H^m (a = 1, 2, 4) with isotropy G(m - 1)xP; P is T1, Sp(1) or None (trivial)
+_ROW_FAMILIES = {"so": (1, 2, special_orthogonal, None), "su": (2, 2, special_unitary, None),
+                 "su-u1": (2, 2, special_unitary, _unitary(1)), "sp": (4, 1, symplectic, None),
+                 "sp-u1": (4, 1, symplectic, _unitary(1)), "sp-sp1": (4, 1, symplectic, symplectic(1))}
+#: Table 1's sporadic rows: name -> (sphere dimension, G, H, embedding classes)
+_SPORADIC_ROWS = {"g2": (6, _CONSTANT_TERMS["G2"], special_unitary(3), _BLOCK),
+                  "spin7": (7, special_orthogonal(7), _CONSTANT_TERMS["G2"], _BLOCK),
+                  "spin9": (15, special_orthogonal(9), special_orthogonal(7), frozenset({"spinor"}))}
 
 
 @memoized
 def _sphere_row(family: str, m: Optional[int] = None) -> SphereActionRow:
-    """Row ``m`` of a parameterized family, or the sporadic row ``family``, built past ``SphereActionRow``'s
-    check: the ``table1`` check of ``verify-tables`` compares each row's ``sphere_dim`` with its groups."""
-    if family == "g2":
-        group, isotropy = GroupType((SimpleGroupLabel("G2", 2),)), special_unitary(3)
-    elif family == "spin7":
-        group, isotropy = special_orthogonal(7), GroupType((SimpleGroupLabel("G2", 2),))
-    elif family == "spin9":
-        group, isotropy = special_orthogonal(9), special_orthogonal(7)
+    """Row ``m`` of a family of Table 1, or its sporadic row ``family``."""
+    if m is None:
+        dim, group, isotropy, classes = _SPORADIC_ROWS[family]
     else:
-        head, _, extra = family.partition("-")
-        build = _CLASSICAL_GROUPS[head]
-        group, isotropy = build(m), build(m - 1)
-        if extra:
-            passenger = GroupType((), 1) if extra == "u1" else symplectic(1)
+        a, _, build, passenger = _ROW_FAMILIES[family]
+        dim, group, isotropy = a * m - 1, build(m), build(m - 1)
+        if passenger is not None:
             group, isotropy = group * passenger, isotropy * passenger
-    diagonal = (family, m) in (("so", 4), ("sp-sp1", 1))  # S^3 = SO(4)/SO(3) = Sp(1)xSp(1)/Sp(1)
-    classes = {"spinor"} if family == "spin9" else {"block", "diagonal"} if diagonal else {"block"}
-    dim = _SPORADIC_ROWS[family] if m is None else _ROW_FAMILIES[family][0] * m - 1
-    return tuple.__new__(SphereActionRow, (group, isotropy, dim, family, m, frozenset(classes)))
+        diagonal = (family, m) in (("so", 4), ("sp-sp1", 1))  # S^3 = SO(4)/SO(3) = Sp(1)xSp(1)/Sp(1)
+        classes = frozenset({"block", "diagonal"}) if diagonal else _BLOCK
+    return SphereActionRow(group, isotropy, dim, family, m, classes)
 
 
 @memoized
 def _sphere_rows_of_dimension(ell: int) -> tuple[SphereActionRow, ...]:
     """The rows acting on S^ell: m = (ell + 1) / a in each family, and the sporadic rows."""
-    rows = [_sphere_row(family, (ell + 1) // a) for family, (a, m_min) in _ROW_FAMILIES.items()
+    rows = [_sphere_row(family, (ell + 1) // a) for family, (a, m_min, _, _) in _ROW_FAMILIES.items()
             if (ell + 1) % a == 0 and (ell + 1) // a >= m_min]
-    return tuple(rows + [_sphere_row(family) for family, dim in _SPORADIC_ROWS.items() if dim == ell])
+    return tuple(rows + [_sphere_row(family) for family, (dim, _, _, _) in _SPORADIC_ROWS.items() if dim == ell])
 
 
 def transitive_sphere_pairs(max_m: int = 12) -> list[SphereActionRow]:
     """All effective transitive sphere actions, families instantiated up to ``max_m``."""
     rows = [_sphere_row(family, m)
-            for family, (_, m_min) in _ROW_FAMILIES.items() for m in range(m_min, max_m + 1)]
+            for family, (_, m_min, _, _) in _ROW_FAMILIES.items() for m in range(m_min, max_m + 1)]
     return rows + [_sphere_row(family) for family in _SPORADIC_ROWS]
 
 

@@ -284,6 +284,17 @@ BAD_TAGS = [
          InvalidLabel, "embeddings[16] key 'subgroup': cannot parse group term 'SU(2m-4)'"),
         ("embeddings.json", record_edit("embeddings", "su5-sp2", lambda r: r.update(subgroup="Sp(m-2)")),
          InvalidLabel, "embeddings[17] key 'subgroup': cannot parse group term 'Sp(m-2)'"),
+        # a group of dimension above MAX_SPHERE_DIM is refused before its degree list is built
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient="SU(1001)",
+                                                                                     subgroup="SU(1000)")),
+         InvalidLabel, "embeddings[16] key 'ambient': the group has dimension above 1000000"),
+        ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(1001)")),
+         InvalidLabel, "embeddings[16] key 'subgroup': the group has dimension above 1000000"),
+        # the message holds no dimension, which may have more digits than the interpreter prints
+        pytest.param("embeddings.json",
+                     record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=f"SU(1{'0' * 2200})")),
+                     InvalidLabel, "embeddings[16] key 'ambient': the group has dimension above 1000000",
+                     id="ambient-of-dimension-10^4400"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
         # a subgroup of smaller dimension may still outgrow the ambient group in rank

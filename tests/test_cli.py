@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cohomone
 from cohomone.catalog import _COUNTS, _FLAGS, INLINE_RECORD, data_dir, load_catalog
 from cohomone.classification import FAMILIES, classify_diagram, realize_torsion
 from cohomone.cli import _COMMANDS, _REFERENCE, MAX_DOCUMENT_BYTES, main, render, run
@@ -761,6 +763,58 @@ def test_huge_catalog_winding_exits_2(tmp_path):
     result = run(["classify", "--diagram", str(doc)], load_catalog(tmp_path))
     assert result.exit_code == 2, result.payload
     assert result.payload["error"].startswith("InvalidParams: the classify outcome's d has more than 4300 digits")
+
+
+NINES = "9" * 4300  # the most digits the default limit lets a flag value have
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["brieskorn", "--m", NINES, "--d", "1"], "the top homology degree 2m-1"),
+    (["gh-case", "--l-minus", NINES, "--l-plus", "1", "--h", "0"], "a gh-case forced dimension"),
+    (["gh-case", "--l-minus", "1", "--l-plus", NINES, "--h", "1"], "a gh-case forced dimension"),
+    (["mv-check", "--n", "5", "--p-h", "1", "--p-k-plus", f"1,{NINES}", "--p-k-minus", f"1,{NINES}"],
+     "a Mayer-Vietoris rank"),
+], ids=["brieskorn", "gh-case-h0", "gh-case-h1", "mv-check"])
+def test_result_integers_too_long_to_print_exit_2(argv, detail):
+    # every flag value is read, but a result computed from them has one digit more than the interpreter prints
+    result = run(argv)
+    assert result.exit_code == 2
+    assert result.payload["error"].startswith(f"InvalidParams: {detail} has more than 4300 digits")
+
+
+def test_a_result_too_long_to_print_exits_2_with_json_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(cohomone.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cohomone.cli", "brieskorn", "--m", NINES, "--d", "1"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"].startswith("InvalidParams: the top homology degree 2m-1 has more than")
+
+
+def _integer_flag_lines(value: str, filler: str):
+    """A command line for each int flag of the command table and each integer-list flag of mv-check: that flag
+    takes ``value``; the flag it needs and the required flags of the other groups take ``filler``."""
+    for command, entry in _COMMANDS.items():
+        flags = entry.flags
+        for name, flag in flags.items():
+            if flag.kind is int or command == "mv-check" and flag.kind is str:
+                given = {name: value, **({flag.needs: filler} if flag.needs else {})}
+                groups = {flags[n].group or n for n in given}
+                for other, f in flags.items():
+                    if f.required and (f.group or other) not in groups and f.needs in (None, *given):
+                        given[other] = filler
+                        groups.add(f.group or other)
+                yield [command, *(part for pair in given.items() for part in pair)]
+
+
+@pytest.mark.parametrize("filler", ["1", "5"])
+def test_every_integer_flag_at_the_digit_limit_exits_0_or_2_with_a_printable_payload(filler):
+    # a value of as many digits as int() reads: each result is printed or refused, never a traceback
+    nines = "9" * sys.get_int_max_str_digits()
+    for argv in _integer_flag_lines(nines, filler):
+        result = run(argv)
+        assert result.exit_code in (0, 2), argv[:2]
+        if result.exit_code == 0:
+            render(result.payload)
 
 
 # -- fuzzed command lines -------------------------------------------------------------

@@ -18,6 +18,7 @@ from cohomone.lie_catalog import (
     GroupType,
     NamedEmbedding,
     SimpleGroupLabel,
+    SphereActionRow,
     degrees,
     parse_group,
     special_orthogonal,
@@ -345,6 +346,7 @@ def test_table_has_nine_families_and_consistent_dimensions():
     assert len({row.family for row in rows}) == 9
     for row in rows:
         assert row.group.dimension - row.isotropy.dimension == row.sphere_dim
+        assert type(row) is SphereActionRow and type(row.sphere_dim) is int and type(row.embedding_classes) is frozenset
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,6 @@ UNCHECKED_BUILDS = {
     ("brieskorn", "homology", "GradedAbelianGroup"),
     ("brieskorn", "delta_poly", "IntegerPolynomial"),
     ("diagram", "gh_classify", "GHCaseResult"),
-    ("lie_catalog", "_sphere_row", "SphereActionRow"),  # verify-tables' table1 check compares sphere_dim
 }
 
 

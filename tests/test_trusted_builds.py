@@ -11,7 +11,6 @@ from cohomone.catalog import default_catalog
 from cohomone.classification import SevenFamilyParams, corank2_sources, realize_torsion, seven_family_torsion
 from cohomone.diagram import CASE6_FIBERS, GHCaseResult, gh_classify
 from cohomone.errors import InvalidParams
-from cohomone.lie_catalog import SphereActionRow, transitive_sphere_pairs
 from cohomone.polynomial import IntegerPolynomial
 from cohomone.rational_homotopy import QuotientHomotopy, quotient_homotopy
 
@@ -55,14 +54,6 @@ def test_realize_torsion_refuses_a_t_that_is_no_integer(t):
     # the parity rule that proves its output 1 mod 4 holds for integers only
     with pytest.raises(TypeError):
         realize_torsion(t)
-
-
-def test_every_sphere_row_equals_its_checked_build():
-    rows = transitive_sphere_pairs(12)
-    assert len(rows) > 60
-    for row in rows:
-        assert row == SphereActionRow(*row), row
-        assert type(row) is SphereActionRow and type(row.sphere_dim) is int and type(row.embedding_classes) is frozenset
 
 
 def _gh_oracle(ell_minus, ell_plus, h, hint):

@@ -5,7 +5,7 @@ import pytest
 from cohomone.brieskorn import BrieskornParams, GradedAbelianGroup, HomologyEntry
 from cohomone.classification import ClassificationOutcome, CorankTwoRow, SevenFamilyParams
 from cohomone.errors import InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
-from cohomone.lie_catalog import GroupType, NamedEmbedding, SimpleGroupLabel, SphereActionRow, parse_group
+from cohomone.lie_catalog import GroupType, NamedEmbedding, SimpleGroupLabel, parse_group
 from cohomone.polynomial import IntegerPolynomial
 
 SU2, SU3, SU4 = (parse_group(f"SU({n})") for n in (2, 3, 4))
@@ -27,7 +27,6 @@ CASES = [
     (NamedEmbedding("e", SU3, SU2), {"slope": [5, 1]}, InvalidLabel, "e: slope must be a pair of ints or None"),
     (NamedEmbedding("e", SU3, SU2), {"contains": {"h"}}, InvalidLabel,
      "e: contains must be a frozenset of embedding ids"),
-    (SphereActionRow(SU3, SU2, 5), {"sphere_dim": 4}, InvalidLabel, "dimension mismatch 8 - 3 != 4"),
     (IntegerPolynomial((1, 2)), {"coefficients": ("x",)}, ValueError, "invalid literal"),
     (BrieskornParams(4, 5), {"m": 1}, Unsupported, "m must be at least 3"),
     (BrieskornParams(4, 5), {"d": 0}, InvalidParams, "d must be at least 1, got 0"),

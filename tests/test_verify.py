@@ -155,10 +155,10 @@ def test_a_wrong_case6_fiber_column_fails_its_check(monkeypatch, tag, column, va
     assert result.exit_code == 1 and result.payload["summary"]["failed"] == [f"equal-rank/case6-fiber-dim/{tag}"]
 
 
-def test_a_wrong_sphere_row_dimension_fails_its_table1_check(monkeypatch):
-    # the rows are built past SphereActionRow's check, so a wrong sphere_dim reaches the table1 check: exit 1, not 2
+def _report_with_sporadic_row(monkeypatch, family, change):
+    """The verify-tables result with the sporadic row ``family`` of Table 1 edited by ``change``."""
     caches = (lie_catalog._sphere_row, lie_catalog._sphere_rows_of_dimension)
-    monkeypatch.setitem(lie_catalog._SPORADIC_ROWS, "g2", 5)  # G2/SU(3) is S^6
+    monkeypatch.setitem(lie_catalog._SPORADIC_ROWS, family, change(lie_catalog._SPORADIC_ROWS[family]))
     for cache in caches:
         cache.cache_clear()
     try:
@@ -167,9 +167,23 @@ def test_a_wrong_sphere_row_dimension_fails_its_table1_check(monkeypatch):
         monkeypatch.undo()
         for cache in caches:
             cache.cache_clear()
-    assert result.exit_code == 1 and "table1/g2" in result.payload["summary"]["failed"]
-    assert next(c for c in result.payload["checks"] if c["id"] == "table1/g2")["computed"] == 6
     assert run(["verify-tables"], CAT).exit_code == 0
+    return result
+
+
+def test_a_wrong_sphere_row_dimension_fails_its_table1_check(monkeypatch):
+    # SphereActionRow checks nothing, so a wrong sphere_dim reaches the table1 check: exit 1, not 2
+    result = _report_with_sporadic_row(monkeypatch, "g2", lambda row: (5, *row[1:]))  # G2/SU(3) is S^6
+    assert result.exit_code == 1 and result.payload["summary"]["failed"] == ["table1/g2"]
+    assert next(c for c in result.payload["checks"] if c["id"] == "table1/g2")["computed"] == 6
+
+
+def test_a_wrong_sphere_row_isotropy_fails_its_table1_check(monkeypatch):
+    # the table states each sporadic row's groups, so a wrong group is a fault the table1 check finds
+    su3 = lie_catalog.special_unitary(3)
+    result = _report_with_sporadic_row(monkeypatch, "spin7", lambda row: (row[0], row[1], su3, row[3]))
+    assert result.exit_code == 1 and result.payload["summary"]["failed"] == ["table1/spin7"]
+    assert next(c for c in result.payload["checks"] if c["id"] == "table1/spin7")["computed"] == 21 - 8
 
 
 def test_every_report_does_all_of_its_work(monkeypatch):
