@@ -47,29 +47,14 @@ class BrieskornParams(namedtuple("BrieskornParams", "m d")):
         return 2 * self.m - 1
 
 
-class HomologyEntry(namedtuple("HomologyEntry", "degree free_rank torsion")):
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, degree: int, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> "HomologyEntry":
-        if free_rank < 0 or torsion and min(torsion) < 2:
-            raise InvalidParams(f"malformed homology entry in degree {degree}")
-        if free_rank == 0 and not torsion:
-            raise InvalidParams(f"empty homology entry in degree {degree}")
-        return tuple.__new__(cls, (degree, free_rank, torsion))
+#: one degree's group: Z^free_rank plus the cyclic groups of the orders in ``torsion``
+HomologyEntry = namedtuple("HomologyEntry", "degree free_rank torsion", defaults=(0, ()))
 
 
 class GradedAbelianGroup(namedtuple("GradedAbelianGroup", "entries")):
-    """A finitely generated graded abelian group, sparse by degree."""
+    """A finitely generated graded abelian group, sparse by degree, its entries in increasing degree."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, entries: tuple[HomologyEntry, ...] = ()) -> "GradedAbelianGroup":
-        for i in range(1, len(entries)):
-            if entries[i - 1].degree >= entries[i].degree:
-                raise InvalidParams("entries must have strictly increasing degrees")
-        return tuple.__new__(cls, (entries,))
 
     def entry(self, degree: int) -> HomologyEntry | None:
         for e in self.entries:
@@ -109,16 +94,15 @@ def delta_at_one(p: BrieskornParams) -> int:
 def homology(p: BrieskornParams) -> GradedAbelianGroup:
     """Integral homology of B^(2m-1)_d as a graded abelian group.
 
-    Built past the checks of ``HomologyEntry`` and ``GradedAbelianGroup``: the degrees 0 < m-1 < m < 2m-1
+    Z in degrees 0 and 2m-1, and the middle groups of the module docstring: the degrees 0 < m-1 < m < 2m-1
     strictly increase for m >= 3, and a torsion entry appears only when |Delta(1)| > 1.
     """
     m, order = p.m, delta_at_one(p)
     if order == 0:
-        middle = (tuple.__new__(HomologyEntry, (m - 1, 1, ())), tuple.__new__(HomologyEntry, (m, 1, ())))
+        middle = (HomologyEntry(m - 1, 1), HomologyEntry(m, 1))
     else:
-        middle = (tuple.__new__(HomologyEntry, (m - 1, 0, (order,))),) if order > 1 else ()
-    entries = (tuple.__new__(HomologyEntry, (0, 1, ())), *middle, tuple.__new__(HomologyEntry, (2 * m - 1, 1, ())))
-    return tuple.__new__(GradedAbelianGroup, (entries,))
+        middle = (HomologyEntry(m - 1, 0, (order,)),) if order > 1 else ()
+    return GradedAbelianGroup((HomologyEntry(0, 1), *middle, HomologyEntry(2 * m - 1, 1)))
 
 
 def rational_sphere_gate(p: BrieskornParams) -> bool:

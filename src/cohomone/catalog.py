@@ -27,7 +27,8 @@ is read by its kind's table (``_OUTCOMES``) and built at load; it decides
 
 An embedding's values are JSON keys of their own: ``winding`` an integer,
 ``slope`` an array of two integers and ``contains`` an array of ids of
-embeddings of the same file; an id that names none is refused.  ``tags``
+embeddings of the same file; an id that names none is refused, as is an equal-rank
+embedding whose Hilbert series takes over ``HILBERT_STEP_BUDGET`` steps.  ``tags``
 are labels of ``lie_catalog.EMBEDDING_TAGS``, which ``NamedEmbedding``
 checks, and ``comment`` is free text that the loader drops.  The
 parameterized corank-2 pairs are no records: their table is
@@ -49,10 +50,13 @@ from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
 from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
+from .rational_homotopy import hilbert_factors
 
 #: the only ``"version"`` the data files may carry
 CATALOG_VERSION = 1
 _DATA_ENV = "COHOMONE_DATA_DIR"
+#: the most big-integer steps an equal-rank Hilbert series may take: at most about 0.2 s (2-vCPU VM, Python 3.11)
+HILBERT_STEP_BUDGET = 2 * 10**6
 
 
 def _rank_spec(spec, where: str) -> Optional[tuple[tuple[int, int], ...]]:
@@ -99,8 +103,13 @@ def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
     subgroup = _named(f"{where} key 'subgroup'", _catalog_group, subgroup)
     ranks = _rank_spec(map_ranks, where)
     ranks = injective_rank_map(subgroup) if ranks is None else ranks
-    return _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
-                                                frozenset(contains)))
+    embedding = _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
+                                                     frozenset(contains)))
+    numerator, denominator = hilbert_factors(embedding) if ambient.rank == subgroup.rank else ((), ())
+    steps = (len(numerator) + len(denominator)) * (ambient.dimension - subgroup.dimension + 1)
+    if steps > HILBERT_STEP_BUDGET:
+        raise InvalidLabel(f"{where}: its Hilbert series takes {steps} steps, over the budget of {HILBERT_STEP_BUDGET}")
+    return embedding
 
 
 class OrbitBetti(NamedTuple):

@@ -6,10 +6,10 @@ coefficients; there is deliberately no floating point anywhere in this
 module.  A polynomial is a named tuple of one field, ``coefficients``,
 stored densely by ascending degree with trailing zeros trimmed and
 coefficients made ``int``, so two equal polynomials compare equal
-structurally; iterate ``coefficients``, not the polynomial.  They are
-multiplied and evaluated, never divided: the one quotient the engine
-needs, the equal-rank Hilbert series, is a recurrence in
-``rational_homotopy``.
+structurally; iterate and test ``coefficients``, not the polynomial, a
+tuple of one field that is always true.  They are multiplied and
+evaluated, never divided: the one quotient the engine needs, the
+equal-rank Hilbert series, is a recurrence in ``rational_homotopy``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         if 0 <= degree < len(self.coefficients):
             return self.coefficients[degree]
         return 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
 
     def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)  # all zeros if either factor is zero

@@ -62,12 +62,23 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     return QuotientHomotopy(tuple(odd), tuple(even), heuristic)
 
 
+def hilbert_factors(inclusion: NamedEmbedding) -> tuple[list[int], list[int]]:
+    """The degrees d of the factors 1 - t^(d+1) of the equal-rank Hilbert series left in its numerator (from G)
+    and its denominator (from H) once the factors common to both cancel as multisets; sorted, in linear time."""
+    surplus = dict.fromkeys(sorted({*inclusion.ambient.degrees, *inclusion.subgroup.degrees}), 0)
+    for d in inclusion.ambient.degrees:
+        surplus[d] += 1
+    for e in inclusion.subgroup.degrees:
+        surplus[e] -= 1
+    return [d for d, n in surplus.items() for _ in range(n)], [e for e, n in surplus.items() for _ in range(-n)]
+
+
 def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
     """Rational Poincare polynomial of an equal-rank quotient G/H.
 
     The exact quotient
     prod_{d in degrees(G)} (1 - t^(d+1)) / prod_{e in degrees(H)} (1 - t^(e+1)).
-    Factors common to both products cancel as multisets.  Each remaining
+    Factors common to both cancel as multisets (``hilbert_factors``).  Each remaining
     numerator factor is multiplied in by p_i -= p_(i-k), and each
     remaining denominator factor divided out by q_i = p_i + q_(i-k); a
     nonzero tail of length k after a division means the quotient is not
@@ -79,12 +90,7 @@ def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:
         raise Unsupported(
             f"hilbert_series needs an equal-rank pair, got ranks {g.rank} and {h.rank}"
         )
-    numerator, denominator = list(g.degrees), []  # factor 1 - t^(d+1) per degree d
-    for e in h.degrees:  # cancel the common factors
-        if e in numerator:
-            numerator.remove(e)
-        else:
-            denominator.append(e)
+    numerator, denominator = hilbert_factors(inclusion)
     coeffs = [1]
     for d in numerator:
         k = d + 1

@@ -90,6 +90,22 @@ def test_homology_examples():
     assert entries(5, 7) == [(0, 1, ()), (9, 1, ())]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 200), st.integers(1, 5000))
+def test_homology_is_the_case_table_of_the_module_docstring(m, d):
+    # m even: Z/d in degree m-1, no entry at d = 1; m odd, d even: Z in degrees m-1 and m; m odd, d odd: none
+    if m % 2 == 0:
+        middle = [(m - 1, 0, (d,))] if d > 1 else []
+    else:
+        middle = [(m - 1, 1, ()), (m, 1, ())] if d % 2 == 0 else []
+    groups = homology(BrieskornParams(m, d))
+    assert entries(m, d) == [(0, 1, ()), *middle, (2 * m - 1, 1, ())]
+    assert type(groups) is GradedAbelianGroup and type(groups.entries) is tuple
+    for entry in groups.entries:
+        assert type(entry) is HomologyEntry and type(entry.degree) is type(entry.free_rank) is int
+        assert type(entry.torsion) is tuple and all(type(t) is int for t in entry.torsion)
+
+
 def test_homology_middle_order_matches_delta():
     for m in range(3, 9):
         for d in range(1, 30):
@@ -159,12 +175,3 @@ def test_delta_poly_refuses_dense_output_above_cap():
     assert delta_poly(BrieskornParams(3, MAX_SPHERE_DIM)).degree == MAX_SPHERE_DIM - 1
     with pytest.raises(InvalidParams):
         delta_poly(BrieskornParams(4, MAX_SPHERE_DIM + 1))
-
-
-def test_graded_group_shape_rules():
-    with pytest.raises(InvalidParams):
-        GradedAbelianGroup((HomologyEntry(3, 1), HomologyEntry(2, 1)))
-    with pytest.raises(InvalidParams):
-        HomologyEntry(1, 0, ())
-    with pytest.raises(InvalidParams):
-        HomologyEntry(1, 1, (1,))

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 import cohomone
 from cohomone import lie_catalog
 from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FLAGS, _ORBIT, _OUTCOMES, _RECORD
-from cohomone.catalog import data_dir, default_catalog, load_catalog
+from cohomone.catalog import HILBERT_STEP_BUDGET, data_dir, default_catalog, load_catalog
 from cohomone.classification import CORANK2_FAMILIES, corank2_sources, enumerate_corank2
 from cohomone.cli import run
 from cohomone.diagram import ClassificationOutcome
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import is_declared_injective, parse_group, validate_embedding
+from cohomone.rational_homotopy import hilbert_factors
 
 
 def test_catalog_loads_and_indexes():
@@ -295,6 +296,11 @@ BAD_TAGS = [
                      record_edit("embeddings", "su6-sp3", lambda r: r.update(ambient=f"SU(1{'0' * 2200})")),
                      InvalidLabel, "embeddings[16] key 'ambient': the group has dimension above 1000000",
                      id="ambient-of-dimension-10^4400"),
+        # an equal-rank embedding whose Hilbert series takes more steps than the budget: this one made hilbert run
+        # 1.3 s and print 6.6 MB, and verify-tables run 1.2 s, before the loader counted the steps
+        ("embeddings.json", lambda data: data["embeddings"].append(
+            {"id": "su200-t199", "ambient": "SU(200)", "subgroup": "T199", "map_ranks": {"1": 0}}),
+         InvalidLabel, "embeddings[51]: its Hilbert series takes 15840798 steps, over the budget of 2000000"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
         # a subgroup of smaller dimension may still outgrow the ambient group in rank
@@ -485,6 +491,20 @@ def test_unsupported_version_rejected_at_load(tmp_path, name):
     assert default_catalog().version == 1
     with pytest.raises(Unsupported, match=name):
         load_catalog(edited_data(tmp_path, name, lambda data: data.update(version=2)))
+
+
+def hilbert_steps(embedding):
+    """The steps of its Hilbert series: the factors left after cancellation times (dim G/H + 1)."""
+    numerator, denominator = hilbert_factors(embedding)
+    return (len(numerator) + len(denominator)) * (embedding.ambient.dimension - embedding.subgroup.dimension + 1)
+
+
+def test_the_hilbert_budget_admits_su100_over_t99_and_the_shipped_embeddings_far_inside_it(tmp_path):
+    steps = {e.id: hilbert_steps(e) for e in default_catalog().embeddings() if e.ambient.rank == e.subgroup.rank}
+    assert len(steps) == 21 and max(steps.values()) == steps["spin8-in-f4"] == 100
+    su100 = {"id": "su100-t99", "ambient": "SU(100)", "subgroup": "T99", "map_ranks": {"1": 0}}
+    catalog = load_catalog(edited_data(tmp_path, "embeddings.json", lambda data: data["embeddings"].append(su100)))
+    assert hilbert_steps(catalog.embedding("su100-t99")) == 1960398 <= HILBERT_STEP_BUDGET
 
 
 def test_catalog_is_read_only():

@@ -349,6 +349,26 @@ def test_table_has_nine_families_and_consistent_dimensions():
         assert type(row) is SphereActionRow and type(row.sphere_dim) is int and type(row.embedding_classes) is frozenset
 
 
+#: the families of Table 1 whose group carries a passenger factor: row m's group, written as the paper writes it,
+#: and its dimension; the isotropy is the same group at m - 1
+_PASSENGER_FAMILIES = {
+    "su-u1": (lambda m: f"U({m})", lambda m: m * m),
+    "sp-u1": (lambda m: f"Sp({m})xU(1)", lambda m: m * (2 * m + 1) + 1),
+    "sp-sp1": (lambda m: f"Sp({m})xSp(1)", lambda m: m * (2 * m + 1) + 3),
+}
+
+
+@pytest.mark.parametrize("family", _PASSENGER_FAMILIES)
+def test_passenger_rows_are_the_papers_groups(family):
+    # the passenger U(1) or Sp(1) reaches no report check or verdict: without it every sphere dimension still holds
+    text, dimension = _PASSENGER_FAMILIES[family]
+    rows = [row for row in transitive_sphere_pairs(12) if row.family == family]
+    assert [row.m for row in rows] == list(range(rows[0].m, 13)) and rows[0].m <= 2
+    for row in rows:
+        assert (row.group.dimension, row.isotropy.dimension) == (dimension(row.m), dimension(row.m - 1)), row
+        assert (row.group, row.isotropy) == (parse_group(text(row.m)), parse_group(text(row.m - 1))), row
+
+
 @pytest.mark.parametrize(
     "group, isotropy, dim",
     [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohomone.brieskorn import BrieskornParams, GradedAbelianGroup, HomologyEntry, delta_poly, homology
+from cohomone.brieskorn import BrieskornParams, delta_poly
 from cohomone.catalog import default_catalog
 from cohomone.classification import SevenFamilyParams, corank2_sources, realize_torsion, seven_family_torsion
 from cohomone.diagram import CASE6_FIBERS, GHCaseResult, gh_classify
@@ -16,17 +16,6 @@ from cohomone.rational_homotopy import QuotientHomotopy, quotient_homotopy
 
 CAT = default_catalog()
 BRIESKORN = st.builds(BrieskornParams, st.integers(3, 200), st.integers(1, 5000))
-
-
-@settings(max_examples=300, deadline=None)
-@given(BRIESKORN)
-def test_homology_equals_its_checked_build(p):
-    groups = homology(p)
-    assert groups == GradedAbelianGroup(tuple(HomologyEntry(*e) for e in groups.entries))
-    assert type(groups) is GradedAbelianGroup and type(groups.entries) is tuple
-    for degree, free_rank, torsion in groups.entries:
-        assert type(degree) is type(free_rank) is int and type(torsion) is tuple
-    assert all(type(e) is HomologyEntry and all(type(t) is int for t in e.torsion) for e in groups.entries)
 
 
 @settings(max_examples=300, deadline=None)

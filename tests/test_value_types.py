@@ -2,7 +2,7 @@
 
 import pytest
 
-from cohomone.brieskorn import BrieskornParams, GradedAbelianGroup, HomologyEntry
+from cohomone.brieskorn import BrieskornParams
 from cohomone.classification import ClassificationOutcome, CorankTwoRow, SevenFamilyParams
 from cohomone.errors import InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import GroupType, NamedEmbedding, SimpleGroupLabel, parse_group
@@ -30,12 +30,6 @@ CASES = [
     (IntegerPolynomial((1, 2)), {"coefficients": ("x",)}, ValueError, "invalid literal"),
     (BrieskornParams(4, 5), {"m": 1}, Unsupported, "m must be at least 3"),
     (BrieskornParams(4, 5), {"d": 0}, InvalidParams, "d must be at least 1, got 0"),
-    (HomologyEntry(2, 1), {"free_rank": -1}, InvalidParams, "malformed homology entry in degree 2"),
-    (HomologyEntry(2, torsion=(3,)), {"torsion": ()}, InvalidParams, "empty homology entry in degree 2"),
-    (HomologyEntry(2, torsion=(3,)), {"torsion": (3, 1), "free_rank": 1}, InvalidParams,
-     "malformed homology entry in degree 2"),
-    (GradedAbelianGroup((HomologyEntry(0, 1), HomologyEntry(3, 1))), {"entries": (HomologyEntry(3, 1),) * 2},
-     InvalidParams, "strictly increasing degrees"),
     (SevenFamilyParams(1, 1, 5, 1), {"p_plus": 3}, InvalidParams, "p_plus = 3 is not congruent to 1 mod 4"),
     (SevenFamilyParams(1, 1, 5, 1), {"q_plus": 2, "q_minus": 7}, InvalidParams, "q_minus = 7 is not congruent"),
     (CorankTwoRow(SU4, SU2, 5, 12, 7, "su4-su2", "su4-su2", None), {"ell_plus": 6}, InvalidParams,
