@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
-from .lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
+from .lie_catalog import GroupType, NamedEmbedding, parse_group
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import hilbert_factors
 
@@ -59,10 +59,10 @@ _DATA_ENV = "COHOMONE_DATA_DIR"
 HILBERT_STEP_BUDGET = 2 * 10**6
 
 
-def _rank_spec(spec, where: str) -> Optional[tuple[tuple[int, int], ...]]:
-    """A record's ``map_ranks``: None for "injective", else its (degree, rank) pairs."""
+def _rank_spec(spec, where: str, subgroup: GroupType) -> tuple[tuple[int, int], ...]:
+    """A record's ``map_ranks`` as (degree, rank) pairs; "injective" is the subgroup's ``degree_counts``."""
     if spec == "injective":
-        return None
+        return subgroup.degree_counts
     if isinstance(spec, Mapping):
         ranks = [(_decimal(k), v) for k, v in spec.items()]
         if all(k is not None and type(v) is int for k, v in ranks):
@@ -101,8 +101,7 @@ def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
         record, _EMBEDDING, where, InvalidLabel)
     ambient = _named(f"{where} key 'ambient'", _catalog_group, ambient)
     subgroup = _named(f"{where} key 'subgroup'", _catalog_group, subgroup)
-    ranks = _rank_spec(map_ranks, where)
-    ranks = injective_rank_map(subgroup) if ranks is None else ranks
+    ranks = _rank_spec(map_ranks, where, subgroup)
     embedding = _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
                                                      frozenset(contains)))
     numerator, denominator = hilbert_factors(embedding) if ambient.rank == subgroup.rank else ((), ())

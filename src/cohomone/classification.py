@@ -29,7 +29,6 @@ from .lie_catalog import (
     GroupType,
     NamedEmbedding,
     check_winding_and_slope,
-    injective_rank_map,
     is_declared_injective,
     memoized,
     parse_group,
@@ -128,7 +127,7 @@ def corank2_sources(max_rank: int, catalog: Catalog) -> list[tuple[NamedEmbeddin
     for family, (m, pair) in CORANK2_FAMILIES.items():
         while (groups := pair(m))[0].rank <= max_rank:
             g, sub = groups
-            sources.append((NamedEmbedding(f"{family}@m={m}", g, sub, injective_rank_map(sub)), family, m))
+            sources.append((NamedEmbedding(f"{family}@m={m}", g, sub, sub.degree_counts), family, m))
             m += 1
     return sources
 

@@ -25,7 +25,8 @@ A torus factor contributes its rank to both rank and dimension and one
 degree-1 generator per circle.  Two cross-identities tie the tables
 together and are enforced by the test suite: the dimension of a group
 equals the sum of its degrees, and the Weyl order times 2^rank equals
-the product of (degree + 1) over all degrees.
+the product of (degree + 1) over all degrees.  Every multiplicity of a degree
+is read from one table per group, ``GroupType.degree_counts``.
 
 ``parse_group`` reads a group expression of constant terms into one
 ``GroupType``; a group that depends on a parameter is built in code, from
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Optional
 
@@ -148,8 +149,8 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
 
     Factors are canonicalized and sorted on construction, so types built
     from different low-rank presentations compare equal.  ``rank``, ``dimension``,
-    ``degrees`` and the text ``str`` gives are computed on first read and kept;
-    attributes cannot be set.
+    ``degrees``, ``degree_counts`` and the text ``str`` gives are computed on first
+    read and kept; attributes cannot be set.
     """
 
     # no __slots__: cached_property keeps the invariants in the instance __dict__, which it writes directly
@@ -187,6 +188,11 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
         for f in self.factors:
             out.extend(f.degrees)
         return tuple(sorted(out))
+
+    @cached_property
+    def degree_counts(self) -> tuple[tuple[int, int], ...]:
+        """(degree, multiplicity) pairs in increasing degree: the one table every multiplicity is read from."""
+        return tuple(Counter(self.degrees).items())  # degrees is sorted, and a Counter keeps first-seen order
 
     def is_trivial(self) -> bool:
         return not self.factors and self.torus_rank == 0
@@ -354,25 +360,17 @@ def validate_embedding(e: NamedEmbedding) -> None:
         raise InvalidEmbedding(f"{e.id}: subgroup dimension exceeds ambient dimension")
     if e.subgroup.rank > e.ambient.rank:
         raise InvalidEmbedding(f"{e.id}: subgroup rank exceeds ambient rank")
-    sub_degrees, amb_degrees = degrees(e.subgroup), degrees(e.ambient)
+    sub_counts, amb_counts = dict(e.subgroup.degree_counts), dict(e.ambient.degree_counts)
     for k, r in e.homotopy_map_ranks:
         if r < 0:
             raise InvalidEmbedding(f"{e.id}: negative map rank in degree {k}")
-        if r > min(sub_degrees.count(k), amb_degrees.count(k)):
-            raise InvalidEmbedding(
-                f"{e.id}: degree-{k} map rank {r} exceeds multiplicity bound "
-                f"min({sub_degrees.count(k)}, {amb_degrees.count(k)})"
-            )
-
-
-def injective_rank_map(subgroup: GroupType) -> tuple[tuple[int, int], ...]:
-    """Declared ranks for a rationally injective inclusion: full subgroup multiplicities."""
-    degrees = subgroup.degrees
-    return tuple((k, degrees.count(k)) for k in sorted(set(degrees)))
+        c_h, c_g = sub_counts.get(k, 0), amb_counts.get(k, 0)
+        if r > min(c_h, c_g):
+            raise InvalidEmbedding(f"{e.id}: degree-{k} map rank {r} exceeds multiplicity bound min({c_h}, {c_g})")
 
 
 def is_declared_injective(e: NamedEmbedding) -> bool:
-    return dict(e.homotopy_map_ranks) == dict(injective_rank_map(e.subgroup))
+    return dict(e.homotopy_map_ranks) == dict(e.subgroup.degree_counts)
 
 
 # ---------------------------------------------------------------------------

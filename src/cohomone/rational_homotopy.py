@@ -11,10 +11,11 @@ and the declared per-degree ranks of the inclusion on rational homotopy:
   division) is the rational Poincare polynomial of G/H, and
 * Euler characteristics as Weyl-order ratios.
 
-Degrees of a compact group are odd, so a surviving ambient generator in
-degree k lands in odd degree k, while a killed subgroup generator in
-degree k feeds degree k+1 (even).  In particular a torus circle of H
-inside a semisimple G contributes a degree-2 class of G/H.
+Every multiplicity c_G(k), c_H(k) is read from ``GroupType.degree_counts``,
+one table per group.  Degrees of a compact group are odd, so a surviving
+ambient generator in degree k lands in odd degree k, while a killed subgroup
+generator in degree k feeds degree k+1 (even).  In particular a torus circle
+of H inside a semisimple G contributes a degree-2 class of G/H.
 """
 
 from __future__ import annotations
@@ -46,31 +47,28 @@ def quotient_homotopy(inclusion: NamedEmbedding) -> QuotientHomotopy:
     degree k and c_H(k) - r(k) classes in degree k+1.  Missing declared
     ranks default to min(c_G, c_H) and set the heuristic flag.
     """
-    amb, sub = inclusion.ambient.degrees, inclusion.subgroup.degrees
     declared = dict(inclusion.homotopy_map_ranks)
-    odd: list[int] = []
-    even: list[int] = []
-    heuristic = False
-    for k in sorted({*amb, *sub}):  # so that both lists come out sorted
-        c_g, c_h = amb.count(k), sub.count(k)
+    odd, even, heuristic = [], [], False
+    for k, c_g, c_h in _multiplicities(inclusion):
         bound = min(c_g, c_h)  # NamedEmbedding checked that a declared rank is at most this
         r = declared.get(k, bound)
-        if k not in declared and bound > 0:
-            heuristic = True
+        heuristic = heuristic or (k not in declared and bound > 0)
         odd.extend([k] * (c_g - r))
         even.extend([k + 1] * (c_h - r))
     return QuotientHomotopy(tuple(odd), tuple(even), heuristic)
 
 
+def _multiplicities(inclusion: NamedEmbedding) -> list[tuple[int, int, int]]:
+    """(k, c_G(k), c_H(k)) for every degree k of G or H, in increasing k, from the two ``degree_counts``."""
+    amb, sub = dict(inclusion.ambient.degree_counts), dict(inclusion.subgroup.degree_counts)
+    return [(k, amb.get(k, 0), sub.get(k, 0)) for k in sorted({*amb, *sub})]
+
+
 def hilbert_factors(inclusion: NamedEmbedding) -> tuple[list[int], list[int]]:
     """The degrees d of the factors 1 - t^(d+1) of the equal-rank Hilbert series left in its numerator (from G)
     and its denominator (from H) once the factors common to both cancel as multisets; sorted, in linear time."""
-    surplus = dict.fromkeys(sorted({*inclusion.ambient.degrees, *inclusion.subgroup.degrees}), 0)
-    for d in inclusion.ambient.degrees:
-        surplus[d] += 1
-    for e in inclusion.subgroup.degrees:
-        surplus[e] -= 1
-    return [d for d, n in surplus.items() for _ in range(n)], [e for e, n in surplus.items() for _ in range(-n)]
+    counts = _multiplicities(inclusion)
+    return [k for k, g, h in counts for _ in range(g - h)], [k for k, g, h in counts for _ in range(h - g)]
 
 
 def hilbert_series(inclusion: NamedEmbedding) -> IntegerPolynomial:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
@@ -448,6 +449,27 @@ def test_a_malformed_stored_verdict_exits_2_from_every_catalog_reader_in_a_fresh
         done = cli_process(argv, tmp_path)
         assert done.returncode == 2 and f"{error.__name__}: " in done.stderr and detail in done.stderr, argv
     assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
+
+
+#: the identity of a group of dimension 999,999, inside the load bound: counting its 700 distinct degrees with
+#: tuple.count over its 510,699 made load_catalog take 10.3 s and quotient --embedding big 7.0 s (2-vCPU VM)
+BIG_IDENTITY = {"id": "big", "ambient": "SU(700)xT510000", "subgroup": "SU(700)xT510000", "map_ranks": "injective"}
+
+
+def test_a_group_at_the_dimension_bound_loads_and_is_read_in_bounded_time(tmp_path):
+    edited_data(tmp_path, "embeddings.json", lambda data: data["embeddings"].append(BIG_IDENTITY))
+    start = time.perf_counter()
+    catalog = load_catalog(tmp_path)  # once, so that each reader is timed apart from the load
+    assert time.perf_counter() - start < 2
+    for argv, exit_code in zip([*CATALOG_READERS, ["quotient", "--embedding", "big"]], [0, 0, 2, 2, 0, 0], strict=True):
+        start = time.perf_counter()
+        result = run(argv, catalog)
+        assert result.exit_code == exit_code and time.perf_counter() - start < 2, argv
+    payload = result.payload  # of quotient --embedding big: the identity quotient is a point
+    assert (payload["odd_degrees"], payload["even_degrees"], payload["heuristic"]) == ([], [], False)
+    start = time.perf_counter()
+    assert cli_process(["quotient", "--embedding", "big"], tmp_path).returncode == 0
+    assert time.perf_counter() - start < 2
 
 
 def test_no_loaded_diagram_record_holds_a_raw_json_object():

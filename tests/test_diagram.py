@@ -13,7 +13,7 @@ from cohomone.diagram import (
     validate,
 )
 from cohomone.errors import InvalidLattice, InvalidParams
-from cohomone.lie_catalog import GroupType, NamedEmbedding, injective_rank_map, parse_group
+from cohomone.lie_catalog import GroupType, NamedEmbedding, parse_group
 from cohomone.polynomial import IntegerPolynomial
 from cohomone.classification import brieskorn_diagram
 
@@ -27,7 +27,7 @@ def catalog_diagram(record_id):
 def fixed_point_diagram():
     """K+ = K- = G with G/H a sphere (the two-fixed-point suspension shape)."""
     g = parse_group("SU(2)")
-    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g))
+    identity = NamedEmbedding("su2-id", g, g, g.degree_counts)
     h = NamedEmbedding(
         "circle-in-su2-principal", g, parse_group("T1"), ((1, 0),),
         frozenset({"block", "proper-projections"}),
@@ -263,7 +263,7 @@ def test_double_disk_euler_fixed_points():
 
 def test_double_disk_euler_odd_orbit_suspension():
     g = parse_group("SU(2)")
-    identity = NamedEmbedding("su2-id", g, g, injective_rank_map(g))
+    identity = NamedEmbedding("su2-id", g, g, g.degree_counts)
     trivial = NamedEmbedding(
         "trivial-in-su2", g, GroupType(), (), frozenset({"proper-projections"})
     )

@@ -29,6 +29,8 @@ from cohomone.lie_catalog import (
     transitive_sphere_pairs,
     weyl_order,
 )
+from cohomone.rational_homotopy import hilbert_factors, quotient_homotopy
+from test_trusted_builds import _quotient_oracle
 
 
 EXCEPTIONAL_LABELS = [SimpleGroupLabel(f, r) for f, r in [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)]]
@@ -97,9 +99,13 @@ TERM_BUILDERS = {"SU": special_unitary, "SO": special_orthogonal, "Spin": specia
                  "T": lambda n: GroupType((), n)}
 
 
+#: 1-4 terms of a group expression: (name, integer argument, written in parentheses)
+TERMS = st.lists(st.tuples(st.sampled_from(sorted(TERM_BUILDERS)), st.integers(0, 14), st.booleans()),
+                 min_size=1, max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(sorted(TERM_BUILDERS)), st.integers(0, 14), st.booleans()),
-                min_size=1, max_size=4), st.sampled_from(["x", "×"]))
+@given(TERMS, st.sampled_from(["x", "×"]))
 def test_a_product_of_terms_is_the_product_of_their_groups(terms, sign):
     # each integer argument written bare or in parentheses
     text = sign.join(f"{name}({n})" if parenthesized else f"{name}{n}" for name, n, parenthesized in terms)
@@ -120,6 +126,41 @@ def test_arguments_are_bare_or_in_balanced_parentheses():
             parse_group(text)
     assert parse_group("SU6") == parse_group("SU(6)")
     assert parse_group("Sp3") == parse_group("Sp(3)") and parse_group("U2xT1") == parse_group("U(2)xT1")
+
+
+@st.composite
+def term_products(draw):
+    """The product of 1-4 terms, each a group its builder defines, times a torus of rank up to 10^4."""
+    group = GroupType((), draw(st.integers(0, 10**4)))
+    for name, n, _ in draw(TERMS):
+        assume(n > 0 or name in ("Sp", "T"))  # SU(0), SO(0) and U(0) are not defined
+        group = group * TERM_BUILDERS[name](n)
+    return group
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_products(), term_products(), st.data())
+def test_every_multiplicity_reader_agrees_with_counters_of_the_degrees(g, h, data):
+    # an oracle apart from GroupType.degree_counts: the multiplicities are Counters of the two degree lists
+    if not (h.dimension <= g.dimension and h.rank <= g.rank):  # an ambient group the subgroup fits in
+        g, h = (h, g) if g.dimension <= h.dimension and g.rank <= h.rank else (g * h, h)
+    amb, sub = Counter(g.degrees), Counter(h.degrees)
+    for group, counts in ((g, amb), (h, sub)):
+        assert group.degree_counts == tuple(sorted(counts.items())), group
+    assert hilbert_factors(NamedEmbedding("pair", g, h)) == (sorted((amb - sub).elements()),
+                                                               sorted((sub - amb).elements()))
+    # declared ranks within the bounds, some degrees left undeclared
+    bounds = {k: min(amb[k], sub[k]) for k in sorted(amb | sub)}
+    ranks = [(k, r) for k, bound in bounds.items()
+             if (r := data.draw(st.none() | st.integers(0, bound), label=f"rank in degree {k}")) is not None]
+    inclusion = NamedEmbedding("pair", g, h, ranks)
+    assert quotient_homotopy(inclusion) == _quotient_oracle(inclusion)
+    # one rank over its bound, in a degree of either group or of neither, refused with the multiplicities named
+    k = data.draw(st.sampled_from([*bounds, 2]), label="over-declared degree")
+    r = bounds.get(k, 0) + data.draw(st.integers(1, 3), label="excess")
+    with pytest.raises(InvalidEmbedding) as caught:
+        NamedEmbedding("pair", g, h, [(j, s) for j, s in ranks if j != k] + [(k, r)])
+    assert str(caught.value) == f"pair: degree-{k} map rank {r} exceeds multiplicity bound min({sub[k]}, {amb[k]})"
 
 
 def test_degree_examples():
@@ -262,16 +303,16 @@ def test_the_low_rank_folds_identify_exactly_the_labels_of_equal_dynkin_data():
 
 
 def recomputed(group):
-    """(rank, dimension, degrees, text) worked out afresh from the factors."""
+    """(rank, dimension, degrees, degree counts, text) worked out afresh from the factors."""
     degree_list = [1] * group.torus_rank + [d for f in group.factors for d in f.degrees]
     parts = [str(f) for f in group.factors] + ([f"T{group.torus_rank}"] if group.torus_rank else [])
     return (sum(f.rank for f in group.factors) + group.torus_rank,
             sum(f.dimension for f in group.factors) + group.torus_rank, tuple(sorted(degree_list)),
-            "x".join(parts) if parts else "e")
+            tuple(sorted(Counter(degree_list).items())), "x".join(parts) if parts else "e")
 
 
 def cached(group):
-    return group.rank, group.dimension, group.degrees, str(group)
+    return group.rank, group.dimension, group.degrees, group.degree_counts, str(group)
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,10 +326,10 @@ def test_cached_invariants_match_a_recomputation_and_cannot_be_set(drawn, other)
     assert [vars(g) for g in derived[-3:]] == [{}] * 3  # copies and pickles carry the two fields, not the cache
     for g in [drawn, other, *derived]:
         assert cached(g) == recomputed(g) and degrees(g) is g.degrees, g
-        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "_text", "new_name"):
+        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "degree_counts", "_text", "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(g, name, 0)
-        for name in ("rank", "degrees", "_text", "new_name"):
+        for name in ("rank", "degrees", "degree_counts", "_text", "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(g, name)
         assert cached(g) == recomputed(g)

@@ -125,6 +125,21 @@ def test_one_json_decoder_reads_every_document():
     assert decoders == ["catalog.py"]
 
 
+def test_degree_multiplicities_have_one_reader():
+    # every multiplicity of a degree is read from GroupType.degree_counts; a tuple.count per distinct degree costs
+    # (distinct degrees) x rank, 10 s to load one catalog group of dimension 10^6, and a rank map built apart from
+    # the table is a second source of the same numbers.  The ban covers every `.count(` call, whatever its receiver,
+    # on purpose: the AST does not show a receiver's type, and no code of the package counts anything else
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "count":
+                found.append(f"{path.name}:{node.lineno}: .count(")
+            elif isinstance(node, ast.FunctionDef) and node.name == "injective_rank_map":
+                found.append(f"{path.name}:{node.lineno}: def injective_rank_map")
+    assert found == []
+
+
 def test_every_cache_is_bounded_and_typed():
     # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
     found = []
