@@ -30,8 +30,8 @@ _EXPORTS = {
                        "seven_family_torsion", "table3_filter"),
     "diagram": ("ClassificationOutcome", "GroupDiagram", "MVFeasibility", "SevenFamilyParams", "double_disk_euler",
                 "gh_classify", "mv_feasible", "primitivity", "validate"),
-    "lie_catalog": ("GroupType", "NamedEmbedding", "SimpleGroupLabel", "degrees", "parse_group",
-                    "sphere_quotient", "spheres_acted_on", "transitive_sphere_pairs", "weyl_order"),
+    "lie_catalog": ("GroupType", "NamedEmbedding", "SimpleGroupLabel", "parse_group", "sphere_quotient",
+                    "spheres_acted_on", "transitive_sphere_pairs"),
     "polynomial": ("IntegerPolynomial",),
     "rational_homotopy": ("QuotientHomotopy", "euler_characteristic", "hilbert_series",
                           "odd_product_poincare", "quotient_homotopy"),

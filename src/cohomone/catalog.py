@@ -87,20 +87,22 @@ def _named(where: str, build, *args):
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def _catalog_group(text: str) -> GroupType:
-    """The group ``text`` names; one of dimension above ``MAX_SPHERE_DIM``, whose degree list grows with it, is
-    refused before any degree list is built."""
-    group = parse_group(text)
-    if group.dimension > MAX_SPHERE_DIM:
-        raise InvalidLabel(f"the group has dimension above {MAX_SPHERE_DIM}")
-    return group
+def _catalog_group(text: str, groups: dict[str, GroupType]) -> GroupType:
+    """The group ``text`` names, parsed once per load: ``groups`` holds each text read so far.  One of dimension
+    above ``MAX_SPHERE_DIM``, whose degree list grows with it, is refused before any degree list is built."""
+    if text not in groups:
+        group = parse_group(text)
+        if group.dimension > MAX_SPHERE_DIM:
+            raise InvalidLabel(f"the group has dimension above {MAX_SPHERE_DIM}")
+        groups[text] = group
+    return groups[text]
 
 
-def _embedding_from_record(record: dict, where: str) -> NamedEmbedding:
+def _embedding_from_record(record: dict, where: str, groups: dict[str, GroupType]) -> NamedEmbedding:
     embedding_id, ambient, subgroup, map_ranks, tags, winding, slope, contains, _ = read_object(
         record, _EMBEDDING, where, InvalidLabel)
-    ambient = _named(f"{where} key 'ambient'", _catalog_group, ambient)
-    subgroup = _named(f"{where} key 'subgroup'", _catalog_group, subgroup)
+    ambient = _named(f"{where} key 'ambient'", _catalog_group, ambient, groups)
+    subgroup = _named(f"{where} key 'subgroup'", _catalog_group, subgroup, groups)
     ranks = _rank_spec(map_ranks, where, subgroup)
     embedding = _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
                                                      frozenset(contains)))
@@ -142,10 +144,10 @@ class Catalog:
 
     def __init__(self, version: int, embeddings: Mapping[str, NamedEmbedding],
                  diagrams: Mapping[str, DiagramRecord]) -> None:
-        lattices: dict[GroupType, tuple[NamedEmbedding, ...]] = {}
+        lattices: dict[GroupType, list[NamedEmbedding]] = {}
         for e in embeddings.values():
             if e.contains:
-                lattices[e.ambient] = lattices.get(e.ambient, ()) + (e,)
+                lattices.setdefault(e.ambient, []).append(e)
         by_descriptor: dict[tuple, DiagramRecord] = {}
         for record in diagrams.values():
             key = record.diagram.canonical_descriptor()
@@ -154,7 +156,8 @@ class Catalog:
                     f"diagram records {by_descriptor[key].id!r} and {record.id!r} describe the same diagram"
                 )
             by_descriptor[key] = record
-        values = (version, embeddings, diagrams, MappingProxyType(lattices), MappingProxyType(by_descriptor))
+        values = (version, embeddings, diagrams, MappingProxyType({g: tuple(es) for g, es in lattices.items()}),
+                  MappingProxyType(by_descriptor))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -337,7 +340,8 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
     version, _, records = _read(path, InvalidLabel, _EMBEDDINGS_FILE)
-    embeddings = [_embedding_from_record(r, f"{path}: embeddings[{i}]") for i, r in enumerate(records)]
+    groups: dict[str, GroupType] = {}  # each distinct group text of this load, parsed once
+    embeddings = [_embedding_from_record(r, f"{path}: embeddings[{i}]", groups) for i, r in enumerate(records)]
     by_id = _by_id(embeddings, InvalidLabel, path)
     for i, embedding in enumerate(embeddings):
         unknown = sorted(c for c in embedding.contains if c not in by_id)

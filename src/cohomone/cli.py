@@ -128,7 +128,7 @@ def _cmd_brieskorn(args) -> CommandResult:
 
 
 def _cmd_degrees(args) -> CommandResult:
-    from .lie_catalog import degrees, parse_group, weyl_order
+    from .lie_catalog import parse_group
     from .polynomial import MAX_SPHERE_DIM
 
     group = parse_group(args.group)
@@ -139,8 +139,8 @@ def _cmd_degrees(args) -> CommandResult:
         "group": str(group),
         "rank": group.rank,
         "dimension": group.dimension,
-        "degrees": list(degrees(group)),
-        "weyl_order": _printable(weyl_order(group), "--group names a group whose Weyl order"),
+        "degrees": list(group.degrees),
+        "weyl_order": _printable(group.weyl_order, "--group names a group whose Weyl order"),
     })
 
 

@@ -7,26 +7,29 @@ Spin(4) = SU(2) x SU(2)) are folded away at construction time, so
 structural equality of :class:`GroupType` is equality of isomorphism
 type.  The numeric invariants carried here are the classical ones:
 
-===========  ==================  ===========================  ============
-family       dimension           rational homotopy degrees    Weyl order
-===========  ==================  ===========================  ============
-A_n          n(n+2)              3, 5, ..., 2n+1              (n+1)!
-B_n          n(2n+1)             3, 7, ..., 4n-1              2^n n!
-C_n          n(2n+1)             3, 7, ..., 4n-1              2^n n!
-D_n          n(2n-1)             3, 7, ..., 4n-5 and 2n-1     2^(n-1) n!
-G2           14                  3, 11                        12
-F4           52                  3, 11, 15, 23                1152
-E6           78                  3, 9, 11, 15, 17, 23         51840
-E7           133                 3, 11, 15, 19, 23, 27, 35    2903040
-E8           248                 3, 15, ..., 47, 59           696729600
-===========  ==================  ===========================  ============
+===========  ==================  ===========================
+family       dimension           rational homotopy degrees
+===========  ==================  ===========================
+A_n          n(n+2)              3, 5, ..., 2n+1
+B_n          n(2n+1)             3, 7, ..., 4n-1
+C_n          n(2n+1)             3, 7, ..., 4n-1
+D_n          n(2n-1)             3, 7, ..., 4n-5 and 2n-1
+G2           14                  3, 11
+F4           52                  3, 11, 15, 23
+E6           78                  3, 9, 11, 15, 17, 23
+E7           133                 3, 11, 15, 19, 23, 27, 35
+E8           248                 3, 15, ..., 47, 59
+===========  ==================  ===========================
 
 A torus factor contributes its rank to both rank and dimension and one
-degree-1 generator per circle.  Two cross-identities tie the tables
-together and are enforced by the test suite: the dimension of a group
-equals the sum of its degrees, and the Weyl order times 2^rank equals
-the product of (degree + 1) over all degrees.  Every multiplicity of a degree
-is read from one table per group, ``GroupType.degree_counts``.
+degree-1 generator per circle.  An exceptional label's rank is the number
+of its degrees and its dimension their sum.  The Weyl order is the product
+of (degree + 1)/2 over the degrees (Chevalley), so "Weyl order times 2^rank
+equals the product of (degree + 1)" holds by construction.  The classical
+dimensions keep closed forms, tied to the sum of the degrees by a test: the
+load bound and ``degrees --group`` read a dimension before any degree list
+is built.  Every multiplicity of a degree, and so the Weyl order, is read
+from one table per group, ``GroupType.degree_counts``.
 
 ``parse_group`` reads a group expression of constant terms into one
 ``GroupType``; a group that depends on a parameter is built in code, from
@@ -57,16 +60,15 @@ from typing import Iterable, Optional
 from .errors import InvalidEmbedding, InvalidLabel, Unsupported
 
 _CLASSICAL_FAMILIES = ("A", "B", "C", "D")
-_EXCEPTIONAL_DATA = {
-    # family: (dimension, degrees, weyl order)
-    "G2": (14, (3, 11), 12),
-    "F4": (52, (3, 11, 15, 23), 1152),
-    "E6": (78, (3, 9, 11, 15, 17, 23), 51840),
-    "E7": (133, (3, 11, 15, 19, 23, 27, 35), 2903040),
-    "E8": (248, (3, 15, 23, 27, 35, 39, 47, 59), 696729600),
+#: the degrees of each exceptional family: its rank is their number, its dimension their sum
+_EXCEPTIONAL_DEGREES = {
+    "G2": (3, 11),
+    "F4": (3, 11, 15, 23),
+    "E6": (3, 9, 11, 15, 17, 23),
+    "E7": (3, 11, 15, 19, 23, 27, 35),
+    "E8": (3, 15, 23, 27, 35, 39, 47, 59),
 }
-#: the rank is the number of degrees
-_EXCEPTIONAL_RANKS = {family: len(data[1]) for family, data in _EXCEPTIONAL_DATA.items()}
+_EXCEPTIONAL_RANKS = {family: len(degrees) for family, degrees in _EXCEPTIONAL_DEGREES.items()}
 
 
 class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):
@@ -100,7 +102,7 @@ class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):
             return n * (2 * n + 1)
         if family == "D":
             return n * (2 * n - 1)
-        return _EXCEPTIONAL_DATA[family][0]
+        return sum(_EXCEPTIONAL_DEGREES[family])
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -111,18 +113,7 @@ class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):
             return tuple(range(3, 4 * n, 4))
         if family == "D":
             return tuple(sorted(tuple(range(3, 4 * n - 4, 4)) + (2 * n - 1,)))
-        return _EXCEPTIONAL_DATA[family][1]
-
-    @property
-    def weyl_order(self) -> int:
-        family, n = self
-        if family == "A":
-            return math.factorial(n + 1)
-        if family in ("B", "C"):
-            return 2**n * math.factorial(n)
-        if family == "D":
-            return 2 ** (n - 1) * math.factorial(n)
-        return _EXCEPTIONAL_DATA[family][2]
+        return _EXCEPTIONAL_DEGREES[family]
 
 
 def _canonical_factors(label: SimpleGroupLabel) -> tuple[tuple[SimpleGroupLabel, ...], int]:
@@ -149,8 +140,8 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
 
     Factors are canonicalized and sorted on construction, so types built
     from different low-rank presentations compare equal.  ``rank``, ``dimension``,
-    ``degrees``, ``degree_counts`` and the text ``str`` gives are computed on first
-    read and kept; attributes cannot be set.
+    ``degrees``, ``degree_counts``, ``weyl_order`` and the text ``str`` gives are
+    computed on first read and kept; attributes cannot be set.
     """
 
     # no __slots__: cached_property keeps the invariants in the instance __dict__, which it writes directly
@@ -194,6 +185,11 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
         """(degree, multiplicity) pairs in increasing degree: the one table every multiplicity is read from."""
         return tuple(Counter(self.degrees).items())  # degrees is sorted, and a Counter keeps first-seen order
 
+    @cached_property
+    def weyl_order(self) -> int:
+        """The order of the Weyl group, by Chevalley's theorem; a circle (degree 1) gives a factor of 1."""
+        return math.prod(((d + 1) // 2) ** count for d, count in self.degree_counts)
+
     def is_trivial(self) -> bool:
         return not self.factors and self.torus_rank == 0
 
@@ -215,15 +211,6 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
 
 
 TRIVIAL_GROUP = GroupType()
-
-
-def degrees(group: GroupType) -> tuple[int, ...]:
-    """Sorted multiset of rational homotopy generator degrees."""
-    return group.degrees
-
-
-def weyl_order(group: GroupType) -> int:
-    return math.prod(f.weyl_order for f in group.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,7 @@ def parse_group(text: str) -> GroupType:
     parentheses, S1, S3, e, or a raw label like B2 or E7.
     """
     groups = [_term(term, text) for term in text.replace("×", "x").split("x")]
-    return groups[0] if len(groups) == 1 else GroupType(sum((g.factors for g in groups), ()),
+    return groups[0] if len(groups) == 1 else GroupType([f for g in groups for f in g.factors],
                                                         sum(g.torus_rank for g in groups))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidEmbedding, Unsupported
-from .lie_catalog import NamedEmbedding, weyl_order
+from .lie_catalog import NamedEmbedding
 from .polynomial import IntegerPolynomial, one_plus_power, product
 
 
@@ -115,7 +115,7 @@ def euler_characteristic(inclusion: NamedEmbedding) -> int:
     g, h = inclusion.ambient, inclusion.subgroup
     if h.rank < g.rank:
         return 0
-    wg, wh = weyl_order(g), weyl_order(h)
+    wg, wh = g.weyl_order, h.weyl_order
     if wg % wh:
         raise InvalidEmbedding(
             f"{inclusion.id}: Weyl order {wh} does not divide {wg}"

@@ -570,6 +570,16 @@ def test_degrees_refuses_groups_it_cannot_print(group, detail):
     assert detail in result.payload["error"]
 
 
+def test_degrees_refuses_a_weyl_order_too_long_to_print_in_bounded_time():
+    # 120,000 terms SU(3), dimension 960,000: summing the terms' tuples and multiplying the Weyl order one factor at
+    # a time took 18.5 s to exit 2 (2-vCPU VM)
+    start = time.perf_counter()
+    result = run(["degrees", "--group", "x".join(["SU(3)"] * 120000)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.payload["error"].startswith("InvalidParams: --group names a group whose Weyl order has more than")
+
+
 @pytest.mark.parametrize("term", [f"SU({'9' * 5000})", f"T({'9' * 5000})", f"B{'9' * 5000}"],
                          ids=["SU(5000-digits)", "T(5000-digits)", "B5000-digits"])
 def test_degrees_refuses_arguments_of_more_digits_than_int_reads(term):

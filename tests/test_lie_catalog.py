@@ -1,6 +1,8 @@
 import copy
 import itertools
+import math
 import pickle
+import time
 from collections import Counter
 
 import pytest
@@ -19,7 +21,6 @@ from cohomone.lie_catalog import (
     NamedEmbedding,
     SimpleGroupLabel,
     SphereActionRow,
-    degrees,
     parse_group,
     special_orthogonal,
     special_unitary,
@@ -27,7 +28,6 @@ from cohomone.lie_catalog import (
     spheres_acted_on,
     symplectic,
     transitive_sphere_pairs,
-    weyl_order,
 )
 from cohomone.rational_homotopy import hilbert_factors, quotient_homotopy
 from test_trusted_builds import _quotient_oracle
@@ -128,6 +128,15 @@ def test_arguments_are_bare_or_in_balanced_parentheses():
     assert parse_group("Sp3") == parse_group("Sp(3)") and parse_group("U2xT1") == parse_group("U(2)xT1")
 
 
+def test_a_product_of_many_terms_parses_in_linear_time():
+    # the terms' factors are joined into one list; summing their tuples took 2.1 s for these 60,000 terms (2-vCPU VM)
+    text = "x".join(["SU(3)", "Sp(2)", "T1"] * 20000)
+    start = time.perf_counter()
+    group = parse_group(text)
+    assert time.perf_counter() - start < 1
+    assert group == GroupType((SimpleGroupLabel("A", 2), SimpleGroupLabel("B", 2)) * 20000, 20000)
+
+
 @st.composite
 def term_products(draw):
     """The product of 1-4 terms, each a group its builder defines, times a torus of rank up to 10^4."""
@@ -164,19 +173,19 @@ def test_every_multiplicity_reader_agrees_with_counters_of_the_degrees(g, h, dat
 
 
 def test_degree_examples():
-    assert degrees(parse_group("G2")) == (3, 11)
-    assert degrees(parse_group("Spin(8)")) == (3, 7, 7, 11)
-    assert degrees(GroupType()) == ()
-    assert degrees(parse_group("SU(4)")) == (3, 5, 7)
-    assert degrees(parse_group("Sp(3)")) == (3, 7, 11)
-    assert degrees(parse_group("E7")) == (3, 11, 15, 19, 23, 27, 35)
-    assert degrees(parse_group("T2")) == (1, 1)
+    assert parse_group("G2").degrees == (3, 11)
+    assert parse_group("Spin(8)").degrees == (3, 7, 7, 11)
+    assert GroupType().degrees == ()
+    assert parse_group("SU(4)").degrees == (3, 5, 7)
+    assert parse_group("Sp(3)").degrees == (3, 7, 11)
+    assert parse_group("E7").degrees == (3, 11, 15, 19, 23, 27, 35)
+    assert parse_group("T2").degrees == (1, 1)
 
 
 def test_degree_count_equals_rank():
     for label in all_test_labels():
         g = GroupType((label,))
-        assert len(degrees(g)) == g.rank
+        assert len(g.degrees) == g.rank
 
 
 @st.composite
@@ -198,26 +207,39 @@ def group_products(draw):
 def test_dimension_equals_sum_of_degrees(drawn):
     # ties the dimension table to the degree table, independently of both
     for g in [*(GroupType((label,)) for label in all_test_labels()), parse_group("SU(3)xSp(2)xT2"), drawn]:
-        assert g.dimension == sum(degrees(g)), g
+        assert g.dimension == sum(g.degrees), g
 
 
 def test_weyl_order_examples():
-    assert weyl_order(parse_group("SU(3)")) == 6
-    assert weyl_order(parse_group("F4")) == 1152
-    assert weyl_order(GroupType()) == 1
-    assert weyl_order(parse_group("E8")) == 696729600
-    assert weyl_order(parse_group("T2")) == 1
+    assert parse_group("SU(3)").weyl_order == 6
+    assert parse_group("F4").weyl_order == 1152
+    assert GroupType().weyl_order == 1
+    assert parse_group("E8").weyl_order == 696729600
+    assert parse_group("T2").weyl_order == 1
+
+
+#: the Weyl order of each exceptional family, written out
+EXCEPTIONAL_WEYL_ORDERS = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
+
+
+def closed_form_weyl_order(label):
+    """|W| of a label by its family's closed form, apart from the degrees the package reads it off."""
+    family, n = label
+    if family == "A":
+        return math.factorial(n + 1)
+    if family in ("B", "C"):
+        return 2**n * math.factorial(n)
+    if family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return EXCEPTIONAL_WEYL_ORDERS[family]
 
 
 @settings(max_examples=200, deadline=None)
 @given(group_products())
-def test_weyl_order_degree_product_identity(drawn):
-    # |W| * 2^rank equals prod(d + 1) over the degrees, for every type
+def test_weyl_order_is_the_product_of_closed_forms(drawn):
+    # the Weyl order read off the degrees equals the product of its factors' closed forms, for every type
     for g in [*(GroupType((label,)) for label in all_test_labels()), drawn]:
-        prod = 1
-        for d in degrees(g):
-            prod *= d + 1
-        assert weyl_order(g) * 2**g.rank == prod, g
+        assert g.weyl_order == math.prod(map(closed_form_weyl_order, g.factors)), g
 
 
 # -- an independent oracle: each label's root system ---------------------------------
@@ -259,7 +281,8 @@ def root_system_invariants(label):
 @pytest.mark.parametrize("label", [label for label in all_test_labels()
                                    if label.rank >= SYMPY_LEAST_RANK.get(label.family, 0)], ids=str)
 def test_each_label_has_the_invariants_of_its_root_system(label):
-    assert (label.dimension, tuple(sorted(label.degrees)), label.weyl_order) == root_system_invariants(label)
+    invariants = (label.dimension, tuple(sorted(label.degrees)), GroupType((label,)).weyl_order)
+    assert invariants == root_system_invariants(label)
 
 
 def standard_cartan(label):
@@ -303,16 +326,17 @@ def test_the_low_rank_folds_identify_exactly_the_labels_of_equal_dynkin_data():
 
 
 def recomputed(group):
-    """(rank, dimension, degrees, degree counts, text) worked out afresh from the factors."""
+    """(rank, dimension, degrees, degree counts, Weyl order, text) worked out afresh from the factors."""
     degree_list = [1] * group.torus_rank + [d for f in group.factors for d in f.degrees]
     parts = [str(f) for f in group.factors] + ([f"T{group.torus_rank}"] if group.torus_rank else [])
     return (sum(f.rank for f in group.factors) + group.torus_rank,
             sum(f.dimension for f in group.factors) + group.torus_rank, tuple(sorted(degree_list)),
-            tuple(sorted(Counter(degree_list).items())), "x".join(parts) if parts else "e")
+            tuple(sorted(Counter(degree_list).items())), math.prod(map(closed_form_weyl_order, group.factors)),
+            "x".join(parts) if parts else "e")
 
 
 def cached(group):
-    return group.rank, group.dimension, group.degrees, group.degree_counts, str(group)
+    return group.rank, group.dimension, group.degrees, group.degree_counts, group.weyl_order, str(group)
 
 
 @settings(max_examples=200, deadline=None)
@@ -325,11 +349,12 @@ def test_cached_invariants_match_a_recomputation_and_cannot_be_set(drawn, other)
                pickle.loads(pickle.dumps(drawn))]
     assert [vars(g) for g in derived[-3:]] == [{}] * 3  # copies and pickles carry the two fields, not the cache
     for g in [drawn, other, *derived]:
-        assert cached(g) == recomputed(g) and degrees(g) is g.degrees, g
-        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "degree_counts", "_text", "new_name"):
+        assert cached(g) == recomputed(g), g
+        for name in ("factors", "torus_rank", "rank", "dimension", "degrees", "degree_counts", "weyl_order", "_text",
+                     "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(g, name, 0)
-        for name in ("rank", "degrees", "degree_counts", "_text", "new_name"):
+        for name in ("rank", "degrees", "degree_counts", "weyl_order", "_text", "new_name"):
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(g, name)
         assert cached(g) == recomputed(g)

@@ -11,7 +11,6 @@ from cohomone.lie_catalog import (
     GroupType,
     NamedEmbedding,
     SimpleGroupLabel,
-    degrees,
     is_declared_injective,
     parse_group,
     transitive_sphere_pairs,
@@ -111,8 +110,8 @@ def test_declared_rank_bound_error():
 
 def sympy_series(g: GroupType, h: GroupType):
     t = sp.symbols("t")
-    num = sp.prod([1 - t ** (d + 1) for d in degrees(g)])
-    den = sp.prod([1 - t ** (e + 1) for e in degrees(h)])
+    num = sp.prod([1 - t ** (d + 1) for d in g.degrees])
+    den = sp.prod([1 - t ** (e + 1) for e in h.degrees])
     quotient = sp.cancel(num / den)
     poly = sp.Poly(quotient, t)
     return list(reversed(poly.all_coeffs()))
@@ -231,7 +230,7 @@ def test_hilbert_series_raises_exactly_when_the_quotient_is_not_polynomial(group
     assume(h.dimension <= g.dimension)
     pair = NamedEmbedding("random-pair", g, h)
     t = sp.symbols("t")
-    ratio = sp.cancel(sp.prod([1 - t ** (d + 1) for d in degrees(g)]) / sp.prod([1 - t ** (e + 1) for e in degrees(h)]))
+    ratio = sp.cancel(sp.prod([1 - t ** (d + 1) for d in g.degrees]) / sp.prod([1 - t ** (e + 1) for e in h.degrees]))
     if sp.fraction(ratio)[1].free_symbols:  # a denominator in t is left: not a polynomial
         event("not polynomial")
         with pytest.raises(InvalidEmbedding, match="random-pair: Hilbert series is not polynomial"):

@@ -140,6 +140,29 @@ def test_degree_multiplicities_have_one_reader():
     assert found == []
 
 
+def test_weyl_order_has_one_source():
+    # GroupType.weyl_order reads the Weyl order off degree_counts; a closed form per family is a second source of
+    # the same numbers, a function that returns an attribute is a wrapper, and sum(..., ()) concatenates tuples in
+    # quadratic time (17.5 s to parse 120,000 terms)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            call = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+            starts = [*node.args[1:], *(k.value for k in node.keywords)] if call == "sum" else []
+            if call in ("math.factorial", "factorial"):
+                found.append(f"{path.name}:{node.lineno}: factorial(")
+            elif any(isinstance(start, ast.Tuple) for start in starts):
+                found.append(f"{path.name}:{node.lineno}: sum(..., ())")
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name in ("degrees", "weyl_order"):
+                found.append(f"{path.name}:{top.lineno}: def {top.name}")
+            elif isinstance(top, ast.ClassDef) and top.name == "SimpleGroupLabel":
+                found += [f"{path.name}:{node.lineno}: SimpleGroupLabel.weyl_order" for node in top.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "weyl_order"]
+    assert found == []
+
+
 def test_every_cache_is_bounded_and_typed():
     # an unbounded cache grows with its inputs, and an untyped one lets ("so", 3.0) answer for ("so", 3)
     found = []
