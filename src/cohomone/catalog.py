@@ -196,15 +196,18 @@ class Catalog:
         return self._by_descriptor.get(diagram.canonical_descriptor())
 
     def diagram_from_record(self, values: Sequence, where: str = "diagram record") -> GroupDiagram:
-        """The diagram of a record's ``_DIAGRAM`` values, in ``read_object`` order; a ``g`` that does not parse,
-        an unknown id and a malformed annotation raise an error naming ``where`` and the key."""
+        """The diagram of a record's ``_DIAGRAM`` values, in ``read_object`` order, built by the checked
+        constructor: a diagram that breaks a rule of ``diagram.validate`` raises its ``InvalidDiagram``."""
+        return GroupDiagram(*self._diagram_fields(values, where))
+
+    def _diagram_fields(self, values: Sequence, where: str) -> tuple:
+        """The ``GroupDiagram`` fields of a record's values; a ``g`` that does not parse, an unknown id and a
+        malformed annotation raise an error naming ``where`` and the key."""
         g, *ids, counts, flags = values
-        return GroupDiagram(
-            _named(f"{where} key 'g'", parse_group, g),
-            *(_named(f"{where} key {key!r}", self.embedding, value) for key, value in zip(_EMBEDDING_KEYS, ids)),
-            *read_object(counts, _COUNTS, f"{where} component_counts"),
-            *read_object(flags, _FLAGS, f"{where} nonorientable"),
-        )
+        return (_named(f"{where} key 'g'", parse_group, g),
+                *(_named(f"{where} key {key!r}", self.embedding, value) for key, value in zip(_EMBEDDING_KEYS, ids)),
+                *read_object(counts, _COUNTS, f"{where} component_counts"),
+                *read_object(flags, _FLAGS, f"{where} nonorientable"))
 
 
 _EMPTY = MappingProxyType({})
@@ -336,6 +339,8 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     A file that cannot be read or is not UTF-8 JSON raises ``InvalidLabel``
     (``embeddings.json``) or ``InvalidDiagram`` (``diagrams.json``) naming it, and
     so does, naming the key too, a missing, repeated or undeclared key or a value of the wrong JSON type.
+    A diagram record that breaks a rule of ``diagram.validate`` raises ``InvalidDiagram`` naming the file and
+    ``diagrams[i]``: each record is validated once, here, and never again per use.
     """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
@@ -354,8 +359,9 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
         where = f"{path}: diagrams[{i}]"
         record_id, *diagram, outcome, rational_sphere, orbit = read_object(record, _RECORD, where)
-        records.append(DiagramRecord(record_id, catalog.diagram_from_record(diagram, where),
-                                     *_verdict(outcome, rational_sphere, where), _orbit_poincare(orbit, where)))
+        diagram = _named(where, GroupDiagram, *catalog._diagram_fields(diagram, where))  # checked once, here
+        records.append(DiagramRecord(record_id, diagram, *_verdict(outcome, rational_sphere, where),
+                                     _orbit_poincare(orbit, where)))
     return Catalog(version, by_id, _by_id(records, InvalidDiagram, path))
 
 

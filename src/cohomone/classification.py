@@ -11,9 +11,9 @@ check reads, is derived in ``verify.orbit_betti``.
 ``FAMILIES`` is the one table of the parameterized families: for each ``family`` name of a diagram
 document, the key table of its documents, its factory and its recognizer.  Each family's orbit
 groups (G, H, K-, K+) are defined, and checked to fit, once per parameter.  Its factory builds the
-diagram from them, skipping the embedding checks those groups and this module's tags have passed; its
-recognizer reads the parameter off G and compares the orbit groups of the diagram, or of its swap,
-with the family's.
+diagram from them, skipping the embedding and diagram checks that those groups, this module's tags and
+its component counts have passed; its recognizer reads the parameter off G and compares the orbit groups
+of the diagram, or of its swap, with the family's.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from collections import namedtuple
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .diagram import CASE6_FIBERS, ClassificationOutcome, GroupDiagram, SevenFamilyParams, validate
-from .errors import InvalidDiagram, InvalidEmbedding, InvalidParams
+from .diagram import CASE6_FIBERS, ClassificationOutcome, GroupDiagram, SevenFamilyParams
+from .errors import InvalidEmbedding, InvalidParams
 from .lie_catalog import (
     TRIVIAL_GROUP,
     GroupType,
@@ -258,13 +258,17 @@ _PROPER_BLOCK, _UNTAGGED = _BLOCK | _PROPER, frozenset()
 
 
 def _family_diagram(
-    stem: str, orbits: Orbits, tags: tuple[frozenset[str], ...], k_fields: tuple[dict, dict] = ({}, {}), **annotations
+    stem: str, orbits: Orbits, tags: tuple[frozenset[str], ...], k_fields: tuple[dict, dict] = ({}, {}),
+    components: tuple[int, int, int] = (1, 1, 1), nonorientable: tuple[bool, bool] = (False, False),
 ) -> GroupDiagram:
     """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
-    winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and ``annotations`` are
-    the component counts and orientability flags.  A manifold of dimension above ``MAX_SPHERE_DIM`` is
-    refused before any embedding is built.  Of the checks of ``NamedEmbedding``, only the winding and slope
-    ones run: ``_fitted`` checked the groups, the tags are labels of ``EMBEDDING_TAGS``, and no ranks are declared.
+    winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and H, K- and K+ have
+    ``components`` components, K- and K+ the orientability flags ``nonorientable``.  A manifold of dimension
+    above ``MAX_SPHERE_DIM`` is refused before any embedding is built.  Of the checks of ``NamedEmbedding``,
+    only the winding and slope ones run: ``_fitted`` checked the groups, the tags are labels of
+    ``EMBEDDING_TAGS``, and no ranks are declared.  None of ``GroupDiagram`` runs: the orbit groups were
+    ``_fitted`` once per parameter, both witnesses are ``block``, H carries ``proper-projections``, and each
+    family's component counts meet the component rule.
     """
     g, h, k_minus, k_plus = orbits
     dim = g.dimension - h.dimension + 1
@@ -277,9 +281,10 @@ def _family_diagram(
         check_winding_and_slope(id := f"{stem}-{suffix}", winding, slope)
         return tuple.__new__(NamedEmbedding, (id, ambient, sub, (), labels, winding, slope, frozenset()))
 
-    return GroupDiagram(g, embed("h", g, h, tags[0]), embed("kminus", g, k_minus, tags[1], **k_fields[0]),
-                        embed("kplus", g, k_plus, tags[2], **k_fields[1]), embed("h-in-km", k_minus, h, _BLOCK),
-                        embed("h-in-kp", k_plus, h, _BLOCK), **annotations)
+    return tuple.__new__(GroupDiagram, (
+        g, embed("h", g, h, tags[0]), embed("kminus", g, k_minus, tags[1], **k_fields[0]),
+        embed("kplus", g, k_plus, tags[2], **k_fields[1]), embed("h-in-km", k_minus, h, _BLOCK),
+        embed("h-in-kp", k_plus, h, _BLOCK), *components, *nonorientable))
 
 
 def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram:
@@ -298,8 +303,8 @@ def brieskorn_diagram(m: int, d: int, variant: str = "standard") -> GroupDiagram
     return _family_diagram(
         f"brieskorn[{variant},m={m},d={d}]", _brieskorn_orbits(m, variant),
         (_PROPER_BLOCK, _UNTAGGED, _BLOCK), ({"winding": d if d % 2 else d // 2}, {}),
-        components_h=1 + d % 2, components_k_plus=1 + d % 2,  # two components each when d is odd
-        nonorientable_k_plus=bool(m % 2 and d % 2),
+        components=(1 + d % 2, 1, 1 + d % 2),  # H and K+ have two components each when d is odd
+        nonorientable=(False, bool(m % 2 and d % 2)),
     )
 
 
@@ -309,8 +314,7 @@ def seven_family_diagram(params: SevenFamilyParams) -> GroupDiagram:
     return _family_diagram(
         f"seven[{p_minus},{q_minus},{p_plus},{q_plus}]", _SEVEN_ORBITS, (_PROPER, _UNTAGGED, _UNTAGGED),
         ({"slope": (p_minus, q_minus)}, {"slope": (p_plus, q_plus)}),
-        components_h=4, components_k_minus=2, components_k_plus=2,
-        nonorientable_k_minus=True, nonorientable_k_plus=True,
+        components=(4, 2, 2), nonorientable=(True, True),
     )
 
 
@@ -436,11 +440,8 @@ FAMILIES: dict[str, Family] = {
 
 
 def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> ClassificationOutcome:
-    """Match a validated diagram against the shipped catalog and known families."""
+    """Match a diagram, which its type has validated, against the shipped catalog and known families."""
     catalog = _or_default(catalog)
-    violations = validate(d)
-    if violations:
-        raise InvalidDiagram("; ".join(str(v) for v in violations))
     record = catalog.matching_record(d)
     if record is not None and record.outcome is not None:
         return record.outcome

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvalidEmbedding, InvalidLattice, InvalidParams
+from .errors import InvalidDiagram, InvalidLattice, InvalidParams
 from .lie_catalog import GroupType, NamedEmbedding, sphere_quotient
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic
@@ -34,7 +34,9 @@ from .rational_homotopy import euler_characteristic
 _swapped = itemgetter(0, 1, 3, 2, 5, 4, 6, 8, 7, 10, 9)
 
 
-class GroupDiagram(NamedTuple):
+class GroupDiagram(namedtuple("GroupDiagram", "g h k_minus k_plus h_in_k_minus h_in_k_plus components_h "
+                                              "components_k_minus components_k_plus nonorientable_k_minus "
+                                              "nonorientable_k_plus", defaults=(1, 1, 1, False, False))):
     """The quadruple H < K+- < G with its discrete annotations.
 
     The five embeddings (catalogued records, or for a diagram built by a
@@ -44,20 +46,19 @@ class GroupDiagram(NamedTuple):
     Component counts annotate the number of connected components of each
     group (types themselves model connected groups); the non-orientable
     flags describe the singular orbits G/K-+ and are caller-supplied
-    data, not derived.
+    data, not derived.  The constructor and ``_replace`` run ``validate``: a diagram that breaks a rule
+    raises ``InvalidDiagram`` listing its violations.
     """
 
-    g: GroupType
-    h: NamedEmbedding
-    k_minus: NamedEmbedding
-    k_plus: NamedEmbedding
-    h_in_k_minus: NamedEmbedding
-    h_in_k_plus: NamedEmbedding
-    components_h: int = 1
-    components_k_minus: int = 1
-    components_k_plus: int = 1
-    nonorientable_k_minus: bool = False
-    nonorientable_k_plus: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, *fields, **named) -> "GroupDiagram":
+        self = super().__new__(cls, *fields, **named)
+        violations = validate(self)
+        if violations:
+            raise InvalidDiagram("; ".join(map(str, violations)))
+        return self
 
     @property
     def ell_minus(self) -> int:
@@ -77,8 +78,9 @@ class GroupDiagram(NamedTuple):
         return self.g.dimension - self.h.subgroup.dimension + 1
 
     def swap(self) -> "GroupDiagram":
-        """The diagram with K+ and K- exchanged (an equivalence move)."""
-        return GroupDiagram._make(_swapped(self))
+        """The diagram with K+ and K- exchanged (an equivalence move).  Built past the check: every rule of
+        ``validate`` is symmetric in K- and K+, so the swap of a valid diagram is valid."""
+        return tuple.__new__(GroupDiagram, _swapped(self))
 
     def descriptor(self) -> tuple:
         return (
@@ -103,10 +105,7 @@ class GroupDiagram(NamedTuple):
         return min(own := self.descriptor(), _swapped(own))
 
     def orbit_inclusions(self) -> tuple[NamedEmbedding, NamedEmbedding, NamedEmbedding]:
-        """H, K+ and K- as inclusions into G; one that lives in another group raises."""
-        for emb in (self.h, self.k_plus, self.k_minus):
-            if emb.ambient != self.g:
-                raise InvalidEmbedding(f"{emb.id}: inclusion ambient {emb.ambient} differs from {self.g}")
+        """H, K+ and K- as inclusions into G, which the constructor checked they are."""
         return self.h, self.k_plus, self.k_minus
 
 
@@ -119,7 +118,7 @@ class Violation(NamedTuple):
 
 
 def validate(d: GroupDiagram) -> list[Violation]:
-    """All rule violations of a diagram; an empty list means valid."""
+    """All rule violations of a diagram, which ``GroupDiagram`` runs when it is built; an empty list means valid."""
     out: list[Violation] = []
     for name, emb in (("H", d.h), ("K-", d.k_minus), ("K+", d.k_plus)):
         if emb.ambient != d.g:

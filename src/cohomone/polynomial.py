@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
+from .errors import InvalidParams
+
 #: largest degree of a dense output (``brieskorn.delta_poly``, the cli's ``--*-spheres`` products)
 #: and the largest sphere dimension ``diagram.mv_feasible`` accepts (it scans every degree up to n)
 MAX_SPHERE_DIM = 10**6
@@ -81,5 +83,5 @@ def product(polys: Iterable[IntegerPolynomial]) -> IntegerPolynomial:
 def one_plus_power(exponent: int) -> IntegerPolynomial:
     """1 + t**exponent."""
     if exponent <= 0:
-        raise ValueError("exponent must be positive")
+        raise InvalidParams(f"the exponent of 1 + t^k must be positive, got {exponent}")
     return IntegerPolynomial((1,) + (0,) * (exponent - 1) + (1,))

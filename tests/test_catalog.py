@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import time
 from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import cohomone
 from cohomone import lie_catalog
 from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FLAGS, _ORBIT, _OUTCOMES, _RECORD
-from cohomone.catalog import HILBERT_STEP_BUDGET, Catalog, data_dir, default_catalog, load_catalog
+from cohomone.catalog import HILBERT_STEP_BUDGET, INLINE_RECORD, Catalog, data_dir, default_catalog, load_catalog
 from cohomone.classification import CORANK2_FAMILIES, corank2_sources, enumerate_corank2
 from cohomone.cli import run
 from cohomone.diagram import ClassificationOutcome
@@ -449,6 +451,52 @@ def test_a_malformed_stored_verdict_exits_2_from_every_catalog_reader_in_a_fresh
         done = cli_process(argv, tmp_path)
         assert done.returncode == 2 and f"{error.__name__}: " in done.stderr and detail in done.stderr, argv
     assert cli_process(["degrees", "--group", "G2"], tmp_path).returncode == 0  # reads no catalog
+
+
+def exchange_witnesses(record):
+    record["h_in_k_minus"], record["h_in_k_plus"] = record["h_in_k_plus"], record["h_in_k_minus"]
+
+
+#: (record id, edit) of a ``diagrams.json`` record that then breaks a rule of ``diagram.validate``
+INVALID_RECORDS = [
+    pytest.param("t5-row1", lambda r: r.update(g="SU(1000000)"), id="g-unrelated-to-its-embeddings"),
+    pytest.param("su5-lambda2", lambda r: r.update(k_plus=r["h"]), id="k_plus-equal-to-h"),
+    pytest.param("t5-row1", exchange_witnesses, id="witnesses-exchanged"),
+]
+
+
+@pytest.mark.parametrize("record_id, edit", INVALID_RECORDS)
+def test_every_catalog_reader_refuses_a_record_that_breaks_a_rule_naming_it(tmp_path, monkeypatch, record_id, edit):
+    # each record is validated once, at load: no reader answers for it, and none ends in a traceback
+    edited_data(tmp_path, "diagrams.json", record_edit("diagrams", record_id, edit))
+    index = [r["id"] for r in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]].index(record_id)
+    where = f"diagrams.json: diagrams[{index}]: [containment-shape] "
+    with pytest.raises(InvalidDiagram) as caught:
+        load_catalog(tmp_path)
+    assert where in str(caught.value)
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    for argv in CATALOG_READERS:
+        result = run(argv)
+        assert result.exit_code == 2 and result.payload["error"].startswith("InvalidDiagram: "), argv
+        assert where in result.payload["error"], argv
+
+
+T5_ROW1 = {key: value for key, value in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"][0].items()
+           if key in INLINE_RECORD}
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param(dict(T5_ROW1, g="SU(5)"), id="g-unrelated-to-its-embeddings"),
+    pytest.param(dict(T5_ROW1, h_in_k_minus=T5_ROW1["h_in_k_plus"], h_in_k_plus=T5_ROW1["h_in_k_minus"]),
+                 id="witnesses-exchanged"),
+])
+def test_primitivity_refuses_an_invalid_inline_document_as_classify_does(document):
+    results = []
+    for command in ("classify", "primitivity"):
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(document))):
+            results.append(run([command, "--diagram", "-"], default_catalog()))
+    assert results[0] == results[1]
+    assert results[0].exit_code == 2 and results[0].payload["error"].startswith("InvalidDiagram: [containment-shape] ")
 
 
 #: the identity of a group of dimension 999,999, inside the load bound: counting its 700 distinct degrees with

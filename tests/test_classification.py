@@ -29,7 +29,7 @@ from cohomone.classification import (
     tensor_sp_diagram,
     tensor_su_diagram,
 )
-from cohomone.diagram import double_disk_euler, gh_classify, mv_feasible, validate
+from cohomone.diagram import GroupDiagram, double_disk_euler, gh_classify, mv_feasible, validate
 from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams
 from cohomone.lie_catalog import (
     EMBEDDING_TAGS,
@@ -41,6 +41,7 @@ from cohomone.lie_catalog import (
     symplectic,
 )
 from cohomone.verify import orbit_betti
+from test_diagram import unchecked
 
 CAT = default_catalog()
 
@@ -326,13 +327,13 @@ def test_outcome_as_dict_lists_the_fields_set():
 
 
 def test_orbit_data_checks_inclusions_live_in_g():
-    # K+ taken from a diagram in Sp(2): with no stored data, orbit_betti takes the equal-rank branch
-    d = CAT.diagram_record("case6-su3").diagram._replace(k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
+    # K+ taken from a diagram in Sp(2): the type refuses it, so double_disk_euler and orbit_betti, whose
+    # equal-rank branch would read it with no stored data, never see an inclusion into another group
+    d = CAT.diagram_record("case6-su3").diagram
     assert d.h.subgroup.rank == d.g.rank
-    with pytest.raises(InvalidEmbedding, match="differs from"):
-        double_disk_euler(d)
-    with pytest.raises(InvalidEmbedding, match="differs from"):
-        orbit_betti(DiagramRecord("mixed", d))
+    with pytest.raises(InvalidDiagram) as caught:
+        d._replace(k_plus=CAT.diagram_record("case6-sp2").diagram.k_plus)
+    assert str(caught.value) == "[containment-shape] K+ (sp2-kplus-u2) is not an embedding into A2"
 
 
 def test_tensor_classification():
@@ -454,7 +455,7 @@ def test_brieskorn_recognizer_reads_so_m_off_g_as_a_rebuilt_semisimple_part_does
             g = group * GroupType((), torus)
             assert cohomone.classification._so_index(g) == rebuilt_so_index(GroupType(g.factors)), g
             for d, m, d_param in shapes:  # only the diagram's own G can match its orbit groups
-                outcome = cohomone.classification._recognize_brieskorn(d._replace(g=g))
+                outcome = cohomone.classification._recognize_brieskorn(unchecked(d, g=g))
                 if g != d.g:
                     assert outcome is None, (g, d.g)
                 elif m % 2 and d_param % 2 == 0:
@@ -555,9 +556,9 @@ def factory_diagrams(draw):
 
 
 def swapped_by_name(d):
-    """The swap of ``d``, written field by field."""
-    return d._replace(
-        k_minus=d.k_plus, k_plus=d.k_minus, h_in_k_minus=d.h_in_k_plus, h_in_k_plus=d.h_in_k_minus,
+    """The swap of ``d``, written field by field and built past the check, as ``swap`` is."""
+    return unchecked(
+        d, k_minus=d.k_plus, k_plus=d.k_minus, h_in_k_minus=d.h_in_k_plus, h_in_k_plus=d.h_in_k_minus,
         components_k_minus=d.components_k_plus, components_k_plus=d.components_k_minus,
         nonorientable_k_minus=d.nonorientable_k_plus, nonorientable_k_plus=d.nonorientable_k_minus,
     )
@@ -569,13 +570,16 @@ def test_factory_embeddings_pass_every_check_of_the_public_constructor(d):
     for e in (d.h, d.k_minus, d.k_plus, d.h_in_k_minus, d.h_in_k_plus):
         assert type(e) is NamedEmbedding
         assert NamedEmbedding._make(e) == e  # _make runs every check of NamedEmbedding
+    # the factories and the swap build past the check of GroupDiagram, whose _make runs validate
+    assert type(d) is type(d.swap()) is GroupDiagram
+    assert GroupDiagram._make(d) == d and GroupDiagram._make(d.swap()) == d.swap()
 
 
 @settings(max_examples=200, deadline=None)
 @given(factory_diagrams(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans())
 def test_canonical_descriptor_is_the_smaller_of_the_two_orientations(d, c_h, c_minus, c_plus, n_minus, n_plus):
-    d = d._replace(components_h=c_h, components_k_minus=c_minus, components_k_plus=c_plus,
-                   nonorientable_k_minus=n_minus, nonorientable_k_plus=n_plus)
+    d = unchecked(d, components_h=c_h, components_k_minus=c_minus, components_k_plus=c_plus,
+                  nonorientable_k_minus=n_minus, nonorientable_k_plus=n_plus)
     assert d.swap() == swapped_by_name(d)
     assert d.canonical_descriptor() == min(d.descriptor(), swapped_by_name(d).descriptor())
 

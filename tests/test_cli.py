@@ -118,6 +118,8 @@ def test_primitivity_subcommand(tmp_path):
     out = payload(["primitivity", "--diagram", str(doc)])
     assert out["verdict"] == "non-primitive"
     assert out["witness"] == "t5-l-su2su2"
+    assert run(["primitivity", "--diagram", str(doc), "--rational-sphere"]) == (2, {
+        "error": "InvalidLattice: lattice entry t5-l-su2su2 contradicts the rational-sphere assertion"})
 
 
 def test_mv_check_subcommand():
@@ -471,6 +473,11 @@ MISSPELLED_COUNTS = {**{key: value for key, value in WU.items() if key != "compo
     pytest.param(json.dumps(WU)[:-1] + ', "nonorientable": {}}',
                  "InvalidDiagram: diagram document - is not valid JSON: object key 'nonorientable' is repeated",
                  id="repeated-nonorientable"),
+    # every key declared and well typed, but a value the factory or the diagram type refuses
+    pytest.param(json.dumps({"family": "brieskorn", "m": 4, "d": 3, "variant": "nope"}),
+                 "InvalidParams: unknown variant 'nope'", id="variant-nope"),
+    pytest.param(json.dumps({**T5_ROW1_RECORD, "component_counts": {"h": 0}}),
+                 "InvalidDiagram: [component-pattern] component counts must be positive", id="component-count-0"),
 ])
 def test_undeclared_or_repeated_key_exits_2(text, error):
     for command in ("classify", "primitivity"):

@@ -1,7 +1,10 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomone.errors import InvalidParams
 from cohomone.polynomial import IntegerPolynomial, one_plus_power, product
+from cohomone.rational_homotopy import odd_product_poincare
 
 P = IntegerPolynomial
 
@@ -40,6 +43,15 @@ def test_helpers():
     assert one_plus_power(3).coefficients == (1, 0, 0, 1)
     assert product([]).coefficients == (1,)
     assert product([one_plus_power(1), one_plus_power(2)]).coefficients == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("call", [lambda: one_plus_power(0), lambda: one_plus_power(-3),
+                                  lambda: odd_product_poincare((2, 0))],
+                         ids=["one_plus_power(0)", "one_plus_power(-3)", "odd_product_poincare((2, 0))"])
+def test_a_sphere_of_no_positive_dimension_is_a_typed_error(call):
+    # a CohomoneError, which the front end prints with exit 2, not a ValueError that ends in a traceback
+    with pytest.raises(InvalidParams, match="the exponent of 1 \\+ t\\^k must be positive"):
+        call()
 
 
 @settings(max_examples=200, deadline=None)

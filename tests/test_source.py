@@ -57,23 +57,30 @@ def test_report_path_formats_no_fiber_text_and_restates_no_homology():
 #: checks, from parts it has proved; the docstring of each function names what it proves
 UNCHECKED_BUILDS = {
     ("classification", "_family_diagram", "NamedEmbedding"),  # orbit groups checked once per parameter
+    ("classification", "_family_diagram", "GroupDiagram"),  # block witnesses, proper H, counts that meet the rule
+    ("diagram", "GroupDiagram.swap", "GroupDiagram"),  # every rule of validate is symmetric in K- and K+
     ("classification", "realize_torsion", "SevenFamilyParams"),
     ("brieskorn", "delta_poly", "IntegerPolynomial"),
     ("diagram", "gh_classify", "GHCaseResult"),
 }
 
 
-def _unchecked_builds(path: Path) -> set:
-    """(module, function, type) of each ``tuple.__new__(Type, ...)`` outside the ``__new__`` of ``Type`` itself."""
-    scopes = []  # (name, node, class name)
+def _scopes(path: Path) -> list:
+    """(name, node, class name) of each top-level statement of a module, and of each statement of a class body."""
+    scopes = []
     for top in ast.parse(path.read_text()).body:
         if isinstance(top, ast.ClassDef):
             scopes += [(f"{top.name}.{node.name}" if isinstance(node, ast.FunctionDef) else top.name, node, top.name)
                        for node in top.body]
         else:
             scopes.append((top.name if isinstance(top, ast.FunctionDef) else "<module>", top, None))
+    return scopes
+
+
+def _unchecked_builds(path: Path) -> set:
+    """(module, function, type) of each ``tuple.__new__(Type, ...)`` outside the ``__new__`` of ``Type`` itself."""
     found = set()
-    for name, scope, cls in scopes:
+    for name, scope, cls in _scopes(path):
         for node in ast.walk(scope):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__":
                 built = ast.unparse(node.args[0])
@@ -89,11 +96,20 @@ def test_every_unchecked_build_is_on_the_allow_list():
     assert found == UNCHECKED_BUILDS
 
 
+def test_validate_runs_only_where_a_diagram_is_built():
+    # a GroupDiagram is validated once, by its constructor; a read of diagram.validate anywhere else, a call or a
+    # reference, re-checks what the type guarantees (classify_diagram did so on every document)
+    found = [f"{path.stem}.{name}" for path in sorted(SOURCE.glob("*.py")) for name, scope, _ in _scopes(path)
+             for node in ast.walk(scope) if isinstance(node, ast.Name) and node.id == "validate"
+             or isinstance(node, ast.Attribute) and node.attr == "validate"]
+    assert found == ["diagram.GroupDiagram.__new__"]
+
+
 def test_the_readme_lists_every_unchecked_build():
     # the README's bullet list of trusted producers, `module.function` (`Type`, ...), is UNCHECKED_BUILDS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("lists every such site:"):readme.index("Public constructors and `_replace`")]
-    listed = {(module, function, built) for module, function, types in re.findall(r"^\* `(\w+)\.(\w+)` \(([^)]*)\)",
+    listed = {(module, function, built) for module, function, types in re.findall(r"^\* `(\w+)\.([\w.]+)` \(([^)]*)\)",
                                                                                  section, re.M)
               for built in re.findall(r"`(\w+)`", types)}
     assert listed == UNCHECKED_BUILDS
@@ -307,7 +323,7 @@ UNENTERED = {
     "cohomone.lie_catalog.GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
     **dict.fromkeys([f"cohomone.{name}._make" for name in (
         "brieskorn.BrieskornParams", "classification.CorankTwoRow", "diagram.ClassificationOutcome",
-        "diagram.SevenFamilyParams", "lie_catalog.GroupType", "lie_catalog.NamedEmbedding",
+        "diagram.GroupDiagram", "diagram.SevenFamilyParams", "lie_catalog.GroupType", "lie_catalog.NamedEmbedding",
         "lie_catalog.SimpleGroupLabel", "polynomial.IntegerPolynomial")],
         "so that _replace runs the checks of the constructor"),
     "cohomone.lie_catalog.GroupType.__add__": "with __rmul__, refuses tuple concatenation and repetition",
