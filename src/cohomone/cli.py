@@ -40,9 +40,10 @@ class _UsageError(Exception):
     pass
 
 
-def _integers(values: list[str], flag: str) -> tuple[int, ...]:
+def _integers(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag value: none if it is blank; an empty entry is a usage error."""
     try:
-        return tuple(int(v) for v in values)
+        return tuple(int(v) for v in text.split(",")) if text.strip() else ()
     except ValueError as exc:
         raise _UsageError(f"{flag} takes comma-separated integers ({exc})") from None
 
@@ -50,14 +51,14 @@ def _integers(values: list[str], flag: str) -> tuple[int, ...]:
 def _coeffs(text: str, flag: str) -> IntegerPolynomial:
     from .polynomial import IntegerPolynomial
 
-    return IntegerPolynomial(_integers(text.split(","), flag) if text.strip() else (1,))
+    return IntegerPolynomial(_integers(text, flag) or (1,))  # a blank flag is a point
 
 
 def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
     from .polynomial import MAX_SPHERE_DIM
     from .rational_homotopy import odd_product_poincare
 
-    dims = _integers([v for v in text.split(",") if v.strip()], flag)
+    dims = _integers(text, flag)
     if any(d < 1 for d in dims) or sum(dims) > MAX_SPHERE_DIM:
         raise _UsageError(f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}")
     return odd_product_poincare(dims)

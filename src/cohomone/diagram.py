@@ -142,7 +142,7 @@ def validate(d: GroupDiagram) -> list[Violation]:
             out.append(Violation("fiber-dimension", f"{name}/H has dimension {ell}; both fibers need dimension >= 1"))
     if not out:
         for name, k, w in (("K-", d.k_minus, d.h_in_k_minus), ("K+", d.k_plus, d.h_in_k_plus)):
-            recognized = sphere_quotient(k.subgroup, w)
+            recognized = sphere_quotient(w)
             if recognized != ells[name]:
                 out.append(
                     Violation(

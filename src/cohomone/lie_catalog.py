@@ -238,8 +238,6 @@ def special_unitary(n: int) -> GroupType:
 
 @memoized
 def symplectic(n: int) -> GroupType:
-    if n < 0:
-        raise InvalidLabel(f"Sp({n}) is not defined")
     return TRIVIAL_GROUP if n == 0 else GroupType((SimpleGroupLabel("C", n),))
 
 
@@ -428,16 +426,16 @@ def _passenger_match(ambient: GroupType, sub: GroupType, row: SphereActionRow) -
     return passenger == sub_passenger and torus >= 0 and torus == sub.torus_rank - row.isotropy.torus_rank
 
 
-def sphere_quotient(ambient: GroupType, sub: NamedEmbedding) -> Optional[int]:
-    """Sphere dimension of ambient/subgroup, if the pair is a catalogued sphere action.
+def sphere_quotient(sub: NamedEmbedding) -> Optional[int]:
+    """Sphere dimension of G/H for the inclusion ``sub`` of H in G (``sub.ambient``), if the pair is a catalogued
+    sphere action.
 
     The inclusion must be declared standard for some table row (its tags
     carry the row's embedding class); factors of the ambient group acting
     trivially are cancelled against equal factors of the subgroup before
     matching.  Returns None when no row matches.
     """
-    if sub.ambient != ambient:
-        raise InvalidEmbedding(f"{sub.id}: embedding does not live in the given ambient group")
+    ambient = sub.ambient
     ell = ambient.dimension - sub.subgroup.dimension
     for row in _sphere_rows_of_dimension(ell):
         if row.embedding_classes & sub.tags and _passenger_match(ambient, sub.subgroup, row):

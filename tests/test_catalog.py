@@ -306,6 +306,9 @@ BAD_TAGS = [
          InvalidLabel, "embeddings[51]: its Hilbert series takes 15840798 steps, over the budget of 2000000"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
+        ("embeddings.json", lambda data: data["embeddings"].append(
+            {"id": "neg", "ambient": "SU(3)", "subgroup": "SU(2)", "map_ranks": {"3": -1}}),
+         InvalidEmbedding, "embeddings[51]: neg: negative map rank in degree 3"),
         # a subgroup of smaller dimension may still outgrow the ambient group in rank
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="T(6)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup rank exceeds ambient rank"),
@@ -588,6 +591,19 @@ def test_the_hilbert_budget_admits_su100_over_t99_and_the_shipped_embeddings_far
     su100 = {"id": "su100-t99", "ambient": "SU(100)", "subgroup": "T99", "map_ranks": {"1": 0}}
     catalog = load_catalog(edited_data(tmp_path, "embeddings.json", lambda data: data["embeddings"].append(su100)))
     assert hilbert_steps(catalog.embedding("su100-t99")) == 1960398 <= HILBERT_STEP_BUDGET
+
+
+def test_an_equal_rank_embedding_whose_weyl_order_does_not_divide_loads_and_only_its_readers_refuse_it(
+        tmp_path, monkeypatch):
+    # G2 > Sp(2) has equal rank, and Sp(2)'s Weyl order 8 does not divide G2's 12: nothing checks an embedding's
+    # Hilbert series or Euler characteristic at load, so the readers that compute one exit 2 and the others answer
+    edited_data(tmp_path, "embeddings.json",
+                lambda data: data["embeddings"].append({"id": "weyl", "ambient": "G2", "subgroup": "Sp(2)"}))
+    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
+    assert run(["quotient", "--embedding", "weyl"]).exit_code == 0
+    assert run(["hilbert", "--embedding", "weyl"]) == (
+        2, {"error": "InvalidEmbedding: weyl: Hilbert series is not polynomial"})
+    assert run(["verify-tables"]) == (2, {"error": "InvalidEmbedding: weyl: Weyl order 8 does not divide 12"})
 
 
 def test_catalog_is_read_only():

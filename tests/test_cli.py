@@ -132,6 +132,9 @@ def test_mv_check_subcommand():
         "--k-plus-spheres", "3,5", "--k-minus-spheres", "2,5",
     ])
     assert out["verdict"] == "feasible"
+    # a wholly blank flag, of either kind, is a point: the polynomial 1
+    out = payload(["mv-check", "--n", "5", "--p-h", " ", "--k-plus-spheres", "", "--p-k-minus", "1,0,1"])
+    assert (out["p_h"], out["p_k_plus"]) == ([1], [1])
 
 
 def test_seven_family_subcommand():
@@ -613,6 +616,11 @@ def test_brieskorn_refuses_d_above_cap():
         (["--p-h", "1,a", "--p-k-plus", "1", "--p-k-minus", "1"], "--p-h"),
         (["--h-spheres", "3", "--k-plus-spheres", "x", "--p-k-minus", "1"], "--k-plus-spheres"),
         (["--h-spheres", "3", "--p-k-plus", "1", "--k-minus-spheres", "0"], "--k-minus-spheres"),
+        # both kinds of list read one split rule: an empty entry is refused, not dropped
+        (["--h-spheres", "3,,5", "--p-k-plus", "1", "--p-k-minus", "1"], "--h-spheres"),
+        (["--p-h", "1,,1", "--p-k-plus", "1", "--p-k-minus", "1"], "--p-h"),
+        (["--p-h", "1", "--k-plus-spheres", "3,", "--p-k-minus", "1"], "--k-plus-spheres"),
+        (["--p-h", "1", "--p-k-plus", ",1", "--p-k-minus", "1"], "--p-k-plus"),
     ],
 )
 def test_mv_check_non_integer_values_exit_2(flags, flag):

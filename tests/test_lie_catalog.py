@@ -466,11 +466,11 @@ def test_rows_of_a_sphere_dimension_are_the_table_rows_of_that_dimension_in_tabl
 
 def test_sphere_quotient_examples():
     g2_block = NamedEmbedding("g2-in-spin7", parse_group("Spin(7)"), parse_group("G2"), tags=frozenset({"block"}))
-    assert sphere_quotient(parse_group("Spin(7)"), g2_block) == 7
+    assert sphere_quotient(g2_block) == 7
     su2_block = NamedEmbedding("su2-in-su3", parse_group("SU(3)"), parse_group("SU(2)"), tags=frozenset({"block"}))
-    assert sphere_quotient(parse_group("SU(3)"), su2_block) == 5
+    assert sphere_quotient(su2_block) == 5
     so3_max = NamedEmbedding("so3-max-in-su3", parse_group("SU(3)"), parse_group("SO(3)"))  # no sphere class
-    assert sphere_quotient(parse_group("SU(3)"), so3_max) is None
+    assert sphere_quotient(so3_max) is None
 
 
 def test_sphere_quotient_spinor_vs_block():
@@ -478,21 +478,15 @@ def test_sphere_quotient_spinor_vs_block():
     spin7 = parse_group("Spin(7)")
     spinor = NamedEmbedding("spin7-spinor", spin9, spin7, tags=frozenset({"spinor"}))
     block = NamedEmbedding("spin7-block", spin9, spin7, tags=frozenset({"block"}))
-    assert sphere_quotient(spin9, spinor) == 15
+    assert sphere_quotient(spinor) == 15
     # the block inclusion gives the 8-sphere's tangent bundle, not a sphere
-    assert sphere_quotient(spin9, block) is None
+    assert sphere_quotient(block) is None
 
 
 def test_sphere_quotient_with_passenger_factor():
     ambient = parse_group("T1xSO(4)")
     sub = NamedEmbedding("so4-passenger", ambient, parse_group("SO(4)"), tags=frozenset({"block"}))
-    assert sphere_quotient(ambient, sub) == 1
-
-
-def test_sphere_quotient_demands_matching_ambient():
-    emb = NamedEmbedding("stray", parse_group("SU(3)"), parse_group("SU(2)"), tags=frozenset({"block"}))
-    with pytest.raises(InvalidEmbedding):
-        sphere_quotient(parse_group("SU(4)"), emb)
+    assert sphere_quotient(sub) == 1
 
 
 @pytest.mark.parametrize(
@@ -614,7 +608,7 @@ def test_sphere_quotient_matches_table_scan(pair, tags):
     embedding = NamedEmbedding("drawn", ambient, sub, tags=frozenset(tags))
     expected = reference_sphere_quotient(ambient, embedding)
     event(f"sphere: {expected is not None}")
-    assert sphere_quotient(ambient, embedding) == expected
+    assert sphere_quotient(embedding) == expected
 
 
 def test_sphere_quotient_matches_table_scan_on_catalog_embeddings():
@@ -624,7 +618,7 @@ def test_sphere_quotient_matches_table_scan_on_catalog_embeddings():
             tagged = NamedEmbedding(embedding.id, embedding.ambient, embedding.subgroup,
                                     embedding.homotopy_map_ranks, tags)
             expected = reference_sphere_quotient(embedding.ambient, tagged)
-            assert sphere_quotient(embedding.ambient, tagged) == expected, (embedding.id, sorted(tags))
+            assert sphere_quotient(tagged) == expected, (embedding.id, sorted(tags))
             matched += expected is not None
     assert matched > 0
 

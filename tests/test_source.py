@@ -9,11 +9,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import cohomone
+from cohomone.cli import MAX_DOCUMENT_BYTES
 from cohomone.lie_catalog import EMBEDDING_TAGS
+from cohomone.polynomial import MAX_SPHERE_DIM
 
 SOURCE = Path(cohomone.__file__).parent
 
@@ -298,8 +301,8 @@ FAMILY_DOCUMENTS = [
 _INVALID_DIAGRAM = {"g": "SU(3)", "h": "t2-in-su3", "k_minus": "su3-kminus-u2", "k_plus": "su3-kplus-u2",
                     "h_in_k_minus": "t2-in-u2", "h_in_k_plus": "t2-in-u2", "component_counts": {"h": 2}}
 
-#: (command line, stdin document, exit code): every subcommand, each family's documents, the help payloads, the
-#: flags the other runs leave out, and the fewest bad inputs that enter each function formatting an error
+#: (command line, stdin document, exit code), run on the shipped catalog: every subcommand, each family's documents,
+#: the help payloads, the flags the other runs leave out, and a bad flag or document for each refusal they can reach
 REACH_CORPUS = [
     *((argv, '{"catalog": "wu-s3s1"}', 0) for argv in EVERY_SUBCOMMAND),
     *((["classify", "--diagram", "-"], json.dumps(document), 0) for document in FAMILY_DOCUMENTS),
@@ -307,23 +310,126 @@ REACH_CORPUS = [
     (["classify", "--help"], "", 0),
     (["mv-check", "--n", "5", "--p-h", "1,0,0,1", "--p-k-plus", "1,0,1", "--p-k-minus", "1,0,1"], "", 0),
     (["degrees", "--group", "B2xSU(2)"], "", 0),  # a raw classical label
-    (["gh-case", "--l-minus", "4", "--l-plus", "4", "--h", "0", "--fiber", "nope"], "", 2),
-    (["classify", "--diagram", "-"], '{"catalog": "wu-s3s1", "x": 1}', 2),
-    (["classify", "--diagram", "-"], '{"catalog": "wu-s3s1", "catalog": "wu-s3s1"}', 2),
-    (["classify", "--diagram", "-"], json.dumps(_INVALID_DIAGRAM), 2),
-    (["seven-family", "--p-minus", "3", "--p-plus", "5"], "", 2),  # a slope that is not 1 mod 4
+    # flags: the parser's refusals, in the order it makes them
+    ([], "", 2),
+    (["no-such-command"], "", 2),
+    (["brieskorn", "--foo"], "", 2),
+    (["brieskorn", "--m", "4", "--m", "4"], "", 2),
+    (["verify-tables", "--timings=1"], "", 2),  # a switch takes no value
+    (["brieskorn", "--m"], "", 2),
+    (["brieskorn", "--m", "x", "--d", "1"], "", 2),
+    (["seven-family", "--realize", "2", "--p-minus", "1"], "", 2),
+    (["seven-family", "--q-minus", "5"], "", 2),  # a flag without the flag it needs
     (["brieskorn", "--m", "4"], "", 2),
+    # flags: the values each subcommand refuses
+    (["brieskorn", "--m", "2", "--d", "1"], "", 2),
+    (["brieskorn", "--m", "4", "--d", "0"], "", 2),
+    (["brieskorn", "--m", "4", "--d", str(MAX_SPHERE_DIM + 1)], "", 2),
+    (["brieskorn", "--m", "9" * 4300, "--d", "1"], "", 2),  # a top degree 2m-1 too long to print
+    (["degrees", "--group", "A0"], "", 2),
+    (["degrees", "--group", "SO(0)"], "", 2),
+    (["degrees", "--group", "SU(0)"], "", 2),
+    (["degrees", "--group", "U(0)"], "", 2),
+    (["degrees", "--group", "XYZ(3)"], "", 2),
+    (["degrees", "--group", "SU(1001)"], "", 2),
+    (["quotient", "--embedding", "no-such-id"], "", 2),
+    (["hilbert", "--embedding", "su6-sp3"], "", 2),  # not of equal rank
+    (["gh-case", "--l-minus", "0", "--l-plus", "1", "--h", "0"], "", 2),
+    (["gh-case", "--l-minus", "4", "--l-plus", "4", "--h", "0", "--fiber", "nope"], "", 2),
+    (["gh-case", "--l-minus", "1", "--l-plus", "1", "--h", "3"], "", 2),
+    (["primitivity", "--rational-sphere", "--diagram", "-"], '{"catalog": "t5-row3"}', 2),  # a declared witness
+    (["mv-check", "--n", "0", "--p-h", "1", "--p-k-plus", "1", "--p-k-minus", "1"], "", 2),
+    (["mv-check", "--n", "5", "--p-h", "1,-1", "--p-k-plus", "1", "--p-k-minus", "1"], "", 2),
+    (["mv-check", "--n", "5", "--p-h", "1,,1", "--p-k-plus", "1", "--p-k-minus", "1"], "", 2),
+    (["mv-check", "--n", "5", "--h-spheres", "0", "--p-k-plus", "1", "--p-k-minus", "1"], "", 2),
+    (["seven-family", "--realize", "0"], "", 2),
+    (["seven-family", "--p-minus", "3", "--p-plus", "5"], "", 2),  # a slope that is not 1 mod 4
+    # documents
+    (["classify", "--diagram", "no-such-document.json"], "", 2),
+    (["classify", "--diagram", "-"], " " * (MAX_DOCUMENT_BYTES + 1), 2),
+    (["classify", "--diagram", "-"], "{", 2),
+    (["classify", "--diagram", "-"], '\ufeff{"catalog": "wu-s3s1"}', 2),
+    (["classify", "--diagram", "-"], "[]", 2),
+    (["classify", "--diagram", "-"], '{"catalog": "wu-s3s1", "catalog": "wu-s3s1"}', 2),
+    (["classify", "--diagram", "-"], '{"catalog": "wu-s3s1", "x": 1}', 2),
+    (["classify", "--diagram", "-"], '{"catalog": 5}', 2),
+    (["classify", "--diagram", "-"], '{"catalog": "no-such-id"}', 2),
+    (["classify", "--diagram", "-"], '{"family": "nope"}', 2),
+    (["classify", "--diagram", "-"], '{"family": "brieskorn", "m": 4}', 2),
+    (["classify", "--diagram", "-"], '{"family": "brieskorn", "m": 2, "d": 1}', 2),
+    (["classify", "--diagram", "-"], '{"family": "brieskorn", "m": 4, "d": 3, "variant": "nope"}', 2),
+    (["classify", "--diagram", "-"], '{"family": "brieskorn", "m": 8, "d": 3, "variant": "g2"}', 2),
+    (["classify", "--diagram", "-"], '{"family": "tensor-su", "n": 3}', 2),
+    (["classify", "--diagram", "-"], '{"family": "tensor-su", "n": 1000000}', 2),  # a manifold above the bound
+    (["classify", "--diagram", "-"], json.dumps(_INVALID_DIAGRAM), 2),
 ]
 
-#: the code objects of the package that no run of REACH_CORPUS enters, by qualified name (a lambda of a class body
+
+def _append(file: str, **record):
+    """A catalog edit appending ``record`` to the array of ``file``."""
+    return lambda files: files[file][file.split(".")[0]].append(record)
+
+
+def _set(file: str, record_id: str, **changes):
+    """A catalog edit setting ``changes`` on the record ``record_id`` of ``file``."""
+    return lambda files: next(r for r in files[file][file.split(".")[0]] if r["id"] == record_id).update(changes)
+
+
+#: edits of the shipped data files, by name: each changes ``{file name: parsed JSON}`` in place, and a file it
+#: removes is not written
+CATALOGS = {
+    "no-embeddings-file": lambda files: files.pop("embeddings.json"),
+    "version-2": lambda files: files["diagrams.json"].update(version=2),
+    "repeated-embedding-id": _append("embeddings.json", id="t2-in-su3", ambient="SU(3)", subgroup="T2"),
+    "map-ranks-not-integers": _set("embeddings.json", "su6-sp3", map_ranks={"four": 1}),
+    "ambient-above-the-bound": _set("embeddings.json", "su6-sp3", ambient="SU(1001)"),
+    "hilbert-over-budget": _append("embeddings.json", id="su200-t199", ambient="SU(200)", subgroup="T199"),
+    "unknown-tag": _set("embeddings.json", "su6-sp3", tags=["blok"]),
+    "slope-not-a-pair": _set("embeddings.json", "su6-sp3", slope=[5]),
+    "contains-an-unknown-id": _set("embeddings.json", "t5-l-su2su2", contains=["no-such-id"]),
+    "subgroup-of-larger-dimension": _set("embeddings.json", "su6-sp3", subgroup="SU(7)"),
+    "subgroup-of-larger-rank": _set("embeddings.json", "su6-sp3", subgroup="T6"),
+    "negative-map-rank": _append("embeddings.json", id="neg", ambient="SU(3)", subgroup="SU(2)", map_ranks={"3": -1}),
+    "map-rank-over-the-bound": _append("embeddings.json", id="over", ambient="SU(3)", subgroup="SU(2)",
+                                       map_ranks={"3": 2}),
+    "corank2-tag-on-no-corank2-pair": _append("embeddings.json", id="c2", ambient="SU(3)xSU(2)", subgroup="T1",
+                                              tags=["corank2"]),
+    # equal rank, and Sp(2)'s Weyl order 8 does not divide G2's 12: hilbert and verify-tables refuse it, and
+    # quotient answers
+    "g2-over-sp2": _append("embeddings.json", id="weyl", ambient="G2", subgroup="Sp(2)"),
+    # equal rank, with a Hilbert series of 1 - t^2 + t^4
+    "no-poincare-polynomial": _append("embeddings.json", id="neg", ambient="G2xSU(3)xT1",
+                                      subgroup="SU(3)xSU(3)xSU(2)"),
+    "one-diagram-twice": lambda files: files["diagrams.json"]["diagrams"].append(
+        dict(files["diagrams.json"]["diagrams"][0], id="copy")),
+    "stored-unmatched-outcome": _set("diagrams.json", "t5-row1", outcome={"kind": "unmatched"}),
+    "outcome-and-flag": _set("diagrams.json", "t5-row2", rational_sphere=True),
+    "brieskorn-m-odd-d-even": _set("diagrams.json", "t5-row1", outcome={"kind": "brieskorn", "m": 3, "d": 2}),
+    "g2-quotient-of-index-2": _set("diagrams.json", "t5-row1", outcome={"kind": "g2-quotient", "index": 2}),
+}
+
+_QUOTIENT = ["quotient", "--embedding", "t2-in-su3"]  # the cheapest subcommand that loads the catalog
+_LOADS = ("corank2-tag-on-no-corank2-pair", "g2-over-sp2", "no-poincare-polynomial")  # refused by their readers only
+
+#: (key of CATALOGS, command line, exit code), run on that edited catalog with no stdin: each catalog refusal
+CATALOG_CORPUS = [
+    *((name, _QUOTIENT, 2) for name in CATALOGS if name not in _LOADS),
+    ("corank2-tag-on-no-corank2-pair", ["verify-tables"], 2),
+    ("g2-over-sp2", _QUOTIENT, 0),
+    ("g2-over-sp2", ["hilbert", "--embedding", "weyl"], 2),
+    ("g2-over-sp2", ["verify-tables"], 2),
+    ("no-poincare-polynomial", ["hilbert", "--embedding", "neg"], 2),
+]
+
+#: the code objects of the package that no run of the corpora enters, by qualified name (a lambda of a class body
 #: by the attribute it is assigned to), each with the reason it stays
 UNENTERED = {
     "cohomone.__dir__": "PEP 562: what dir(cohomone) lists, which no program path asks",
     "cohomone.catalog.Catalog.__setattr__": "refuses assignment: the catalog does not change after load",
     "cohomone.lie_catalog.GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
     **dict.fromkeys([f"cohomone.{name}._make" for name in (
-        "brieskorn.BrieskornParams", "classification.CorankTwoRow", "diagram.ClassificationOutcome",
-        "diagram.GroupDiagram", "diagram.SevenFamilyParams", "lie_catalog.GroupType", "lie_catalog.NamedEmbedding",
+        "brieskorn.BrieskornParams", "diagram.ClassificationOutcome", "diagram.GroupDiagram",
+        "diagram.SevenFamilyParams", "lie_catalog.GroupType", "lie_catalog.NamedEmbedding",
         "lie_catalog.SimpleGroupLabel", "polynomial.IntegerPolynomial")],
         "so that _replace runs the checks of the constructor"),
     "cohomone.lie_catalog.GroupType.__add__": "with __rmul__, refuses tuple concatenation and repetition",
@@ -334,20 +440,86 @@ UNENTERED = {
     "cohomone.verify._check_tables23.<lambda>": "the sort key of table2/no-extra-rows: only a failing report runs it",
 }
 
-#: runs the command lines of the JSON list on stdin through ``cli.main`` under a profile set before the package is
-#: imported, and prints their exit codes and the names of the code objects compiled from the package that no
-#: frame entered, found by walking the constants of each module's code, which the profile saw run at import
+#: the raise statements that no run of the corpora executes, by ``file:function``, each with the reason it stays;
+#: a function with several gives one reason per raise.  Only Python code reaches them: the public constructors and
+#: functions check values that no command line can spell, and the rest are attribute protocols or guard the program's
+#: own tables
+UNRAISED = {
+    "__init__.py:__getattr__": "PEP 562: the AttributeError of an unknown name, which hasattr reads",
+    "catalog.py:Catalog.__setattr__": "refuses assignment: the catalog does not change after load",
+    "lie_catalog.py:GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
+    "lie_catalog.py:SimpleGroupLabel.__new__": (
+        "public API: an exceptional family of another rank; the parser gives each the rank its degrees count",
+        "public API: an unknown family; the parser matches the nine family names only"),
+    "lie_catalog.py:GroupType.__new__": "public API: a negative torus rank; the parser reads T(n) of a digit string",
+    "lie_catalog.py:NamedEmbedding.__new__": "public API: contains of another type; the loader passes a frozenset of "
+                                             "the strings read_object checked",
+    "lie_catalog.py:check_winding_and_slope": "public API: a winding of another type; read_object checks the JSON "
+                                              "integer, and a family passes its int parameter",
+    "lie_catalog.py:spheres_acted_on": "public API: a group that is not simple; table3_filter skips those first",
+    "classification.py:_fitted": "guards the family tables: the orbit groups of each family fit at every parameter "
+                                 "its factory admits",
+    "diagram.py:primitivity": "public API: a lattice entry of another group; the front end passes lattice_for(d.g)",
+    "diagram.py:ClassificationOutcome.__new__": (
+        "public API: an unknown kind; the loader reads only the kinds of _OUTCOMES",
+        "public API: a field the kind does not take; read_object refuses an undeclared key",
+        "public API: a field of another type; read_object checks the JSON type, where a bool is no integer",
+        "public API: a seven-family torsion of 0; the classifier answers not-rational-sphere for it"),
+    "polynomial.py:one_plus_power": "public API of odd_product_poincare: an exponent below 1; mv-check refuses a "
+                                    "sphere dimension below 1 first, naming its flag",
+}
+
+#: the raise statements that name no CohomoneError subclass, by ``file: raised callable``, each with what it raises
+#: and who turns that into a typed error; no raise of the package ends a command line in a traceback
+UNTYPED_RAISES = {
+    "__init__.py: AttributeError": "the protocol of module __getattr__ (PEP 562)",
+    "catalog.py: AttributeError": "the protocol of __setattr__ and __delattr__",
+    "lie_catalog.py: AttributeError": "the protocol of __setattr__ and __delattr__",
+    "catalog.py: ValueError": "_json_object: a repeated key, raised as the decoder raises a syntax error; _read "
+                              "and cli._load_diagram turn it into InvalidLabel or InvalidDiagram",
+    "catalog.py: json.JSONDecodeError": "parse_json: a BOM, as json.loads refuses it; caught as that ValueError",
+    "catalog.py: error": "read_object, _by_id and _read: the CohomoneError subclass the caller passes, InvalidLabel "
+                         "for embeddings.json and InvalidDiagram otherwise",
+    "catalog.py: type(exc)": "_named: the type of the CohomoneError it caught, with the record named",
+    "cli.py: _UsageError": "a flag or file the front end refuses: run returns exit 2 with its message",
+    "diagram.py: _unknown_fiber_tag": "the InvalidParams that function returns",
+}
+
+#: runs the command lines of the JSON list on stdin, ``[argv, document, data directory or null]``, through
+#: ``cli.main`` under a profile and a trace set before the package is imported (its directory is the first
+#: argument), and prints their exit codes, the names of the code objects compiled from the package that no frame
+#: entered, found by walking the constants of each module's code, which the profile saw run at import, and the
+#: (file, line) of each exception event in a frame of the package: the trace follows only those frames, and
+#: with no line events
 _REACH_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from pathlib import Path
-corpus, entered = json.load(sys.stdin), set()
+package = sys.argv[1] + os.sep
+corpus, entered, raised = json.load(sys.stdin), set(), set()
+
+def exceptions(frame, event, arg):
+    if event == "exception":
+        raised.add((Path(frame.f_code.co_filename).name, frame.f_lineno))
+    return exceptions
+
+def calls(frame, event, arg):
+    if frame.f_code.co_filename.startswith(package):
+        frame.f_trace_lines = False
+        return exceptions
+
 sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+sys.settrace(calls)
 import cohomone.cli
 codes = []
-for argv, document in corpus:
+for argv, document, data in corpus:
+    if data is None:
+        os.environ.pop("COHOMONE_DATA_DIR", None)
+    else:
+        os.environ["COHOMONE_DATA_DIR"] = data
     sys.stdin = io.StringIO(document)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cohomone.cli.main(argv))
+sys.settrace(None)
 sys.setprofile(None)
 source = Path(cohomone.__file__).parent
 attribute = {}  # a lambda of a class body -> the first attribute it is assigned to
@@ -373,24 +545,97 @@ for code in entered:
     if code.co_name == "<module>" and path.parent == source:
         modules[path.name] = code
         walk(code, "cohomone" if path.stem == "__init__" else f"cohomone.{path.stem}")
-print(json.dumps({"codes": codes, "modules": sorted(modules), "unentered": sorted(unentered)}))
+print(json.dumps({"codes": codes, "modules": sorted(modules), "unentered": sorted(unentered),
+                  "raised": sorted(raised)}))
 """
 
 
-def test_every_code_object_of_the_package_is_entered():
-    # measured, not claimed: every function, method, lambda and comprehension of src/cohomone, dunders and _make
-    # included, runs for some command line of the corpus; one that none enters is code that no program path runs
-    assert {document["family"] for document in FAMILY_DOCUMENTS} == set(cohomone.classification.FAMILIES)
-    done = subprocess.run([sys.executable, "-c", _REACH_PROBE], input=json.dumps([c[:2] for c in REACH_CORPUS]),
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """What the probe saw run for REACH_CORPUS and CATALOG_CORPUS, each edited catalog written to its directory."""
+    directories = {}
+    for name, edit in CATALOGS.items():
+        files = {file: json.loads((SOURCE / "data" / file).read_text())
+                 for file in ("embeddings.json", "diagrams.json")}
+        edit(files)
+        directories[name] = tmp_path_factory.mktemp(name)
+        for file, data in files.items():
+            (directories[name] / file).write_text(json.dumps(data))
+    corpus = [[argv, document, None] for argv, document, _ in REACH_CORPUS]
+    corpus += [[argv, "", str(directories[name])] for name, argv, _ in CATALOG_CORPUS]
+    done = subprocess.run([sys.executable, "-c", _REACH_PROBE, str(SOURCE)], input=json.dumps(corpus),
                           env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    reach = json.loads(done.stdout)
-    assert reach["codes"] == [code for _, _, code in REACH_CORPUS]
-    assert reach["modules"] == sorted(path.name for path in SOURCE.glob("*.py"))
+    seen = json.loads(done.stdout)
+    assert seen["codes"] == [row[2] for row in REACH_CORPUS] + [row[2] for row in CATALOG_CORPUS]
+    assert seen["modules"] == sorted(path.name for path in SOURCE.glob("*.py"))
+    return seen
+
+
+def test_every_code_object_of_the_package_is_entered(reach):
+    # measured, not claimed: every function, method, lambda and comprehension of src/cohomone, dunders and _make
+    # included, runs for some command line of the corpora; one that none enters is code that no program path runs
+    assert {document["family"] for document in FAMILY_DOCUMENTS} == set(cohomone.classification.FAMILIES)
     unentered = {name for name, _ in reach["unentered"]}
     # (names no run entered that the list leaves out, names on the list that a run entered)
     assert (sorted(unentered - UNENTERED.keys()), sorted(UNENTERED.keys() - unentered)) == ([], [])
+
+
+class _Raise(NamedTuple):
+    file: str
+    line: int
+    function: str  # qualified by its classes and enclosing functions; "<module>" at top level
+    node: ast.Raise
+
+    def __str__(self) -> str:
+        source = (SOURCE / self.file).read_text().splitlines()[self.line - 1].strip()
+        return f"{self.file}:{self.line}: {source}"
+
+
+def _raises() -> list[_Raise]:
+    """Every raise statement of the package, in source order."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, file: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                found.append(_Raise(file, child.lineno, scope or "<module>", child))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope, file)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "", path.name)
+    return found
+
+
+def test_every_raise_is_run_by_the_corpus_or_listed(reach):
+    # a refusal that no command line reaches is checked by a type or a caller first, or guards a value that only a
+    # call from Python can pass: delete it, or list it in UNRAISED with the reason it stays
+    run = {tuple(event) for event in reach["raised"]}
+    unrun: dict[str, list[_Raise]] = {}
+    for statement in _raises():
+        if (statement.file, statement.line) not in run:
+            unrun.setdefault(f"{statement.file}:{statement.function}", []).append(statement)
+    listed = {key: (reasons,) if isinstance(reasons, str) else reasons for key, reasons in UNRAISED.items()}
+    unlisted = [str(statement) for key, statements in unrun.items() if len(statements) > len(listed.get(key, ()))
+                for statement in statements]
+    stale = [f"{key}: {len(reasons)} listed, {len(unrun.get(key, ()))} unrun" for key, reasons in listed.items()
+             if len(unrun.get(key, ())) < len(reasons)]
+    assert (unlisted, stale) == ([], []), "\n".join(["unrun and unlisted:", *unlisted, "listed but run:", *stale])
+
+
+def test_every_raise_names_a_cohomone_error_or_is_listed():
+    # run turns a CohomoneError into exit 2; any other exception would end a command line in a traceback
+    typed = {name for name, value in vars(cohomone.errors).items()
+             if isinstance(value, type) and issubclass(value, cohomone.errors.CohomoneError)}
+    found = set()
+    for statement in _raises():
+        raised = statement.node.exc
+        callee = ast.unparse(raised.func if isinstance(raised, ast.Call) else raised)
+        if callee not in typed:
+            found.add(f"{statement.file}: {callee}")
+    assert sorted(found) == sorted(UNTYPED_RAISES)
 
 
 #: the code of every kind of process: a bare front-end import, a catalog load and each subcommand

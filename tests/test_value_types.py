@@ -3,7 +3,7 @@
 import pytest
 
 from cohomone.brieskorn import BrieskornParams
-from cohomone.classification import ClassificationOutcome, CorankTwoRow, SevenFamilyParams
+from cohomone.classification import ClassificationOutcome, SevenFamilyParams
 from cohomone.errors import InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import GroupType, NamedEmbedding, SimpleGroupLabel, parse_group
 from cohomone.polynomial import IntegerPolynomial
@@ -32,10 +32,6 @@ CASES = [
     (BrieskornParams(4, 5), {"d": 0}, InvalidParams, "d must be at least 1, got 0"),
     (SevenFamilyParams(1, 1, 5, 1), {"p_plus": 3}, InvalidParams, "p_plus = 3 is not congruent to 1 mod 4"),
     (SevenFamilyParams(1, 1, 5, 1), {"q_plus": 2, "q_minus": 7}, InvalidParams, "q_minus = 7 is not congruent"),
-    (CorankTwoRow(SU4, SU2, 5, 12, 7, "su4-su2", "su4-su2", None), {"ell_plus": 6}, InvalidParams,
-     "su4-su2: inconsistent degree columns"),
-    (CorankTwoRow(SU4, SU2, 5, 12, 7, "su4-su2", "su4-su2", None), {"ell_minus": 4, "ell_plus": 8},
-     InvalidParams, "su4-su2: ell_minus must be odd"),
     (ClassificationOutcome("brieskorn", m=4, d=5), {"kind": "nope"}, InvalidParams, "unknown outcome kind 'nope'"),
     (ClassificationOutcome("brieskorn", m=4, d=5), {"d": None}, InvalidParams,
      "brieskorn outcomes require d of type int, got None"),
