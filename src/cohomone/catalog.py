@@ -27,12 +27,17 @@ is read by its kind's table (``_OUTCOMES``) and built at load; it decides
 
 An embedding's values are JSON keys of their own: ``winding`` an integer,
 ``slope`` an array of two integers and ``contains`` an array of ids of
-embeddings of the same file; an id that names none is refused, as is an equal-rank
-embedding whose Hilbert series takes over ``HILBERT_STEP_BUDGET`` steps.  ``tags``
+embeddings of the same file; an id that names none is refused.  ``tags``
 are labels of ``lie_catalog.EMBEDDING_TAGS``, which ``NamedEmbedding``
 checks, and ``comment`` is free text that the loader drops.  The
 parameterized corank-2 pairs are no records: their table is
 ``classification.CORANK2_FAMILIES``.
+
+Each embedding is judged once, here, and no reader checks it again:
+``NamedEmbedding`` checks its bounds and a ``corank2`` tag's four
+conditions, and an equal-rank one needs Weyl orders that divide (its Euler
+characteristic) and a Hilbert series that is a Poincare polynomial, taken
+within ``rational_homotopy.HILBERT_STEP_BUDGET`` steps.
 """
 
 from __future__ import annotations
@@ -50,13 +55,11 @@ from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
 from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
 from .lie_catalog import GroupType, NamedEmbedding, parse_group
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
-from .rational_homotopy import hilbert_factors
+from .rational_homotopy import euler_characteristic, hilbert_series
 
 #: the only ``"version"`` the data files may carry
 CATALOG_VERSION = 1
 _DATA_ENV = "COHOMONE_DATA_DIR"
-#: the most big-integer steps an equal-rank Hilbert series may take: at most about 0.2 s (2-vCPU VM, Python 3.11)
-HILBERT_STEP_BUDGET = 2 * 10**6
 
 
 def _rank_spec(spec, where: str, subgroup: GroupType) -> tuple[tuple[int, int], ...]:
@@ -106,10 +109,9 @@ def _embedding_from_record(record: dict, where: str, groups: dict[str, GroupType
     ranks = _rank_spec(map_ranks, where, subgroup)
     embedding = _named(where, lambda: NamedEmbedding(embedding_id, ambient, subgroup, ranks, tags, winding, slope,
                                                      frozenset(contains)))
-    numerator, denominator = hilbert_factors(embedding) if ambient.rank == subgroup.rank else ((), ())
-    steps = (len(numerator) + len(denominator)) * (ambient.dimension - subgroup.dimension + 1)
-    if steps > HILBERT_STEP_BUDGET:
-        raise InvalidLabel(f"{where}: its Hilbert series takes {steps} steps, over the budget of {HILBERT_STEP_BUDGET}")
+    if ambient.rank == subgroup.rank:  # the Weyl-order ratio, then the Poincare polynomial
+        _named(where, euler_characteristic, embedding)
+        _named(where, hilbert_series, embedding)
     return embedding
 
 
@@ -339,8 +341,9 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     A file that cannot be read or is not UTF-8 JSON raises ``InvalidLabel``
     (``embeddings.json``) or ``InvalidDiagram`` (``diagrams.json``) naming it, and
     so does, naming the key too, a missing, repeated or undeclared key or a value of the wrong JSON type.
-    A diagram record that breaks a rule of ``diagram.validate`` raises ``InvalidDiagram`` naming the file and
-    ``diagrams[i]``: each record is validated once, here, and never again per use.
+    An embedding that breaks a rule the module docstring lists, or a diagram record that breaks one of
+    ``diagram.validate``, raises its error naming the file and ``embeddings[i]`` or ``diagrams[i]``: each is
+    checked once, here, and never again per use.
     """
     base = Path(directory) if directory is not None else data_dir()
     path = base / "embeddings.json"
@@ -362,7 +365,7 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
         diagram = _named(where, GroupDiagram, *catalog._diagram_fields(diagram, where))  # checked once, here
         records.append(DiagramRecord(record_id, diagram, *_verdict(outcome, rational_sphere, where),
                                      _orbit_poincare(orbit, where)))
-    return Catalog(version, by_id, _by_id(records, InvalidDiagram, path))
+    return _named(str(path), Catalog, version, by_id, _by_id(records, InvalidDiagram, path))
 
 
 @lru_cache(maxsize=4, typed=True)

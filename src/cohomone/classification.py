@@ -29,7 +29,6 @@ from .lie_catalog import (
     GroupType,
     NamedEmbedding,
     check_winding_and_slope,
-    is_declared_injective,
     memoized,
     parse_group,
     special_orthogonal,
@@ -93,15 +92,6 @@ class CorankTwoRow(namedtuple("CorankTwoRow", "group subgroup ell_minus total em
         return self.total - self.ell_minus
 
 
-def _or_default(catalog: Optional[Catalog]) -> Catalog:
-    """``catalog``, or the shipped one, imported only then: the seven-family arithmetic loads no data."""
-    if catalog is not None:
-        return catalog
-    from .catalog import default_catalog
-
-    return default_catalog()
-
-
 #: the four infinite families of the corank-2 table, by id: (least m, the pair (G, L) at m)
 CORANK2_FAMILIES: dict[str, tuple[int, Callable[[int], tuple[GroupType, GroupType]]]] = {
     "su(m)/su(m-2)": (3, lambda m: (special_unitary(m), special_unitary(m - 2))),
@@ -114,36 +104,29 @@ CORANK2_FAMILIES: dict[str, tuple[int, Callable[[int], tuple[GroupType, GroupTyp
 def corank2_sources(max_rank: int, catalog: Catalog) -> list[tuple[NamedEmbedding, str, Optional[int]]]:
     """The candidate pairs of the corank-2 table whose G has rank at most ``max_rank``, as (embedding, family id,
     parameter) triples: the catalog's ``corank2``-tagged embeddings, each its own family with no parameter, then
-    the instances ``<id>@m=<m>`` of ``CORANK2_FAMILIES``, rationally injective, from each family's least m on."""
+    the instances ``<id>@m=<m>`` of ``CORANK2_FAMILIES``, rationally injective and tagged ``corank2``, from each
+    family's least m on.  ``NamedEmbedding`` checks the four conditions of a corank-2 pair on every source."""
     sources = [(e, e.id, None) for e in catalog.embeddings() if "corank2" in e.tags and e.ambient.rank <= max_rank]
     for family, (m, pair) in CORANK2_FAMILIES.items():
         while (groups := pair(m))[0].rank <= max_rank:
             g, sub = groups
-            sources.append((NamedEmbedding(f"{family}@m={m}", g, sub, sub.degree_counts), family, m))
+            sources.append((NamedEmbedding(f"{family}@m={m}", g, sub, sub.degree_counts, ("corank2",)), family, m))
             m += 1
     return sources
 
 
-def enumerate_corank2(max_rank: int, catalog: Optional[Catalog] = None) -> list[CorankTwoRow]:
+def enumerate_corank2(max_rank: int, catalog: Catalog) -> list[CorankTwoRow]:
     """All catalogued (G simple, L simple or trivial, corank 2) pairs with
     rationally injective inclusion, with the two odd quotient degrees.
 
-    A source of ``corank2_sources`` that is no such pair raises InvalidEmbedding naming the condition.  One that
-    is has a quotient of exactly two odd degrees and no even one: a declared injective inclusion kills each degree
-    of L, which ``NamedEmbedding`` checked G has as often, and leaves rank G - rank L = 2 degrees of G.
+    Every source of ``corank2_sources`` is such a pair, which ``NamedEmbedding`` checked when it was built, so its
+    quotient has exactly two odd degrees and no even one: a declared injective inclusion kills each degree of L,
+    which G has as often, and leaves rank G - rank L = 2 degrees of G.
     """
     rows: list[CorankTwoRow] = []
-    for embedding, family, param in corank2_sources(max_rank, _or_default(catalog)):
-        g, sub = embedding.ambient, embedding.subgroup
-        for holds, condition in (
-            (g.is_simple(), "a simple G"), (sub.is_simple() or sub.is_trivial(), "a simple or trivial L"),
-            (g.rank - sub.rank == 2, "ranks of G and L differing by 2"),
-            (is_declared_injective(embedding), "a declared injective inclusion"),
-        ):
-            if not holds:
-                raise InvalidEmbedding(f"{embedding.id}: a corank-2 pair needs {condition}")
+    for embedding, family, param in corank2_sources(max_rank, catalog):
         ell_minus, total = quotient_homotopy(embedding).odd_degrees
-        rows.append(CorankTwoRow(g, sub, ell_minus, total, embedding.id, family, param))
+        rows.append(CorankTwoRow(embedding.ambient, embedding.subgroup, ell_minus, total, embedding.id, family, param))
     rows.sort(key=lambda r: (r.group.dimension, str(r.group), r.subgroup.dimension, str(r.subgroup), r.family, r.param or 0))
     return rows
 
@@ -428,9 +411,8 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def classify_diagram(d: GroupDiagram, catalog: Optional[Catalog] = None) -> ClassificationOutcome:
-    """Match a diagram, which its type has validated, against the shipped catalog and known families."""
-    catalog = _or_default(catalog)
+def classify_diagram(d: GroupDiagram, catalog: Catalog) -> ClassificationOutcome:
+    """Match a diagram, which its type has validated, against the catalog and known families."""
     record = catalog.matching_record(d)
     if record is not None and record.outcome is not None:
         return record.outcome

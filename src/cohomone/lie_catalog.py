@@ -295,7 +295,7 @@ def parse_group(text: str) -> GroupType:
 # Named embeddings
 # ---------------------------------------------------------------------------
 
-#: read by sphere_quotient (block, diagonal, spinor), diagram.validate and classification.corank2_sources
+#: read by sphere_quotient (block, diagonal, spinor), diagram.validate, validate_embedding and corank2_sources
 EMBEDDING_TAGS = frozenset({"block", "diagonal", "spinor", "proper-projections", "corank2"})
 
 
@@ -352,6 +352,15 @@ def validate_embedding(e: NamedEmbedding) -> None:
         c_h, c_g = sub_counts.get(k, 0), amb_counts.get(k, 0)
         if r > min(c_h, c_g):
             raise InvalidEmbedding(f"{e.id}: degree-{k} map rank {r} exceeds multiplicity bound min({c_h}, {c_g})")
+    if "corank2" in e.tags:  # a claim about the groups: one they contradict is an error, not a row left out
+        g, sub = e.ambient, e.subgroup
+        for holds, condition in (
+            (g.is_simple(), "a simple G"), (sub.is_simple() or sub.is_trivial(), "a simple or trivial L"),
+            (g.rank - sub.rank == 2, "ranks of G and L differing by 2"),
+            (is_declared_injective(e), "a declared injective inclusion"),
+        ):
+            if not holds:
+                raise InvalidEmbedding(f"{e.id}: a corank-2 pair needs {condition}")
 
 
 def is_declared_injective(e: NamedEmbedding) -> bool:

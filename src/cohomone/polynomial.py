@@ -47,11 +47,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         """Degree, with the zero polynomial at -1."""
         return len(self.coefficients) - 1
 
-    def coefficient(self, degree: int) -> int:
-        if 0 <= degree < len(self.coefficients):
-            return self.coefficients[degree]
-        return 0
-
     def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)  # all zeros if either factor is zero
         for i, a in enumerate(self.coefficients):

@@ -13,7 +13,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from .brieskorn import BrieskornParams, delta_at_one, delta_poly, homology, rational_sphere_gate
-from .catalog import Catalog, DiagramRecord, OrbitBetti, default_catalog
+from .catalog import Catalog, DiagramRecord, OrbitBetti
 from .classification import (
     SevenFamilyParams,
     case6_pairs,
@@ -335,13 +335,12 @@ _SECTIONS = (
 )
 
 
-def build_report(catalog: Optional[Catalog] = None, timings: Optional[dict] = None) -> dict:
+def build_report(catalog: Catalog, timings: Optional[dict] = None) -> dict:
     """Run every table/formula verification and assemble the report.
 
     A ``timings`` dict, when given, receives each section's wall time in
     seconds under its name in ``_SECTIONS``; the report is the same either way.
     """
-    catalog = catalog or default_catalog()
     checks: list = []
     for name, section in _SECTIONS:
         start = time.perf_counter()

@@ -207,11 +207,8 @@ def test_criterion_8_mv_feasibility():
             result = mv_feasible(betti.p_h, betti.p_k_plus, betti.p_k_minus, betti.n)
             assert result.verdict == "feasible", record.id
             top = max(betti.p_h.degree, betti.p_k_plus.degree, betti.p_k_minus.degree)
-            alternating = sum(
-                (-1) ** k
-                * (betti.p_k_plus.coefficient(k) + betti.p_k_minus.coefficient(k) - betti.p_h.coefficient(k))
-                for k in range(top + 1)
-            )
+            kp, km, h = (p.coefficients + (0,) * (top + 1) for p in (betti.p_k_plus, betti.p_k_minus, betti.p_h))
+            alternating = sum((-1) ** k * (kp[k] + km[k] - h[k]) for k in range(top + 1))
             assert alternating == 1 + (-1) ** betti.n, record.id
         counter = mv_feasible(
             IntegerPolynomial((1, 0, 0, 1)),

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -17,13 +18,13 @@ from hypothesis import strategies as st
 import cohomone
 from cohomone import lie_catalog
 from cohomone.catalog import _COUNTS, _DIAGRAMS_FILE, _EMBEDDING, _EMBEDDINGS_FILE, _FLAGS, _ORBIT, _OUTCOMES, _RECORD
-from cohomone.catalog import HILBERT_STEP_BUDGET, INLINE_RECORD, Catalog, data_dir, default_catalog, load_catalog
+from cohomone.catalog import INLINE_RECORD, Catalog, data_dir, default_catalog, load_catalog
 from cohomone.classification import CORANK2_FAMILIES, corank2_sources, enumerate_corank2
-from cohomone.cli import run
+from cohomone.cli import render, run
 from cohomone.diagram import ClassificationOutcome
-from cohomone.errors import InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
+from cohomone.errors import CohomoneError, InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import NamedEmbedding, is_declared_injective, parse_group, validate_embedding
-from cohomone.rational_homotopy import hilbert_factors
+from cohomone.rational_homotopy import HILBERT_STEP_BUDGET, hilbert_factors
 
 
 def test_catalog_loads_and_indexes():
@@ -120,7 +121,7 @@ def test_duplicate_records_rejected_at_load(tmp_path):
         load_catalog(edited_data(tmp_path, "embeddings.json", repeat_first("embeddings")))
     with pytest.raises(InvalidDiagram, match="diagrams.json: duplicate id"):
         load_catalog(edited_data(tmp_path, "diagrams.json", repeat_first("diagrams")))
-    with pytest.raises(InvalidDiagram, match="swapped-copy"):
+    with pytest.raises(InvalidDiagram, match="diagrams.json: diagram records .*swapped-copy"):
         load_catalog(edited_data(tmp_path, "diagrams.json", add_swapped_copy))
 
 
@@ -303,7 +304,8 @@ BAD_TAGS = [
         # 1.3 s and print 6.6 MB, and verify-tables run 1.2 s, before the loader counted the steps
         ("embeddings.json", lambda data: data["embeddings"].append(
             {"id": "su200-t199", "ambient": "SU(200)", "subgroup": "T199", "map_ranks": {"1": 0}}),
-         InvalidLabel, "embeddings[51]: its Hilbert series takes 15840798 steps, over the budget of 2000000"),
+         InvalidEmbedding,
+         "embeddings[51]: su200-t199: Hilbert series takes 15840798 steps, over the budget of 2000000"),
         ("embeddings.json", record_edit("embeddings", "su6-sp3", lambda r: r.update(subgroup="SU(7)")),
          InvalidEmbedding, "embeddings[16]: su6-sp3: subgroup dimension exceeds ambient dimension"),
         ("embeddings.json", lambda data: data["embeddings"].append(
@@ -460,28 +462,138 @@ def exchange_witnesses(record):
     record["h_in_k_minus"], record["h_in_k_plus"] = record["h_in_k_plus"], record["h_in_k_minus"]
 
 
-#: (record id, edit) of a ``diagrams.json`` record that then breaks a rule of ``diagram.validate``
+def appended(**record):
+    """An ``edited_data`` edit of ``embeddings.json`` appending ``record``, which becomes ``embeddings[51]``."""
+    return lambda data: data["embeddings"].append(record)
+
+
+#: groups a ``corank2`` tag contradicts, each with the condition of a corank-2 pair they break
+CORANK2_CONTRADICTIONS = [
+    ({"ambient": "SU(3)xSU(2)", "subgroup": "T1"}, "a simple G"),
+    ({"ambient": "SU(5)", "subgroup": "SU(2)xSU(2)"}, "a simple or trivial L"),
+    ({"ambient": "SU(6)", "subgroup": "SU(5)"}, "ranks of G and L differing by 2"),
+    ({"ambient": "SU(6)", "subgroup": "Sp(3)"}, "a declared injective inclusion"),
+]
+
+#: (file, edit, error, refusal) of a record that breaks a rule its type or the loader checks, with the refusal
+#: after the file name
 INVALID_RECORDS = [
-    pytest.param("t5-row1", lambda r: r.update(g="SU(1000000)"), id="g-unrelated-to-its-embeddings"),
-    pytest.param("su5-lambda2", lambda r: r.update(k_plus=r["h"]), id="k_plus-equal-to-h"),
-    pytest.param("t5-row1", exchange_witnesses, id="witnesses-exchanged"),
+    pytest.param("diagrams.json", record_edit("diagrams", "t5-row1", lambda r: r.update(g="SU(1000000)")),
+                 InvalidDiagram, "diagrams[0]: [containment-shape] ", id="g-unrelated-to-its-embeddings"),
+    pytest.param("diagrams.json", record_edit("diagrams", "su5-lambda2", lambda r: r.update(k_plus=r["h"])),
+                 InvalidDiagram, "diagrams[11]: [containment-shape] ", id="k_plus-equal-to-h"),
+    pytest.param("diagrams.json", record_edit("diagrams", "t5-row1", exchange_witnesses),
+                 InvalidDiagram, "diagrams[0]: [containment-shape] ", id="witnesses-exchanged"),
+    # equal rank, with leftover factors (1-t^2)(1-t^12)/((1-t^4)(1-t^6)) = 1 - t^2 + t^4
+    pytest.param("embeddings.json", appended(id="neg", ambient="G2xSU(3)xT1", subgroup="SU(3)xSU(3)xSU(2)"),
+                 InvalidEmbedding, "embeddings[51]: neg: Hilbert series [1, 0, -1, 0, 1] is not a valid Poincare "
+                                   "polynomial", id="no-poincare-polynomial"),
+    # equal rank, and Sp(2)'s Weyl order 8 does not divide G2's 12
+    pytest.param("embeddings.json", appended(id="weyl", ambient="G2", subgroup="Sp(2)"),
+                 InvalidEmbedding, "embeddings[51]: weyl: Weyl order 8 does not divide 12", id="g2-over-sp2"),
+    # the tag is a claim about the groups: one they contradict is an error, not a row left out of Table 2
+    *(pytest.param("embeddings.json", appended(id="contradicted", **groups, tags=["corank2"]), InvalidEmbedding,
+                   f"embeddings[51]: contradicted: a corank-2 pair needs {condition}",
+                   id=f"corank2-needs-{condition.replace(' ', '-')}") for groups, condition in CORANK2_CONTRADICTIONS),
 ]
 
 
-@pytest.mark.parametrize("record_id, edit", INVALID_RECORDS)
-def test_every_catalog_reader_refuses_a_record_that_breaks_a_rule_naming_it(tmp_path, monkeypatch, record_id, edit):
-    # each record is validated once, at load: no reader answers for it, and none ends in a traceback
-    edited_data(tmp_path, "diagrams.json", record_edit("diagrams", record_id, edit))
-    index = [r["id"] for r in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"]].index(record_id)
-    where = f"diagrams.json: diagrams[{index}]: [containment-shape] "
-    with pytest.raises(InvalidDiagram) as caught:
+@pytest.mark.parametrize("name, edit, error, refusal", INVALID_RECORDS)
+def test_every_catalog_reader_refuses_a_record_that_breaks_a_rule_naming_it(tmp_path, monkeypatch, name, edit, error,
+                                                                            refusal):
+    # each record is judged once, at load: no reader answers for it, and none ends in a traceback
+    edited_data(tmp_path, name, edit)
+    where = f"{name}: {refusal}"
+    with pytest.raises(error) as caught:
         load_catalog(tmp_path)
     assert where in str(caught.value)
     monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
     for argv in CATALOG_READERS:
         result = run(argv)
-        assert result.exit_code == 2 and result.payload["error"].startswith("InvalidDiagram: "), argv
+        assert result.exit_code == 2 and result.payload["error"].startswith(f"{error.__name__}: "), argv
         assert where in result.payload["error"], argv
+
+
+#: the shipped data files, parsed; an edit of the grammar below changes a copy
+SHIPPED = {name: json.loads((data_dir() / name).read_text()) for name in ("embeddings.json", "diagrams.json")}
+SHIPPED_REPORT = render(run(["verify-tables"], default_catalog()).payload)
+#: the embeddings an edit may append: equal-rank pairs without a Poincare polynomial (Found 2's, G2 > Sp(2) and
+#: SU(4) > SU(2)^3), one over the Hilbert series budget, corank2-tagged pairs that break the four conditions, and
+#: pairs of both kinds that are sound
+APPENDED = [
+    {"ambient": "G2xSU(3)xT1", "subgroup": "SU(3)xSU(3)xSU(2)"},
+    {"ambient": "G2", "subgroup": "Sp(2)"},
+    {"ambient": "SU(4)", "subgroup": "SU(2)xSU(2)xSU(2)"},
+    {"ambient": "SU(200)", "subgroup": "T199"},
+    *({**groups, "tags": ["corank2"]} for groups, _ in CORANK2_CONTRADICTIONS),
+    {"ambient": "SU(3)", "subgroup": "T2"},
+    {"ambient": "Sp(2)", "subgroup": "SU(2)xSU(2)", "map_ranks": {"3": 1}},
+    {"ambient": "SU(6)", "subgroup": "SU(4)", "map_ranks": "injective", "tags": ["corank2"]},
+]
+#: group texts and aliases of the same group
+ALIASES = {"SU(2)": "Sp(1)", "SU(4)": "Spin(6)", "Sp(2)": "Spin(5)", "T1": "S1"}
+_WITNESS_KEYS = ("h", "k_minus", "k_plus", "h_in_k_minus", "h_in_k_plus")
+
+
+def swap_singular_orbits(record):
+    """Exchange K- and K+ in a ``diagrams.json`` record, with their witnesses, counts, flags and Betti data."""
+    for key in ("", "h_in_"):
+        record[f"{key}k_minus"], record[f"{key}k_plus"] = record[f"{key}k_plus"], record[f"{key}k_minus"]
+    for key in ("component_counts", "nonorientable", "orbit_poincare"):
+        part = record.get(key, {})
+        if "k_minus" in part or "k_plus" in part:
+            part["k_minus"], part["k_plus"] = part.get("k_plus"), part.get("k_minus")
+            record[key] = {k: v for k, v in part.items() if v is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_catalog_reader_gives_one_class_of_answer_for_an_edit_of_the_shipped_data(tmp_path_factory, data):
+    # a load refuses the edit, naming the file, and then every reader exits 2 with that refusal; or it loads, and no
+    # reader exits 2.  A neutral edit (records shuffled, K- and K+ exchanged, group texts aliased) keeps the report
+    files = copy.deepcopy(SHIPPED)
+    embeddings, records = files["embeddings.json"]["embeddings"], files["diagrams.json"]["diagrams"]
+    record = data.draw(st.sampled_from(records))
+    embedding_id = equal_rank_id = "t2-in-su3"
+    kind = data.draw(st.sampled_from(["append", "repoint", "g", "k-is-h", "shuffle", "swap", "alias"]))
+    if kind == "append":
+        embedding_id = "appended"
+        embeddings.append({"id": embedding_id, **data.draw(st.sampled_from(APPENDED))})
+        equal_rank_id = equal_rank_id if "tags" in embeddings[-1] else embedding_id
+    elif kind == "repoint":
+        record[data.draw(st.sampled_from(_WITNESS_KEYS))] = data.draw(st.sampled_from([e["id"] for e in embeddings]))
+    elif kind == "g":
+        record["g"] = data.draw(st.sampled_from(["SU(1000000)", "SU(5)", "G2", *(r["g"] for r in records)]))
+    elif kind == "k-is-h":
+        record[data.draw(st.sampled_from(["k_minus", "k_plus"]))] = record["h"]
+    elif kind == "shuffle":
+        shuffle = data.draw(st.randoms()).shuffle
+        shuffle(embeddings), shuffle(records)
+    elif kind == "swap":
+        for swapped in data.draw(st.lists(st.sampled_from(records), min_size=1, unique_by=id)):
+            swap_singular_orbits(swapped)
+    else:
+        aliased = data.draw(st.sets(st.sampled_from(sorted(ALIASES)), min_size=1))
+        for obj, key in [*((e, k) for e in embeddings for k in ("ambient", "subgroup")), *((r, "g") for r in records)]:
+            obj[key] = "x".join(ALIASES[term] if term in aliased else term for term in obj[key].split("x"))
+    directory = tmp_path_factory.mktemp("edited")
+    for name, content in files.items():
+        (directory / name).write_text(json.dumps(content))
+    (directory / "document.json").write_text(json.dumps({"catalog": record["id"]}))
+    readers = [["quotient", "--embedding", embedding_id], ["hilbert", "--embedding", equal_rank_id],
+               *([command, "--diagram", str(directory / "document.json")] for command in ("classify", "primitivity")),
+               ["verify-tables"]]
+    try:
+        catalog = load_catalog(directory)
+    except CohomoneError as exc:
+        assert kind not in ("shuffle", "swap", "alias") and any(name in str(exc) for name in files), exc
+        with mock.patch.dict(os.environ, {"COHOMONE_DATA_DIR": str(directory)}):
+            assert [run(argv) for argv in readers] == [(2, {"error": f"{type(exc).__name__}: {exc}"})] * 5
+        return
+    results = [run(argv, catalog) for argv in readers]
+    assert [argv for argv, result in zip(readers, results) if result.exit_code == 2] == [], results
+    if kind in ("shuffle", "swap", "alias"):
+        assert render(results[-1].payload) == SHIPPED_REPORT
 
 
 T5_ROW1 = {key: value for key, value in json.loads((data_dir() / "diagrams.json").read_text())["diagrams"][0].items()
@@ -591,19 +703,6 @@ def test_the_hilbert_budget_admits_su100_over_t99_and_the_shipped_embeddings_far
     su100 = {"id": "su100-t99", "ambient": "SU(100)", "subgroup": "T99", "map_ranks": {"1": 0}}
     catalog = load_catalog(edited_data(tmp_path, "embeddings.json", lambda data: data["embeddings"].append(su100)))
     assert hilbert_steps(catalog.embedding("su100-t99")) == 1960398 <= HILBERT_STEP_BUDGET
-
-
-def test_an_equal_rank_embedding_whose_weyl_order_does_not_divide_loads_and_only_its_readers_refuse_it(
-        tmp_path, monkeypatch):
-    # G2 > Sp(2) has equal rank, and Sp(2)'s Weyl order 8 does not divide G2's 12: nothing checks an embedding's
-    # Hilbert series or Euler characteristic at load, so the readers that compute one exit 2 and the others answer
-    edited_data(tmp_path, "embeddings.json",
-                lambda data: data["embeddings"].append({"id": "weyl", "ambient": "G2", "subgroup": "Sp(2)"}))
-    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
-    assert run(["quotient", "--embedding", "weyl"]).exit_code == 0
-    assert run(["hilbert", "--embedding", "weyl"]) == (
-        2, {"error": "InvalidEmbedding: weyl: Hilbert series is not polynomial"})
-    assert run(["verify-tables"]) == (2, {"error": "InvalidEmbedding: weyl: Weyl order 8 does not divide 12"})
 
 
 def test_catalog_is_read_only():

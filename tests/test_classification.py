@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 import cohomone
 import cohomone.classification
-from cohomone.catalog import DiagramRecord, data_dir, default_catalog, load_catalog
+from cohomone.catalog import DiagramRecord, default_catalog
 from cohomone.classification import (
     FAMILIES,
     ClassificationOutcome,
@@ -100,29 +99,6 @@ def test_corank2_rank_bound_respected():
         for r in enumerate_corank2(max_rank, CAT):
             assert r.group.rank <= max_rank
     assert enumerate_corank2(1, CAT) == []  # a corank-2 pair has a G of rank at least 2
-
-
-@pytest.mark.parametrize("record, condition", [
-    ({"ambient": "SU(3)xSU(2)", "subgroup": "T1"}, "a simple G"),
-    ({"ambient": "SU(5)", "subgroup": "SU(2)xSU(2)"}, "a simple or trivial L"),
-    ({"ambient": "SU(6)", "subgroup": "SU(5)"}, "ranks of G and L differing by 2"),
-    ({"ambient": "SU(6)", "subgroup": "Sp(3)"}, "a declared injective inclusion"),
-])
-def test_corank2_tag_that_contradicts_its_groups_is_refused(tmp_path, monkeypatch, record, condition):
-    # the tag is a claim about the groups: one they contradict is an error, not a row left out of Table 2
-    from cohomone.cli import run
-
-    for name in ("embeddings.json", "diagrams.json"):
-        shutil.copy(data_dir() / name, tmp_path / name)
-    data = json.loads((tmp_path / "embeddings.json").read_text())
-    data["embeddings"].append({"id": "contradicted", **record, "tags": ["corank2"]})
-    (tmp_path / "embeddings.json").write_text(json.dumps(data))
-    message = f"contradicted: a corank-2 pair needs {condition}"
-    with pytest.raises(InvalidEmbedding) as caught:
-        enumerate_corank2(9, load_catalog(tmp_path))
-    assert str(caught.value) == message
-    monkeypatch.setenv("COHOMONE_DATA_DIR", str(tmp_path))
-    assert run(["verify-tables"]) == (2, {"error": f"InvalidEmbedding: {message}"})
 
 
 def test_table3_filter():

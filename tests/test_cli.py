@@ -14,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cohomone
-from cohomone.catalog import _COUNTS, _FLAGS, INLINE_RECORD, data_dir, load_catalog
+from cohomone.catalog import _COUNTS, _FLAGS, INLINE_RECORD, data_dir, default_catalog, load_catalog
 from cohomone.classification import FAMILIES, classify_diagram, realize_torsion
 from cohomone.cli import _COMMANDS, _REFERENCE, MAX_DOCUMENT_BYTES, main, render, run
 from cohomone.errors import CohomoneError
+
+CAT = default_catalog()
 
 
 def payload(argv, expect_code=0, catalog=None):
@@ -1001,7 +1003,7 @@ def declared_documents(draw):
     try:
         diagram = FAMILIES[kind].factory(*list(document.values())[1:])
         expected = (0, {"group": str(diagram.g), "ell_minus": diagram.ell_minus, "ell_plus": diagram.ell_plus,
-                        "manifold_dim": diagram.manifold_dim, "outcome": classify_diagram(diagram).as_dict()})
+                        "manifold_dim": diagram.manifold_dim, "outcome": classify_diagram(diagram, CAT).as_dict()})
     except CohomoneError as exc:
         expected = (2, {"error": f"{type(exc).__name__}: {exc}"})
     return document, table, document, expected

@@ -310,11 +310,12 @@ def test_mv_rank_profile_solves_the_system():
     result = mv_feasible(p_h, p_kp, p_km, n)
     assert result.verdict == "feasible"
     delta_prev = 0
+    kp, km, h = (p.coefficients + (0,) * len(result.rank_profile) for p in (p_kp, p_km, p_h))
     for k, (r, s, delta) in enumerate(result.rank_profile):
         b_m = 1 if k in (0, n) else 0
         assert b_m == delta_prev + r
-        assert p_kp.coefficient(k) + p_km.coefficient(k) == r + s
-        assert p_h.coefficient(k) == s + delta
+        assert kp[k] + km[k] == r + s
+        assert h[k] == s + delta
         delta_prev = delta
 
 
@@ -327,10 +328,8 @@ def test_mv_alternating_sum_identity_when_feasible():
     for p_h, p_kp, p_km, n in cases:
         assert mv_feasible(p_h, p_kp, p_km, n).verdict == "feasible"
         top = max(p_h.degree, p_kp.degree, p_km.degree)
-        lhs = sum(
-            (-1) ** k * (p_kp.coefficient(k) + p_km.coefficient(k) - p_h.coefficient(k))
-            for k in range(top + 1)
-        )
+        kp, km, h = (p.coefficients + (0,) * (top + 1) for p in (p_kp, p_km, p_h))
+        lhs = sum((-1) ** k * (kp[k] + km[k] - h[k]) for k in range(top + 1))
         assert lhs == 1 + (-1) ** n
 
 
@@ -341,11 +340,12 @@ def mv_brute_force(p_h, p_kp, p_km, n):
     Above the top degree every Betti number is zero, which forces the last delta to be zero.
     """
     top = max(n, p_h.degree, p_kp.degree, p_km.degree) + 1
+    kp, km, h = (p.coefficients + (0,) * (top + 1) for p in (p_kp, p_km, p_h))
 
     def search(k, delta_prev):
         if k > top:
             return delta_prev == 0
-        b_m, b_k, b_h = 1 if k in (0, n) else 0, p_kp.coefficient(k) + p_km.coefficient(k), p_h.coefficient(k)
+        b_m, b_k, b_h = 1 if k in (0, n) else 0, kp[k] + km[k], h[k]
         return any(
             search(k + 1, delta)
             for r in range(b_k + 1) for s in range(b_k + 1) for delta in range(b_h + 1)
