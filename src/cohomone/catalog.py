@@ -38,12 +38,24 @@ Each embedding is judged once, here, and no reader checks it again:
 conditions, and an equal-rank one needs Weyl orders that divide (its Euler
 characteristic) and a Hilbert series that is a Poincare polynomial, taken
 within ``rational_homotopy.HILBERT_STEP_BUDGET`` steps.
+
+``default_catalog`` keeps the catalog it loaded as Python keeps bytecode: in
+``__pycache__/catalog.<sys.implementation.cache_tag>.marshal`` of the data
+directory, written after a load that passed every check unless
+``sys.dont_write_bytecode`` is set.  The file holds the exact bytes of both data
+files, ``CATALOG_VERSION``, ``marshal.version`` and the (name, mtime, size) of
+each module of the package, the stamp importlib keys bytecode on.  A later
+process whose files and modules match rebuilds the catalog from it, with no JSON
+read and no check run again; any other file, or none, falls through to
+``load_catalog``.  ``json`` is imported by the first ``parse_json`` call, so a
+process that rebuilds the catalog never imports it.
 """
 
 from __future__ import annotations
 
-import json
+import marshal
 import os
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
@@ -212,6 +224,7 @@ class Catalog:
                 *read_object(flags, _FLAGS, f"{where} nonorientable"))
 
 
+_FILES = ("embeddings.json", "diagrams.json")
 _EMPTY = MappingProxyType({})
 _JSON_TYPES = {str: "string", int: "integer", bool: "boolean", dict: "object", type(None): "null"}
 
@@ -313,20 +326,27 @@ def _json_object(pairs: list) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+@lru_cache(maxsize=1, typed=True)
+def _decoder():
+    """The one decoder of the package, built on first use: a process that rebuilds the catalog never imports json."""
+    import json
+
+    return json.JSONDecoder(object_pairs_hook=_json_object)
 
 
 def parse_json(text: str):
     """The JSON value ``text`` holds, read by the one decoder of the package, which refuses a repeated key."""
-    if text.startswith("\ufeff"):  # as json.loads refuses it; JSONDecoder.decode would say "Expecting value"
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+    if text.startswith("\ufeff"):  # the text of json.loads's refusal; JSONDecoder.decode would say "Expecting value"
+        raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+    return _decoder().decode(text)
 
 
-def _read(path: Path, error: type[CohomoneError], table: Mapping) -> list:
-    """The values of a data file's top-level ``table`` keys; its ``"version"`` must be ``CATALOG_VERSION``."""
+def _read(path: Path, error: type[CohomoneError], table: Mapping, raw: dict) -> list:
+    """The values of a data file's top-level ``table`` keys; its ``"version"`` must be ``CATALOG_VERSION``.  The
+    bytes read are kept in ``raw`` under the file name, and decoded as text mode decodes a file."""
     try:
-        data = parse_json(path.read_text(encoding="utf-8"))
+        raw[path.name] = path.read_bytes()
+        data = parse_json(raw[path.name].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, a repeated key
         raise error(f"{path}: cannot read catalog file: {exc}") from None
     version = data.get("version") if type(data) is dict else None
@@ -345,9 +365,13 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     ``diagram.validate``, raises its error naming the file and ``embeddings[i]`` or ``diagrams[i]``: each is
     checked once, here, and never again per use.
     """
-    base = Path(directory) if directory is not None else data_dir()
-    path = base / "embeddings.json"
-    version, _, records = _read(path, InvalidLabel, _EMBEDDINGS_FILE)
+    return _load(Path(directory) if directory is not None else data_dir(), {})
+
+
+def _load(base: Path, raw: dict) -> Catalog:
+    """``load_catalog`` of ``base``, keeping in ``raw`` the bytes of each file it read."""
+    path = base / _FILES[0]
+    version, _, records = _read(path, InvalidLabel, _EMBEDDINGS_FILE, raw)
     groups: dict[str, GroupType] = {}  # each distinct group text of this load, parsed once
     embeddings = [_embedding_from_record(r, f"{path}: embeddings[{i}]", groups) for i, r in enumerate(records)]
     by_id = _by_id(embeddings, InvalidLabel, path)
@@ -357,9 +381,9 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
             raise InvalidLabel(f"{path}: embeddings[{i}] key 'contains': unknown embedding id {unknown[0]!r}")
     # the diagram records resolve their embedding ids through this first-stage catalog
     catalog = Catalog(version, by_id, {})
-    path = base / "diagrams.json"
+    path = base / _FILES[1]
     records = []
-    for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE)[2]):
+    for i, record in enumerate(_read(path, InvalidDiagram, _DIAGRAMS_FILE, raw)[2]):
         where = f"{path}: diagrams[{i}]"
         record_id, *diagram, outcome, rational_sphere, orbit = read_object(record, _RECORD, where)
         diagram = _named(where, GroupDiagram, *catalog._diagram_fields(diagram, where))  # checked once, here
@@ -370,7 +394,75 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
 
 @lru_cache(maxsize=4, typed=True)
 def _cached_catalog(directory: str) -> Catalog:
-    return load_catalog(Path(directory))
+    """The catalog in ``directory``, rebuilt from its cache file if that holds the bytes of both data files and the
+    source stamp of this package; else loaded and checked as ``load_catalog`` does, then cached for the next
+    process."""
+    base = Path(directory)
+    cache = base / "__pycache__" / f"catalog.{sys.implementation.cache_tag}.marshal"
+    try:
+        key, plain = marshal.loads(cache.read_bytes())
+        hit = key == _cache_key((base / name).read_bytes() for name in _FILES)
+    except (OSError, EOFError, ValueError, TypeError):  # no file, or a truncated one, or not a key and a catalog
+        hit = False
+    if hit:
+        return _rebuilt(*plain)
+    raw: dict[str, bytes] = {}
+    catalog = _load(base, raw)
+    if not sys.dont_write_bytecode:
+        _write(cache, raw, catalog)
+    return catalog
+
+
+def _cache_key(data: Iterable[bytes]) -> tuple:
+    """What a cache file must match: the format, the (name, mtime, size) of each module of the package, the stamp
+    importlib keys bytecode on, and the bytes ``data`` of the data files."""
+    modules = sorted((entry.name, entry.stat().st_mtime_ns, entry.stat().st_size)
+                     for entry in os.scandir(Path(__file__).parent) if entry.name.endswith(".py"))
+    return CATALOG_VERSION, marshal.version, tuple(modules), *data
+
+
+def _plain(catalog: Catalog) -> tuple:
+    """``catalog`` as marshal data: each group as its text, each embedding of a diagram by id, each polynomial as
+    its coefficients."""
+    embeddings = tuple((e.id, str(e.ambient), str(e.subgroup), *e[3:]) for e in catalog.embeddings())
+    records = tuple((r.id, str(r.diagram.g), tuple(e.id for e in r.diagram[1:6]), r.diagram[6:],
+                     None if r.outcome is None else tuple(r.outcome), r.rational_sphere,
+                     None if r.orbit_poincare is None else (*(p.coefficients for p in r.orbit_poincare[:3]),
+                                                            r.orbit_poincare.n))
+                    for r in catalog.diagram_records())
+    return catalog.version, embeddings, records
+
+
+def _rebuilt(version: int, embeddings: tuple, records: tuple) -> Catalog:
+    """The catalog ``_plain`` gave, its embeddings and diagrams built past their checks: ``load_catalog`` ran every
+    check on the same bytes under the same source stamp before the cache was written."""
+    texts = {text for e in embeddings for text in e[1:3]} | {r[1] for r in records}
+    groups = {text: parse_group(text) for text in texts}
+    by_id = {e[0]: tuple.__new__(NamedEmbedding, (e[0], groups[e[1]], groups[e[2]], *e[3:])) for e in embeddings}
+    diagrams = {}
+    for record_id, g, ids, annotations, outcome, rational_sphere, orbit in records:
+        diagram = tuple.__new__(GroupDiagram, (groups[g], *map(by_id.__getitem__, ids), *annotations))
+        diagrams[record_id] = DiagramRecord(
+            record_id, diagram, None if outcome is None else ClassificationOutcome(*outcome), rational_sphere,
+            None if orbit is None else OrbitBetti(*map(IntegerPolynomial, orbit[:3]), orbit[3]))
+    return Catalog(version, MappingProxyType(by_id), MappingProxyType(diagrams))
+
+
+def _write(cache: Path, raw: dict, catalog: Catalog) -> None:
+    """Write the cache file of ``catalog``, loaded from the bytes ``raw``, through a file of its own renamed into
+    place, so that no reader sees part of it; a directory that refuses the write, a read-only install say, or a
+    package directory that cannot be listed, is left as it was."""
+    temporary = cache.with_name(f"{cache.name}.{os.getpid()}")
+    try:
+        data = marshal.dumps((_cache_key(raw[name] for name in _FILES), _plain(catalog)))
+        cache.parent.mkdir(exist_ok=True)
+        temporary.write_bytes(data)
+        os.replace(temporary, cache)
+    except OSError:
+        try:
+            temporary.unlink()
+        except OSError:
+            pass
 
 
 def default_catalog() -> Catalog:

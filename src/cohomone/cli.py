@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import cohomone
 
-from .errors import CohomoneError, InvalidDiagram, InvalidParams
+from .errors import CohomoneError, InvalidDiagram, InvalidParams, UsageError
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -36,16 +36,12 @@ class CommandResult(NamedTuple):
     payload: dict
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _integers(text: str, flag: str) -> tuple[int, ...]:
     """The comma-separated integers of a flag value: none if it is blank; an empty entry is a usage error."""
     try:
         return tuple(int(v) for v in text.split(",")) if text.strip() else ()
     except ValueError as exc:
-        raise _UsageError(f"{flag} takes comma-separated integers ({exc})") from None
+        raise UsageError(f"{flag} takes comma-separated integers ({exc})") from None
 
 
 def _coeffs(text: str, flag: str) -> IntegerPolynomial:
@@ -60,7 +56,7 @@ def _sphere_poly(text: str, flag: str) -> IntegerPolynomial:
 
     dims = _integers(text, flag)
     if any(d < 1 for d in dims) or sum(dims) > MAX_SPHERE_DIM:
-        raise _UsageError(f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}")
+        raise UsageError(f"{flag} takes positive sphere dimensions summing to at most {MAX_SPHERE_DIM}, got {text!r}")
     return odd_product_poincare(dims)
 
 
@@ -82,10 +78,10 @@ def _load_diagram(spec: str, catalog: Catalog) -> GroupDiagram:
             with open(spec, "rb") as file:
                 raw = file.read(MAX_DOCUMENT_BYTES + 1)
         if len(raw) > MAX_DOCUMENT_BYTES:
-            raise _UsageError(f"diagram document {spec} is longer than the limit of {MAX_DOCUMENT_BYTES} bytes")
+            raise UsageError(f"diagram document {spec} is longer than the limit of {MAX_DOCUMENT_BYTES} bytes")
         text = raw if spec == "-" else raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read diagram file {spec}: {exc}") from exc
+        raise UsageError(f"cannot read diagram file {spec}: {exc}") from exc
     try:
         document = cohomone.catalog.parse_json(text)
     except (ValueError, RecursionError) as exc:  # not JSON, a repeated key, an integer too long for int(), deep nesting
@@ -326,10 +322,10 @@ def _parse(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
     if argv[:1] in (["-h"], ["--help"]):
         return None, None
     if not argv:
-        raise _UsageError("the following arguments are required: command")
+        raise UsageError("the following arguments are required: command")
     if argv[0] not in _COMMANDS:
-        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} "
-                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
     flags, values, tokens = _COMMANDS[argv[0]].flags, {}, iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
@@ -337,41 +333,41 @@ def _parse(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
         name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
         flag = flags.get(name)  # an exact name: no prefix abbreviations
         if flag is None:
-            raise _UsageError(f"unrecognized arguments: {token}")
+            raise UsageError(f"unrecognized arguments: {token}")
         if name in values:
-            raise _UsageError(f"argument {name}: given more than once")
+            raise UsageError(f"argument {name}: given more than once")
         if flag.kind is bool:
             if eq:
-                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
             value = True
         elif not eq:
             value = next(tokens, "--")  # as with argparse, '-' (stdin) and negative integers are values
             if value[:1] == "-" and value != "-" and not value[1:].isdigit():
-                raise _UsageError(f"argument {name}: expected one argument")
+                raise UsageError(f"argument {name}: expected one argument")
         if flag.kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise _UsageError(f"argument {name}: invalid int value: {value!r}") from None
+                raise UsageError(f"argument {name}: invalid int value: {value!r}") from None
         values[name] = value
     chosen: dict[str, str] = {}  # an exclusive group, or a flag outside any -> the flag given for it
     for name in values:
         key = flags[name].group or name
         if chosen.setdefault(key, name) != name:
-            raise _UsageError(f"argument {name}: not allowed with argument {chosen[key]}")
+            raise UsageError(f"argument {name}: not allowed with argument {chosen[key]}")
     for name in values:
         needs = flags[name].needs
         if needs and needs not in values:
             other = chosen.get(flags[needs].group or needs)  # the flag given in place of the needed one
-            raise _UsageError(f"argument {name}: not allowed with argument {other}" if other
-                              else f"argument {name}: needs {needs}")
+            raise UsageError(f"argument {name}: not allowed with argument {other}" if other
+                             else f"argument {name}: needs {needs}")
     missing = [name for name, flag in flags.items() if flag.required and (flag.group or name) not in chosen
                and (flag.needs is None or flag.needs in values)]
     if missing:  # like argparse, name the missing flags outside any group, else those of the first missing group
         plain = [name for name in missing if not flags[name].group]
         first = [name for name in missing if flags[name].group == flags[missing[0]].group]
-        raise _UsageError(f"the following arguments are required: {', '.join(plain)}" if plain
-                          else f"one of the arguments {' '.join(first)} is required")
+        raise UsageError(f"the following arguments are required: {', '.join(plain)}" if plain
+                         else f"one of the arguments {' '.join(first)} is required")
     return argv[0], SimpleNamespace(**{name[2:].replace("-", "_"): values.get(name, flag.default)
                                        for name, flag in flags.items()})
 
@@ -409,8 +405,6 @@ def run(argv: list[str], catalog: Optional[Catalog] = None) -> CommandResult:
 
             catalog = default_catalog()
         return entry.handler(args, catalog)
-    except _UsageError as exc:
-        return CommandResult(2, {"error": str(exc)})
     except CohomoneError as exc:
         return CommandResult(2, {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -27,3 +27,7 @@ class InvalidLattice(CohomoneError):
 
 class InvalidDiagram(CohomoneError):
     """A group diagram document is malformed or refers to unknown records."""
+
+
+class UsageError(CohomoneError):
+    """A command line the front end refuses: a flag, a flag value, or a diagram file it cannot read."""

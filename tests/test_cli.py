@@ -265,7 +265,7 @@ def test_document_longer_than_the_limit_exits_2(tmp_path):
     assert run(["classify", "--diagram", str(doc)]).exit_code == 0
     doc.write_text(padded(BRIESKORN, MAX_DOCUMENT_BYTES + 1))  # 65,537 bytes
     result = run(["classify", "--diagram", str(doc)])
-    assert result.exit_code == 2 and result.payload["error"] == f"diagram document {doc} {TOO_LONG}"
+    assert result.exit_code == 2 and result.payload["error"] == f"UsageError: diagram document {doc} {TOO_LONG}"
     # the limit counts the bytes of a file: 32,768 two-byte characters and the keys pass it, in fewer characters
     doc.write_text('{"family": "brieskorn", "m": 6, "d": 3, "x": "' + "é" * 32768 + '"}', encoding="utf-8")
     assert os.path.getsize(doc) > MAX_DOCUMENT_BYTES
@@ -275,7 +275,7 @@ def test_document_longer_than_the_limit_exits_2(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
 def test_endless_document_exits_2():
     result = run(["classify", "--diagram", "/dev/zero"])
-    assert result.exit_code == 2 and result.payload["error"] == f"diagram document /dev/zero {TOO_LONG}"
+    assert result.exit_code == 2 and result.payload["error"] == f"UsageError: diagram document /dev/zero {TOO_LONG}"
 
 
 @pytest.mark.parametrize("size, code", [(MAX_DOCUMENT_BYTES, 0), (MAX_DOCUMENT_BYTES + 1, 2), (10**7, 2)])
@@ -285,7 +285,7 @@ def test_stdin_document_is_read_up_to_the_limit(size, code):
         result = run(["classify", "--diagram", "-"])
     assert result.exit_code == code, result.payload
     if code == 2:
-        assert result.payload["error"] == f"diagram document - {TOO_LONG}"
+        assert result.payload["error"] == f"UsageError: diagram document - {TOO_LONG}"
         assert stdin.tell() == MAX_DOCUMENT_BYTES + 1  # no more was read
 
 
@@ -690,7 +690,7 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
 )
 def test_usage_errors_name_the_flag(argv, error):
     result = run(argv)
-    assert result.exit_code == 2 and result.payload["error"].startswith(error)
+    assert result.exit_code == 2 and result.payload["error"].startswith(f"UsageError: {error}")
 
 
 def test_flag_values_may_be_negative_or_joined_with_equals():

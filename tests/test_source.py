@@ -65,6 +65,8 @@ UNCHECKED_BUILDS = {
     ("classification", "realize_torsion", "SevenFamilyParams"),
     ("brieskorn", "delta_poly", "IntegerPolynomial"),
     ("diagram", "gh_classify", "GHCaseResult"),
+    ("catalog", "_rebuilt", "NamedEmbedding"),  # load_catalog checked these bytes under this source stamp
+    ("catalog", "_rebuilt", "GroupDiagram"),
 }
 
 
@@ -437,11 +439,21 @@ _QUOTIENT = ["quotient", "--embedding", "t2-in-su3"]  # the cheapest subcommand 
 #: the load makes for every reader
 CATALOG_CORPUS = [(name, _QUOTIENT, 2) for name in CATALOGS]
 
+#: the cache file of a data directory
+CACHE_FILE = Path("__pycache__", f"catalog.{sys.implementation.cache_tag}.marshal")
+
+#: (cache file, command line, exit code), each run on its own copy of the shipped data: with no cache file the load
+#: checks the files and writes one, with the one a load of the copy wrote it rebuilds the catalog, and with a garbage
+#: one it checks the files again
+CACHE_CORPUS = [(cache, _QUOTIENT, 0) for cache in ("none", "warm", "garbage")]
+
 #: the code objects of the package that no run of the corpora enters, by qualified name (a lambda of a class body
 #: by the attribute it is assigned to), each with the reason it stays
 UNENTERED = {
     "cohomone.__dir__": "PEP 562: what dir(cohomone) lists, which no program path asks",
     "cohomone.catalog.Catalog.__setattr__": "refuses assignment: the catalog does not change after load",
+    "cohomone.catalog.load_catalog": "public API: the checked load without the cache file, whose _load a cache miss "
+                                     "of default_catalog runs",
     "cohomone.lie_catalog.GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
     **dict.fromkeys([f"cohomone.{name}._make" for name in (
         "brieskorn.BrieskornParams", "diagram.ClassificationOutcome", "diagram.GroupDiagram",
@@ -491,18 +503,18 @@ UNTYPED_RAISES = {
     "__init__.py: AttributeError": "the protocol of module __getattr__ (PEP 562)",
     "catalog.py: AttributeError": "the protocol of __setattr__ and __delattr__",
     "lie_catalog.py: AttributeError": "the protocol of __setattr__ and __delattr__",
-    "catalog.py: ValueError": "_json_object: a repeated key, raised as the decoder raises a syntax error; _read "
-                              "and cli._load_diagram turn it into InvalidLabel or InvalidDiagram",
-    "catalog.py: json.JSONDecodeError": "parse_json: a BOM, as json.loads refuses it; caught as that ValueError",
+    "catalog.py: ValueError": "_json_object: a repeated key, raised as the decoder raises a syntax error, and "
+                              "parse_json: a BOM, with the text of json.loads's refusal; _read and cli._load_diagram "
+                              "turn it into InvalidLabel or InvalidDiagram",
     "catalog.py: error": "read_object, _by_id and _read: the CohomoneError subclass the caller passes, InvalidLabel "
                          "for embeddings.json and InvalidDiagram otherwise",
     "catalog.py: type(exc)": "_named: the type of the CohomoneError it caught, with the record named",
-    "cli.py: _UsageError": "a flag or file the front end refuses: run returns exit 2 with its message",
     "diagram.py: _unknown_fiber_tag": "the InvalidParams that function returns",
 }
 
 #: runs the command lines of the JSON list on stdin, ``[argv, document, data directory or null]``, through
-#: ``cli.main`` under a profile and a trace set before the package is imported (its directory is the first
+#: ``cli.main``, writing a catalog cache file to a given data directory only, under a profile and a trace set
+#: before the package is imported (its directory is the first
 #: argument), and prints their exit codes, the names of the code objects compiled from the package that no frame
 #: entered, found by walking the constants of each module's code, which the profile saw run at import, and the
 #: (file, line) of each exception event in a frame of the package: the trace follows only those frames, and
@@ -532,6 +544,7 @@ for argv, document, data in corpus:
         os.environ.pop("COHOMONE_DATA_DIR", None)
     else:
         os.environ["COHOMONE_DATA_DIR"] = data
+    sys.dont_write_bytecode = data is None  # a cache file is written to temporary copies only
     sys.stdin = io.StringIO(document)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cohomone.cli.main(argv))
@@ -566,25 +579,52 @@ print(json.dumps({"codes": codes, "modules": sorted(modules), "unentered": sorte
 """
 
 
+def shipped_copy(directory: Path, edit: str = "", cache: bytes = b"") -> Path:
+    """``directory`` holding the shipped data files, with the edit ``CATALOGS[edit]`` if one is named, and the bytes
+    ``cache`` as its cache file if any are given."""
+    files = {file: (SOURCE / "data" / file).read_bytes() for file in ("embeddings.json", "diagrams.json")}
+    if edit:
+        parsed = {file: json.loads(data) for file, data in files.items()}
+        CATALOGS[edit](parsed)
+        files = {file: json.dumps(data).encode() for file, data in parsed.items()}
+    for file, data in files.items():
+        (directory / file).write_bytes(data)
+    if cache:
+        (directory / CACHE_FILE).parent.mkdir()
+        (directory / CACHE_FILE).write_bytes(cache)
+    return directory
+
+
+def catalog_process(directory: Path) -> set[str]:
+    """Every module a fresh interpreter holds after ``default_catalog()`` of ``directory``, with bytecode and so
+    cache files written."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    code = "import cohomone, sys\ncohomone.default_catalog()\nprint(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(env, PYTHONPATH=str(SOURCE.parent), COHOMONE_DATA_DIR=str(directory)))
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
 @pytest.fixture(scope="module")
 def reach(tmp_path_factory):
-    """What the probe saw run for REACH_CORPUS and CATALOG_CORPUS, each edited catalog written to its directory."""
-    directories = {}
-    for name, edit in CATALOGS.items():
-        files = {file: json.loads((SOURCE / "data" / file).read_text())
-                 for file in ("embeddings.json", "diagrams.json")}
-        edit(files)
-        directories[name] = tmp_path_factory.mktemp(name)
-        for file, data in files.items():
-            (directories[name] / file).write_text(json.dumps(data))
+    """What the probe saw run for REACH_CORPUS, CATALOG_CORPUS, each edited catalog written to its directory next
+    to the cache file of the shipped one, and CACHE_CORPUS."""
+    warm = shipped_copy(tmp_path_factory.mktemp("warm"))
+    catalog_process(warm)
+    cache = (warm / CACHE_FILE).read_bytes()
+    caches = {"none": b"", "warm": cache, "garbage": cache[:100]}
     corpus = [[argv, document, None] for argv, document, _ in REACH_CORPUS]
-    corpus += [[argv, "", str(directories[name])] for name, argv, _ in CATALOG_CORPUS]
+    corpus += [[argv, "", str(shipped_copy(tmp_path_factory.mktemp(name), name, cache))]
+               for name, argv, _ in CATALOG_CORPUS]
+    corpus += [[argv, "", str(shipped_copy(tmp_path_factory.mktemp(name), cache=caches[name]))]
+               for name, argv, _ in CACHE_CORPUS]
     done = subprocess.run([sys.executable, "-c", _REACH_PROBE, str(SOURCE)], input=json.dumps(corpus),
                           env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    assert seen["codes"] == [row[2] for row in REACH_CORPUS] + [row[2] for row in CATALOG_CORPUS]
+    assert seen["codes"] == [row[2] for corpus in (REACH_CORPUS, CATALOG_CORPUS, CACHE_CORPUS) for row in corpus]
     assert seen["modules"] == sorted(path.name for path in SOURCE.glob("*.py"))
     return seen
 
@@ -675,3 +715,12 @@ def test_no_process_imports_argparse(code):
     # the front end parses flags from its own command table: argparse, with the gettext and locale it
     # imports, cost every process 2-4 ms to import
     assert not loaded_after(code) & {"argparse", "gettext", "locale"}
+
+
+def test_a_process_that_rebuilds_the_catalog_imports_no_json(tmp_path):
+    # the catalog rebuilt from its cache file reads no JSON: importing json cost every catalog reader about 2 ms
+    directory = shipped_copy(tmp_path)
+    catalog_process(directory)  # writes the cache file that the next process reads
+    loaded = catalog_process(directory)
+    assert "cohomone.catalog" in loaded
+    assert not loaded & {"json", "json.decoder", "json.scanner", "json.encoder"}
