@@ -13,9 +13,11 @@ Submodules:
 * ``cli``                the command-line front end
 * ``errors``             the ``CohomoneError`` hierarchy
 
-Nothing is imported with the package: each exported name, and each
-submodule as an attribute (``cohomone.verify``), loads on first use
-(PEP 562), so a caller pays only for the modules it touches.
+The library API is the command line and the catalog loaders; the submodules
+trust their callers, as input is checked where it is read.  Nothing is
+imported with the package: each exported name, and each submodule as an
+attribute (``cohomone.verify``), loads on first use (PEP 562), so a caller
+pays only for the modules it touches.
 """
 
 from importlib import import_module
@@ -23,21 +25,10 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 #: every public name, under the submodule that defines it; ``__all__`` is derived from this table
-_EXPORTS = {
-    "brieskorn": ("BrieskornParams", "GradedAbelianGroup", "delta_at_one", "delta_poly", "homology"),
-    "catalog": ("Catalog", "default_catalog", "load_catalog"),
-    "classification": ("CorankTwoRow", "case6_pairs", "classify_diagram", "enumerate_corank2", "realize_torsion",
-                       "seven_family_torsion", "table3_filter"),
-    "diagram": ("ClassificationOutcome", "GroupDiagram", "MVFeasibility", "SevenFamilyParams", "double_disk_euler",
-                "gh_classify", "mv_feasible", "primitivity", "validate"),
-    "lie_catalog": ("GroupType", "NamedEmbedding", "SimpleGroupLabel", "parse_group", "sphere_quotient",
-                    "spheres_acted_on", "transitive_sphere_pairs"),
-    "polynomial": ("IntegerPolynomial",),
-    "rational_homotopy": ("QuotientHomotopy", "euler_characteristic", "hilbert_series",
-                          "odd_product_poincare", "quotient_homotopy"),
-}
+_EXPORTS = {"catalog": ("default_catalog", "load_catalog")}
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "verify"}
+_SUBMODULES = frozenset({"brieskorn", "catalog", "classification", "cli", "diagram", "errors", "lie_catalog",
+                         "polynomial", "rational_homotopy", "verify"})
 
 __all__ = sorted(_SOURCE)
 

@@ -64,7 +64,7 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .diagram import _OUTCOME_FIELDS, ClassificationOutcome, GroupDiagram
-from .errors import CohomoneError, InvalidDiagram, InvalidLabel, Unsupported
+from .errors import CohomoneError, InvalidDiagram, InvalidLabel, InvalidParams, Unsupported
 from .lie_catalog import GroupType, NamedEmbedding, parse_group
 from .polynomial import MAX_SPHERE_DIM, IntegerPolynomial
 from .rational_homotopy import euler_characteristic, hilbert_series
@@ -355,7 +355,7 @@ def _read(path: Path, error: type[CohomoneError], table: Mapping, raw: dict) -> 
     return read_object(data, table, str(path), error)
 
 
-def load_catalog(directory: Optional[Path] = None) -> Catalog:
+def load_catalog(directory: Optional[str | os.PathLike] = None) -> Catalog:
     """The catalog in ``directory`` (default: ``data_dir()``).
 
     A file that cannot be read or is not UTF-8 JSON raises ``InvalidLabel``
@@ -363,9 +363,13 @@ def load_catalog(directory: Optional[Path] = None) -> Catalog:
     so does, naming the key too, a missing, repeated or undeclared key or a value of the wrong JSON type.
     An embedding that breaks a rule the module docstring lists, or a diagram record that breaks one of
     ``diagram.validate``, raises its error naming the file and ``embeddings[i]`` or ``diagrams[i]``: each is
-    checked once, here, and never again per use.
+    checked once, here, and never again per use.  A ``directory`` that is no str or PathLike raises ``InvalidParams``.
     """
-    return _load(Path(directory) if directory is not None else data_dir(), {})
+    try:
+        base = Path(directory) if directory is not None else data_dir()
+    except TypeError:  # neither a str nor an os.PathLike of a str
+        raise InvalidParams(f"the catalog directory must be a path, got {type(directory).__name__}") from None
+    return _load(base, {})
 
 
 def _load(base: Path, raw: dict) -> Catalog:

@@ -19,7 +19,6 @@ of the diagram, or of its swap, with the family's.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .diagram import CASE6_FIBERS, ClassificationOutcome, GroupDiagram, SevenFamilyParams
@@ -28,7 +27,6 @@ from .lie_catalog import (
     TRIVIAL_GROUP,
     GroupType,
     NamedEmbedding,
-    check_winding_and_slope,
     memoized,
     parse_group,
     special_orthogonal,
@@ -64,9 +62,9 @@ def realize_torsion(t: int) -> SevenFamilyParams:
     """Parameters with torsion exactly t: p+ = +-(2t+1), p- = +-(2t-1), q = 1.
 
     Exactly one sign of each of 2t+1 and 2t-1 is 1 mod 4.  Built past ``SevenFamilyParams``'s check:
-    both p are 1 mod 4 by that parity rule, and q = 1; a t that is no integer is a TypeError.
+    both p are 1 mod 4 by that parity rule, and q = 1.  ``seven-family --realize`` passes an integer.
     """
-    if index(t) < 1:
+    if t < 1:
         raise InvalidParams(f"t must be positive, got {t}")
     # 2t-1 is 1 mod 4 when t is odd and 2t+1 when t is even
     p_minus, p_plus = (2 * t - 1, -2 * t - 1) if t % 2 else (1 - 2 * t, 2 * t + 1)
@@ -236,22 +234,19 @@ def _family_diagram(
     """The diagram with orbit groups ``orbits``: H, K- and K+ embed in G with ``tags`` (K-+ also with the
     winding or slope of ``k_fields``), the witnesses present H in K-+ as blocks, and H, K- and K+ have
     ``components`` components, K- and K+ the orientability flags ``nonorientable``.  A manifold of dimension
-    above ``MAX_SPHERE_DIM`` is refused before any embedding is built.  Of the checks of ``NamedEmbedding``,
-    only the winding and slope ones run: ``_fitted`` checked the groups, the tags are labels of
-    ``EMBEDDING_TAGS``, and no ranks are declared.  None of ``GroupDiagram`` runs: the orbit groups were
-    ``_fitted`` once per parameter, both witnesses are ``block``, H carries ``proper-projections``, and each
-    family's component counts meet the component rule.
+    above ``MAX_SPHERE_DIM`` is refused before any embedding is built.  None of the checks of ``NamedEmbedding``
+    runs: ``_fitted`` checked the groups, the tags are labels of ``EMBEDDING_TAGS``, no ranks are declared, and
+    a slope is a pair.  None of ``GroupDiagram`` runs: the orbit groups were ``_fitted`` once per parameter,
+    both witnesses are ``block``, H carries ``proper-projections``, and each family's component counts meet
+    the component rule.  Every parameter is an integer, which ``catalog.read_object`` checked in the document.
     """
     g, h, k_minus, k_plus = orbits
     dim = g.dimension - h.dimension + 1
     if dim > MAX_SPHERE_DIM:
         raise InvalidParams(f"{stem}: the manifold dimension {dim} exceeds {MAX_SPHERE_DIM}")
-    for group in orbits:  # a non-integer parameter gives a float rank: the TypeError of counting its degrees
-        index(group.rank)
 
     def embed(suffix: str, ambient: GroupType, sub: GroupType, labels: frozenset[str], winding=None, slope=None):
-        check_winding_and_slope(id := f"{stem}-{suffix}", winding, slope)
-        return tuple.__new__(NamedEmbedding, (id, ambient, sub, (), labels, winding, slope, frozenset()))
+        return tuple.__new__(NamedEmbedding, (f"{stem}-{suffix}", ambient, sub, (), labels, winding, slope, frozenset()))
 
     return tuple.__new__(GroupDiagram, (
         g, embed("h", g, h, tags[0]), embed("kminus", g, k_minus, tags[1], **k_fields[0]),

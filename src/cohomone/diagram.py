@@ -255,7 +255,7 @@ def gh_classify(
     """
     if ell_minus < 1 or ell_plus < 1:
         raise InvalidParams("fiber dimensions must be at least 1")
-    if fiber_hint is not None and not (isinstance(fiber_hint, str) and fiber_hint in _CASE6_TAGS):
+    if fiber_hint is not None and fiber_hint not in _CASE6_TAGS:
         raise _unknown_fiber_tag(fiber_hint)
     if h == 0:
         total = ell_minus + ell_plus
@@ -298,7 +298,8 @@ def primitivity(
 
     A lattice entry L witnesses non-primitivity when it is a proper
     subgroup of G declared (its ``contains`` ids) to contain H and
-    both K+-.  With ``assert_rational_sphere`` the caller states that the
+    both K+-; every entry lives in G (``Catalog.lattice_for(d.g)``).
+    With ``assert_rational_sphere`` the caller states that the
     total space is a rational sphere, which forbids such a witness; the
     scan then returns "primitive-required" (and finding a witness anyway
     raises, since the declarations contradict the assertion).
@@ -308,8 +309,6 @@ def primitivity(
         return PrimitivityResult("primitive-required")
     needed = {d.h.id, d.k_minus.id, d.k_plus.id}
     for entry in lattice:
-        if entry.ambient != d.g:
-            raise InvalidLattice(f"lattice entry {entry.id} lives in {entry.ambient}, not {d.g}")
         if entry.subgroup == d.g:
             continue
         if needed <= entry.contains:
@@ -424,7 +423,8 @@ _OUTCOME_FIELDS: dict[str, dict[str, type]] = {
 class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind description m d index params torsion reason")):
     """Tagged alternative naming the matched family, or a reasoned rejection.
 
-    ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets.
+    ``kind`` is a key of ``_OUTCOME_FIELDS``, which lists the fields it sets, with their types; ``catalog`` reads a
+    stored one by that table.  The constructor and ``_replace`` check the Brieskorn parity and the G2 index.
     """
 
     __slots__ = ()
@@ -435,24 +435,11 @@ class ClassificationOutcome(namedtuple("ClassificationOutcome", "kind descriptio
         index: Optional[int] = None, params: Optional[SevenFamilyParams] = None, torsion: Optional[int] = None,
         reason: Optional[str] = None,
     ) -> "ClassificationOutcome":
-        self = tuple.__new__(cls, (kind, description, m, d, index, params, torsion, reason))
-        required = _OUTCOME_FIELDS.get(kind)
-        if required is None:
-            raise InvalidParams(f"unknown outcome kind {kind!r}")
-        for name, value in zip(self._fields[1:], self[1:]):
-            expected = required.get(name)
-            if expected is None and value is not None:
-                raise InvalidParams(f"{kind} outcomes take no {name}, got {value!r}")
-            # bool subclasses int, but True is not an integer
-            if expected is not None and (not isinstance(value, expected) or isinstance(value, bool)):
-                raise InvalidParams(f"{kind} outcomes require {name} of type {expected.__name__}, got {value!r}")
         if kind == "brieskorn" and m % 2 and d % 2 == 0:
             raise InvalidParams("Brieskorn outcomes require m even or d odd")
         if kind == "g2-quotient" and index not in (1, 3):
             raise InvalidParams("the G2/SU(2) quotients carry subgroup index 1 or 3")
-        if kind == "seven-family" and not torsion:
-            raise InvalidParams("seven-family outcomes require nonzero torsion order")
-        return self
+        return tuple.__new__(cls, (kind, description, m, d, index, params, torsion, reason))
 
     def as_dict(self) -> dict:
         """The fields that are set, with ``params`` as an object of its four integers."""

@@ -57,7 +57,7 @@ from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Optional
 
-from .errors import InvalidEmbedding, InvalidLabel, Unsupported
+from .errors import InvalidEmbedding, InvalidLabel
 
 _CLASSICAL_FAMILIES = ("A", "B", "C", "D")
 #: the degrees of each exceptional family: its rank is their number, its dimension their sum
@@ -72,21 +72,10 @@ _EXCEPTIONAL_RANKS = {family: len(degrees) for family, degrees in _EXCEPTIONAL_D
 
 
 class SimpleGroupLabel(namedtuple("SimpleGroupLabel", "family rank")):
-    """A Killing-Cartan label, e.g. A3 or E6.  Not necessarily canonical; labels order by (family, rank)."""
+    """A Killing-Cartan label, e.g. A3 or E6.  Not necessarily canonical; labels order by (family, rank).  It checks
+    nothing: its producers, the group builders of this module, give each family a rank it has."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
-
-    def __new__(cls, family: str, rank: int) -> "SimpleGroupLabel":
-        if family in _EXCEPTIONAL_RANKS:
-            if rank != _EXCEPTIONAL_RANKS[family]:
-                raise InvalidLabel(f"{family} has fixed rank {_EXCEPTIONAL_RANKS[family]}")
-        elif family in _CLASSICAL_FAMILIES:
-            if rank < 1:
-                raise InvalidLabel(f"rank must be positive, got {family}{rank}")
-        else:
-            raise InvalidLabel(f"unknown family {family!r}")
-        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         if self.family in _EXCEPTIONAL_RANKS:
@@ -150,8 +139,6 @@ class GroupType(namedtuple("GroupType", "factors torus_rank")):
     __reduce__ = lambda self: (type(self), tuple(self))  # copies and pickles carry the fields, not the cache
 
     def __new__(cls, factors: Iterable[SimpleGroupLabel] = (), torus_rank: int = 0) -> "GroupType":
-        if torus_rank < 0:
-            raise InvalidLabel("torus rank must be non-negative")
         expanded: list[SimpleGroupLabel] = []
         for label in factors:
             simple, extra_torus = _canonical_factors(label)
@@ -249,6 +236,8 @@ def _unitary(n: int) -> GroupType:
 
 
 def _simple(family: str, rank: int) -> GroupType:
+    if rank < 1:  # a raw label such as A0: the one builder that is given a rank below 1
+        raise InvalidLabel(f"rank must be positive, got {family}{rank}")
     return GroupType((SimpleGroupLabel(family, rank),))
 
 
@@ -308,8 +297,8 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
     Three typed fields carry values, read from JSON keys of the same names: ``winding``, an int or None (the
     circle winding of a Brieskorn K-); ``slope``, a pair of ints or None (the circle slope of a seven-family
     K-+); and ``contains``, the frozenset of embedding ids a lattice entry contains.  A value of another type
-    (a bool is not an int) raises ``InvalidLabel``.  The constructor and ``_replace`` run every check; only
-    the family factories of ``classification`` skip them, for orbit groups checked once per parameter.
+    (a bool is not an int) is refused where the catalog reads it.  The constructor and ``_replace`` run every other
+    check; only the family factories of ``classification`` skip them, for orbit groups checked once per parameter.
     """
 
     __slots__ = ()
@@ -325,19 +314,11 @@ class NamedEmbedding(namedtuple("NamedEmbedding", "id ambient subgroup homotopy_
         if not tags <= EMBEDDING_TAGS:
             raise InvalidLabel(f"{id}: unknown tag {', '.join(sorted(map(repr, tags - EMBEDDING_TAGS)))} "
                                f"(allowed: {', '.join(map(repr, sorted(EMBEDDING_TAGS)))})")
-        check_winding_and_slope(id, winding, slope)
-        if not (type(contains) is frozenset and all(isinstance(c, str) for c in contains)):
-            raise InvalidLabel(f"{id}: contains must be a frozenset of embedding ids, got {contains!r}")
+        if not (slope is None or len(slope) == 2):
+            raise InvalidLabel(f"{id}: slope must be a pair of ints or None, got {slope!r}")
         self = tuple.__new__(cls, (id, ambient, subgroup, ranks, tags, winding, slope, contains))
         validate_embedding(self)
         return self
-
-
-def check_winding_and_slope(id: str, winding: Optional[int], slope: Optional[tuple[int, int]]) -> None:
-    if not (winding is None or type(winding) is int):
-        raise InvalidLabel(f"{id}: winding must be an int or None, got {winding!r}")
-    if not (slope is None or type(slope) is tuple and len(slope) == 2 and all(type(v) is int for v in slope)):
-        raise InvalidLabel(f"{id}: slope must be a pair of ints or None, got {slope!r}")
 
 
 def validate_embedding(e: NamedEmbedding) -> None:
@@ -453,13 +434,11 @@ def sphere_quotient(sub: NamedEmbedding) -> Optional[int]:
 
 
 def spheres_acted_on(group: GroupType) -> set[int]:
-    """All sphere dimensions on which a simple group acts transitively.
+    """All sphere dimensions on which a simple group (all that ``table3_filter`` passes) acts transitively.
 
     A row's group equals G only if it has G's rank r, which leaves
     SO(2r), SO(2r+1), SU(r+1), Sp(r) and the sporadic rows as candidates.
     """
-    if not group.is_simple():
-        raise Unsupported("spheres_acted_on is defined for simple groups only")
     r = group.rank
     rows = [_sphere_row("so", 2 * r), _sphere_row("so", 2 * r + 1), _sphere_row("su", r + 1), _sphere_row("sp", r)]
     rows += [_sphere_row(family) for family in _SPORADIC_ROWS]

@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from .errors import InvalidParams
-
 #: largest degree of a dense output (``brieskorn.delta_poly``, the cli's ``--*-spheres`` products)
 #: and the largest sphere dimension ``diagram.mv_feasible`` accepts (it scans every degree up to n)
 MAX_SPHERE_DIM = 10**6
@@ -76,7 +74,5 @@ def product(polys: Iterable[IntegerPolynomial]) -> IntegerPolynomial:
 
 
 def one_plus_power(exponent: int) -> IntegerPolynomial:
-    """1 + t**exponent."""
-    if exponent <= 0:
-        raise InvalidParams(f"the exponent of 1 + t^k must be positive, got {exponent}")
+    """1 + t**exponent, for an exponent of at least 1: ``mv-check`` refuses a sphere dimension below 1."""
     return IntegerPolynomial((1,) + (0,) * (exponent - 1) + (1,))

@@ -24,6 +24,7 @@ from .classification import (
     table3_filter,
 )
 from .diagram import double_disk_euler, gh_classify, mv_feasible
+from .errors import CohomoneError
 from .lie_catalog import NamedEmbedding, transitive_sphere_pairs
 from .polynomial import IntegerPolynomial
 from .rational_homotopy import euler_characteristic, hilbert_series, odd_product_poincare
@@ -340,11 +341,16 @@ def build_report(catalog: Catalog, timings: Optional[dict] = None) -> dict:
 
     A ``timings`` dict, when given, receives each section's wall time in
     seconds under its name in ``_SECTIONS``; the report is the same either way.
+    A ``CohomoneError`` raised in a section, an engine fault as the catalog was checked at load,
+    fails the check ``<section>/raised``, computed as ``"<Type>: <text>"``; the next section runs.
     """
     checks: list = []
     for name, section in _SECTIONS:
         start = time.perf_counter()
-        section(checks, catalog)
+        try:
+            section(checks, catalog)
+        except CohomoneError as exc:
+            _check(checks, f"{name}/raised", None, f"{type(exc).__name__}: {exc}")
         if timings is not None:
             timings[name] = time.perf_counter() - start
     failed = [c["id"] for c in checks if not c["match"]]

@@ -12,7 +12,7 @@ from cohomone.diagram import (
     primitivity,
     validate,
 )
-from cohomone.errors import InvalidDiagram, InvalidLattice, InvalidParams
+from cohomone.errors import InvalidDiagram, InvalidParams
 from cohomone.lie_catalog import GroupType, NamedEmbedding, parse_group
 from cohomone.polynomial import IntegerPolynomial
 from cohomone.classification import brieskorn_diagram
@@ -223,13 +223,6 @@ def test_primitivity_with_full_singular_group():
 def test_primitivity_brieskorn_against_shipped_lattice():
     d = brieskorn_diagram(6, 4, "standard")
     assert primitivity(d, CAT.lattice_for(d.g)).verdict == "unknown"
-
-
-def test_primitivity_rejects_foreign_lattice_entry():
-    d = catalog_diagram("case6-su3")
-    foreign = CAT.embedding("t5-l-su2su2")
-    with pytest.raises(InvalidLattice):
-        primitivity(d, [foreign])
 
 
 # -- equivalence: the canonical descriptor and catalog matching -------------------------

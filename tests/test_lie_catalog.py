@@ -13,7 +13,8 @@ from sympy.liealgebras.weyl_group import WeylGroup
 
 from cohomone import classification, lie_catalog
 from cohomone.catalog import default_catalog
-from cohomone.errors import InvalidEmbedding, InvalidLabel, Unsupported
+from cohomone.cli import run
+from cohomone.errors import InvalidEmbedding, InvalidLabel
 from cohomone.lie_catalog import (
     EMBEDDING_TAGS,
     TRIVIAL_GROUP,
@@ -72,12 +73,15 @@ def test_canonicalize_idempotent():
 
 
 def test_invalid_labels():
-    with pytest.raises(InvalidLabel):
-        SimpleGroupLabel("A", 0)
-    with pytest.raises(InvalidLabel):
-        SimpleGroupLabel("E6", 5)
-    with pytest.raises(InvalidLabel):
-        SimpleGroupLabel("Z", 3)
+    # a raw label of rank 0 is refused by the builder of raw labels, and so through degrees --group
+    for family in "ABCD":
+        with pytest.raises(InvalidLabel, match=f"^rank must be positive, got {family}0$"):
+            parse_group(f"{family}0")
+    assert run(["degrees", "--group", "A0"]) == (2, {"error": "InvalidLabel: rank must be positive, got A0"})
+    # an exceptional label of another rank, or an unknown family, is no term of the grammar
+    for text in ("E5", "Z3"):
+        with pytest.raises(InvalidLabel, match=f"cannot parse group term '{text}'"):
+            parse_group(text)
 
 
 def test_exceptional_isomorphisms_collapse_in_parser():
@@ -363,10 +367,10 @@ def test_cached_invariants_match_a_recomputation_and_cannot_be_set(drawn, other)
 #: every memoized constructor, with an argument it refuses
 MEMOIZED_REFUSALS = [
     (special_orthogonal, (0,), InvalidLabel), (special_unitary, (0,), InvalidLabel),
-    (symplectic, (-1,), InvalidLabel), (lie_catalog._unitary, (0,), InvalidLabel),
+    (lie_catalog._unitary, (0,), InvalidLabel),
     (lie_catalog._sphere_row, ("so", 1), InvalidLabel), (lie_catalog._sphere_row, ("nope", 3), KeyError),
     (classification._brieskorn_orbits, (2, "standard"), InvalidLabel),
-    (classification._tensor_su_orbits, (1,), InvalidLabel), (classification._tensor_sp_orbits, (1,), InvalidLabel),
+    (classification._tensor_su_orbits, (1,), InvalidLabel),
 ]
 
 
@@ -502,13 +506,6 @@ def test_sphere_quotient_with_passenger_factor():
 )
 def test_spheres_acted_on(group, expected):
     assert spheres_acted_on(parse_group(group)) == expected
-
-
-def test_spheres_acted_on_rejects_nonsimple():
-    with pytest.raises(Unsupported):
-        spheres_acted_on(parse_group("SU(2)xSU(2)"))
-    with pytest.raises(Unsupported):
-        spheres_acted_on(parse_group("T1"))
 
 
 # -- named embeddings -----------------------------------------------------------

@@ -3,15 +3,19 @@
 import ast
 import functools
 import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cohomone
 from cohomone.cli import MAX_DOCUMENT_BYTES
@@ -113,7 +117,7 @@ def test_validate_runs_only_where_a_diagram_is_built():
 def test_the_readme_lists_every_unchecked_build():
     # the README's bullet list of trusted producers, `module.function` (`Type`, ...), is UNCHECKED_BUILDS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme[readme.index("lists every such site:"):readme.index("Public constructors and `_replace`")]
+    section = readme[readme.index("lists every such site:"):readme.index("Input from outside the program is checked")]
     listed = {(module, function, built) for module, function, types in re.findall(r"^\* `(\w+)\.([\w.]+)` \(([^)]*)\)",
                                                                                  section, re.M)
               for built in re.findall(r"`(\w+)`", types)}
@@ -233,7 +237,14 @@ def test_every_cache_is_bounded_and_typed():
 
 
 def test_every_export_is_its_defining_modules_object():
-    assert len(set(cohomone.__all__)) == len(cohomone.__all__)
+    # the library API is the two catalog loaders; the benchmark imports no other name from the package
+    assert cohomone.__all__ == ["default_catalog", "load_catalog"]
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    imported = {alias.name for script in ("run.py", "make_golden.py")
+                for node in ast.walk(ast.parse((perfbench / script).read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "cohomone" and not node.level
+                for alias in node.names}
+    assert imported and imported <= set(cohomone.__all__)
     star = {}
     exec("from cohomone import *", star)
     for name in cohomone.__all__:
@@ -241,6 +252,41 @@ def test_every_export_is_its_defining_modules_object():
         assert getattr(sys.modules[value.__module__], name) is value, name
         assert star[name] is value, name
     assert "__all__" in dir(cohomone) and set(cohomone.__all__) <= set(dir(cohomone))
+
+
+#: a value no caller should pass: a float, bytes, None, a negative, a huge integer and a string
+BAD_VALUES = st.one_of(st.floats(), st.binary(max_size=8), st.none(), st.integers(max_value=-1),
+                       st.integers(min_value=10**5, max_value=10**5000), st.text(max_size=8))
+#: seconds each call of an export may take
+CALL_BUDGET_S = 2.0
+
+
+class _BytesPath(os.PathLike):
+    def __fspath__(self) -> bytes:
+        return b"."
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(BAD_VALUES, min_size=1, max_size=3))
+# the arguments of calls the package once exported, which accepted a float, raised an untyped error or ran unbounded
+@example([3.5, 2])  # BrieskornParams(3.5, 2)
+@example([1.5, 2, 0])  # gh_classify(1.5, 2, 0)
+@example([None])  # parse_group(None)
+@example(["ab"])  # IntegerPolynomial("ab")
+@example([[10**7]])  # odd_product_poincare([10**7])
+@example([10**5])  # transitive_sphere_pairs(10**5)
+@example([_BytesPath()])  # a path of bytes, which pathlib refuses with a TypeError
+def test_every_export_returns_or_raises_a_typed_error(values):
+    # each export is called, one after another, with the drawn values as its arguments, repeated to fill them
+    for name in cohomone.__all__:
+        export = getattr(cohomone, name)
+        arity = len(inspect.signature(export).parameters)
+        start = time.perf_counter()
+        try:
+            export(*(values * arity)[:arity])
+        except cohomone.errors.CohomoneError:
+            pass
+        assert time.perf_counter() - start < CALL_BUDGET_S, (name, values)
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -452,13 +498,13 @@ CACHE_CORPUS = [(cache, _QUOTIENT, 0) for cache in ("none", "warm", "garbage")]
 UNENTERED = {
     "cohomone.__dir__": "PEP 562: what dir(cohomone) lists, which no program path asks",
     "cohomone.catalog.Catalog.__setattr__": "refuses assignment: the catalog does not change after load",
-    "cohomone.catalog.load_catalog": "public API: the checked load without the cache file, whose _load a cache miss "
+    "cohomone.catalog.load_catalog": "exported: the checked load without the cache file, whose _load a cache miss "
                                      "of default_catalog runs",
     "cohomone.lie_catalog.GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
     **dict.fromkeys([f"cohomone.{name}._make" for name in (
         "brieskorn.BrieskornParams", "diagram.ClassificationOutcome", "diagram.GroupDiagram",
         "diagram.SevenFamilyParams", "lie_catalog.GroupType", "lie_catalog.NamedEmbedding",
-        "lie_catalog.SimpleGroupLabel", "polynomial.IntegerPolynomial")],
+        "polynomial.IntegerPolynomial")],
         "so that _replace runs the checks of the constructor"),
     "cohomone.lie_catalog.GroupType.__add__": "with __rmul__, refuses tuple concatenation and repetition",
     "cohomone.polynomial.IntegerPolynomial.__add__": "with __rmul__, refuses tuple concatenation and repetition",
@@ -469,32 +515,18 @@ UNENTERED = {
 }
 
 #: the raise statements that no run of the corpora executes, by ``file:function``, each with the reason it stays;
-#: a function with several gives one reason per raise.  Only Python code reaches them: the public constructors and
-#: functions check values that no command line can spell, and the rest are attribute protocols or guard the program's
-#: own tables
+#: a function with several gives one reason per raise.  Input is checked where it is read, so a refusal that only a
+#: call from Python could reach is deleted; what stays are the attribute protocols, the guard of the program's own
+#: tables, and the check of the one exported function that takes an argument
 UNRAISED = {
     "__init__.py:__getattr__": "PEP 562: the AttributeError of an unknown name, which hasattr reads",
     "catalog.py:Catalog.__setattr__": "refuses assignment: the catalog does not change after load",
     "lie_catalog.py:GroupType.__setattr__": "refuses assignment: a group type and its cached values are fixed",
-    "lie_catalog.py:SimpleGroupLabel.__new__": (
-        "public API: an exceptional family of another rank; the parser gives each the rank its degrees count",
-        "public API: an unknown family; the parser matches the nine family names only"),
-    "lie_catalog.py:GroupType.__new__": "public API: a negative torus rank; the parser reads T(n) of a digit string",
-    "lie_catalog.py:NamedEmbedding.__new__": "public API: contains of another type; the loader passes a frozenset of "
-                                             "the strings read_object checked",
-    "lie_catalog.py:check_winding_and_slope": "public API: a winding of another type; read_object checks the JSON "
-                                              "integer, and a family passes its int parameter",
-    "lie_catalog.py:spheres_acted_on": "public API: a group that is not simple; table3_filter skips those first",
     "classification.py:_fitted": "guards the family tables: the orbit groups of each family fit at every parameter "
                                  "its factory admits",
-    "diagram.py:primitivity": "public API: a lattice entry of another group; the front end passes lattice_for(d.g)",
-    "diagram.py:ClassificationOutcome.__new__": (
-        "public API: an unknown kind; the loader reads only the kinds of _OUTCOMES",
-        "public API: a field the kind does not take; read_object refuses an undeclared key",
-        "public API: a field of another type; read_object checks the JSON type, where a bool is no integer",
-        "public API: a seven-family torsion of 0; the classifier answers not-rational-sphere for it"),
-    "polynomial.py:one_plus_power": "public API of odd_product_poincare: an exponent below 1; mv-check refuses a "
-                                    "sphere dimension below 1 first, naming its flag",
+    "catalog.py:load_catalog": "the exported loader: a directory that is no path, which no command line passes "
+                               "(COHOMONE_DATA_DIR is a string); test_every_export_returns_or_raises_a_typed_error "
+                               "runs it",
 }
 
 #: the raise statements that name no CohomoneError subclass, by ``file: raised callable``, each with what it raises

@@ -12,32 +12,20 @@ SU2, SU3, SU4 = (parse_group(f"SU({n})") for n in (2, 3, 4))
 
 #: (a valid value, field changes that make it invalid, the error they raise, a part of its message)
 CASES = [
-    (SimpleGroupLabel("A", 2), {"family": "X"}, InvalidLabel, "unknown family 'X'"),
-    (SimpleGroupLabel("A", 2), {"rank": 0}, InvalidLabel, "rank must be positive, got A0"),
-    (SimpleGroupLabel("G2", 2), {"rank": 3}, InvalidLabel, "G2 has fixed rank 2"),
-    (SU3, {"torus_rank": -1}, InvalidLabel, "torus rank must be non-negative"),
     (NamedEmbedding("e", SU3, SU2), {"subgroup": SU4}, InvalidEmbedding,
      "e: subgroup dimension exceeds ambient dimension"),
     (NamedEmbedding("e", SU3, SU2), {"homotopy_map_ranks": ((3, 2),)}, InvalidEmbedding,
      "e: degree-3 map rank 2 exceeds multiplicity bound"),
     (NamedEmbedding("e", SU3, SU2), {"tags": frozenset({"block", "winding:1"})}, InvalidLabel,
      r"e: unknown tag 'winding:1' \(allowed: 'block', 'corank2', 'diagonal', 'proper-projections', 'spinor'\)"),
-    (NamedEmbedding("e", SU3, SU2), {"winding": True}, InvalidLabel, "e: winding must be an int or None, got True"),
     (NamedEmbedding("e", SU3, SU2), {"slope": (5,)}, InvalidLabel, "e: slope must be a pair of ints or None"),
-    (NamedEmbedding("e", SU3, SU2), {"slope": [5, 1]}, InvalidLabel, "e: slope must be a pair of ints or None"),
-    (NamedEmbedding("e", SU3, SU2), {"contains": {"h"}}, InvalidLabel,
-     "e: contains must be a frozenset of embedding ids"),
     (IntegerPolynomial((1, 2)), {"coefficients": ("x",)}, ValueError, "invalid literal"),
     (BrieskornParams(4, 5), {"m": 1}, Unsupported, "m must be at least 3"),
     (BrieskornParams(4, 5), {"d": 0}, InvalidParams, "d must be at least 1, got 0"),
     (SevenFamilyParams(1, 1, 5, 1), {"p_plus": 3}, InvalidParams, "p_plus = 3 is not congruent to 1 mod 4"),
     (SevenFamilyParams(1, 1, 5, 1), {"q_plus": 2, "q_minus": 7}, InvalidParams, "q_minus = 7 is not congruent"),
-    (ClassificationOutcome("brieskorn", m=4, d=5), {"kind": "nope"}, InvalidParams, "unknown outcome kind 'nope'"),
-    (ClassificationOutcome("brieskorn", m=4, d=5), {"d": None}, InvalidParams,
-     "brieskorn outcomes require d of type int, got None"),
     (ClassificationOutcome("brieskorn", m=4, d=5), {"m": 3, "d": 4}, InvalidParams,
      "Brieskorn outcomes require m even or d odd"),
-    (ClassificationOutcome("wu"), {"reason": "x"}, InvalidParams, "wu outcomes take no reason, got 'x'"),
 ]
 
 

@@ -17,6 +17,7 @@ from cohomone.classification import (
 )
 from cohomone.cli import render, run
 from cohomone.diagram import CASE6_FIBERS, gh_classify
+from cohomone.errors import InvalidParams
 from cohomone.verify import build_report
 
 CAT = default_catalog()
@@ -207,3 +208,31 @@ def test_every_report_does_all_of_its_work(monkeypatch):
     assert build_report(CAT)["summary"]["ok"] is True
     assert counts == {"gh_classify": 50 * 50 * 3 + 2, "homology": 8 * 50, "delta_poly": 8 * 50, "realize_torsion": 1000,
                       "quotient_homotopy": len(classification.corank2_sources(9, CAT))}
+
+
+#: each report section, by its name in ``verify._SECTIONS``, with the engine function of ``verify`` it calls first
+SECTION_ENGINES = {"table1": "transitive_sphere_pairs", "tables2-3": "enumerate_corank2", "table5": "classify_diagram",
+                   "brieskorn": "homology", "seven-family": "realize_torsion", "gh": "gh_classify",
+                   "equal-rank": "euler_characteristic", "mv": "mv_feasible"}
+
+
+@pytest.mark.parametrize("section", [name for name, _ in verify._SECTIONS])
+def test_an_engine_error_inside_a_section_fails_that_sections_check(monkeypatch, section):
+    # the catalog was checked at load, so a CohomoneError raised inside a section is an engine fault, not bad input:
+    # exit 1 naming the section, not exit 2, and every other section still runs
+    passing = {name: [] for name, _ in verify._SECTIONS}  # the checks of each section of a passing report
+    for name, run_section in verify._SECTIONS:
+        run_section(passing[name], CAT)
+
+    def broken(*args, **kwargs):
+        raise InvalidParams("injected")
+
+    monkeypatch.setattr(verify, SECTION_ENGINES[section], broken)
+    result = run(["verify-tables"], CAT)
+    raised = f"{section}/raised"
+    assert result.exit_code == 1 and result.payload["summary"]["failed"] == [raised]
+    assert [c["id"] for c in result.payload["checks"]] == [
+        check for name, checks in passing.items() for check in ([raised] if name == section else
+                                                                [c["id"] for c in checks])]
+    assert next(c for c in result.payload["checks"] if c["id"] == raised) == {
+        "id": raised, "expected": None, "computed": "InvalidParams: injected", "match": False}
