@@ -25,6 +25,7 @@ from cohomone.diagram import ClassificationOutcome
 from cohomone.errors import CohomoneError, InvalidDiagram, InvalidEmbedding, InvalidLabel, InvalidParams, Unsupported
 from cohomone.lie_catalog import NamedEmbedding, is_declared_injective, parse_group, validate_embedding
 from cohomone.rational_homotopy import HILBERT_STEP_BUDGET, hilbert_factors
+from test_source import _BytesPath
 
 
 def test_catalog_loads_and_indexes():
@@ -729,6 +730,19 @@ def test_data_dir_override(tmp_path, monkeypatch):
     with pytest.raises(InvalidDiagram):
         cat.diagram_record("wu-s3s1")
 
+
+
+@pytest.mark.parametrize("directory, type_name", [
+    pytest.param(1.5, "float", id="float"), pytest.param(-1, "int", id="negative-int"),
+    pytest.param(b"data", "bytes", id="bytes"), pytest.param(_BytesPath(), "_BytesPath", id="pathlike-of-bytes"),
+    pytest.param(["data"], "list", id="list"),
+])
+def test_load_catalog_refuses_a_directory_that_is_no_path(directory, type_name):
+    # the exported loader's one argument: pathlib's TypeError would reach a library caller untyped
+    with pytest.raises(InvalidParams) as caught:
+        load_catalog(directory)
+    assert type(caught.value) is InvalidParams
+    assert str(caught.value) == f"the catalog directory must be a path, got {type_name}"
 
 def test_lattice_lookup_scoped_by_group():
     cat = default_catalog()

@@ -631,6 +631,22 @@ def test_mv_check_non_integer_values_exit_2(flags, flag):
     assert flag in result.payload["error"]
 
 
+
+@pytest.mark.parametrize("flag, value", [("--h-spheres", "2,0"), ("--k-plus-spheres", "-3"),
+                                         ("--k-minus-spheres", "3,0,5")])
+def test_a_sphere_of_no_positive_dimension_is_refused_naming_its_flag(flag, value):
+    # the parser is the one check: the Poincare polynomial of a product of spheres trusts each dimension
+    flags = {"--h-spheres": "3", "--k-plus-spheres": "3", "--k-minus-spheres": "2,5", flag: value}
+    assert run(["mv-check", "--n", "5", *(item for pair in flags.items() for item in pair)]) == (
+        2, {"error": f"UsageError: {flag} takes positive sphere dimensions summing to at most 1000000, got '{value}'"})
+
+
+@pytest.mark.parametrize("t", ["2.5", "3.0"])
+def test_seven_family_refuses_a_realize_value_that_is_no_integer(t):
+    # realize_torsion trusts its t to be an integer, for which its parity rule proves the slopes 1 mod 4
+    assert run(["seven-family", "--realize", t]) == (
+        2, {"error": f"UsageError: argument --realize: invalid int value: '{t}'"})
+
 def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     doc = tmp_path / "diagram.json"
     doc.write_text(json.dumps({"catalog": "t5-row5"}))
